@@ -1,21 +1,16 @@
-"""Benchmark the numba kernels against their pure-numpy twins.
+"""Benchmark the numba roof-descent kernel against its pure-numpy twin.
 
 Usage: python benchmarks/bench_kernels.py
 
-Times the two hot loops on representative workloads: the Lindblad RK4
-integrator on the three-qubit W-preparation problem (d = 24, ~1000 steps)
-and the convex-roof descent on a rank-4 noisy W state.  The numpy column
-is what you get with CQEDW_PURE_NUMPY=1.
+Times the convex-roof descent on a full-rank noisy W state (m = 16, r = 8,
+2000 proposals).  The numpy row is what you get with CQEDW_PURE_NUMPY=1.
 """
 import time
 
 import numpy as np
 
 from cqedw import _kernels
-from cqedw.device import paper_system
-from cqedw.dynamics import _lindblad_arrays, build_hamiltonian, collapse_operators
 from cqedw.entanglement import TargetState
-from cqedw.hilbert import basis_ket
 
 
 def _time(fn, *args, repeats=5):
@@ -26,23 +21,6 @@ def _time(fn, *args, repeats=5):
         result = fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best, result
-
-
-def bench_lindblad():
-    cfg = paper_system(photon_cutoff=2)
-    h = np.ascontiguousarray(build_hamiltonian(cfg, [0.0, 0.0, 0.0]).entries)
-    rho = np.ascontiguousarray(basis_ket(cfg.spec, [], 1).density_matrix().entries)
-    ls, ls_dag, acc = _lindblad_arrays(collapse_operators(cfg), cfg.spec.dim)
-    args = (h, rho, ls, ls_dag, acc, 10e-12, 1000)
-
-    t_np, r_np = _time(_kernels.rk4_lindblad_numpy, *args)
-    row = [("numpy", t_np)]
-    if _kernels.rk4_lindblad_numba is not None:
-        _kernels.rk4_lindblad_numba(*args[:5], 10e-12, 2)  # compile outside the timer
-        t_nb, r_nb = _time(_kernels.rk4_lindblad_numba, *args)
-        row.append(("numba", t_nb))
-        print(f"  paths agree to {np.abs(r_np - r_nb).max():.2e}")
-    return "rk4_lindblad (d=24, 1000 steps)", row
 
 
 def bench_roof_descent():
@@ -72,13 +50,12 @@ def bench_roof_descent():
 
 def main():
     print(f"kernel backend selected at import: {_kernels.backend_name()}")
-    for bench in (bench_lindblad, bench_roof_descent):
-        name, rows = bench()
-        print(name)
-        base = rows[0][1]
-        for label, t in rows:
-            speedup = f"  ({base / t:.1f}x vs numpy)" if label != "numpy" else ""
-            print(f"  {label:>6}: {t * 1e3:8.2f} ms{speedup}")
+    name, rows = bench_roof_descent()
+    print(name)
+    base = rows[0][1]
+    for label, t in rows:
+        speedup = f"  ({base / t:.1f}x vs numpy)" if label != "numpy" else ""
+        print(f"  {label:>6}: {t * 1e3:8.2f} ms{speedup}")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,9 @@
-"""Hot numeric kernels, numba-compiled with a pure-numpy fallback.
+"""Hot numeric kernel, numba-compiled with a pure-numpy fallback.
 
-The two inner loops that dominate runtime live here: the fixed-step RK4
-Lindblad integrator and the isometry descent used by the convex-roof
-tangle bound.  Each kernel is written once as a plain function; when numba
-is importable (and not disabled) the same source is compiled with
-``@njit(cache=True)``.
+The isometry descent used by the convex-roof tangle bound is the one inner
+loop whose cost is interpreter overhead rather than linear algebra.  It is
+written once as a plain function; when numba is importable (and not
+disabled) the same source is compiled with ``@njit(cache=True)``.
 
 Set ``CQEDW_PURE_NUMPY=1`` to force the numpy path.  ``benchmarks/
 bench_kernels.py`` compares both.
@@ -18,30 +17,6 @@ import numpy as np
 
 def _numba_disabled() -> bool:
     return os.environ.get("CQEDW_PURE_NUMPY", "").strip() not in ("", "0")
-
-
-def _rk4_lindblad(h, rho, ls, ls_dag, acc, dt, steps):
-    """Integrate drho/dt = -i[H,rho] + sum_k (L rho L^+ - 1/2 {L^+L, rho}).
-
-    ``ls`` stacks the collapse operators with sqrt(rate) absorbed,
-    ``ls_dag`` their adjoints, ``acc`` = sum_k L^+ L.  All arrays complex128
-    and C-contiguous; returns the state after ``steps`` equal steps of ``dt``.
-    """
-
-    def rhs(r):
-        out = -1j * (h @ r - r @ h)
-        out = out - 0.5 * (acc @ r + r @ acc)
-        for k in range(ls.shape[0]):
-            out = out + ls[k] @ r @ ls_dag[k]
-        return out
-
-    for _ in range(steps):
-        k1 = rhs(rho)
-        k2 = rhs(rho + (0.5 * dt) * k1)
-        k3 = rhs(rho + (0.5 * dt) * k2)
-        k4 = rhs(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return rho
 
 
 def _roof_descent(wtil, v, noise, step0, step_min):
@@ -102,29 +77,21 @@ def _roof_descent(wtil, v, noise, step0, step_min):
     return best, v, used
 
 
-rk4_lindblad_numpy = _rk4_lindblad
 roof_descent_numpy = _roof_descent
 
 NUMBA_ENABLED = False
-rk4_lindblad_numba = None
 roof_descent_numba = None
 
 if not _numba_disabled():
     try:
         from numba import njit
 
-        rk4_lindblad_numba = njit(cache=True)(_rk4_lindblad)
         roof_descent_numba = njit(cache=True)(_roof_descent)
         NUMBA_ENABLED = True
     except ImportError:
         pass
 
-if NUMBA_ENABLED:
-    rk4_lindblad = rk4_lindblad_numba
-    roof_descent = roof_descent_numba
-else:
-    rk4_lindblad = rk4_lindblad_numpy
-    roof_descent = roof_descent_numpy
+roof_descent = roof_descent_numba if NUMBA_ENABLED else roof_descent_numpy
 
 
 def backend_name() -> str:

@@ -241,20 +241,13 @@ def _experiment_tomography(config, params, noise, seed, out: Path) -> list[str]:
     _write_text(out / "pauli_set.csv", _pauli_csv(result.rho))
     info.update(
         sigma=sigma,
-        fidelity_to_truth=_mixed_fidelity(result.rho, rho_true),
+        fidelity_to_truth=entanglement.uhlmann_fidelity(result.rho, rho_true),
         fidelity_w=entanglement.fidelity(result.rho, entanglement.TargetState.w_paper()),
         eigenvalue_shift=result.eigenvalue_shift,
         residual_norm=result.residual_norm,
     )
     _write_json(out / "summary.json", info)
     return ["records.csv", "rho_true.json", "rho_mle.json", "pauli_set.csv", "summary.json"]
-
-
-def _mixed_fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    from scipy.linalg import sqrtm
-
-    s = sqrtm(b.entries)
-    return float(np.real(np.trace(sqrtm(s @ a.entries @ s))) ** 2)
 
 
 def _pauli_csv(rho: DensityMatrix) -> str:

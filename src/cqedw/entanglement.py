@@ -97,6 +97,29 @@ def fidelity(rho: DensityMatrix, target: Union[TargetState, QuantumState]) -> fl
     return float(np.real(t.conj() @ rho.entries @ t))
 
 
+def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """Square root of a Hermitian PSD matrix.
+
+    Eigenvalues within eigh's round-off (dim * eps * largest) are set to
+    zero: their square roots would otherwise add ~1e-8 each.
+    """
+    w, v = np.linalg.eigh(mat)
+    w[w < mat.shape[0] * np.finfo(float).eps * np.abs(w).max()] = 0.0
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Mixed-state fidelity (Tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2.
+
+    Both square roots go through ``eigh``, which stays exact on the
+    rank-deficient states the protocols produce.
+    """
+    if rho.spec.dim != sigma.spec.dim:
+        raise ConfigError("state dimensions differ")
+    s = _psd_sqrt(sigma.entries)
+    return float(np.trace(_psd_sqrt(s @ rho.entries @ s)).real ** 2)
+
+
 def witness_operator() -> np.ndarray:
     """The W witness 2/3 Id - |W><W| (negative expectation certifies W-type)."""
     w = TargetState.w_paper().vector.amplitudes

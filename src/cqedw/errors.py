@@ -17,16 +17,5 @@ class NumericalError(CqedwError):
     """A numerical procedure failed to meet its accuracy contract."""
 
 
-class StepSizeError(NumericalError):
-    """Fixed-step integrator drifted beyond tolerance.
-
-    Carries a suggested smaller step in ``suggested_dt``.
-    """
-
-    def __init__(self, message, suggested_dt):
-        super().__init__(message)
-        self.suggested_dt = suggested_dt
-
-
 class FitError(NumericalError):
     """Curve fit could not be seeded or did not converge."""

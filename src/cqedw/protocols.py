@@ -23,13 +23,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .device import SystemConfig, apply_crosstalk
-from .dynamics import (
-    DEFAULT_DT,
-    build_hamiltonian,
-    collapse_operators,
-    evolve_lindblad_auto,
-    evolve_unitary,
-)
+from .dynamics import build_hamiltonian, collapse_operators, evolve_lindblad, evolve_unitary
 from .errors import ConfigError
 from .hilbert import (
     PROJ_EXCITED,
@@ -149,7 +143,6 @@ def run_schedule(
     config: SystemConfig,
     schedule: PulseSchedule,
     noise: bool = False,
-    dt: float = DEFAULT_DT,
 ) -> Union[QuantumState, DensityMatrix]:
     """Execute a schedule; closed-system unless ``noise`` enables the Lindblad model."""
     spec = config.spec
@@ -167,7 +160,7 @@ def run_schedule(
             continue
         h = build_hamiltonian(config, seg.detunings, coupled=seg.coupled)
         if noise:
-            state = evolve_lindblad_auto(state, h, collapse, seg.duration, dt)
+            state = evolve_lindblad(state, h, collapse, seg.duration)
         else:
             state = evolve_unitary(state, h, seg.duration)
     return state
@@ -218,18 +211,12 @@ def single_photon_schedule(
     return PulseSchedule(segments, ground_state(config))
 
 
-def prepare_single_photon(config: SystemConfig, source_qubit: int) -> PulseSchedule:
-    """Schedule loading one photon into the cavity from ``source_qubit``."""
-    return single_photon_schedule(config, source_qubit)
-
-
 def rabi_scan(
     config: SystemConfig,
     participating: Iterable[int],
     tau_grid: Sequence[float],
     noise: bool = False,
     source_qubit: int | None = None,
-    dt: float = DEFAULT_DT,
 ) -> PopulationTrace:
     """Collective vacuum Rabi oscillation scan.
 
@@ -259,7 +246,7 @@ def rabi_scan(
         schedule = PulseSchedule(
             prep.segments + (_segment(config, part, float(t)),), prep.initial_state
         )
-        final = run_schedule(config, schedule, noise=noise, dt=dt)
+        final = run_schedule(config, schedule, noise=noise)
         q_pops[i], g_pop[i], c_pop[i] = populations(final)
     labels = tuple(q.label for q in config.qubits)
     return PopulationTrace(tau, q_pops, g_pop, c_pop, labels)
@@ -275,7 +262,6 @@ def prepare_w_collective(
     config: SystemConfig,
     noise: bool = False,
     source_qubit: int = 2,
-    dt: float = DEFAULT_DT,
 ) -> DensityMatrix:
     """Collective W preparation: load a photon, then all qubits resonant for tau_W.
 
@@ -288,7 +274,7 @@ def prepare_w_collective(
     schedule = PulseSchedule(
         prep.segments + (_segment(config, range(3), tau_w),), prep.initial_state
     )
-    final = run_schedule(config, schedule, noise=noise, dt=dt)
+    final = run_schedule(config, schedule, noise=noise)
     rho = final if isinstance(final, DensityMatrix) else final.density_matrix()
     return partial_trace(rho, range(3))
 
@@ -322,12 +308,10 @@ def sequential_w_schedule(config: SystemConfig, through_segment: int = 3) -> Pul
     return PulseSchedule(tuple(segments[: through_segment + 1]), ground_state(config))
 
 
-def prepare_w_sequential(
-    config: SystemConfig, noise: bool = False, dt: float = DEFAULT_DT
-) -> DensityMatrix:
+def prepare_w_sequential(config: SystemConfig, noise: bool = False) -> DensityMatrix:
     """Sequential W preparation via one-at-a-time swaps C -> B -> A."""
     schedule = sequential_w_schedule(config)
-    final = run_schedule(config, schedule, noise=noise, dt=dt)
+    final = run_schedule(config, schedule, noise=noise)
     rho = final if isinstance(final, DensityMatrix) else final.density_matrix()
     return partial_trace(rho, range(3))
 

@@ -36,7 +36,8 @@ def random_unitary(dim: int, rng) -> np.ndarray:
 
 
 def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    from scipy.linalg import sqrtm
-
-    s = sqrtm(rho)
-    return float(np.real(np.trace(sqrtm(s @ sigma @ s))) ** 2)
+    """Reference (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 from eigendecompositions."""
+    w, v = np.linalg.eigh(rho)
+    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    inner = np.linalg.eigvalsh(s @ sigma @ s)
+    return float(np.sqrt(np.clip(inner, 0.0, None)).sum() ** 2)

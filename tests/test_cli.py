@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,22 @@ def test_run_tomography_and_reconstruct_roundtrip(tmp_path):
     pauli_lines = (tmp_path / "rec" / "pauli_set.csv").read_text().strip().split("\n")
     assert pauli_lines[0] == "label,value"
     assert len(pauli_lines) == 65
+
+
+def test_noisy_tomography_raises_no_warnings(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(
+        cfg_path,
+        experiment="tomography",
+        noise=True,
+        seed=3,
+        params={"state": "w_sequential", "sigma": 0.02},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("run", "--config", cfg_path, "--quiet") == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert 0.95 < summary["fidelity_to_truth"] <= 1.0
 
 
 def test_reconstruct_missing_row_exits_2(tmp_path):

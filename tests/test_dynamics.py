@@ -1,17 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cqedw.device import equal_coupling_system, paper_system
+from cqedw import protocols
+from cqedw.device import G_RAD_PER_PI_MHZ, equal_coupling_system, paper_system
 from cqedw.dynamics import (
+    CollapseOperator,
+    _reachable,
     build_hamiltonian,
     collapse_operators,
     evolve_lindblad,
-    evolve_lindblad_auto,
     evolve_unitary,
     hamiltonian_terms,
     single_excitation_oracle,
 )
-from cqedw.errors import ConfigError, NumericalError, StepSizeError
+from cqedw.errors import ConfigError, NumericalError
 from cqedw.hilbert import (
     PROJ_EXCITED,
     SIGMA_Z,
@@ -29,6 +36,46 @@ from conftest import random_pure
 
 def single_excitation_indices(spec):
     return [spec.index([j]) for j in range(spec.num_qubits)] + [spec.index([], 1)]
+
+
+def excitation_number(spec):
+    n_exc = cavity_number(spec).entries.copy()
+    for j in range(spec.num_qubits):
+        n_exc += (embed_qubit_operator(SIGMA_Z, j, spec).entries + np.eye(spec.dim)) / 2
+    return OperatorMatrix(n_exc, spec, hermitian=True)
+
+
+def rk4_lindblad(rho, h, collapse, t, dt):
+    """Fixed-step RK4 on the full-space Lindblad equation, an independent reference."""
+    ls = [np.sqrt(c.rate) * c.matrix.entries for c in collapse]
+    acc = sum((l.conj().T @ l for l in ls), np.zeros_like(h))
+
+    def rhs(r):
+        out = -1j * (h @ r - r @ h) - 0.5 * (acc @ r + r @ acc)
+        for l in ls:
+            out = out + l @ r @ l.conj().T
+        return out
+
+    steps = int(np.ceil(t / dt))
+    step = t / steps
+    for _ in range(steps):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * step * k1)
+        k3 = rhs(rho + 0.5 * step * k2)
+        k4 = rhs(rho + step * k3)
+        rho = rho + (step / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return rho
+
+
+def full_space_expm(rho, h, collapse, t):
+    """expm of the unrestricted row-major Lindblad generator (d^2 x d^2)."""
+    eye = np.eye(h.shape[0])
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for c in collapse:
+        l = np.sqrt(c.rate) * c.matrix.entries
+        d = l.conj().T @ l
+        gen += np.kron(l, l.conj()) - 0.5 * (np.kron(d, eye) + np.kron(eye, d.T))
+    return (scipy.linalg.expm(gen * t) @ rho.reshape(-1)).reshape(rho.shape)
 
 
 def test_hamiltonian_terms_hermitian_and_labels():
@@ -107,32 +154,46 @@ def test_lindblad_t1_only_exponential_decay():
     channel = [c for c in collapse_operators(cfg) if np.isclose(c.rate, 1 / t1)]
     rho0 = basis_ket(spec, [0], 0).density_matrix()
     t = 300e-9
-    rho = evolve_lindblad(rho0, h, channel, t, dt=50e-12)
+    rho = evolve_lindblad(rho0, h, channel, t)
     p_e = expectation(embed_qubit_operator(PROJ_EXCITED, 0, spec), rho)
-    assert abs(p_e - np.exp(-t / t1)) < 1e-6
+    assert abs(p_e - np.exp(-t / t1)) < 1e-12
 
 
-def test_lindblad_halving_convergence():
-    cfg = paper_system(photon_cutoff=1)
-    h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
-    rho0 = basis_ket(cfg.spec, [], 1).density_matrix()
+def test_lindblad_w_sequential_matches_fine_step_rk4(monkeypatch):
+    # parked qubits turn by ~0.13 rad per 10 ps step, so RK4 needs dt = 2.5 ps
+    # to come within 1e-6 of the exact propagator
+    cfg = paper_system()
+    exact = protocols.prepare_w_sequential(cfg, noise=True).entries
+
+    def rk4_segment(rho, h, collapse, t):
+        return DensityMatrix(rk4_lindblad(rho.entries, h.entries, collapse, t, 2.5e-12), rho.spec)
+
+    monkeypatch.setattr(protocols, "evolve_lindblad", rk4_segment)
+    reference = protocols.prepare_w_sequential(cfg, noise=True).entries
+    assert np.abs(exact - reference).max() < 2e-6
+
+
+def test_lindblad_restricted_matches_full_space_expm():
+    cfg = paper_system(photon_cutoff=2)
+    spec = cfg.spec
+    h = build_hamiltonian(cfg, 2 * np.pi * np.array([30e6, -45e6, 10e6]))
     cs = collapse_operators(cfg)
-    r1 = evolve_lindblad(rho0, h, cs, 5e-9, dt=10e-12)
-    r2 = evolve_lindblad(rho0, h, cs, 5e-9, dt=5e-12)
-    assert np.abs(r1.entries - r2.entries).max() < 1e-8
-
-
-def test_lindblad_step_too_large():
-    cfg = paper_system(photon_cutoff=1)
-    h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
-    rho0 = basis_ket(cfg.spec, [], 1).density_matrix()
-    cs = collapse_operators(cfg)
-    with pytest.raises(StepSizeError) as info:
-        evolve_lindblad(rho0, h, cs, 50e-9, dt=50e-9)
-    assert info.value.suggested_dt == 25e-9
-    # the auto variant settles on a working step
-    out = evolve_lindblad_auto(rho0, h, cs, 50e-9, dt=50e-9)
-    assert abs(np.trace(out.entries).real - 1.0) < 1e-8
+    ops = [h.entries] + [c.matrix.entries for c in cs] + [
+        c.matrix.entries.conj().T @ c.matrix.entries for c in cs
+    ]
+    starts = [
+        # |ggg,1> reaches the three |e_j,0> and |ggg,0>
+        (basis_ket(spec, [], 1).density_matrix(), 5),
+        # the maximally mixed state has full support
+        (DensityMatrix(np.eye(spec.dim, dtype=complex) / spec.dim, spec), spec.dim),
+    ]
+    t = 50e-9
+    for rho0, support in starts:
+        assert _reachable(rho0.entries, ops).sum() == support
+        out = evolve_lindblad(rho0, h, cs, t)
+        ref = full_space_expm(rho0.entries, h.entries, cs, t)
+        assert np.abs(out.entries - ref).max() < 1e-12
+        assert abs(np.trace(out.entries).real - 1.0) < 1e-12
 
 
 def test_lindblad_positivity():
@@ -150,9 +211,11 @@ def test_lindblad_rejects_bad_inputs():
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     rho0 = basis_ket(cfg.spec, [], 0).density_matrix()
     with pytest.raises(ConfigError):
-        evolve_lindblad(rho0, h, [], 1e-9, dt=0.0)
-    with pytest.raises(ConfigError):
         evolve_lindblad(rho0, h, [], -1e-9)
+    bad = h.entries.copy()
+    bad[0, 1] += 1e6
+    with pytest.raises(NumericalError):
+        evolve_lindblad(rho0, OperatorMatrix(bad, cfg.spec), [], 1e-9)
 
 
 def test_oracle_amplitudes_at_factorization_time():
@@ -236,10 +299,8 @@ def test_dark_state_is_stationary():
 def test_excitation_conservation():
     cfg = paper_system(photon_cutoff=2)
     spec = cfg.spec
-    n_exc = cavity_number(spec).entries.copy()
-    for j in range(3):
-        n_exc += (embed_qubit_operator(SIGMA_Z, j, spec).entries + np.eye(spec.dim)) / 2
-    n_op = OperatorMatrix(n_exc, spec, hermitian=True)
+    n_op = excitation_number(spec)
+    n_exc = n_op.entries
     h = build_hamiltonian(cfg, 2 * np.pi * np.array([5e6, -3e6, 1e6]))
     comm = h.entries @ n_exc - n_exc @ h.entries
     assert np.abs(comm).max() < 1e-9 * np.abs(h.entries).max()
@@ -272,3 +333,62 @@ def test_frame_gauge_invariance():
         p1 = np.abs(evolve_unitary(psi0, h1, t).amplitudes) ** 2
         p2 = np.abs(evolve_unitary(psi0, h2, t).amplitudes) ** 2
         assert np.abs(p1 - p2).max() < 1e-9
+
+
+# -- invariants over random devices --------------------------------------------
+
+mhz = st.floats(20.0, 200.0)
+couplings_mhz = st.tuples(mhz, mhz, mhz).map(lambda g: (-g[0], g[1], g[2]))
+detunings_mhz = st.tuples(*[st.floats(-100.0, 100.0)] * 3)
+
+
+def random_device(g_over_pi_mhz):
+    cfg = paper_system(photon_cutoff=1)
+    qubits = tuple(
+        replace(q, coupling_g=g * G_RAD_PER_PI_MHZ) for q, g in zip(cfg.qubits, g_over_pi_mhz)
+    )
+    return replace(cfg, qubits=qubits)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    g=couplings_mhz,
+    delta=detunings_mhz,
+    amps=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=4, max_size=4),
+    boost=st.floats(1.0, 1e3),
+)
+def test_lindblad_invariants_on_random_devices(g, delta, amps, boost):
+    cfg = random_device(g)
+    spec = cfg.spec
+    vec = np.zeros(spec.dim, dtype=complex)
+    vec[single_excitation_indices(spec)] = amps
+    if np.linalg.norm(vec) < 1e-3:
+        vec[spec.index([], 1)] = 1.0
+    rho = QuantumState(vec / np.linalg.norm(vec), spec).density_matrix()
+    h = build_hamiltonian(cfg, 2 * np.pi * 1e6 * np.array(delta))
+    # boosted rates make the dissipators visible within a few nanoseconds
+    cs = [CollapseOperator(c.matrix, c.rate * boost) for c in collapse_operators(cfg)]
+    n_op = excitation_number(spec)
+    n_prev = expectation(n_op, rho)
+    for _ in range(4):
+        rho = evolve_lindblad(rho, h, cs, 2e-9)
+        m = rho.entries
+        assert abs(np.trace(m).real - 1.0) < 1e-10
+        assert np.abs(m - m.conj().T).max() < 1e-12
+        assert np.linalg.eigvalsh(m).min() >= -1e-10
+        n_now = expectation(n_op, rho)
+        assert n_now <= n_prev + 1e-12
+        n_prev = n_now
+
+
+@settings(max_examples=20, deadline=None)
+@given(g=couplings_mhz, delta=detunings_mhz, t_ns=st.floats(0.0, 20.0))
+def test_lindblad_closed_system_matches_oracle(g, delta, t_ns):
+    cfg = random_device(g)
+    spec = cfg.spec
+    detunings = 2 * np.pi * 1e6 * np.array(delta)
+    rho0 = basis_ket(spec, [], 1).density_matrix()
+    rho = evolve_lindblad(rho0, build_hamiltonian(cfg, detunings), [], t_ns * 1e-9)
+    psi = single_excitation_oracle(cfg.couplings(), detunings, t_ns * 1e-9)
+    idx = single_excitation_indices(spec)
+    assert np.abs(rho.entries[np.ix_(idx, idx)] - np.outer(psi, psi.conj())).max() < 1e-9

@@ -14,6 +14,7 @@ from cqedw.entanglement import (
     tangle_quartic,
     three_tangle_mixed,
     three_tangle_pure,
+    uhlmann_fidelity,
     witness_operator,
     witness_value,
 )
@@ -21,6 +22,7 @@ from cqedw.errors import ConfigError
 from cqedw.hilbert import DensityMatrix, HilbertSpec, QuantumState
 from cqedw.protocols import apply_phase_correction, prepare_w_collective
 from conftest import QUBIT_SPEC_3, random_density, random_pure, random_unitary
+from conftest import uhlmann_fidelity as reference_uhlmann
 
 
 def test_fidelity_examples():
@@ -28,6 +30,24 @@ def test_fidelity_examples():
     assert np.isclose(fidelity(w.vector.density_matrix(), w), 1.0)
     mixed = DensityMatrix(np.eye(8) / 8, QUBIT_SPEC_3)
     assert np.isclose(fidelity(mixed, w), 1 / 8)
+
+
+def test_uhlmann_fidelity_rank_deficient():
+    rng = np.random.default_rng(8)
+    rank2 = random_density(QUBIT_SPEC_3, rng, rank=2)
+    assert abs(uhlmann_fidelity(rank2, rank2) - 1.0) < 1e-12
+    # a pure argument reduces it to <psi|rho|psi>
+    w = TargetState.w_paper()
+    for rho in (rank2, random_density(QUBIT_SPEC_3, rng)):
+        assert abs(uhlmann_fidelity(rho, w.vector.density_matrix()) - fidelity(rho, w)) < 1e-12
+    for rank in (1, 2, 8):
+        a = random_density(QUBIT_SPEC_3, rng, rank=rank)
+        b = random_density(QUBIT_SPEC_3, rng, rank=3)
+        f = uhlmann_fidelity(a, b)
+        assert abs(f - uhlmann_fidelity(b, a)) < 1e-12
+        # the reference keeps eigenvalue round-off, whose square roots shift
+        # it by ~1e-8 on rank-deficient pairs
+        assert abs(f - reference_uhlmann(a.entries, b.entries)) < 1e-7
 
 
 def test_fidelity_linearity():

@@ -13,7 +13,6 @@ from cqedw.protocols import (
     cavity_population,
     collective_interaction_time,
     populations,
-    prepare_single_photon,
     prepare_w_collective,
     prepare_w_sequential,
     rabi_scan,
@@ -27,7 +26,7 @@ from conftest import QUBIT_SPEC_3
 
 def test_single_photon_durations():
     cfg = paper_system()
-    sched = prepare_single_photon(cfg, 0)
+    sched = single_photon_schedule(cfg, 0)
     tau0 = sched.segments[-1].duration
     assert np.isclose(tau0, np.pi / (2 * abs(cfg.qubits[0].coupling_g)), rtol=1e-12)
     assert np.isclose(tau0, 4.744e-9, rtol=1e-3)  # = 1 / (2 * 105.4 MHz)
@@ -36,7 +35,7 @@ def test_single_photon_durations():
 def test_single_photon_transfer_is_complete():
     cfg = paper_system()
     for src in range(3):
-        out = run_schedule(cfg, prepare_single_photon(cfg, src))
+        out = run_schedule(cfg, single_photon_schedule(cfg, src))
         assert abs(cavity_population(out) - 1.0) < 1e-6
         q, _, _ = populations(out)
         assert np.abs(q).max() < 1e-6
