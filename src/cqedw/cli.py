@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _kernels, analysis, entanglement, protocols, tomography
+from . import __version__, analysis, entanglement, protocols, tomography
 from .device import (
     G_RAD_PER_PI_MHZ,
     PRESETS,
@@ -121,11 +121,10 @@ def rho_from_json(obj) -> DensityMatrix:
         ).reshape(d, d)
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad density-matrix object: {err}") from err
-    n_qubits = int(round(np.log2(d)))
-    if 2**n_qubits == d:
-        spec = HilbertSpec(num_qubits=n_qubits, photon_cutoff=0)
-    else:
+    n_qubits = d.bit_length() - 1
+    if d < 2 or 2**n_qubits != d:
         raise ConfigError(f"cannot infer qubit count from dim {d}")
+    spec = HilbertSpec(num_qubits=n_qubits, photon_cutoff=0)
     try:
         return DensityMatrix(mat, spec)
     except NumericalError as err:
@@ -262,12 +261,17 @@ def _experiment_certify(config, params, noise, seed, out: Path) -> list[str]:
     if not path:
         raise ConfigError("certify needs params.rho_path")
     rho = _load_rho(Path(path))
+    try:
+        restarts = int(params.get("restarts", entanglement.DEFAULT_RESTARTS))
+        budget = int(params.get("budget", entanglement.DEFAULT_BUDGET))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"certify restarts and budget must be integers: {err}") from err
     report = entanglement.certification_report(
         rho,
-        restarts=int(params.get("restarts", entanglement.DEFAULT_RESTARTS)),
-        budget=int(params.get("budget", entanglement.DEFAULT_BUDGET)),
+        restarts=restarts,
+        budget=budget,
         seed=seed if seed is not None else 0,
-        thresholds=tuple(params.get("thresholds", (0.1, 0.5))),
+        thresholds=params.get("thresholds", entanglement.DEFAULT_THRESHOLDS),
     )
     _write_json(out / "certification.json", report)
     return ["certification.json"]
@@ -331,7 +335,6 @@ def run(config_path, out_override=None, seed_override=None, quiet=False) -> list
         "versions": {
             "cqedw": __version__,
             "numpy": np.__version__,
-            "kernel_backend": _kernels.backend_name(),
         },
         "duration_s": time.time() - start,
     }

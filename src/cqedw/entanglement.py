@@ -7,9 +7,10 @@ amplitude polynomials of the hyperdeterminant,
 
 which is 1 for a GHZ state and 0 for every W-class or product state.  For
 mixed states the convex roof (minimum average tangle over decompositions)
-is approximated from above by optimizing over isometric mixtures of the
-eigenvector ensemble; the result is an explicit upper bound, never a claim
-of the exact roof.
+is approximated from above by a random-walk descent over isometric
+mixtures of the eigenvector ensemble; the result is an explicit upper
+bound, never a claim of the exact roof.  The descent is plain numpy driven
+by one seeded random stream, so the same seed gives the same bound.
 """
 from __future__ import annotations
 
@@ -18,14 +19,12 @@ from typing import Union
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigError
-from .hilbert import DensityMatrix, HilbertSpec, QuantumState
-
-QUBIT_SPEC_3 = HilbertSpec(num_qubits=3, photon_cutoff=0)
+from .hilbert import QUBIT_SPEC_3, DensityMatrix, QuantumState
 
 DEFAULT_RESTARTS = 32
 DEFAULT_BUDGET = 2000
+DEFAULT_THRESHOLDS = (0.1, 0.5)
 EIGENVALUE_CUTOFF = 1e-10
 
 
@@ -133,27 +132,26 @@ def witness_value(rho: DensityMatrix) -> float:
     return float(np.real(np.einsum("ij,ji->", witness_operator(), rho.entries)))
 
 
-def tangle_quartic(amps: np.ndarray) -> float:
-    """4 |d1 - 2 d2 + 4 d3| for a length-8 (possibly unnormalized) amplitude vector."""
-    a = np.asarray(amps, dtype=complex).reshape(8)
-    d1 = a[0] ** 2 * a[7] ** 2 + a[1] ** 2 * a[6] ** 2 + a[2] ** 2 * a[5] ** 2 + a[4] ** 2 * a[3] ** 2
-    d2 = (
-        a[0] * a[7] * a[3] * a[4]
-        + a[0] * a[7] * a[5] * a[2]
-        + a[0] * a[7] * a[6] * a[1]
-        + a[3] * a[4] * a[5] * a[2]
-        + a[3] * a[4] * a[6] * a[1]
-        + a[5] * a[2] * a[6] * a[1]
-    )
-    d3 = a[0] * a[6] * a[5] * a[3] + a[7] * a[1] * a[2] * a[4]
-    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+def tangle_quartic(amps: np.ndarray) -> np.ndarray:
+    """4 |d1 - 2 d2 + 4 d3| over the last axis of a (..., 8) amplitude array.
+
+    The amplitudes may be unnormalized; the result has the leading shape.
+    """
+    a = np.asarray(amps, dtype=complex)
+    x = a[..., :4] * a[..., :3:-1]  # a_i a_(7-i), i = 0..3: complementary basis-state pairs
+    x0, x1, x2, x3 = (x[..., i] for i in range(4))
+    d1 = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+    d2 = x0 * (x1 + x2 + x3) + x1 * (x2 + x3) + x2 * x3
+    d3 = (a[..., 0] * a[..., 3] * a[..., 5] * a[..., 6]
+          + a[..., 1] * a[..., 2] * a[..., 4] * a[..., 7])
+    return 4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)
 
 
 def three_tangle_pure(psi: QuantumState) -> TangleEstimate:
     """Residual tripartite entanglement of a pure three-qubit state."""
     if psi.spec.dim != 8:
         raise ConfigError("three-tangle is defined for three qubits")
-    value = min(1.0, tangle_quartic(psi.amplitudes))
+    value = min(1.0, float(tangle_quartic(psi.amplitudes)))
     return TangleEstimate(value, "pure_exact", decomposition_size=1, optimizer_iterations=0)
 
 
@@ -161,14 +159,39 @@ def decomposition_average_tangle(states: np.ndarray) -> float:
     """Average tangle sum_k p_k tau(psi_k) of an explicit sub-normalized ensemble.
 
     ``states`` has shape (m, 8); row k is sqrt(p_k) psi_k.  Because the
-    quartic is homogeneous of degree 4, each term is tau(row)/p.
+    quartic is homogeneous of degree 4, each term is tau(row)/p; rows of
+    weight p <= 1e-14 contribute nothing.
     """
-    total = 0.0
-    for row in np.asarray(states, dtype=complex).reshape(-1, 8):
-        p = float(np.real(row.conj() @ row))
-        if p > 1e-14:
-            total += tangle_quartic(row) / p
-    return total
+    rows = np.asarray(states, dtype=complex).reshape(-1, 8)
+    p = np.sum(rows.real**2 + rows.imag**2, axis=-1)
+    return float(np.sum(tangle_quartic(rows) / np.where(p > 1e-14, p, np.inf)))
+
+
+def _roof_descent(wtil, v, noise) -> tuple[float, int]:
+    """Minimize the average tangle of the decomposition ``v @ wtil``.
+
+    ``wtil`` is the (r, 8) scaled eigenvector ensemble, ``v`` an (m, r)
+    isometry start point and ``noise`` an (iters, m, r) stack of complex
+    perturbations.  Each proposal is the QR orthonormalization of
+    v + step * noise[it]; an improvement is accepted and grows the step,
+    anything else shrinks it, and the walk stops once the step falls below
+    ``step_min``.  Returns (best value, proposals used).
+    """
+    step0, step_min = 0.3, 1e-10
+    best = decomposition_average_tangle(v @ wtil)
+    step = step0
+    used = 0
+    for used, kick in enumerate(noise, start=1):
+        q = np.linalg.qr(v + step * kick)[0]
+        value = decomposition_average_tangle(q @ wtil)
+        if value < best:
+            v, best = q, value
+            step = min(step * 1.1, step0)
+        else:
+            step *= 0.95
+            if step < step_min:
+                break
+    return best, used
 
 
 def three_tangle_mixed(
@@ -192,10 +215,10 @@ def three_tangle_mixed(
     keep = lam > EIGENVALUE_CUTOFF * lam.max()
     lam, vec = lam[keep], vec[:, keep]
     r = lam.size
-    wtil = np.ascontiguousarray((np.sqrt(lam)[None, :] * vec).T)  # (r, 8)
+    wtil = (np.sqrt(lam)[None, :] * vec).T  # (r, 8)
 
     if r == 1:
-        value = min(1.0, tangle_quartic(wtil[0]) / float(lam[0] ** 2))
+        value = min(1.0, float(tangle_quartic(wtil[0]) / lam[0] ** 2))
         return TangleEstimate(value, "mixed_upper_bound", 1, 0)
 
     rng = np.random.default_rng(seed)
@@ -207,9 +230,8 @@ def three_tangle_mixed(
         v0 = np.linalg.qr(
             rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
         )[0]
-        v0 = np.ascontiguousarray(v0)
         noise = rng.standard_normal((budget, m, r)) + 1j * rng.standard_normal((budget, m, r))
-        value, _, used = _kernels.roof_descent(wtil, v0, noise, 0.3, 1e-10)
+        value, used = _roof_descent(wtil, v0, noise)
         used_total += used
         if value < best:
             best, best_m = value, m
@@ -218,23 +240,19 @@ def three_tangle_mixed(
 
 def classify_w_vs_ghz(
     rho: DensityMatrix,
-    thresholds: tuple[float, float] = (0.1, 0.5),
+    thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
     restarts: int = DEFAULT_RESTARTS,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> str:
     """Classify a three-qubit state as ``W_class``, ``GHZ_class`` or ``inconclusive``.
 
-    W_class requires a tangle bound below ``thresholds[0]`` and a negative
-    witness; GHZ_class a tangle bound above ``thresholds[1]``.
+    The verdict of :func:`certification_report`.
     """
-    tangle_thr, ghz_thr = thresholds
-    bound = three_tangle_mixed(rho, restarts=restarts, budget=budget, seed=seed).value
-    if bound > ghz_thr:
-        return "GHZ_class"
-    if bound < tangle_thr and witness_value(rho) < 0:
-        return "W_class"
-    return "inconclusive"
+    report = certification_report(
+        rho, restarts=restarts, budget=budget, seed=seed, thresholds=thresholds
+    )
+    return report["classification"]
 
 
 def certification_report(
@@ -242,14 +260,22 @@ def certification_report(
     restarts: int = DEFAULT_RESTARTS,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    thresholds: tuple[float, float] = (0.1, 0.5),
+    thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
 ) -> dict:
-    """Full certification record used by the command-line ``certify`` step."""
+    """Full certification record used by the command-line ``certify`` step.
+
+    W_class requires a tangle bound below ``thresholds[0]`` and a negative
+    witness; GHZ_class a tangle bound above ``thresholds[1]``.
+    """
+    try:
+        tangle_thr, ghz_thr = (float(t) for t in thresholds)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"thresholds must be two numbers, got {thresholds!r}") from err
     estimate = three_tangle_mixed(rho, restarts=restarts, budget=budget, seed=seed)
     wit = witness_value(rho)
-    if estimate.value > thresholds[1]:
+    if estimate.value > ghz_thr:
         classification = "GHZ_class"
-    elif estimate.value < thresholds[0] and wit < 0:
+    elif estimate.value < tangle_thr and wit < 0:
         classification = "W_class"
     else:
         classification = "inconclusive"

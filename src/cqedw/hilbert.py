@@ -92,6 +92,10 @@ class HilbertSpec:
         return n_photon * 2**self.num_qubits + bits
 
 
+# The cavity-traced three-qubit space that tomography and certification act on.
+QUBIT_SPEC_3 = HilbertSpec(num_qubits=3, photon_cutoff=0)
+
+
 @dataclass(frozen=True)
 class QuantumState:
     """Pure state vector on a :class:`HilbertSpec`, unit norm within 1e-9."""
@@ -126,6 +130,8 @@ class DensityMatrix:
         d = self.spec.dim
         if mat.shape != (d, d):
             raise ConfigError(f"density matrix shape {mat.shape} does not match dim {d}")
+        if not np.all(np.isfinite(mat)):
+            raise NumericalError("density matrix has non-finite entries")
         herm = np.abs(mat - mat.conj().T).max()
         if herm > HERMITICITY_ATOL:
             raise NumericalError(f"density matrix non-Hermitian by {herm}")

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigError, IncompleteReadoutError, NumericalError
 from .hilbert import (
     ID2,
+    QUBIT_SPEC_3,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -32,8 +33,6 @@ from .hilbert import (
     OperatorMatrix,
     qubit_rotation,
 )
-
-QUBIT_SPEC_3 = HilbertSpec(num_qubits=3, photon_cutoff=0)
 
 PAULI_1Q = {"I": ID2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 PAULI_LABELS = tuple("".join(p) for p in itertools.product("IXYZ", repeat=3))
@@ -93,9 +92,12 @@ def build_readout(coefficients: Sequence[float]) -> ReadoutOperator:
     other coefficient must be nonzero or the conjugated set cannot be
     tomographically complete.
     """
-    coeffs = tuple(float(c) for c in coefficients)
-    if len(coeffs) != 8:
-        raise ConfigError("readout needs exactly 8 coefficients")
+    try:
+        coeffs = tuple(float(c) for c in coefficients)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"readout coefficients must be numbers: {err}") from err
+    if len(coeffs) != 8 or not np.all(np.isfinite(coeffs)):
+        raise ConfigError("readout needs exactly 8 finite coefficients")
     zeros = [DIAGONAL_LABELS[i] for i in range(1, 8) if coeffs[i] == 0.0]
     if zeros:
         raise IncompleteReadoutError(
@@ -334,6 +336,8 @@ def records_from_csv(text: str, tset: TomographySet, sigma: float = 0.0) -> list
             values[key] = float(parts[3])
         except ValueError as err:
             raise ConfigError(f"non-numeric value in row {ln!r}") from err
+        if not np.isfinite(values[key]):
+            raise ConfigError(f"non-finite value in row {ln!r}")
     missing = [l for l in tset.labels if l not in values]
     if missing:
         raise ConfigError(f"records CSV is missing {len(missing)} labels, e.g. {missing[0]}")

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from cqedw.device import paper_system
-from cqedw.hilbert import DensityMatrix, HilbertSpec, QuantumState
-
-QUBIT_SPEC_3 = HilbertSpec(num_qubits=3, photon_cutoff=0)
+from cqedw.hilbert import QUBIT_SPEC_3, DensityMatrix, HilbertSpec, QuantumState  # noqa: F401
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +39,18 @@ def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     inner = np.linalg.eigvalsh(s @ sigma @ s)
     return float(np.sqrt(np.clip(inner, 0.0, None)).sum() ** 2)
+
+
+def tangle_quartic(a: np.ndarray) -> float:
+    """Reference 4 |d1 - 2 d2 + 4 d3| of one length-8 vector, Cayley's terms written out."""
+    d1 = a[0] ** 2 * a[7] ** 2 + a[1] ** 2 * a[6] ** 2 + a[2] ** 2 * a[5] ** 2 + a[4] ** 2 * a[3] ** 2
+    d2 = (
+        a[0] * a[7] * a[3] * a[4]
+        + a[0] * a[7] * a[5] * a[2]
+        + a[0] * a[7] * a[6] * a[1]
+        + a[3] * a[4] * a[5] * a[2]
+        + a[3] * a[4] * a[6] * a[1]
+        + a[5] * a[2] * a[6] * a[1]
+    )
+    d3 = a[0] * a[6] * a[5] * a[3] + a[7] * a[1] * a[2] * a[4]
+    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))

@@ -87,6 +87,13 @@ def test_run_malformed_config_exits_2(tmp_path):
     assert run_cli("run", "--config", bad) == 2
     assert not (tmp_path / "out").exists()
 
+    w = entanglement.TargetState.w_paper().vector.density_matrix()
+    rho_path = tmp_path / "w.json"
+    rho_path.write_text(json.dumps(rho_to_json(w)))
+    for params in ({"restarts": "x"}, {"budget": "x"}, {"thresholds": [0.1]}, {"thresholds": "ab"}):
+        write_config(bad, experiment="certify", seed=0, params={"rho_path": str(rho_path), **params})
+        assert run_cli("run", "--config", bad) == 2
+
 
 def test_run_unknown_experiment_exits_2(tmp_path):
     cfg_path = tmp_path / "cfg.json"
@@ -160,6 +167,12 @@ def test_certify_rejects_invalid_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dim": 8, "real": [1.0] * 64, "imag": [0.0] * 64}))
     assert run_cli("certify", bad, "--out", tmp_path) == 2
+    bad.write_text(json.dumps({"dim": 0, "real": [], "imag": []}))
+    assert run_cli("certify", bad, "--out", tmp_path) == 2
+    w = rho_to_json(entanglement.TargetState.w_paper().vector.density_matrix())
+    w["real"][9] = float("nan")  # json writes NaN, and json.loads reads it back
+    bad.write_text(json.dumps(w))
+    assert run_cli("certify", bad, "--out", tmp_path) == 2
 
 
 def test_rho_json_roundtrip():
@@ -216,10 +229,21 @@ def test_reconstruct_missing_row_exits_2(tmp_path):
     w = entanglement.TargetState.w_paper().vector.density_matrix()
     recs = tomography.simulate_measurements(w, tset, 0.0, 0)
     text = tomography.records_to_csv(recs)
-    truncated = "\n".join(text.strip().split("\n")[:-1]) + "\n"
+    lines = text.strip().split("\n")
     path = tmp_path / "records.csv"
-    path.write_text(truncated)
+    path.write_text("\n".join(lines[:-1]) + "\n")
     assert run_cli("reconstruct", path, "--out", tmp_path) == 2
+
+    for value in ("nan", "inf", "-inf"):
+        row = lines[5].rsplit(",", 1)[0] + "," + value
+        path.write_text("\n".join(lines[:5] + [row] + lines[6:]) + "\n")
+        assert run_cli("reconstruct", path, "--out", tmp_path) == 2
+
+    path.write_text(text)
+    readout = tmp_path / "readout.json"
+    for coefficients in (["a"] * 8, [float("nan")] * 8):
+        readout.write_text(json.dumps({"coefficients": coefficients}))
+        assert run_cli("reconstruct", path, "--out", tmp_path, "--readout", readout) == 2
 
 
 def test_determinism_bit_identical_artifacts(tmp_path):
@@ -238,6 +262,20 @@ def test_determinism_bit_identical_artifacts(tmp_path):
     names = ["records.csv", "rho_true.json", "rho_mle.json", "pauli_set.csv", "summary.json"]
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    for tag in ("a", "b"):
+        cfg_path = tmp_path / f"cfg_certify_{tag}.json"
+        write_config(
+            cfg_path,
+            experiment="certify",
+            seed=42,
+            output_dir=str(tmp_path / f"certify_{tag}"),
+            params={"rho_path": str(tmp_path / "a" / "rho_mle.json"), "restarts": 3, "budget": 200},
+        )
+        assert run_cli("run", "--config", cfg_path, "--quiet") == 0
+    cert = [(tmp_path / f"certify_{tag}" / "certification.json").read_bytes() for tag in "ab"]
+    assert cert[0] == cert[1]
+    assert json.loads(cert[0])["optimizer_stats"]["iterations"] > 0
 
 
 def test_seed_override(tmp_path):

@@ -22,6 +22,7 @@ from cqedw.errors import ConfigError
 from cqedw.hilbert import DensityMatrix, HilbertSpec, QuantumState
 from cqedw.protocols import apply_phase_correction, prepare_w_collective
 from conftest import QUBIT_SPEC_3, random_density, random_pure, random_unitary
+from conftest import tangle_quartic as reference_quartic
 from conftest import uhlmann_fidelity as reference_uhlmann
 
 
@@ -203,3 +204,10 @@ def test_quartic_homogeneity():
     rng = np.random.default_rng(31)
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     assert np.isclose(tangle_quartic(2.0 * v), 16.0 * tangle_quartic(v), rtol=1e-12)
+    # a (k, 8) stack is evaluated row by row on its last axis
+    stack = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+    values = tangle_quartic(stack)
+    assert values.shape == (5,)
+    assert np.array_equal(values, [tangle_quartic(row) for row in stack])
+    reference = [reference_quartic(row) for row in stack]
+    assert np.allclose(values, reference, rtol=1e-12, atol=0.0)
