@@ -38,6 +38,10 @@ class QubitParams:
     label: str = "?"
 
     def __post_init__(self):
+        # NaN passes every ordering check below, and an infinite t1 passes t2 <= 2 t1
+        values = (self.ej_max, self.ec, self.coupling_g, self.bias_frequency, self.t1, self.t2)
+        if not np.isfinite(values).all():
+            raise ConfigError("qubit parameters must be finite")
         if self.ej_max <= 0 or self.ec <= 0:
             raise ConfigError("ej_max and ec must be positive")
         if self.coupling_g == 0:
@@ -54,6 +58,8 @@ class ResonatorParams:
     quality_factor: float
 
     def __post_init__(self):
+        if not np.isfinite((self.omega_r, self.quality_factor)).all():
+            raise ConfigError("resonator parameters must be finite")
         if self.omega_r <= 0 or self.quality_factor <= 0:
             raise ConfigError("resonator frequency and Q must be positive")
 

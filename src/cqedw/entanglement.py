@@ -155,43 +155,18 @@ def three_tangle_pure(psi: QuantumState) -> TangleEstimate:
     return TangleEstimate(value, "pure_exact", decomposition_size=1, optimizer_iterations=0)
 
 
-def decomposition_average_tangle(states: np.ndarray) -> float:
-    """Average tangle sum_k p_k tau(psi_k) of an explicit sub-normalized ensemble.
+def decomposition_average_tangle(states: np.ndarray) -> Union[float, np.ndarray]:
+    """Average tangle sum_k p_k tau(psi_k) of explicit sub-normalized ensembles.
 
-    ``states`` has shape (m, 8); row k is sqrt(p_k) psi_k.  Because the
-    quartic is homogeneous of degree 4, each term is tau(row)/p; rows of
-    weight p <= 1e-14 contribute nothing.
+    ``states`` has shape (..., m, 8); row k of an ensemble is sqrt(p_k) psi_k.
+    Because the quartic is homogeneous of degree 4, each term is tau(row)/p;
+    rows of weight p <= 1e-14, such as zero padding, contribute nothing.  One
+    (m, 8) ensemble gives a float, a stack an array of its leading shape.
     """
-    rows = np.asarray(states, dtype=complex).reshape(-1, 8)
+    rows = np.asarray(states, dtype=complex)
     p = np.sum(rows.real**2 + rows.imag**2, axis=-1)
-    return float(np.sum(tangle_quartic(rows) / np.where(p > 1e-14, p, np.inf)))
-
-
-def _roof_descent(wtil, v, noise) -> tuple[float, int]:
-    """Minimize the average tangle of the decomposition ``v @ wtil``.
-
-    ``wtil`` is the (r, 8) scaled eigenvector ensemble, ``v`` an (m, r)
-    isometry start point and ``noise`` an (iters, m, r) stack of complex
-    perturbations.  Each proposal is the QR orthonormalization of
-    v + step * noise[it]; an improvement is accepted and grows the step,
-    anything else shrinks it, and the walk stops once the step falls below
-    ``step_min``.  Returns (best value, proposals used).
-    """
-    step0, step_min = 0.3, 1e-10
-    best = decomposition_average_tangle(v @ wtil)
-    step = step0
-    used = 0
-    for used, kick in enumerate(noise, start=1):
-        q = np.linalg.qr(v + step * kick)[0]
-        value = decomposition_average_tangle(q @ wtil)
-        if value < best:
-            v, best = q, value
-            step = min(step * 1.1, step0)
-        else:
-            step *= 0.95
-            if step < step_min:
-                break
-    return best, used
+    total = np.sum(tangle_quartic(rows) / np.where(p > 1e-14, p, np.inf), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def three_tangle_mixed(
@@ -204,8 +179,12 @@ def three_tangle_mixed(
 
     Decompositions of the rank-r state are parameterized as V @ wtil with V
     an m x r isometry (m cycling over r..2r) acting on the scaled eigenvector
-    ensemble wtil.  Each restart runs a random-walk descent of ``budget``
-    proposals; the smallest average tangle found is returned.
+    ensemble wtil.  Each restart is a random walk of up to ``budget``
+    proposals, the QR orthonormalization of V + step * noise: an improvement
+    is accepted and grows the step, anything else shrinks it, and the walk
+    stops once the step falls below 1e-10.  All restarts step in lockstep,
+    each V padded with zero rows to 2r x r (QR keeps them zero, and the
+    objective gives them no weight); the smallest average tangle is returned.
     """
     if rho.spec.dim != 8:
         raise ConfigError("three-tangle is defined for three qubits")
@@ -222,20 +201,31 @@ def three_tangle_mixed(
         return TangleEstimate(value, "mixed_upper_bound", 1, 0)
 
     rng = np.random.default_rng(seed)
-    sizes = [r + (i % (r + 1)) for i in range(restarts)]  # cycle m over r..2r
-    best = np.inf
-    best_m = r
-    used_total = 0
-    for m in sizes:
-        v0 = np.linalg.qr(
-            rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-        )[0]
-        noise = rng.standard_normal((budget, m, r)) + 1j * rng.standard_normal((budget, m, r))
-        value, used = _roof_descent(wtil, v0, noise)
-        used_total += used
-        if value < best:
-            best, best_m = value, m
-    return TangleEstimate(min(1.0, float(best)), "mixed_upper_bound", best_m, used_total)
+    sizes = r + np.arange(restarts) % (r + 1)  # cycle m over r..2r
+    own_rows = (np.arange(2 * r) < sizes[:, None])[..., None]  # (restarts, 2r, 1)
+    shape = (restarts, 2 * r, r)
+
+    def noise():
+        return own_rows * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    step0, step_min = 0.3, 1e-10
+    v = np.linalg.qr(noise())[0]
+    best = decomposition_average_tangle(v @ wtil)
+    step = np.full(restarts, step0)
+    live = np.ones(restarts, dtype=bool)
+    used = 0
+    for _ in range(budget):
+        used += int(live.sum())
+        q = np.linalg.qr(v + step[:, None, None] * noise())[0]
+        value = decomposition_average_tangle(q @ wtil)
+        better = live & (value < best)
+        v[better], best[better] = q[better], value[better]
+        step = np.where(better, np.minimum(step * 1.1, step0), step * 0.95)
+        live &= better | (step >= step_min)
+        if not live.any():
+            break
+    k = int(np.argmin(best))  # a tie goes to the first restart
+    return TangleEstimate(min(1.0, float(best[k])), "mixed_upper_bound", int(sizes[k]), used)
 
 
 def classify_w_vs_ghz(

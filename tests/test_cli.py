@@ -94,6 +94,17 @@ def test_run_malformed_config_exits_2(tmp_path):
         write_config(bad, experiment="certify", seed=0, params={"rho_path": str(rho_path), **params})
         assert run_cli("run", "--config", bad) == 2
 
+    # non-finite device parameters; json writes them as Infinity and NaN
+    for section, key, value in (
+        ("qubits", "g_over_pi_mhz", float("inf")),
+        ("qubits", "t1_us", float("nan")),
+        ("resonator", "omega_r_ghz", float("nan")),
+    ):
+        device = device_to_json(paper_system())
+        (device["qubits"][0] if section == "qubits" else device["resonator"])[key] = value
+        write_config(bad, experiment="w_collective", device=device)
+        assert run_cli("run", "--config", bad) == 2
+
 
 def test_run_unknown_experiment_exits_2(tmp_path):
     cfg_path = tmp_path / "cfg.json"

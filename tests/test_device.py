@@ -103,6 +103,15 @@ def test_qubit_params_validation():
         QubitParams(ej_max=26.0, ec=0.4, coupling_g=0.0, bias_frequency=6.0, t1=1e-6, t2=1e-7)
     with pytest.raises(ConfigError):
         QubitParams(ej_max=26.0, ec=0.4, coupling_g=1e8, bias_frequency=6.0, t1=1e-6, t2=3e-6)
+    # NaN passes every ordering check, and an infinite t1 passes t2 <= 2 t1
+    with pytest.raises(ConfigError):
+        QubitParams(ej_max=26.0, ec=0.4, coupling_g=np.inf, bias_frequency=6.0, t1=1e-6, t2=1e-7)
+    with pytest.raises(ConfigError):
+        QubitParams(ej_max=26.0, ec=0.4, coupling_g=1e8, bias_frequency=6.0, t1=np.nan, t2=1e-7)
+    with pytest.raises(ConfigError):
+        QubitParams(ej_max=26.0, ec=0.4, coupling_g=1e8, bias_frequency=6.0, t1=np.inf, t2=1e-7)
+    with pytest.raises(ConfigError):
+        ResonatorParams(np.nan, 10000)
 
 
 def test_paper_preset_contents():

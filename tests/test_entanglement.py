@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cqedw import entanglement
 from cqedw.device import paper_system
 from cqedw.entanglement import (
     TangleEstimate,
@@ -144,19 +145,50 @@ def test_tangle_mixed_is_upper_bound():
     rng = np.random.default_rng(7)
     ghz = TargetState.ghz().vector.amplitudes
     w = TargetState.w_paper().vector.amplitudes
-    rho = 0.6 * np.outer(ghz, ghz.conj()) + 0.4 * np.outer(w, w.conj())
-    dm = DensityMatrix(rho, QUBIT_SPEC_3)
-    est = three_tangle_mixed(dm, seed=2)
-    lam, vec = np.linalg.eigh(dm.entries)
-    keep = lam > 1e-10
-    wtil = (np.sqrt(lam[keep])[None, :] * vec[:, keep]).T
-    r = wtil.shape[0]
-    for m in range(r, 2 * r + 1):
-        for _ in range(25):
-            g = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-            v = np.linalg.qr(g)[0]
-            avg = decomposition_average_tangle(v @ wtil)
-            assert est.value <= avg + 1e-8
+    rank2 = 0.6 * np.outer(ghz, ghz.conj()) + 0.4 * np.outer(w, w.conj())
+    # full rank: the widest zero padding of the lockstep descent (m = 8..16)
+    full = random_density(QUBIT_SPEC_3, np.random.default_rng(17)).entries
+    full_rank = 0.9 * np.outer(w, w.conj()) + 0.1 * full
+    for rho, rank in ((rank2, 2), (full_rank, 8)):
+        dm = DensityMatrix(rho, QUBIT_SPEC_3)
+        est = three_tangle_mixed(dm, seed=2)
+        lam, vec = np.linalg.eigh(dm.entries)
+        keep = lam > 1e-10
+        wtil = (np.sqrt(lam[keep])[None, :] * vec[:, keep]).T
+        r = wtil.shape[0]
+        assert r == rank
+        for m in range(r, 2 * r + 1):
+            for _ in range(25):
+                g = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+                v = np.linalg.qr(g)[0]
+                avg = decomposition_average_tangle(v @ wtil)
+                assert est.value <= avg + 1e-8
+
+
+def test_tangle_mixed_bookkeeping(monkeypatch):
+    rho = random_density(QUBIT_SPEC_3, np.random.default_rng(9), rank=3)
+    est = three_tangle_mixed(rho, restarts=3, budget=1, seed=5)
+    # one proposal per live restart, summed over the restarts
+    assert est.optimizer_iterations == 3
+    assert 3 <= est.decomposition_size <= 6
+    assert three_tangle_mixed(rho, restarts=3, budget=1, seed=5) == est
+
+    # restarts whose step falls below 1e-10 stop proposing
+    ghz = TargetState.ghz().vector.amplitudes
+    w = TargetState.w_paper().vector.amplitudes
+    rank2 = DensityMatrix(0.6 * np.outer(ghz, ghz.conj()) + 0.4 * np.outer(w, w.conj()), QUBIT_SPEC_3)
+    assert three_tangle_mixed(rank2, restarts=4, budget=2000, seed=2).optimizer_iterations < 4 * 2000
+
+    # the bound is the smallest average tangle any restart reached
+    seen = []
+
+    def recording(states):
+        values = decomposition_average_tangle(states)
+        seen.extend(values)
+        return values
+
+    monkeypatch.setattr(entanglement, "decomposition_average_tangle", recording)
+    assert three_tangle_mixed(rho, restarts=3, budget=1, seed=5).value == min(seen)
 
 
 def test_tangle_mixed_on_noisy_collective_state():
@@ -211,3 +243,14 @@ def test_quartic_homogeneity():
     assert np.array_equal(values, [tangle_quartic(row) for row in stack])
     reference = [reference_quartic(row) for row in stack]
     assert np.allclose(values, reference, rtol=1e-12, atol=0.0)
+    # the average tangle: zero rows add exact zeros (only numpy's summation
+    # order can move the last bit), and a (k, m, 8) stack of ensembles is
+    # evaluated ensemble by ensemble
+    padded = np.vstack([stack, np.zeros((3, 8))])
+    average = decomposition_average_tangle(stack)
+    assert abs(decomposition_average_tangle(padded) - average) <= 1e-15 * average
+    ensembles = rng.standard_normal((4, 6, 8)) + 1j * rng.standard_normal((4, 6, 8))
+    averages = decomposition_average_tangle(ensembles)
+    assert averages.shape == (4,)
+    expected = [decomposition_average_tangle(e) for e in ensembles]
+    assert np.allclose(averages, expected, rtol=1e-12, atol=0.0)
