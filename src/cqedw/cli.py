@@ -34,7 +34,7 @@ from .device import (
     named_preset,
 )
 from .errors import ConfigError, CqedwError, NumericalError
-from .hilbert import DensityMatrix, HilbertSpec
+from .hilbert import DensityMatrix, HilbertSpec, qubit_spec
 
 EXPERIMENTS = ("rabi_scan", "w_collective", "w_sequential", "tomography", "certify")
 
@@ -121,12 +121,8 @@ def rho_from_json(obj) -> DensityMatrix:
         ).reshape(d, d)
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad density-matrix object: {err}") from err
-    n_qubits = d.bit_length() - 1
-    if d < 2 or 2**n_qubits != d:
-        raise ConfigError(f"cannot infer qubit count from dim {d}")
-    spec = HilbertSpec(num_qubits=n_qubits, photon_cutoff=0)
     try:
-        return DensityMatrix(mat, spec)
+        return DensityMatrix(mat, qubit_spec(d))
     except NumericalError as err:
         raise ConfigError(f"file does not contain a valid density matrix: {err}") from err
 
@@ -145,7 +141,20 @@ def _write_json(path: Path, obj):
 # experiment execution
 
 
+def _number(value, name: str, kind=float):
+    """``value`` as a finite ``kind`` (float or int); ConfigError naming ``name`` otherwise."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"{name} must be a finite number: {err}") from err
+    if not np.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {number}")
+    return number
+
+
 def _parse_qubit_list(raw, n: int) -> list[int]:
+    if not isinstance(raw, list):
+        raise ConfigError(f"participating must be a list of qubits, got {raw!r}")
     letters = {chr(ord("A") + j): j for j in range(n)}
     out = []
     for item in raw:
@@ -159,28 +168,27 @@ def _parse_qubit_list(raw, n: int) -> list[int]:
 
 
 def _tau_grid(params) -> np.ndarray:
+    """Interaction times in seconds; ``protocols.rabi_scan`` validates their values."""
     if "tau_grid_ns" in params:
-        grid = np.asarray(params["tau_grid_ns"], dtype=float) * 1e-9
-    else:
         try:
-            grid = np.linspace(
-                float(params["tau_start_ns"]),
-                float(params["tau_stop_ns"]),
-                int(params["num_points"]),
-            ) * 1e-9
-        except KeyError as err:
-            raise ConfigError(f"rabi_scan needs tau_grid_ns or tau_start/stop/num_points: {err}")
-    if grid.size == 0 or np.any(np.diff(grid) <= 0):
-        raise ConfigError("tau grid must be nonempty and strictly ascending")
-    return grid
+            return np.asarray(params["tau_grid_ns"], dtype=float) * 1e-9
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"tau_grid_ns must be a list of numbers: {err}") from err
+    try:
+        start, stop, num = params["tau_start_ns"], params["tau_stop_ns"], params["num_points"]
+    except KeyError as err:
+        raise ConfigError(f"rabi_scan needs tau_grid_ns or tau_start/stop/num_points: {err}")
+    num = _number(num, "num_points", int)
+    if num < 1:
+        raise ConfigError(f"num_points must be >= 1, got {num}")
+    return np.linspace(_number(start, "tau_start_ns"), _number(stop, "tau_stop_ns"), num) * 1e-9
 
 
 def _prepare_state(config, params, noise, seed) -> tuple[DensityMatrix, dict]:
     kind = params.get("state", "w_collective")
     if kind == "w_collective":
-        rho = protocols.prepare_w_collective(
-            config, noise=noise, source_qubit=int(params.get("source_qubit", 2))
-        )
+        source = _number(params.get("source_qubit", 2), "source_qubit", int)
+        rho = protocols.prepare_w_collective(config, noise=noise, source_qubit=source)
     elif kind == "w_sequential":
         rho = protocols.prepare_w_sequential(config, noise=noise)
     else:
@@ -231,7 +239,7 @@ def _experiment_tomography(config, params, noise, seed, out: Path) -> list[str]:
     coeffs = params.get("readout_coefficients", tomography.DEFAULT_READOUT_COEFFICIENTS)
     readout = tomography.build_readout(coeffs)
     tset = tomography.tomography_set(readout)
-    sigma = float(params.get("sigma", 0.0))
+    sigma = _number(params.get("sigma", 0.0), "sigma")
     records = tomography.simulate_measurements(rho_true, tset, sigma, seed)
     _write_text(out / "records.csv", tomography.records_to_csv(records))
     result = tomography.reconstruct(records, tset)
@@ -261,11 +269,8 @@ def _experiment_certify(config, params, noise, seed, out: Path) -> list[str]:
     if not path:
         raise ConfigError("certify needs params.rho_path")
     rho = _load_rho(Path(path))
-    try:
-        restarts = int(params.get("restarts", entanglement.DEFAULT_RESTARTS))
-        budget = int(params.get("budget", entanglement.DEFAULT_BUDGET))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"certify restarts and budget must be integers: {err}") from err
+    restarts = _number(params.get("restarts", entanglement.DEFAULT_RESTARTS), "restarts", int)
+    budget = _number(params.get("budget", entanglement.DEFAULT_BUDGET), "budget", int)
     report = entanglement.certification_report(
         rho,
         restarts=restarts,
@@ -309,10 +314,13 @@ def run(config_path, out_override=None, seed_override=None, quiet=False) -> list
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    sigma = float(params.get("sigma", 0.0))
+    sigma = _number(params.get("sigma", 0.0), "sigma")
     if (noise or sigma > 0) and seed is None:
         raise ConfigError("a seed is required whenever noise is enabled")
-    seed = int(seed) if seed is not None else None
+    if seed is not None:
+        seed = _number(seed, "seed", int)
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
 
     out = Path(out_override) if out_override else Path(cfg.get("output_dir", "."))
     out.mkdir(parents=True, exist_ok=True)

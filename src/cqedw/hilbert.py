@@ -92,6 +92,14 @@ class HilbertSpec:
         return n_photon * 2**self.num_qubits + bits
 
 
+def qubit_spec(dim: int) -> HilbertSpec:
+    """Cavity-free spec of ``dim`` = 2**N basis states; the one rule for N from dim."""
+    n = int(dim).bit_length() - 1
+    if dim < 2 or 2**n != dim:
+        raise ConfigError(f"dimension {dim} is not a power of two >= 2")
+    return HilbertSpec(num_qubits=n, photon_cutoff=0)
+
+
 # The cavity-traced three-qubit space that tomography and certification act on.
 QUBIT_SPEC_3 = HilbertSpec(num_qubits=3, photon_cutoff=0)
 
@@ -109,6 +117,8 @@ class QuantumState:
             raise ConfigError(
                 f"state has {amps.shape[0]} amplitudes, spec dimension is {self.spec.dim}"
             )
+        if not np.all(np.isfinite(amps)):
+            raise NumericalError("state has non-finite amplitudes")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_ATOL:
             raise NumericalError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")

@@ -232,8 +232,8 @@ def rabi_scan(
         if not 0 <= j < config.spec.num_qubits:
             raise ConfigError(f"qubit index {j} out of range")
     tau = np.asarray(tau_grid, dtype=float)
-    if tau.size == 0:
-        raise ConfigError("tau grid must be nonempty")
+    if tau.ndim != 1 or tau.size == 0 or not np.all(np.isfinite(tau)):
+        raise ConfigError("tau grid must be a nonempty, finite 1-D sequence")
     if np.any(np.diff(tau) <= 0):
         raise ConfigError("tau grid must be strictly ascending")
     src = part[0] if source_qubit is None else source_qubit

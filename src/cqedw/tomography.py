@@ -16,7 +16,8 @@ three-qubit state; the cavity is measured empty and traced out beforehand.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,9 +30,9 @@ from .hilbert import (
     SIGMA_Y,
     SIGMA_Z,
     DensityMatrix,
-    HilbertSpec,
     OperatorMatrix,
     qubit_rotation,
+    qubit_spec,
 )
 
 PAULI_1Q = {"I": ID2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
@@ -63,14 +64,9 @@ def pauli_matrix(label: str) -> np.ndarray:
     return np.kron(PAULI_1Q[label[0]], np.kron(PAULI_1Q[label[1]], PAULI_1Q[label[2]]))
 
 
-_PAULI_STACK = None
-
-
-def _pauli_stack() -> np.ndarray:
-    global _PAULI_STACK
-    if _PAULI_STACK is None:
-        _PAULI_STACK = np.stack([pauli_matrix(l) for l in PAULI_LABELS])
-    return _PAULI_STACK
+# The 64 Pauli strings stacked in PAULI_LABELS order, shape (64, 8, 8).
+PAULI_STACK = np.stack([pauli_matrix(l) for l in PAULI_LABELS])
+PAULI_STACK.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -109,35 +105,41 @@ def build_readout(coefficients: Sequence[float]) -> ReadoutOperator:
 
 @dataclass(frozen=True)
 class TomographySet:
-    """Labeled measurement operators U^+ M U for one readout operator."""
+    """Labeled measurement operators U^+ M U for one readout operator.
+
+    ``design`` is the operators expanded in the 64 Pauli strings (identity
+    first), D[n, k] = Tr(P_k O_n) / 8, so noiseless outcomes are
+    ``design @ pauli_set(rho)``.  It is computed once, when the set is made,
+    and read by simulation, inversion and the completeness check.
+    """
 
     operators: tuple[np.ndarray, ...]
     labels: tuple[tuple[str, str, str], ...]  # per-qubit rotation labels (A, B, C)
     readout: ReadoutOperator
+    design: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        design = np.einsum("kij,nji->nk", PAULI_STACK, np.stack(self.operators)).real / 8.0
+        design.setflags(write=False)
+        object.__setattr__(self, "design", design)
 
     def __len__(self) -> int:
         return len(self.operators)
 
-    def design_matrix(self, include_trace: bool = False) -> np.ndarray:
-        """Rows: operators expanded in the 64 Pauli strings (identity first).
-
-        ``include_trace`` appends the row encoding Tr(rho) = 1, which is not
-        a measured quantity but pins the identity component during
-        reconstruction.
-        """
-        stack = _pauli_stack()
-        rows = np.array(
-            [[np.einsum("ij,ji->", p, op).real / 8.0 for p in stack] for op in self.operators]
-        )
-        if include_trace:
-            trace_row = np.zeros((1, 64))
-            trace_row[0, 0] = 1.0
-            rows = np.vstack([rows, trace_row])
-        return rows
-
     def completeness_rank(self) -> int:
-        """Rank of the trace-augmented design matrix (64 when complete)."""
-        return int(np.linalg.matrix_rank(self.design_matrix(include_trace=True), tol=1e-9))
+        """Rank of the design with the trace row e_0 appended (64 when complete).
+
+        Tr(rho) = 1 is not measured but pins the identity component.  The row
+        e_0 always adds exactly one dimension to the traceless block.
+        """
+        return int(np.linalg.matrix_rank(self.design[:, 1:], tol=1e-9)) + 1
+
+    @cached_property
+    def _traceless_pinv(self) -> np.ndarray:
+        """Pseudo-inverse of ``design[:, 1:]``, computed on first use."""
+        if self.completeness_rank() != 64:
+            raise IncompleteReadoutError("design matrix is rank deficient")
+        return np.linalg.pinv(self.design[:, 1:])
 
 
 def _conjugated(readout: ReadoutOperator, labels: tuple[str, str, str]) -> np.ndarray:
@@ -162,11 +164,15 @@ def population_set(readout: ReadoutOperator) -> TomographySet:
     labels = tuple(itertools.product(POPULATION_ROTATION_LABELS, repeat=3))
     ops = tuple(_conjugated(readout, l) for l in labels)
     tset = TomographySet(ops, labels, readout)
-    diag_design = np.array([np.diag(op).real for op in tset.operators])
-    aug = np.vstack([diag_design, np.ones((1, 8))])
-    if np.linalg.matrix_rank(aug, tol=1e-9) != 8:
+    if np.linalg.matrix_rank(_population_design(tset), tol=1e-9) != 8:
         raise IncompleteReadoutError("population set does not span the diagonal")
     return tset
+
+
+def _population_design(pop_set: TomographySet) -> np.ndarray:
+    """Operator diagonals with the normalization row sum(p) = 1 appended."""
+    diag = np.diagonal(np.stack(pop_set.operators), axis1=1, axis2=2).real
+    return np.vstack([diag, np.ones((1, 8))])
 
 
 @dataclass(frozen=True)
@@ -182,11 +188,8 @@ class MeasurementRecord:
 
 
 def expectation_values(rho: DensityMatrix, tset: TomographySet) -> np.ndarray:
-    if rho.spec.dim != 8:
-        raise ConfigError("tomography acts on the reduced three-qubit state")
-    return np.array(
-        [np.einsum("ij,ji->", op, rho.entries).real for op in tset.operators]
-    )
+    """Noiseless outcomes Tr(O_n rho) of the reduced three-qubit state."""
+    return tset.design @ pauli_set(rho)
 
 
 def simulate_measurements(
@@ -197,9 +200,9 @@ def simulate_measurements(
     ``sigma`` is a single width applied to every outcome or a per-operator
     vector of widths.
     """
-    sig = np.broadcast_to(np.asarray(sigma, dtype=float), (len(tset.operators),))
-    if np.any(sig < 0):
-        raise ConfigError("sigma must be >= 0")
+    sig = np.broadcast_to(np.asarray(sigma, dtype=float), (len(tset),))
+    if not np.all(np.isfinite(sig)) or np.any(sig < 0):
+        raise ConfigError("sigma must be finite and >= 0")
     clean = expectation_values(rho, tset)
     rng = np.random.default_rng(seed)
     noisy = clean + sig * rng.standard_normal(clean.size)
@@ -209,28 +212,28 @@ def simulate_measurements(
     ]
 
 
-def linear_inversion(records: Sequence[MeasurementRecord], tset: TomographySet) -> np.ndarray:
-    """Least-squares Hermitian estimate from noisy outcomes.
-
-    Solves for the 63 traceless Pauli components with the trace pinned to 1;
-    exact (up to roundoff) at sigma = 0.  The result can be unphysical
-    (negative eigenvalues), which is what :func:`mle_project` repairs.
-    """
-    if len(records) != len(tset.operators):
-        raise ConfigError(f"got {len(records)} records for {len(tset.operators)} operators")
+def _outcomes(records: Sequence[MeasurementRecord], tset: TomographySet) -> np.ndarray:
+    """Noisy outcomes in set order; records must match the set's labels one to one."""
+    if len(records) != len(tset):
+        raise ConfigError(f"got {len(records)} records for {len(tset)} operators")
     for rec, lab in zip(records, tset.labels):
         if tuple(rec.labels) != tuple(lab):
             raise ConfigError(f"record labels {rec.labels} do not match set entry {lab}")
-    design = tset.design_matrix()
-    y = np.array([r.noisy for r in records])
-    a0 = design[:, 0]
-    rest = design[:, 1:]
-    if np.linalg.matrix_rank(rest, tol=1e-9) < 63:
-        raise IncompleteReadoutError("design matrix is rank deficient")
-    coeffs, *_ = np.linalg.lstsq(rest, y - a0, rcond=None)
+    return np.array([r.noisy for r in records])
+
+
+def linear_inversion(records: Sequence[MeasurementRecord], tset: TomographySet) -> np.ndarray:
+    """Least-squares Hermitian estimate from noisy outcomes.
+
+    Solves for the 63 traceless Pauli components with the trace pinned to 1,
+    through the set's stored pseudo-inverse; exact (up to roundoff) at
+    sigma = 0.  The result can be unphysical (negative eigenvalues), which is
+    what :func:`mle_project` repairs.
+    """
+    y = _outcomes(records, tset)
+    coeffs = tset._traceless_pinv @ (y - tset.design[:, 0])
     r = np.concatenate([[1.0], coeffs])
-    stack = _pauli_stack()
-    return np.tensordot(r, stack, axes=1) / 8.0
+    return np.tensordot(r, PAULI_STACK, axes=1) / 8.0
 
 
 def invert_populations(records: Sequence[MeasurementRecord], pop_set: TomographySet) -> np.ndarray:
@@ -239,13 +242,8 @@ def invert_populations(records: Sequence[MeasurementRecord], pop_set: Tomography
     Solves the diagonal system with the normalization sum(p) = 1 appended;
     exact at sigma = 0.
     """
-    if len(records) != len(pop_set.operators):
-        raise ConfigError("record count does not match the population set")
-    diag_design = np.array([np.diag(op).real for op in pop_set.operators])
-    y = np.array([r.noisy for r in records])
-    a = np.vstack([diag_design, np.ones((1, 8))])
-    b = np.concatenate([y, [1.0]])
-    populations, *_ = np.linalg.lstsq(a, b, rcond=None)
+    b = np.concatenate([_outcomes(records, pop_set), [1.0]])
+    populations, *_ = np.linalg.lstsq(_population_design(pop_set), b, rcond=None)
     return populations
 
 
@@ -279,6 +277,7 @@ def mle_project(estimate: np.ndarray) -> ReconstructionResult:
     est = np.asarray(estimate, dtype=complex)
     if est.ndim != 2 or est.shape[0] != est.shape[1]:
         raise ConfigError("estimate must be a square matrix")
+    spec = qubit_spec(est.shape[0])
     if np.abs(est - est.conj().T).max() > 1e-8:
         raise NumericalError("mle_project requires a Hermitian estimate")
     est = 0.5 * (est + est.conj().T)
@@ -286,7 +285,6 @@ def mle_project(estimate: np.ndarray) -> ReconstructionResult:
     projected, shift = _project_simplex(lam)
     rho = (vec * projected[None, :]) @ vec.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    spec = HilbertSpec(num_qubits=int(np.log2(est.shape[0])), photon_cutoff=0)
     result = DensityMatrix(rho, spec)
     return ReconstructionResult(
         rho=result,
@@ -305,8 +303,7 @@ def pauli_set(rho: DensityMatrix) -> np.ndarray:
     """Expectation values of all 64 Pauli strings, ordered as PAULI_LABELS."""
     if rho.spec.dim != 8:
         raise ConfigError("pauli_set is defined for three-qubit states")
-    stack = _pauli_stack()
-    return np.einsum("kij,ji->k", stack, rho.entries).real
+    return np.einsum("kij,ji->k", PAULI_STACK, rho.entries).real
 
 
 def records_to_csv(records: Iterable[MeasurementRecord]) -> str:

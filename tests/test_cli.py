@@ -105,6 +105,29 @@ def test_run_malformed_config_exits_2(tmp_path):
         write_config(bad, experiment="w_collective", device=device)
         assert run_cli("run", "--config", bad) == 2
 
+    # malformed or non-finite params and seeds; each used to escape as a traceback
+    nan, inf = float("nan"), float("inf")
+    scan = {"participating": ["A"], "tau_start_ns": 0.0, "tau_stop_ns": 10.0, "num_points": 11}
+    nan_grid = [0, 1, 2, 3, 4, nan, 6, 7, 8, 9, 10]  # 11 points, enough to reach the fit
+    for experiment, params, seed in (
+        ("tomography", {"sigma": "abc"}, 0),
+        ("tomography", {"sigma": nan}, 0),
+        ("tomography", {"sigma": inf}, 0),
+        ("rabi_scan", {**scan, "num_points": "x"}, None),
+        ("rabi_scan", {**scan, "num_points": -3}, None),
+        ("rabi_scan", {"participating": ["A"], "tau_grid_ns": ["a", "b"]}, None),
+        ("rabi_scan", {"participating": ["A"], "tau_grid_ns": nan_grid}, None),
+        ("rabi_scan", {"participating": ["A"], "tau_grid_ns": [[0, 1], [2, 3]]}, None),
+        ("rabi_scan", {**scan, "tau_stop_ns": inf}, None),
+        ("rabi_scan", {**scan, "participating": 5}, None),
+        ("w_collective", {"source_qubit": "x"}, None),
+        ("w_collective", {}, "abc"),
+        ("w_collective", {}, -1),
+        ("certify", {"rho_path": str(rho_path), "restarts": inf}, 0),
+    ):
+        write_config(bad, experiment=experiment, seed=seed, params=params)
+        assert run_cli("run", "--config", bad) == 2, (experiment, params, seed)
+
 
 def test_run_unknown_experiment_exits_2(tmp_path):
     cfg_path = tmp_path / "cfg.json"

@@ -184,6 +184,10 @@ def test_state_validation():
         QuantumState(np.ones(16), SPEC31)  # norm 4
     with pytest.raises(ConfigError):
         QuantumState(np.ones(3) / np.sqrt(3), SPEC31)
+    nan_ket = np.zeros(16, dtype=complex)
+    nan_ket[0] = np.nan
+    with pytest.raises(NumericalError):
+        QuantumState(nan_ket, SPEC31)
     bad = np.eye(16, dtype=complex) / 16
     bad[0, 1] = 0.5  # non-Hermitian
     with pytest.raises(NumericalError):

@@ -9,6 +9,7 @@ from cqedw.tomography import (
     DIAGONAL_LABELS,
     PAULI_LABELS,
     build_readout,
+    expectation_values,
     invert_populations,
     linear_inversion,
     mle_project,
@@ -62,7 +63,35 @@ def test_tomography_set_rank(tset):
     assert tset.completeness_rank() == 64
     # without the trace constraint one direction (the identity) is blind
     # whenever the identity coefficient is zero
-    assert np.linalg.matrix_rank(tset.design_matrix(), tol=1e-9) == 63
+    assert np.linalg.matrix_rank(tset.design, tol=1e-9) == 63
+
+
+def reference_design(tset):
+    """D[n, k] = Tr(P_k O_n) / 8, one scalar trace per entry."""
+    return np.array(
+        [
+            [np.einsum("ij,ji->", pauli_matrix(l), op).real / 8.0 for l in PAULI_LABELS]
+            for op in tset.operators
+        ]
+    )
+
+
+def test_design_matches_reference_loop(tset):
+    weak = tomography_set(build_readout(WEAK_CORRELATION_COEFFICIENTS))
+    pset = population_set(build_readout(DEFAULT_READOUT_COEFFICIENTS))
+    for s in (tset, weak, pset):
+        assert s.design.shape == (len(s), 64)
+        assert np.abs(s.design - reference_design(s)).max() <= 1e-15
+    with pytest.raises(ValueError):
+        tset.design[0, 0] = 1.0  # read-only
+
+
+def test_expectation_values_match_traces(tset):
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        rho = random_density(QUBIT_SPEC_3, rng)
+        traces = [np.trace(op @ rho.entries).real for op in tset.operators]
+        assert np.abs(expectation_values(rho, tset) - traces).max() <= 1e-14
 
 
 def test_identity_rotation_returns_readout(tset):
@@ -87,6 +116,16 @@ def test_population_set_diagonal_and_inversion(w_rho):
     records = simulate_measurements(w_rho, pset, 0.0, 0)
     pops = invert_populations(records, pset)
     assert np.abs(pops - np.diag(w_rho.entries).real).max() < 1e-10
+    # the records must follow the set's labels, not only its length
+    swapped = list(records)
+    swapped[0], swapped[3] = swapped[3], swapped[0]
+    with pytest.raises(ConfigError):
+        invert_populations(swapped, pset)
+    with pytest.raises(ConfigError):
+        invert_populations(records[:7], pset)
+    # 8 diagonal operators cannot span the 63 traceless Pauli directions
+    with pytest.raises(IncompleteReadoutError):
+        linear_inversion(records, pset)
 
 
 def test_simulate_measurements_deterministic(w_rho, tset):
@@ -187,6 +226,11 @@ def test_mle_project_rejects_non_hermitian():
     bad[0, 1] = 1.0
     with pytest.raises(NumericalError):
         mle_project(bad)
+
+
+def test_mle_project_rejects_non_qubit_dimension():
+    with pytest.raises(ConfigError, match="dimension 6"):
+        mle_project(np.eye(6) / 6)
 
 
 def test_pauli_set_values(w_rho):
