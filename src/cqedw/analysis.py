@@ -5,7 +5,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConfigError, FitError
 
@@ -111,6 +110,8 @@ def fit_damped_sinusoid(times, values) -> FitReport:
         raise ConfigError("need at least 8 samples")
     f0, a0, p0 = _spectral_seed(t, y)
 
+    from scipy.optimize import least_squares
+
     def residuals(params):
         f, amp, phase, gamma, offset = params
         return offset + amp * np.exp(-gamma * t) * np.cos(2 * np.pi * f * t + phase) - y
@@ -177,12 +178,3 @@ def scaling_to_csv(report: ScalingReport) -> str:
         lines.append(f"{n},{f:.12g},{f * f:.12g}")
     return "\n".join(lines) + "\n"
 
-
-def scaling_to_dict(report: ScalingReport) -> dict:
-    return {
-        "qubit_numbers": list(report.qubit_numbers),
-        "frequencies_hz": list(report.frequencies),
-        "slope_hz2": report.slope,
-        "intercept_hz2": report.intercept,
-        "r_squared": report.r_squared,
-    }

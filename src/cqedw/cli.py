@@ -152,13 +152,20 @@ def _number(value, name: str, kind=float):
     return number
 
 
+def _flag(value, name: str) -> bool:
+    """``value`` if it is a JSON boolean; ConfigError naming ``name`` otherwise."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _parse_qubit_list(raw, n: int) -> list[int]:
     if not isinstance(raw, list):
         raise ConfigError(f"participating must be a list of qubits, got {raw!r}")
     letters = {chr(ord("A") + j): j for j in range(n)}
     out = []
     for item in raw:
-        if isinstance(item, int) and 0 <= item < n:
+        if isinstance(item, int) and not isinstance(item, bool) and 0 <= item < n:
             out.append(item)
         elif isinstance(item, str) and item.upper() in letters:
             out.append(letters[item.upper()])
@@ -194,7 +201,7 @@ def _prepare_state(config, params, noise, seed) -> tuple[DensityMatrix, dict]:
     else:
         raise ConfigError(f"unknown state {kind!r} (use w_collective or w_sequential)")
     info = {"state": kind, "noise": noise}
-    if params.get("phase_correct", True):
+    if _flag(params.get("phase_correct", True), "phase_correct"):
         rho, angles = protocols.apply_phase_correction(
             rho, entanglement.TargetState.w_paper().vector
         )
@@ -309,7 +316,7 @@ def run(config_path, out_override=None, seed_override=None, quiet=False) -> list
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; known: {EXPERIMENTS}")
     device = device_from_json(cfg.get("device", "paper-default"))
-    noise = bool(cfg.get("noise", False))
+    noise = _flag(cfg.get("noise", False), "noise")
     seed = cfg.get("seed") if seed_override is None else seed_override
     params = cfg.get("params", {})
     if not isinstance(params, dict):

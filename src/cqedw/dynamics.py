@@ -25,23 +25,7 @@ import scipy.linalg
 
 from .device import SystemConfig, decoherence_rates
 from .errors import ConfigError, NumericalError
-from .hilbert import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    SIGMA_Z,
-    DensityMatrix,
-    HilbertSpec,
-    OperatorMatrix,
-    QuantumState,
-    cavity_annihilation,
-    embed_qubit_operator,
-)
-
-
-@dataclass(frozen=True)
-class HamiltonianTerm:
-    matrix: OperatorMatrix
-    label: str
+from .hilbert import DensityMatrix, OperatorMatrix, QuantumState, operator_table
 
 
 @dataclass(frozen=True)
@@ -54,66 +38,43 @@ class CollapseOperator:
             raise ConfigError("collapse rate must be >= 0")
 
 
-def hamiltonian_terms(
+def build_hamiltonian(
     config: SystemConfig,
     detunings: Sequence[float],
     coupled: Sequence[int] | None = None,
-) -> list[HamiltonianTerm]:
-    """Individual summands of H/hbar for the given per-qubit detunings (rad/s).
+) -> OperatorMatrix:
+    """Rotating-frame Hamiltonian H/hbar (rad/s) for fixed per-qubit detunings (rad/s).
 
     ``coupled`` restricts the exchange terms to a subset of qubits; the
     default couples everyone.  A qubit outside the set is propagated in the
     far-detuned limit: its detuning term (exact dynamic phase) stays, its
     exchange with the mode is dropped.
     """
-    detunings = np.asarray(detunings, dtype=float)
-    if detunings.shape != (config.spec.num_qubits,):
-        raise ConfigError("detuning vector length must equal the qubit count")
-    coupled_set = set(range(config.spec.num_qubits)) if coupled is None else set(coupled)
     spec = config.spec
-    a = cavity_annihilation(spec).entries
-    a_dag = a.conj().T
-    terms = []
+    detunings = np.asarray(detunings, dtype=float)
+    if detunings.shape != (spec.num_qubits,):
+        raise ConfigError("detuning vector length must equal the qubit count")
+    coupled_set = set(range(spec.num_qubits)) if coupled is None else set(coupled)
+    ops = operator_table(spec)
+    total = 0
     for j, q in enumerate(config.qubits):
-        sz = embed_qubit_operator(SIGMA_Z, j, spec).entries
-        terms.append(
-            HamiltonianTerm(
-                OperatorMatrix(0.5 * detunings[j] * sz, spec, hermitian=True),
-                label=f"qubit_detuning({j})",
-            )
-        )
-        if j not in coupled_set:
-            continue
-        sm = embed_qubit_operator(SIGMA_MINUS, j, spec).entries
-        sp = embed_qubit_operator(SIGMA_PLUS, j, spec).entries
-        coupling = q.coupling_g * (a_dag @ sm + sp @ a)
-        terms.append(
-            HamiltonianTerm(OperatorMatrix(coupling, spec, hermitian=True), label=f"coupling({j})")
-        )
-    return terms
-
-
-def build_hamiltonian(
-    config: SystemConfig,
-    detunings: Sequence[float],
-    coupled: Sequence[int] | None = None,
-) -> OperatorMatrix:
-    """Rotating-frame Hamiltonian H/hbar (rad/s) for fixed detunings."""
-    total = sum(t.matrix.entries for t in hamiltonian_terms(config, detunings, coupled))
-    return OperatorMatrix(total, config.spec, hermitian=True)
+        total = total + 0.5 * detunings[j] * ops.sigma_z[j].entries
+        if j in coupled_set:
+            total = total + q.coupling_g * ops.exchange[j].entries
+    return OperatorMatrix(total, spec, hermitian=True)
 
 
 def collapse_operators(config: SystemConfig) -> list[CollapseOperator]:
     """Relaxation, dephasing and cavity-loss channels of the configured device."""
-    spec = config.spec
-    ops = []
+    ops = operator_table(config.spec)
+    channels = []
     for j, q in enumerate(config.qubits):
         rates = decoherence_rates(q, config.resonator)
-        ops.append(CollapseOperator(embed_qubit_operator(SIGMA_MINUS, j, spec), rates.gamma1))
-        ops.append(CollapseOperator(embed_qubit_operator(SIGMA_Z, j, spec), rates.gamma_phi / 2))
+        channels.append(CollapseOperator(ops.sigma_minus[j], rates.gamma1))
+        channels.append(CollapseOperator(ops.sigma_z[j], rates.gamma_phi / 2))
     kappa = decoherence_rates(config.qubits[0], config.resonator).kappa
-    ops.append(CollapseOperator(cavity_annihilation(spec), kappa))
-    return ops
+    channels.append(CollapseOperator(ops.annihilation, kappa))
+    return channels
 
 
 def _check_hermitian(h: OperatorMatrix):

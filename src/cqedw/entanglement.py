@@ -67,10 +67,6 @@ class TargetState:
         amps[[0b000, 0b111]] = 1.0
         return cls(QuantumState(amps / np.sqrt(2), QUBIT_SPEC_3), "GHZ")
 
-    @classmethod
-    def custom(cls, state: QuantumState) -> "TargetState":
-        return cls(state, "custom")
-
 
 @dataclass(frozen=True)
 class TangleEstimate:

@@ -12,6 +12,7 @@ and sigma_z |g> = -|g> (the excited state carries sigma_z = +1, i.e. the
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -234,6 +235,48 @@ def cavity_number(spec: HilbertSpec) -> OperatorMatrix:
     """Photon number operator a^dag a."""
     a = cavity_annihilation(spec).entries
     return OperatorMatrix(a.conj().T @ a, spec, hermitian=True)
+
+
+@dataclass(frozen=True)
+class OperatorTable:
+    """Operators of the dynamics and readout; per-qubit tuples are in qubit order.
+
+    ``exchange[j]`` is a^dag sigma-_j + sigma+_j a.
+    """
+
+    sigma_z: tuple[OperatorMatrix, ...]
+    sigma_minus: tuple[OperatorMatrix, ...]
+    exchange: tuple[OperatorMatrix, ...]
+    annihilation: OperatorMatrix
+    number: OperatorMatrix
+    excited: tuple[OperatorMatrix, ...]
+    all_ground: OperatorMatrix
+
+
+@functools.lru_cache(maxsize=None)
+def operator_table(spec: HilbertSpec) -> OperatorTable:
+    """The :class:`OperatorTable` of ``spec``, built once per spec and shared."""
+
+    def embed(op2):
+        return tuple(embed_qubit_operator(op2, j, spec) for j in range(spec.num_qubits))
+
+    a = cavity_annihilation(spec)
+    a_dag = a.entries.conj().T
+    sigma_minus = embed(SIGMA_MINUS)
+    exchange = tuple(
+        OperatorMatrix(a_dag @ sm.entries + sp.entries @ a.entries, spec, hermitian=True)
+        for sm, sp in zip(sigma_minus, embed(SIGMA_PLUS))
+    )
+    ground = np.arange(spec.dim) % 2**spec.num_qubits == 0  # every qubit bit is 0
+    return OperatorTable(
+        sigma_z=embed(SIGMA_Z),
+        sigma_minus=sigma_minus,
+        exchange=exchange,
+        annihilation=a,
+        number=cavity_number(spec),
+        excited=embed(PROJ_EXCITED),
+        all_ground=OperatorMatrix(np.diag(ground), spec, hermitian=True),
+    )
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[Union[int, str]]) -> DensityMatrix:

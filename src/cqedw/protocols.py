@@ -23,19 +23,21 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .device import SystemConfig, apply_crosstalk
-from .dynamics import build_hamiltonian, collapse_operators, evolve_lindblad, evolve_unitary
+from .dynamics import (
+    CollapseOperator,
+    build_hamiltonian,
+    collapse_operators,
+    evolve_lindblad,
+    evolve_unitary,
+)
 from .errors import ConfigError
 from .hilbert import (
-    PROJ_EXCITED,
-    PROJ_GROUND,
     DensityMatrix,
-    HilbertSpec,
-    OperatorMatrix,
     QuantumState,
     basis_ket,
-    cavity_number,
     embed_qubit_operator,
     expectation,
+    operator_table,
     partial_trace,
     qubit_rotation,
 )
@@ -78,9 +80,6 @@ class PulseSchedule:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ConfigError("schedule must contain at least one segment")
-
-    def total_duration(self) -> float:
-        return sum(s.duration for s in self.segments)
 
 
 @dataclass(frozen=True)
@@ -135,8 +134,26 @@ def _segment(
     )
 
 
-def ground_state(config: SystemConfig) -> QuantumState:
-    return basis_ket(config.spec, (), 0)
+def _run_segment(
+    config: SystemConfig,
+    seg: ScheduleSegment,
+    state: Union[QuantumState, DensityMatrix],
+    collapse: Sequence[CollapseOperator] | None,
+) -> Union[QuantumState, DensityMatrix]:
+    """Boundary rotations, then the segment's evolution; ``collapse=None`` is closed-system."""
+    spec = config.spec
+    for qubit, axis, angle in seg.boundary_rotations:
+        u = embed_qubit_operator(qubit_rotation(axis, angle), qubit, spec).entries
+        if collapse is None:
+            state = QuantumState(u @ state.amplitudes, spec)
+        else:
+            state = DensityMatrix(u @ state.entries @ u.conj().T, spec)
+    if seg.duration == 0:
+        return state
+    h = build_hamiltonian(config, seg.detunings, coupled=seg.coupled)
+    if collapse is None:
+        return evolve_unitary(state, h, seg.duration)
+    return evolve_lindblad(state, h, collapse, seg.duration)
 
 
 def run_schedule(
@@ -145,48 +162,27 @@ def run_schedule(
     noise: bool = False,
 ) -> Union[QuantumState, DensityMatrix]:
     """Execute a schedule; closed-system unless ``noise`` enables the Lindblad model."""
-    spec = config.spec
     collapse = collapse_operators(config) if noise else None
     state: Union[QuantumState, DensityMatrix]
     state = schedule.initial_state.density_matrix() if noise else schedule.initial_state
     for seg in schedule.segments:
-        for qubit, axis, angle in seg.boundary_rotations:
-            u = embed_qubit_operator(qubit_rotation(axis, angle), qubit, spec).entries
-            if noise:
-                state = DensityMatrix(u @ state.entries @ u.conj().T, spec)
-            else:
-                state = QuantumState(u @ state.amplitudes, spec)
-        if seg.duration == 0:
-            continue
-        h = build_hamiltonian(config, seg.detunings, coupled=seg.coupled)
-        if noise:
-            state = evolve_lindblad(state, h, collapse, seg.duration)
-        else:
-            state = evolve_unitary(state, h, seg.duration)
+        state = _run_segment(config, seg, state, collapse)
     return state
-
-
-def _population_observables(spec: HilbertSpec):
-    excited = [embed_qubit_operator(PROJ_EXCITED, j, spec) for j in range(spec.num_qubits)]
-    all_ground = np.eye(spec.dim, dtype=complex)
-    for j in range(spec.num_qubits):
-        all_ground = all_ground @ embed_qubit_operator(PROJ_GROUND, j, spec).entries
-    return excited, OperatorMatrix(all_ground, spec, hermitian=True), cavity_number(spec)
 
 
 def populations(state: Union[QuantumState, DensityMatrix]):
     """(per-qubit excited, all-ground, mean photon number) for one state."""
-    excited, ground, number = _population_observables(state.spec)
+    ops = operator_table(state.spec)
     return (
-        np.array([expectation(op, state) for op in excited]),
-        expectation(ground, state),
-        expectation(number, state),
+        np.array([expectation(op, state) for op in ops.excited]),
+        expectation(ops.all_ground, state),
+        expectation(ops.number, state),
     )
 
 
 def cavity_population(state: Union[QuantumState, DensityMatrix]) -> float:
     """Mean photon number <a^dag a>."""
-    return expectation(cavity_number(state.spec), state)
+    return expectation(operator_table(state.spec).number, state)
 
 
 def single_photon_schedule(
@@ -208,7 +204,7 @@ def single_photon_schedule(
         _segment(config, (), 0.0, [(source_qubit, "x", np.pi)]),
         _segment(config, (source_qubit,), tau0),
     )
-    return PulseSchedule(segments, ground_state(config))
+    return PulseSchedule(segments, basis_ket(config.spec))
 
 
 def rabi_scan(
@@ -220,10 +216,10 @@ def rabi_scan(
 ) -> PopulationTrace:
     """Collective vacuum Rabi oscillation scan.
 
-    For each interaction time tau the photon is loaded from the source
-    qubit (default: the lowest participating index), the participating set
-    is brought to resonance for tau, and the populations are recorded.
-    Qubits outside the set stay parked at their bias detuning.
+    The photon is loaded once from the source qubit (default: the lowest
+    participating index); from that state the participating set is brought
+    to resonance for each interaction time tau and the populations are
+    recorded.  Qubits outside the set stay parked at their bias detuning.
     """
     part = sorted(set(participating))
     if not part:
@@ -238,15 +234,13 @@ def rabi_scan(
         raise ConfigError("tau grid must be strictly ascending")
     src = part[0] if source_qubit is None else source_qubit
 
-    prep = single_photon_schedule(config, src)
+    loaded = run_schedule(config, single_photon_schedule(config, src), noise=noise)
+    collapse = collapse_operators(config) if noise else None
     q_pops = np.empty((tau.size, config.spec.num_qubits))
     g_pop = np.empty(tau.size)
     c_pop = np.empty(tau.size)
     for i, t in enumerate(tau):
-        schedule = PulseSchedule(
-            prep.segments + (_segment(config, part, float(t)),), prep.initial_state
-        )
-        final = run_schedule(config, schedule, noise=noise)
+        final = _run_segment(config, _segment(config, part, float(t)), loaded, collapse)
         q_pops[i], g_pop[i], c_pop[i] = populations(final)
     labels = tuple(q.label for q in config.qubits)
     return PopulationTrace(tau, q_pops, g_pop, c_pop, labels)
@@ -305,7 +299,7 @@ def sequential_w_schedule(config: SystemConfig, through_segment: int = 3) -> Pul
         _segment(config, (1,), tau2),
         _segment(config, (0,), tau3),
     ]
-    return PulseSchedule(tuple(segments[: through_segment + 1]), ground_state(config))
+    return PulseSchedule(tuple(segments[: through_segment + 1]), basis_ket(config.spec))
 
 
 def prepare_w_sequential(config: SystemConfig, noise: bool = False) -> DensityMatrix:

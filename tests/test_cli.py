@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cqedw
 from cqedw import entanglement, tomography
 from cqedw.cli import device_from_json, device_to_json, main, rho_from_json, rho_to_json
 from cqedw.device import paper_system
@@ -120,6 +125,8 @@ def test_run_malformed_config_exits_2(tmp_path):
         ("rabi_scan", {"participating": ["A"], "tau_grid_ns": [[0, 1], [2, 3]]}, None),
         ("rabi_scan", {**scan, "tau_stop_ns": inf}, None),
         ("rabi_scan", {**scan, "participating": 5}, None),
+        ("rabi_scan", {**scan, "participating": [True]}, None),  # a boolean is no qubit index
+        ("w_collective", {"phase_correct": "no"}, None),  # only JSON true/false
         ("w_collective", {"source_qubit": "x"}, None),
         ("w_collective", {}, "abc"),
         ("w_collective", {}, -1),
@@ -127,6 +134,17 @@ def test_run_malformed_config_exits_2(tmp_path):
     ):
         write_config(bad, experiment=experiment, seed=seed, params=params)
         assert run_cli("run", "--config", bad) == 2, (experiment, params, seed)
+    write_config(bad, experiment="w_collective", noise="no", seed=0)
+    assert run_cli("run", "--config", bad) == 2
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # only the fit and the phase correction use it; certify and reconstruct never do
+    code = "import sys, cqedw.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(cqedw.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_run_unknown_experiment_exits_2(tmp_path):

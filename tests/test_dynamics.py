@@ -15,12 +15,13 @@ from cqedw.dynamics import (
     collapse_operators,
     evolve_lindblad,
     evolve_unitary,
-    hamiltonian_terms,
     single_excitation_oracle,
 )
 from cqedw.errors import ConfigError, NumericalError
 from cqedw.hilbert import (
     PROJ_EXCITED,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     SIGMA_Z,
     DensityMatrix,
     HilbertSpec,
@@ -78,13 +79,35 @@ def full_space_expm(rho, h, collapse, t):
     return (scipy.linalg.expm(gen * t) @ rho.reshape(-1)).reshape(rho.shape)
 
 
-def test_hamiltonian_terms_hermitian_and_labels():
-    cfg = paper_system(photon_cutoff=1)
-    terms = hamiltonian_terms(cfg, [1e8, -2e8, 3e8])
-    labels = {t.label for t in terms}
-    assert labels == {f"qubit_detuning({j})" for j in range(3)} | {f"coupling({j})" for j in range(3)}
-    for t in terms:
-        assert np.abs(t.matrix.entries - t.matrix.entries.conj().T).max() < 1e-12
+def kron_hamiltonian(cfg, detunings, coupled=None):
+    """H/hbar summed term by term from explicit Kronecker products (qubit 0 fastest)."""
+    spec = cfg.spec
+    n = spec.num_qubits
+    a = np.kron(np.diag(np.sqrt(np.arange(1.0, spec.cavity_dim)), k=1), np.eye(2**n))
+
+    def embed(op2, j):
+        full = np.eye(spec.cavity_dim)
+        for k in reversed(range(n)):
+            full = np.kron(full, op2 if k == j else np.eye(2))
+        return full
+
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for j, q in enumerate(cfg.qubits):
+        h += 0.5 * detunings[j] * embed(SIGMA_Z, j)
+        if coupled is None or j in coupled:
+            h += q.coupling_g * (a.T @ embed(SIGMA_MINUS, j) + embed(SIGMA_PLUS, j) @ a)
+    return h
+
+
+def test_build_hamiltonian_matches_kron_reference():
+    detunings = [1e8, -2e8, 3e8]
+    for cutoff in (1, 2):
+        cfg = paper_system(photon_cutoff=cutoff)
+        for coupled in (None, (0, 2), ()):
+            h = build_hamiltonian(cfg, detunings, coupled=coupled).entries
+            ref = kron_hamiltonian(cfg, detunings, coupled)
+            assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max(), (cutoff, coupled)
+            assert np.abs(h - h.conj().T).max() < 1e-12
 
 
 def test_single_qubit_resonant_eigenvalues():

@@ -4,7 +4,10 @@ import pytest
 from cqedw.errors import ConfigError, NumericalError
 from cqedw.hilbert import (
     ID2,
+    PROJ_EXCITED,
+    PROJ_GROUND,
     SIGMA_MINUS,
+    SIGMA_PLUS,
     SIGMA_Z,
     DensityMatrix,
     HilbertSpec,
@@ -15,6 +18,7 @@ from cqedw.hilbert import (
     embed_qubit_operator,
     expectation,
     ket_from_label,
+    operator_table,
     partial_trace,
 )
 from conftest import random_density, random_pure
@@ -95,6 +99,40 @@ def test_embedding_composition_and_commutation():
         a = embed_qubit_operator(op1, 0, SPEC31).entries
         b = embed_qubit_operator(op2, 2, SPEC31).entries
         assert np.abs(a @ b - b @ a).max() == 0.0  # disjoint embeddings commute exactly
+
+
+def test_operator_table_cached_readonly_and_matches_embedding():
+    for spec in (SPEC31, HilbertSpec(2, 2), HilbertSpec(1, 1)):
+        table = operator_table(spec)
+        assert operator_table(HilbertSpec(spec.num_qubits, spec.photon_cutoff)) is table
+        n = spec.num_qubits
+
+        def embed(op2, j):
+            return embed_qubit_operator(op2, j, spec).entries
+
+        a = cavity_annihilation(spec).entries
+        all_ground = np.eye(spec.dim)
+        for j in range(n):
+            all_ground = all_ground @ embed(PROJ_GROUND, j)
+        expected = {
+            "sigma_z": [embed(SIGMA_Z, j) for j in range(n)],
+            "sigma_minus": [embed(SIGMA_MINUS, j) for j in range(n)],
+            "exchange": [a.conj().T @ embed(SIGMA_MINUS, j) + embed(SIGMA_PLUS, j) @ a
+                         for j in range(n)],
+            "annihilation": [a],
+            "number": [cavity_number(spec).entries],
+            "excited": [embed(PROJ_EXCITED, j) for j in range(n)],
+            "all_ground": [all_ground],
+        }
+        for name, refs in expected.items():
+            ops = getattr(table, name)
+            ops = ops if isinstance(ops, tuple) else (ops,)
+            assert len(ops) == len(refs), name
+            for op, ref in zip(ops, refs):
+                assert op.spec == spec
+                np.testing.assert_array_equal(op.entries, ref, err_msg=name)
+                with pytest.raises(ValueError):
+                    op.entries[0, 0] = 1.0
 
 
 def test_partial_trace_product_state():

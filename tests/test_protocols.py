@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from cqedw import analysis
-from cqedw.device import equal_coupling_system, paper_system
+from cqedw.device import apply_crosstalk, equal_coupling_system, paper_system
 from cqedw.entanglement import TargetState, fidelity
 from cqedw.errors import ConfigError
 from cqedw.hilbert import DensityMatrix, basis_ket
 from cqedw.protocols import (
     PopulationTrace,
     PulseSchedule,
+    ScheduleSegment,
     apply_phase_correction,
     cavity_population,
     collective_interaction_time,
@@ -100,6 +101,40 @@ def test_rabi_scan_antiphase_and_excitation_conservation():
         assert np.abs(total - 1.0).max() < 1e-9
         # cavity population is the |g...g> population in the one-excitation sector
         assert np.abs(trace.cavity_population - trace.ground_population).max() < 1e-9
+
+
+def per_point_scan(cfg, part, taus, noise, src):
+    """Rabi scan the long way: the full prep + tau schedule through run_schedule per point."""
+    bias = cfg.bias_detunings()
+    target = bias.copy()
+    target[list(part)] = 0.0
+    realized = bias + apply_crosstalk(target - bias, cfg.crosstalk)
+    prep = single_photon_schedule(cfg, src)
+    rows = []
+    for t in taus:
+        segment = ScheduleSegment(t, realized, coupled=tuple(part))
+        schedule = PulseSchedule(prep.segments + (segment,), prep.initial_state)
+        rows.append(populations(run_schedule(cfg, schedule, noise=noise)))
+    return [np.array(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize(
+    "crosstalk, part, noise, src",
+    [
+        (0.0, (0, 1, 2), False, None),
+        (0.0, (0, 1, 2), True, None),
+        (0.02, (0, 1), False, 2),
+        (0.02, (1,), True, 0),
+    ],
+)
+def test_rabi_scan_matches_per_point_schedule(crosstalk, part, noise, src):
+    cfg = paper_system(crosstalk_epsilon=crosstalk)
+    taus = np.linspace(0.0, 10e-9, 11)
+    trace = rabi_scan(cfg, part, taus, noise=noise, source_qubit=src)
+    q, g, n = per_point_scan(cfg, part, taus, noise, part[0] if src is None else src)
+    assert np.abs(trace.qubit_populations - q).max() <= 1e-12
+    assert np.abs(trace.ground_population - g).max() <= 1e-12
+    assert np.abs(trace.cavity_population - n).max() <= 1e-12
 
 
 def test_rabi_scan_validation():
