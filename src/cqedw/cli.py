@@ -215,17 +215,7 @@ def _experiment_rabi_scan(config, params, noise, seed, out: Path) -> list[str]:
     trace = protocols.rabi_scan(config, participants, grid, noise=noise)
     _write_text(out / "trace.csv", trace.to_csv())
     fit = analysis.fit_damped_sinusoid(trace.times, trace.cavity_population)
-    _write_json(
-        out / "fit_cavity.json",
-        {
-            "frequency_hz": fit.frequency,
-            "amplitude": fit.amplitude,
-            "phase_rad": fit.phase,
-            "decay_rate_per_s": fit.decay_rate,
-            "offset": fit.offset,
-            "residual_rms": fit.residual_rms,
-        },
-    )
+    _write_json(out / "fit_cavity.json", fit.to_dict())
     return ["trace.csv", "fit_cavity.json"]
 
 
@@ -389,11 +379,11 @@ def reconstruct(records_path, readout_config, out_dir, quiet=False, seed=0) -> l
     tset = tomography.tomography_set(readout)
     records = tomography.records_from_csv(records_path.read_text(), tset)
     result = tomography.reconstruct(records, tset)
+    report = entanglement.certification_report(result.rho, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "rho_mle.json", rho_to_json(result.rho))
     _write_text(out / "pauli_set.csv", _pauli_csv(result.rho))
-    report = entanglement.certification_report(result.rho, seed=seed)
     _write_json(out / "certification.json", report)
     if not quiet:
         print(f"reconstructed state written to {out}")

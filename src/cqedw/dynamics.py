@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .device import SystemConfig, decoherence_rates
 from .errors import ConfigError, NumericalError
@@ -121,8 +120,8 @@ def evolve_lindblad(
 
     L is the row-major vectorized Lindblad generator,
 
-        L = -i (H x 1 - 1 x H^T)
-            + sum_k [ L_k x L_k^* - 1/2 (L_k^+ L_k x 1 + 1 x (L_k^+ L_k)^T) ],
+        L = -i (H_eff x 1 - 1 x H_eff^*) + sum_k L_k x L_k^*,
+        H_eff = H - (i/2) sum_k L_k^+ L_k,
 
     with sqrt(rate) absorbed into each L_k.  It is built only on the basis
     states reachable from rho's support through the nonzero patterns of H,
@@ -136,18 +135,20 @@ def evolve_lindblad(
     _check_hermitian(h)
     if t == 0:
         return rho
-    ls = [np.sqrt(c.rate) * c.matrix.entries for c in collapse if c.rate > 0]
-    decay = [l.conj().T @ l for l in ls]
+    ls = np.array([np.sqrt(c.rate) * c.matrix.entries for c in collapse if c.rate > 0])
+    ls = ls.reshape(-1, *h.entries.shape)  # (channels, dim, dim), also with no channel
+    decay = np.swapaxes(ls.conj(), -1, -2) @ ls
     keep = _reachable(rho.entries, [h.entries, *ls, *decay])
     sub = np.ix_(keep, keep)
     n = int(keep.sum())
     eye = np.eye(n)
-    hs = h.entries[sub]
-    gen = -1j * (np.kron(hs, eye) - np.kron(eye, hs.T))
-    for l, d in zip(ls, decay):
-        l, d = l[sub], d[sub]
-        gen += np.kron(l, l.conj()) - 0.5 * (np.kron(d, eye) + np.kron(eye, d.T))
-    small = scipy.linalg.expm(gen * t) @ rho.entries[sub].reshape(-1)
+    h_eff = h.entries[sub] - 0.5j * decay.sum(axis=0)[sub]
+    ls = ls[:, keep][:, :, keep]
+    gen = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
+    gen += np.einsum("kij,kab->iajb", ls, ls.conj()).reshape(n * n, n * n)
+    from scipy.linalg import expm  # imported here: certify and reconstruct never propagate
+
+    small = expm(gen * t) @ rho.entries[sub].reshape(-1)
     out = np.zeros(rho.entries.shape, dtype=complex)
     out[sub] = small.reshape(n, n)
     return DensityMatrix(out, rho.spec)
@@ -181,4 +182,6 @@ def single_excitation_oracle(
     block[n, n] = -shift
     psi0 = np.zeros(n + 1, dtype=complex)
     psi0[n] = 1.0
-    return scipy.linalg.expm(-1j * block * t) @ psi0
+    from scipy.linalg import expm
+
+    return expm(-1j * block * t) @ psi0

@@ -12,6 +12,7 @@ import cqedw
 from cqedw import entanglement, tomography
 from cqedw.cli import device_from_json, device_to_json, main, rho_from_json, rho_to_json
 from cqedw.device import paper_system
+from cqedw.hilbert import DensityMatrix
 
 
 def run_cli(*args):
@@ -68,6 +69,12 @@ def test_run_rabi_scan(tmp_path):
     out = tmp_path / "out"
     fit = json.loads((out / "fit_cavity.json").read_text())
     assert abs(fit["frequency_hz"] - 189.3e6) / 189.3e6 < 0.01
+    # the full fit report, covariance included
+    assert set(fit) == {"frequency_hz", "amplitude", "phase_rad", "decay_rate_per_s", "offset",
+                        "residual_rms", "covariance_diagonal"}
+    assert len(fit["covariance_diagonal"]) == 5
+    assert run_cli("run", "--config", cfg_path, "--out", tmp_path / "again", "--quiet") == 0
+    assert (tmp_path / "again" / "fit_cavity.json").read_bytes() == (out / "fit_cavity.json").read_bytes()
     trace = (out / "trace.csv").read_text().strip().split("\n")
     assert trace[0] == "time_ns,p_qA,p_qB,p_qC,p_ggg,n_cavity"
     assert len(trace) == 82
@@ -139,8 +146,9 @@ def test_run_malformed_config_exits_2(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # only the fit and the phase correction use it; certify and reconstruct never do
-    code = "import sys, cqedw.cli; print('scipy.optimize' in sys.modules)"
+    # only the fit, the phase correction and the propagators use scipy;
+    # certify and reconstruct never do
+    code = "import sys, cqedw.cli; print(any(m.startswith('scipy') for m in sys.modules))"
     src = str(Path(cqedw.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
@@ -226,6 +234,14 @@ def test_certify_rejects_invalid_file(tmp_path):
     bad.write_text(json.dumps(w))
     assert run_cli("certify", bad, "--out", tmp_path) == 2
 
+    # a negative seed, on a mixed state and on the rank-1 path that draws no noise
+    w = entanglement.TargetState.w_paper().vector.density_matrix()
+    mixed = rho_to_json(DensityMatrix(0.9 * w.entries + 0.1 * np.eye(8) / 8, w.spec))
+    for rho in (mixed, rho_to_json(w)):
+        bad.write_text(json.dumps(rho))
+        assert run_cli("certify", bad, "--out", tmp_path / "neg", "--seed", -1) == 2
+    assert not (tmp_path / "neg").exists()
+
 
 def test_rho_json_roundtrip():
     w = entanglement.TargetState.w_paper().vector.density_matrix()
@@ -292,6 +308,8 @@ def test_reconstruct_missing_row_exits_2(tmp_path):
         assert run_cli("reconstruct", path, "--out", tmp_path) == 2
 
     path.write_text(text)
+    assert run_cli("reconstruct", path, "--out", tmp_path / "neg", "--seed", -1) == 2
+    assert not (tmp_path / "neg").exists()
     readout = tmp_path / "readout.json"
     for coefficients in (["a"] * 8, [float("nan")] * 8):
         readout.write_text(json.dumps({"coefficients": coefficients}))

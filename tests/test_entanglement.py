@@ -146,7 +146,7 @@ def test_tangle_mixed_is_upper_bound():
     ghz = TargetState.ghz().vector.amplitudes
     w = TargetState.w_paper().vector.amplitudes
     rank2 = 0.6 * np.outer(ghz, ghz.conj()) + 0.4 * np.outer(w, w.conj())
-    # full rank: the widest zero padding of the lockstep descent (m = 8..16)
+    # full rank: the largest isometries of the descent (16 x 8)
     full = random_density(QUBIT_SPEC_3, np.random.default_rng(17)).entries
     full_rank = 0.9 * np.outer(w, w.conj()) + 0.1 * full
     for rho, rank in ((rank2, 2), (full_rank, 8)):
@@ -168,27 +168,104 @@ def test_tangle_mixed_is_upper_bound():
 def test_tangle_mixed_bookkeeping(monkeypatch):
     rho = random_density(QUBIT_SPEC_3, np.random.default_rng(9), rank=3)
     est = three_tangle_mixed(rho, restarts=3, budget=1, seed=5)
-    # one proposal per live restart, summed over the restarts
+    # one evaluation per live restart per iteration, summed over the restarts
     assert est.optimizer_iterations == 3
     assert 3 <= est.decomposition_size <= 6
     assert three_tangle_mixed(rho, restarts=3, budget=1, seed=5) == est
 
-    # restarts whose step falls below 1e-10 stop proposing
+    # restarts whose predicted decrease vanishes leave the stack: a rank-2
+    # state on the zero set of the roof converges well within the budget
     ghz = TargetState.ghz().vector.amplitudes
     w = TargetState.w_paper().vector.amplitudes
     rank2 = DensityMatrix(0.6 * np.outer(ghz, ghz.conj()) + 0.4 * np.outer(w, w.conj()), QUBIT_SPEC_3)
-    assert three_tangle_mixed(rank2, restarts=4, budget=2000, seed=2).optimizer_iterations < 4 * 2000
+    converged = three_tangle_mixed(rank2, seed=2)
+    assert converged.value < 1e-9
+    assert converged.optimizer_iterations < entanglement.DEFAULT_RESTARTS * entanglement.DEFAULT_BUDGET / 2
 
-    # the bound is the smallest average tangle any restart reached
+    # the bound is the smallest true average tangle of any evaluated decomposition
     seen = []
 
-    def recording(states):
-        values = decomposition_average_tangle(states)
-        seen.extend(values)
-        return values
+    def recording(v, wtil, squared):
+        objective, average, grad = roof_objective(v, wtil, squared)
+        assert np.allclose(average, decomposition_average_tangle(v @ wtil), rtol=1e-12, atol=1e-15)
+        seen.extend(average)
+        return objective, average, grad
 
-    monkeypatch.setattr(entanglement, "decomposition_average_tangle", recording)
-    assert three_tangle_mixed(rho, restarts=3, budget=1, seed=5).value == min(seen)
+    roof_objective = entanglement._roof_objective
+    monkeypatch.setattr(entanglement, "_roof_objective", recording)
+    assert three_tangle_mixed(rho, restarts=3, budget=20, seed=5).value == min(seen)
+
+
+def ghz_w_roof(p: float) -> float:
+    """Exact convex-roof tangle of p GHZ + (1 - p) W (Lohmayer, Osterloh,
+    Siewert, Uhlmann, PRL 97, 260502 (2006))."""
+    p0 = 4 * 2 ** (1 / 3) / (3 + 4 * 2 ** (1 / 3))
+    p1 = 0.5 + 3 * np.sqrt(465) / 310
+
+    def curved(q):
+        return q * q - 8 * np.sqrt(6) / 9 * np.sqrt(q * (1 - q) ** 3)
+
+    if p <= p0:
+        return 0.0
+    if p <= p1:
+        return curved(p)
+    return curved(p1) + (p - p1) * (1 - curved(p1)) / (1 - p1)
+
+
+def test_ghz_w_roof_closed_form():
+    # the values quoted for the closed form, and its continuity at p0, p1 and 1
+    for p, value in ((0.65, 0.059019), (0.7, 0.190667), (0.9, 0.730201)):
+        assert abs(ghz_w_roof(p) - value) < 1e-6
+    p0 = 4 * 2 ** (1 / 3) / (3 + 4 * 2 ** (1 / 3))
+    assert abs(ghz_w_roof(p0 + 1e-12)) < 1e-9
+    assert ghz_w_roof(1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.2, 0.3, 0.4, 0.5, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95])
+def test_tangle_mixed_matches_ghz_w_roof(p):
+    # GHZ and W_paper are locally equivalent to the pair of the closed form:
+    # phases exp(-i pi/3) on qubits A and B and exp(2i pi/3) on C map them to
+    # (|000> + |111>)/sqrt2 and a global phase times (|001> + |010> + |100>)/sqrt3
+    ghz = TargetState.ghz().vector.amplitudes
+    w = TargetState.w_paper().vector.amplitudes
+    rho = DensityMatrix(p * np.outer(ghz, ghz.conj()) + (1 - p) * np.outer(w, w.conj()), QUBIT_SPEC_3)
+    gap = three_tangle_mixed(rho, seed=0).value - ghz_w_roof(p)
+    assert -1e-9 <= gap <= 1e-4
+
+
+def test_roof_gradients_match_central_differences():
+    rng = np.random.default_rng(41)
+    # dDet/da of the hyperdeterminant, a holomorphic quartic
+    a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    ddet = entanglement._hyperdet(a)[1]
+    h = 1e-6
+    for k in range(8):
+        e = np.zeros(8)
+        e[k] = h
+        numeric = (entanglement._hyperdet(a + e)[0] - entanglement._hyperdet(a - e)[0]) / (2 * h)
+        assert abs(numeric - ddet[k]) <= 1e-6 * abs(ddet[k])
+
+    # retracting an isometry, of either sign, returns it: the column phases
+    # make diag(R) > 0, so no column of the decomposition flips
+    r = 3
+    v = entanglement._retract(rng.standard_normal((4, 6, r)) + 1j * rng.standard_normal((4, 6, r)))
+    assert np.allclose(entanglement._retract(v), v, atol=1e-12)
+    assert np.allclose(entanglement._retract(-v), -v, atol=1e-12)
+
+    # the Riemannian gradient of both objectives along tangent directions
+    wtil = rng.standard_normal((r, 8)) + 1j * rng.standard_normal((r, 8))
+    wtil /= np.linalg.norm(wtil)
+    squared = np.array([True, False, True, False])
+    _, _, grad = entanglement._roof_objective(v, wtil, squared)
+    for _ in range(3):
+        z = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+        vz = np.swapaxes(v.conj(), -1, -2) @ z
+        z -= v @ (0.5 * (vz + np.swapaxes(vz.conj(), -1, -2)))
+        plus = entanglement._roof_objective(v + h * z, wtil, squared)[0]
+        minus = entanglement._roof_objective(v - h * z, wtil, squared)[0]
+        numeric = (plus - minus) / (2 * h)
+        analytic = np.sum(grad.real * z.real + grad.imag * z.imag, axis=(-2, -1))
+        assert np.all(np.abs(numeric - analytic) <= 1e-6 * np.abs(analytic))
 
 
 def test_tangle_mixed_on_noisy_collective_state():
