@@ -142,7 +142,15 @@ def _write_json(path: Path, obj):
 
 
 def _number(value, name: str, kind=float):
-    """``value`` as a finite ``kind`` (float or int); ConfigError naming ``name`` otherwise."""
+    """``value`` as a finite ``kind`` (float or int); ConfigError naming ``name`` otherwise.
+
+    A JSON boolean is not a number, and an int field takes no fractional
+    value: ``int`` alone would read true as 1 and truncate 2.9 to 2.
+    """
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as err:

@@ -10,10 +10,13 @@ mixed states the convex roof (minimum average tangle over decompositions)
 is approximated from above by a lockstep Riemannian gradient descent over
 isometric mixtures of the eigenvector ensemble, driven by the analytic
 Wirtinger gradient of Det (64 restarts of up to 400 iterations by
-default).  The result is the average tangle of an explicit decomposition,
-an upper bound, never a claim of the exact roof.  The descent is plain
-numpy; one seeded draw picks its starting points, so the same seed gives
-the same bound.
+default).  Its kernel is amplitude-major: the rows of every restart form
+one (8, n) array, so each amplitude is a contiguous vector.  The same
+``_hyperdet`` gives Det and its gradient there and, through a moved axis,
+``tangle_quartic`` on (..., 8) input.  The result is the average tangle of
+an explicit decomposition, an upper bound, never a claim of the exact
+roof.  The descent is plain numpy; one seeded draw picks its starting
+points, so the same seed gives the same bound.
 """
 from __future__ import annotations
 
@@ -131,33 +134,43 @@ def witness_value(rho: DensityMatrix) -> float:
     return float(np.real(np.einsum("ij,ji->", witness_operator(), rho.entries)))
 
 
-def _hyperdet(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# For each amplitude a_i, the other three amplitudes of the d3 term it sits
+# in: its derivative is a product of one gather from each row.
+_TRIPLES = (np.array([3, 2, 1, 0, 1, 0, 0, 1]),
+            np.array([5, 4, 4, 5, 2, 3, 3, 2]),
+            np.array([6, 7, 7, 6, 7, 6, 5, 4]))
+
+
+def _hyperdet(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cayley's hyperdeterminant d1 - 2 d2 + 4 d3 and its derivative dDet/da.
 
-    Both run over the last axis of a (..., 8) amplitude array.  Det is a
-    holomorphic quartic, so dDet/da holds its complex partial derivatives.
+    Both run over the first axis of an (8, ...) complex amplitude array, so
+    each amplitude a[i] is one contiguous vector.  Det is a holomorphic
+    quartic, so dDet/da holds its complex partial derivatives.  With the
+    complementary pairs x_i = a_i a_(7-i), i = 0..3, d1 - 2 d2 is
+    2 sum x^2 - (sum x)^2, and d3 = a0 t0 + a1 t1 with t_i = dd3/da_i.
     """
-    a = np.asarray(amps, dtype=complex)
-    a0, a1, a2, a3, a4, a5, a6, a7 = (a[..., i] for i in range(8))
-    x = a[..., :4] * a[..., :3:-1]  # a_i a_(7-i), i = 0..3: complementary basis-state pairs
-    x0, x1, x2, x3 = (x[..., i] for i in range(4))
-    d1 = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
-    d2 = x0 * (x1 + x2 + x3) + x1 * (x2 + x3) + x2 * x3
-    d3 = a0 * a3 * a5 * a6 + a1 * a2 * a4 * a7
+    x = a[:4] * a[7:3:-1]
+    s = x.sum(axis=0)
     # d(d1 - 2 d2)/dx_i = 4 x_i - 2 sum_j x_j, and dx_i/da_i = a_(7-i)
-    dx = 4.0 * x - 2.0 * x.sum(axis=-1, keepdims=True)
-    grad = np.concatenate([dx * a[..., :3:-1], (dx * a[..., :4])[..., ::-1]], axis=-1)
-    grad += 4.0 * np.stack([a3 * a5 * a6, a2 * a4 * a7, a1 * a4 * a7, a0 * a5 * a6,
-                            a1 * a2 * a7, a0 * a3 * a6, a0 * a3 * a5, a1 * a2 * a4], axis=-1)
-    return d1 - 2.0 * d2 + 4.0 * d3, grad
+    dx = 4.0 * x - 2.0 * s
+    t = a[_TRIPLES[0]] * a[_TRIPLES[1]] * a[_TRIPLES[2]]
+    det = 2.0 * np.sum(x * x, axis=0) - s * s + 4.0 * (a[0] * t[0] + a[1] * t[1])
+    grad = dx[[0, 1, 2, 3, 3, 2, 1, 0]] * a[::-1]
+    grad += 4.0 * t
+    return det, grad
 
 
 def tangle_quartic(amps: np.ndarray) -> np.ndarray:
     """4 |Det| over the last axis of a (..., 8) amplitude array.
 
     The amplitudes may be unnormalized; the result has the leading shape.
+    Even a single vector goes through as an (8, 1) array: numpy's scalar
+    complex product rounds differently from its array loop, and a row must
+    give the same bits alone as in a stack.
     """
-    return 4.0 * np.abs(_hyperdet(amps)[0])
+    a = np.moveaxis(np.asarray(amps, dtype=complex), -1, 0)
+    return 4.0 * np.abs(_hyperdet(a.reshape(8, -1))[0].reshape(a.shape[1:]))
 
 
 def three_tangle_pure(psi: QuantumState) -> TangleEstimate:
@@ -168,9 +181,8 @@ def three_tangle_pure(psi: QuantumState) -> TangleEstimate:
     return TangleEstimate(value, "pure_exact", decomposition_size=1, optimizer_iterations=0)
 
 
-def _inverse_weights(rows: np.ndarray) -> np.ndarray:
-    """1 / p_k of each sub-normalized row, and 0 for rows of weight p <= 1e-14."""
-    p = np.sum(rows.real**2 + rows.imag**2, axis=-1)
+def _inverse_weights(p: np.ndarray) -> np.ndarray:
+    """1 / p_k for each row weight p_k, and 0 for rows of weight p <= 1e-14."""
     return np.divide(1.0, p, out=np.zeros_like(p), where=p > 1e-14)
 
 
@@ -183,13 +195,20 @@ def decomposition_average_tangle(states: np.ndarray) -> Union[float, np.ndarray]
     (m, 8) ensemble gives a float, a stack an array of its leading shape.
     """
     rows = np.asarray(states, dtype=complex)
-    total = np.sum(tangle_quartic(rows) * _inverse_weights(rows), axis=-1)
+    weights = np.sum(rows.real**2 + rows.imag**2, axis=-1)
+    total = np.sum(tangle_quartic(rows) * _inverse_weights(weights), axis=-1)
     return float(total) if total.ndim == 0 else total
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re <x, y> of each matrix pair in two stacks, through float views of both."""
+    xf, yf = x.view(float), y.view(float)
+    return np.einsum("kij,kij->k", xf, yf)
 
 
 def _sq_norm(x: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of each matrix in a stack."""
-    return np.sum(x.real**2 + x.imag**2, axis=(-2, -1))
+    return _inner(x, x)
 
 
 def _retract(v: np.ndarray) -> np.ndarray:
@@ -211,23 +230,31 @@ def _roof_objective(v, wtil, squared):
     sum_k p_k tau_k = 4 |Det|/p.  The gradient is twice the Wirtinger
     derivative d/d conj(v), projected onto the tangent space of the Stiefel
     manifold; at Det = 0, where |Det| has a kink, the true objective's row
-    gets the zero subgradient.
+    gets the zero subgradient.  The rows of all restarts are formed in one
+    product as an (8, k m) amplitude-major array, and everything up to the
+    tangent projection runs on flat vectors of length k m.
     """
-    rows = v @ wtil
+    k, m, r = v.shape
+    rows = wtil.T @ v.reshape(k * m, r).T
     det, ddet = _hyperdet(rows)
-    pinv = _inverse_weights(rows)
+    flat = rows.view(float).reshape(8, k * m, 2)
+    pinv = _inverse_weights(np.einsum("ijc,ijc->j", flat, flat))
     size = np.abs(det)
     tangle = 4.0 * size * pinv
     phase = np.divide(det, size, out=np.zeros_like(det), where=size > 0)
-    sq = squared[:, None]
-    objective = np.sum(np.where(sq, tangle * tangle * pinv, tangle), axis=-1)
-    coef_d = np.where(sq, 32.0 * det * pinv**3, 4.0 * phase * pinv)
-    coef_a = np.where(sq, -96.0 * size**2 * pinv**4, -8.0 * size * pinv**2)
-    grad_rows = coef_d[..., None] * ddet.conj() + coef_a[..., None] * rows
-    g = grad_rows @ wtil.conj().T
+    objective = tangle
+    coef_d = 4.0 * phase * pinv
+    coef_a = -8.0 * size * pinv**2
+    if squared.any():
+        sq = np.repeat(squared, m)
+        objective = np.where(sq, tangle * tangle * pinv, tangle)
+        coef_d = np.where(sq, 32.0 * det * pinv**3, coef_d)
+        coef_a = np.where(sq, -96.0 * size**2 * pinv**4, coef_a)
+    grad_rows = coef_d * ddet.conj() + coef_a * rows
+    g = (grad_rows.T @ wtil.T.conj()).reshape(k, m, r)
     vg = np.swapaxes(v.conj(), -1, -2) @ g
     g -= v @ (0.5 * (vg + np.swapaxes(vg.conj(), -1, -2)))
-    return objective, np.sum(tangle, axis=-1), g
+    return objective.reshape(k, m).sum(axis=1), tangle.reshape(k, m).sum(axis=1), g
 
 
 def three_tangle_mixed(
@@ -248,7 +275,7 @@ def three_tangle_mixed(
     sufficient decrease.  After an accepted step the next t is the
     Barzilai-Borwein step (at most 10 times the last), after a rejected one
     half the last.  All restarts step in lockstep, one stacked QR and one
-    batched quartic per iteration; a restart leaves the stack once its
+    amplitude-major quartic per iteration; a restart leaves the stack once its
     predicted decrease t |grad|^2 falls below 1e-13.  ``budget`` counts
     iterations per restart.  For the first 3/8 of them, every other
     restart descends the smooth surrogate sum_k p_k tau_k^2, which reaches
@@ -293,7 +320,7 @@ def three_tangle_mixed(
             ok = fq <= f - 1e-4 * t * gg  # Armijo's sufficient decrease
             # after a step, the next trial is the Barzilai-Borwein step <s, s> / |<s, y>|
             s, y = q - v, gq - g
-            sy = np.abs(np.sum(s.real * y.real + s.imag * y.imag, axis=(-2, -1)))
+            sy = np.abs(_inner(s, y))
             bb = np.divide(_sq_norm(s), sy, out=np.full(idx.size, np.inf), where=sy > 0)
             t = np.where(ok, np.minimum(bb, 10.0 * t), 0.5 * t)
             v = np.where(ok[:, None, None], q, v)

@@ -125,6 +125,7 @@ def test_run_malformed_config_exits_2(tmp_path):
         ("tomography", {"sigma": "abc"}, 0),
         ("tomography", {"sigma": nan}, 0),
         ("tomography", {"sigma": inf}, 0),
+        ("tomography", {"sigma": True}, 0),  # a boolean is no number
         ("rabi_scan", {**scan, "num_points": "x"}, None),
         ("rabi_scan", {**scan, "num_points": -3}, None),
         ("rabi_scan", {"participating": ["A"], "tau_grid_ns": ["a", "b"]}, None),
@@ -138,6 +139,13 @@ def test_run_malformed_config_exits_2(tmp_path):
         ("w_collective", {}, "abc"),
         ("w_collective", {}, -1),
         ("certify", {"rho_path": str(rho_path), "restarts": inf}, 0),
+        # booleans and fractions in integer fields; int() used to truncate them
+        ("certify", {"rho_path": str(rho_path), "restarts": 2.9}, 0),
+        ("certify", {"rho_path": str(rho_path), "restarts": True}, 0),
+        ("certify", {"rho_path": str(rho_path), "budget": 7.9}, 0),
+        ("rabi_scan", {**scan, "num_points": 40.7}, None),
+        ("w_collective", {}, 1.5),
+        ("w_collective", {}, True),
     ):
         write_config(bad, experiment=experiment, seed=seed, params=params)
         assert run_cli("run", "--config", bad) == 2, (experiment, params, seed)
@@ -153,6 +161,18 @@ def test_cli_import_leaves_out_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_import_defaults_blas_to_one_thread():
+    # importing cqedw before numpy sets one BLAS thread, unless the user chose
+    code = "import os, cqedw; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
+    src = str(Path(cqedw.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    for preset, expected in ((None, "1 1"), ("2", "2 1")):
+        extra = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**env, **extra, "PYTHONPATH": src})
+        assert out.stdout.strip() == expected
 
 
 def test_run_unknown_experiment_exits_2(tmp_path):

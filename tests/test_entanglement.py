@@ -268,6 +268,27 @@ def test_roof_gradients_match_central_differences():
         assert np.all(np.abs(numeric - analytic) <= 1e-6 * np.abs(analytic))
 
 
+def test_roof_objective_paths_agree():
+    # the rows of all restarts share one flat kernel: a stack that mixes
+    # surrogate and true restarts gives each restart what it gets alone, and
+    # the path without surrogate arithmetic gives the mixed stack's true rows
+    rng = np.random.default_rng(43)
+    r = 3
+    v = entanglement._retract(rng.standard_normal((6, 2 * r, r)) + 1j * rng.standard_normal((6, 2 * r, r)))
+    wtil = rng.standard_normal((r, 8)) + 1j * rng.standard_normal((r, 8))
+    wtil /= np.linalg.norm(wtil)
+    squared = np.array([True, False, False, True, True, False])
+    mixed = entanglement._roof_objective(v, wtil, squared)
+    for i in range(v.shape[0]):
+        alone = entanglement._roof_objective(v[i:i + 1], wtil, squared[i:i + 1])
+        for got, want in zip(alone, mixed):
+            np.testing.assert_allclose(got[0], want[i], rtol=1e-12, atol=0.0)
+    true = entanglement._roof_objective(v, wtil, np.zeros(v.shape[0], dtype=bool))
+    for got, want in zip(true, mixed):
+        np.testing.assert_allclose(got[~squared], want[~squared], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(true[1], mixed[1], rtol=1e-12, atol=0.0)
+
+
 def test_tangle_mixed_on_noisy_collective_state():
     cfg = paper_system()
     target = TargetState.w_paper()
