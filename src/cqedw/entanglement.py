@@ -364,12 +364,16 @@ def certification_report(
     """Full certification record used by the command-line ``certify`` step.
 
     W_class requires a tangle bound below ``thresholds[0]`` and a negative
-    witness; GHZ_class a tangle bound above ``thresholds[1]``.
+    witness; GHZ_class a tangle bound above ``thresholds[1]``.  The two must
+    satisfy 0 <= thresholds[0] <= thresholds[1] <= 1.
     """
     try:
-        tangle_thr, ghz_thr = (float(t) for t in thresholds)
+        # a boolean is no number: dropping it leaves too few values
+        tangle_thr, ghz_thr = (float(t) for t in thresholds if not isinstance(t, bool))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"thresholds must be two numbers, got {thresholds!r}") from err
+    if not 0 <= tangle_thr <= ghz_thr <= 1:  # also false for NaN
+        raise ConfigError(f"thresholds need 0 <= W <= GHZ <= 1, got {thresholds!r}")
     estimate = three_tangle_mixed(rho, restarts=restarts, budget=budget, seed=seed)
     wit = witness_value(rho)
     if estimate.value > ghz_thr:

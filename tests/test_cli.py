@@ -102,9 +102,14 @@ def test_run_malformed_config_exits_2(tmp_path):
     w = entanglement.TargetState.w_paper().vector.density_matrix()
     rho_path = tmp_path / "w.json"
     rho_path.write_text(json.dumps(rho_to_json(w)))
-    for params in ({"restarts": "x"}, {"budget": "x"}, {"thresholds": [0.1]}, {"thresholds": "ab"}):
+    for params in (
+        {"restarts": "x"}, {"budget": "x"}, {"thresholds": [0.1]}, {"thresholds": "ab"},
+        # thresholds need 0 <= W <= GHZ <= 1; these used to exit 0
+        {"thresholds": [float("nan"), float("nan")]}, {"thresholds": [-1, 2]},
+        {"thresholds": [0.9, 0.1]}, {"thresholds": [False, True]},
+    ):
         write_config(bad, experiment="certify", seed=0, params={"rho_path": str(rho_path), **params})
-        assert run_cli("run", "--config", bad) == 2
+        assert run_cli("run", "--config", bad) == 2, params
 
     # non-finite device parameters; json writes them as Infinity and NaN
     for section, key, value in (
@@ -154,7 +159,7 @@ def test_run_malformed_config_exits_2(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # only the fit, the phase correction and the propagators use scipy;
+    # only the fit and the propagators use scipy;
     # certify and reconstruct never do
     code = "import sys, cqedw.cli; print(any(m.startswith('scipy') for m in sys.modules))"
     src = str(Path(cqedw.__file__).resolve().parent.parent)

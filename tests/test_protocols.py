@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cqedw
 from cqedw import analysis
 from cqedw.device import apply_crosstalk, equal_coupling_system, paper_system
 from cqedw.entanglement import TargetState, fidelity
 from cqedw.errors import ConfigError
-from cqedw.hilbert import DensityMatrix, basis_ket
+from cqedw.hilbert import DensityMatrix, QuantumState, basis_ket
 from cqedw.protocols import (
     PopulationTrace,
     PulseSchedule,
@@ -285,6 +291,45 @@ def test_phase_correction_never_decreases_fidelity():
         before = fidelity(rho, target)
         corrected, _ = apply_phase_correction(rho, target.vector)
         assert fidelity(corrected, target) >= before - 1e-12
+
+
+def test_phase_correction_reaches_dense_grid_optimum():
+    # for a single-excitation target the fidelity depends only on the two
+    # relative phases, so a 256 x 256 grid over them bounds the optimum below
+    from conftest import random_density
+
+    rng = np.random.default_rng(11)
+    bits = np.array([[(i >> j) & 1 for j in range(3)] for i in range(8)])
+    signs = 1.0 - 2.0 * bits
+    grid = np.linspace(0, 2 * np.pi, 256, endpoint=False)
+    rel = np.stack(np.meshgrid(grid, grid, indexing="ij"), -1).reshape(-1, 2)
+    phases = np.exp(0.5j * (np.column_stack([np.zeros(len(rel)), rel]) @ signs.T))
+    for _ in range(10):
+        rho = random_density(QUBIT_SPEC_3, rng)
+        amps = np.zeros(8, dtype=complex)
+        amps[[0b001, 0b010, 0b100]] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        w_class = QuantumState(amps / np.linalg.norm(amps), QUBIT_SPEC_3)
+        for target in (TargetState.w_paper().vector, w_class):
+            v = phases.conj() * target.amplitudes  # Z(phi)^+ |t> for every grid point
+            grid_best = np.einsum("ci,ij,cj->c", v.conj(), rho.entries, v).real.max()
+            corrected, _ = apply_phase_correction(rho, target)
+            assert fidelity(corrected, target) >= grid_best - 1e-12
+
+
+def test_w_path_leaves_out_scipy_optimize():
+    # preparing and phase-correcting a W state needs scipy.linalg, not scipy.optimize
+    code = (
+        "import sys\n"
+        "from cqedw.device import paper_system\n"
+        "from cqedw.entanglement import TargetState\n"
+        "from cqedw.protocols import apply_phase_correction, prepare_w_collective\n"
+        "apply_phase_correction(prepare_w_collective(paper_system()), TargetState.w_paper().vector)\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    src = str(Path(cqedw.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_population_trace_csv_format():
