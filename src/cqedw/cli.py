@@ -3,6 +3,10 @@
 Subcommands: ``run``, ``export-preset``, ``reconstruct``, ``certify``.
 Exit codes: 0 success, 2 config/schema error, 3 numerical failure.
 
+Every JSON input is read once against a table of its keys (:func:`read`): an
+unknown key, a missing required key or a mistyped value exits 2 naming its
+path (e.g. ``params.phase_corect``) before anything is written.
+
 All JSON/CSV artifacts are deterministic functions of the configuration
 (including the seed), so identical runs produce bit-identical files.
 Physical quantities in config files carry their unit in the field name
@@ -17,7 +21,9 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,11 +42,87 @@ from .device import (
 from .errors import ConfigError, CqedwError, NumericalError
 from .hilbert import DensityMatrix, HilbertSpec, qubit_spec
 
-EXPERIMENTS = ("rabi_scan", "w_collective", "w_sequential", "tomography", "certify")
-
-
 # ---------------------------------------------------------------------------
-# file formats
+# file formats: one reader, and a table of the keys of each JSON object
+
+REQUIRED = object()  # the default of a key that must be given
+
+
+def read(obj, table: dict, path: str = "") -> dict:
+    """Typed values of the JSON object ``obj``, one for each key of ``table``.
+
+    ``table`` maps each key to ``(kind, default)``; a key outside it is an
+    error, and an absent key takes its default, typed by the same kind.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path or 'config'} must be a JSON object, got {obj!r}")
+    prefix = f"{path}." if path else ""
+    for key in obj:
+        if key not in table:
+            raise ConfigError(f"unknown key {prefix}{key}; known: {', '.join(table)}")
+    values = {}
+    for key, (kind, default) in table.items():
+        value = obj.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing key {prefix}{key}")
+        if value is not None or default is not None:  # null is an absent optional key
+            value = _typed(value, kind, prefix + key)
+        values[key] = value
+    return values
+
+
+def _typed(value, kind, path: str):
+    """``value`` as ``kind``, or a ConfigError naming ``path``.
+
+    A kind is ``float`` (a finite number, never a boolean), ``int`` (a whole
+    number >= 0), ``bool`` (JSON true/false), ``str``, ``dict`` (any object),
+    a tuple of allowed strings, ``[item kind]`` for a list, a table for a
+    nested object or a function of ``(value, path)``.
+    """
+    if isinstance(kind, dict):
+        return read(value, kind, path)
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        return [_typed(v, kind[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{path} must be one of {', '.join(kind)}; got {value!r}")
+        return value
+    if kind in (bool, str, dict):
+        if not isinstance(value, kind):
+            expected = {bool: "true or false", str: "a string", dict: "a JSON object"}[kind]
+            raise ConfigError(f"{path} must be {expected}, got {value!r}")
+        return value
+    if kind in (float, int):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        # abs(nan) <= max is false, and the bound keeps float() of a long integer finite
+        if not (number and abs(value) <= sys.float_info.max):
+            raise ConfigError(f"{path} must be a finite number, got {value!r}")
+        if kind is int and (value < 0 or not float(value).is_integer()):
+            raise ConfigError(f"{path} must be an integer >= 0, got {value!r}")
+        return kind(value)
+    return kind(value, path)
+
+
+def _qubit(value, path: str) -> int:
+    """A qubit index, or its letter (A or a is 0); the device checks the range."""
+    if isinstance(value, str) and len(value) == 1 and "A" <= value.upper() <= "Z":
+        return ord(value.upper()) - ord("A")
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise ConfigError(f"{path} must be a qubit index or letter, got {value!r}")
+
+
+def _load_json(path: Path) -> tuple[object, bytes]:
+    """The parsed content of a JSON file, and its bytes."""
+    try:
+        raw = path.read_bytes()
+        return json.loads(raw), raw
+    except OSError as err:
+        raise ConfigError(f"cannot read {path}: {err.strerror}") from err
+    except ValueError as err:  # JSONDecodeError, or bytes that are not text
+        raise ConfigError(f"invalid JSON in {path}: {err}") from err
 
 
 def device_to_json(config: SystemConfig) -> dict:
@@ -66,41 +148,50 @@ def device_to_json(config: SystemConfig) -> dict:
     }
 
 
-def device_from_json(obj) -> SystemConfig:
+QUBIT = {
+    "label": (str, "?"),
+    "ej_max_ghz": (float, REQUIRED),
+    "ec_ghz": (float, REQUIRED),
+    "g_over_pi_mhz": (float, REQUIRED),
+    "bias_ghz": (float, REQUIRED),
+    "t1_us": (float, REQUIRED),
+    "t2_ns": (float, REQUIRED),
+}
+RESONATOR = {"omega_r_ghz": (float, REQUIRED), "quality_factor": (float, REQUIRED)}
+DEVICE = {
+    "qubits": ([QUBIT], REQUIRED),
+    "resonator": (RESONATOR, REQUIRED),
+    "photon_cutoff": (int, 2),
+    "crosstalk": ([[float]], None),  # None: the identity, no crosstalk
+}
+
+
+def device_from_json(obj, path: str = "device") -> SystemConfig:
+    """A preset name, or a device object in the format of :func:`device_to_json`."""
     if isinstance(obj, str):
         return named_preset(obj)
-    if not isinstance(obj, dict):
-        raise ConfigError("device must be a preset name or an object")
-    try:
-        qubits = tuple(
-            QubitParams(
-                ej_max=float(q["ej_max_ghz"]),
-                ec=float(q["ec_ghz"]),
-                coupling_g=float(q["g_over_pi_mhz"]) * G_RAD_PER_PI_MHZ,
-                bias_frequency=float(q["bias_ghz"]),
-                t1=float(q["t1_us"]) * SECONDS_PER_US,
-                t2=float(q["t2_ns"]) * SECONDS_PER_NS,
-                label=str(q.get("label", "?")),
-            )
-            for q in obj["qubits"]
+    device = read(obj, DEVICE, path)
+    qubits = tuple(
+        QubitParams(
+            ej_max=q["ej_max_ghz"],
+            ec=q["ec_ghz"],
+            coupling_g=q["g_over_pi_mhz"] * G_RAD_PER_PI_MHZ,
+            bias_frequency=q["bias_ghz"],
+            t1=q["t1_us"] * SECONDS_PER_US,
+            t2=q["t2_ns"] * SECONDS_PER_NS,
+            label=q["label"],
         )
-        resonator = ResonatorParams(
-            omega_r=float(obj["resonator"]["omega_r_ghz"]),
-            quality_factor=float(obj["resonator"]["quality_factor"]),
-        )
-        cutoff = int(obj.get("photon_cutoff", 2))
-        xtalk = (
-            CrosstalkMatrix(np.array(obj["crosstalk"], dtype=float))
-            if "crosstalk" in obj
-            else CrosstalkMatrix.identity(len(qubits))
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"bad device object: {err}") from err
+        for q in device["qubits"]
+    )
+    rows = device["crosstalk"]
+    if rows is not None and len({len(row) for row in rows}) > 1:
+        raise ConfigError(f"{path}.crosstalk rows differ in length")
+    resonator = device["resonator"]
     return SystemConfig(
         qubits=qubits,
-        resonator=resonator,
-        spec=HilbertSpec(num_qubits=len(qubits), photon_cutoff=cutoff),
-        crosstalk=xtalk,
+        resonator=ResonatorParams(resonator["omega_r_ghz"], resonator["quality_factor"]),
+        spec=HilbertSpec(num_qubits=len(qubits), photon_cutoff=device["photon_cutoff"]),
+        crosstalk=CrosstalkMatrix(np.eye(len(qubits)) if rows is None else np.array(rows)),
     )
 
 
@@ -113,14 +204,21 @@ def rho_to_json(rho: DensityMatrix) -> dict:
     }
 
 
-def rho_from_json(obj) -> DensityMatrix:
-    try:
-        d = int(obj["dim"])
-        mat = (
-            np.array(obj["real"], dtype=float) + 1j * np.array(obj["imag"], dtype=float)
-        ).reshape(d, d)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"bad density-matrix object: {err}") from err
+RHO = {
+    "dim": (int, REQUIRED),
+    "real": ([float], REQUIRED),
+    "imag": ([float], REQUIRED),
+    "basis": (("CBA-cavity-last",), "CBA-cavity-last"),
+}
+READOUT = {"coefficients": ([float], REQUIRED)}
+
+
+def rho_from_json(obj, path: str = "rho") -> DensityMatrix:
+    rho = read(obj, RHO, path)
+    d = rho["dim"]
+    if not len(rho["real"]) == len(rho["imag"]) == d * d:
+        raise ConfigError(f"{path}.real and {path}.imag need dim**2 = {d * d} entries each")
+    mat = (np.array(rho["real"]) + 1j * np.array(rho["imag"])).reshape(d, d)
     try:
         return DensityMatrix(mat, qubit_spec(d))
     except NumericalError as err:
@@ -141,75 +239,22 @@ def _write_json(path: Path, obj):
 # experiment execution
 
 
-def _number(value, name: str, kind=float):
-    """``value`` as a finite ``kind`` (float or int); ConfigError naming ``name`` otherwise.
+class Run(NamedTuple):
+    """The top-level settings every experiment shares."""
 
-    A JSON boolean is not a number, and an int field takes no fractional
-    value: ``int`` alone would read true as 1 and truncate 2.9 to 2.
-    """
-    if isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"{name} must be a finite number: {err}") from err
-    if not np.isfinite(number):
-        raise ConfigError(f"{name} must be finite, got {number}")
-    return number
+    device: SystemConfig
+    noise: bool
+    seed: int | None
+    out: Path
 
 
-def _flag(value, name: str) -> bool:
-    """``value`` if it is a JSON boolean; ConfigError naming ``name`` otherwise."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
-def _parse_qubit_list(raw, n: int) -> list[int]:
-    if not isinstance(raw, list):
-        raise ConfigError(f"participating must be a list of qubits, got {raw!r}")
-    letters = {chr(ord("A") + j): j for j in range(n)}
-    out = []
-    for item in raw:
-        if isinstance(item, int) and not isinstance(item, bool) and 0 <= item < n:
-            out.append(item)
-        elif isinstance(item, str) and item.upper() in letters:
-            out.append(letters[item.upper()])
-        else:
-            raise ConfigError(f"unknown qubit {item!r}")
-    return sorted(set(out))
-
-
-def _tau_grid(params) -> np.ndarray:
-    """Interaction times in seconds; ``protocols.rabi_scan`` validates their values."""
-    if "tau_grid_ns" in params:
-        try:
-            return np.asarray(params["tau_grid_ns"], dtype=float) * 1e-9
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"tau_grid_ns must be a list of numbers: {err}") from err
-    try:
-        start, stop, num = params["tau_start_ns"], params["tau_stop_ns"], params["num_points"]
-    except KeyError as err:
-        raise ConfigError(f"rabi_scan needs tau_grid_ns or tau_start/stop/num_points: {err}")
-    num = _number(num, "num_points", int)
-    if num < 1:
-        raise ConfigError(f"num_points must be >= 1, got {num}")
-    return np.linspace(_number(start, "tau_start_ns"), _number(stop, "tau_stop_ns"), num) * 1e-9
-
-
-def _prepare_state(config, params, noise, seed) -> tuple[DensityMatrix, dict]:
-    kind = params.get("state", "w_collective")
-    if kind == "w_collective":
-        source = _number(params.get("source_qubit", 2), "source_qubit", int)
-        rho = protocols.prepare_w_collective(config, noise=noise, source_qubit=source)
-    elif kind == "w_sequential":
-        rho = protocols.prepare_w_sequential(config, noise=noise)
+def _prepare_state(run: Run, state, phase_correct, source_qubit=None):
+    if state == "w_collective":
+        rho = protocols.prepare_w_collective(run.device, run.noise, source_qubit)
     else:
-        raise ConfigError(f"unknown state {kind!r} (use w_collective or w_sequential)")
-    info = {"state": kind, "noise": noise}
-    if _flag(params.get("phase_correct", True), "phase_correct"):
+        rho = protocols.prepare_w_sequential(run.device, noise=run.noise)
+    info = {"state": state, "noise": run.noise}
+    if phase_correct:
         rho, angles = protocols.apply_phase_correction(
             rho, entanglement.TargetState.w_paper().vector
         )
@@ -217,40 +262,43 @@ def _prepare_state(config, params, noise, seed) -> tuple[DensityMatrix, dict]:
     return rho, info
 
 
-def _experiment_rabi_scan(config, params, noise, seed, out: Path) -> list[str]:
-    participants = _parse_qubit_list(params.get("participating", [0]), config.spec.num_qubits)
-    grid = _tau_grid(params)
-    trace = protocols.rabi_scan(config, participants, grid, noise=noise)
-    _write_text(out / "trace.csv", trace.to_csv())
+def _rabi_scan(run: Run, participating, tau_grid_ns, tau_start_ns, tau_stop_ns, num_points):
+    ranged = (tau_start_ns, tau_stop_ns, num_points)
+    if (tau_grid_ns is None, ranged.count(None)) not in ((True, 0), (False, 3)):
+        raise ConfigError("rabi_scan needs tau_grid_ns or tau_start_ns, tau_stop_ns, num_points")
+    if tau_grid_ns is None:
+        tau_grid_ns = np.linspace(tau_start_ns, tau_stop_ns, num_points)
+    grid = np.asarray(tau_grid_ns, dtype=float) * 1e-9  # rabi_scan validates the times
+    trace = protocols.rabi_scan(run.device, participating, grid, noise=run.noise)
+    _write_text(run.out / "trace.csv", trace.to_csv())
     fit = analysis.fit_damped_sinusoid(trace.times, trace.cavity_population)
-    _write_json(out / "fit_cavity.json", fit.to_dict())
+    _write_json(run.out / "fit_cavity.json", fit.to_dict())
     return ["trace.csv", "fit_cavity.json"]
 
 
-def _experiment_w(config, params, noise, seed, out: Path, kind: str) -> list[str]:
-    rho, info = _prepare_state(config, {**params, "state": kind}, noise, seed)
-    _write_json(out / "rho.json", rho_to_json(rho))
+def _w_state(run: Run, **prep) -> list[str]:
+    rho, info = _prepare_state(run, **prep)
+    _write_json(run.out / "rho.json", rho_to_json(rho))
     target = entanglement.TargetState.w_paper()
     info.update(
         fidelity_w=entanglement.fidelity(rho, target),
         witness=entanglement.witness_value(rho),
     )
-    _write_json(out / "summary.json", info)
+    _write_json(run.out / "summary.json", info)
     return ["rho.json", "summary.json"]
 
 
-def _experiment_tomography(config, params, noise, seed, out: Path) -> list[str]:
-    rho_true, info = _prepare_state(config, params, noise, seed)
-    coeffs = params.get("readout_coefficients", tomography.DEFAULT_READOUT_COEFFICIENTS)
-    readout = tomography.build_readout(coeffs)
-    tset = tomography.tomography_set(readout)
-    sigma = _number(params.get("sigma", 0.0), "sigma")
-    records = tomography.simulate_measurements(rho_true, tset, sigma, seed)
-    _write_text(out / "records.csv", tomography.records_to_csv(records))
+def _tomography(run: Run, sigma, readout_coefficients, **prep) -> list[str]:
+    if sigma > 0 and run.seed is None:
+        raise ConfigError("a seed is required whenever params.sigma > 0")
+    rho_true, info = _prepare_state(run, **prep)
+    tset = tomography.tomography_set(tomography.build_readout(readout_coefficients))
+    records = tomography.simulate_measurements(rho_true, tset, sigma, run.seed)
+    _write_text(run.out / "records.csv", tomography.records_to_csv(records))
     result = tomography.reconstruct(records, tset)
-    _write_json(out / "rho_true.json", rho_to_json(rho_true))
-    _write_json(out / "rho_mle.json", rho_to_json(result.rho))
-    _write_text(out / "pauli_set.csv", _pauli_csv(result.rho))
+    _write_json(run.out / "rho_true.json", rho_to_json(rho_true))
+    _write_json(run.out / "rho_mle.json", rho_to_json(result.rho))
+    _write_text(run.out / "pauli_set.csv", _pauli_csv(result.rho))
     info.update(
         sigma=sigma,
         fidelity_to_truth=entanglement.uhlmann_fidelity(result.rho, rho_true),
@@ -258,7 +306,7 @@ def _experiment_tomography(config, params, noise, seed, out: Path) -> list[str]:
         eigenvalue_shift=result.eigenvalue_shift,
         residual_norm=result.residual_norm,
     )
-    _write_json(out / "summary.json", info)
+    _write_json(run.out / "summary.json", info)
     return ["records.csv", "rho_true.json", "rho_mle.json", "pauli_set.csv", "summary.json"]
 
 
@@ -269,78 +317,66 @@ def _pauli_csv(rho: DensityMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _experiment_certify(config, params, noise, seed, out: Path) -> list[str]:
-    path = params.get("rho_path")
-    if not path:
-        raise ConfigError("certify needs params.rho_path")
-    rho = _load_rho(Path(path))
-    restarts = _number(params.get("restarts", entanglement.DEFAULT_RESTARTS), "restarts", int)
-    budget = _number(params.get("budget", entanglement.DEFAULT_BUDGET), "budget", int)
-    report = entanglement.certification_report(
-        rho,
-        restarts=restarts,
-        budget=budget,
-        seed=seed if seed is not None else 0,
-        thresholds=params.get("thresholds", entanglement.DEFAULT_THRESHOLDS),
-    )
-    _write_json(out / "certification.json", report)
+def _certify(run: Run, rho_path, restarts, budget, thresholds) -> list[str]:
+    rho = rho_from_json(_load_json(Path(rho_path))[0], "params.rho_path")
+    seed = 0 if run.seed is None else run.seed
+    report = entanglement.certification_report(rho, restarts, budget, seed, thresholds)
+    _write_json(run.out / "certification.json", report)
     return ["certification.json"]
 
 
-def _load_rho(path: Path) -> DensityMatrix:
-    if not path.exists():
-        raise ConfigError(f"no such file: {path}")
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"invalid JSON in {path}: {err}") from err
-    return rho_from_json(obj)
+PREP = {"phase_correct": (bool, True)}
+COLLECTIVE = {**PREP, "source_qubit": (int, 2)}
+RABI_SCAN = {
+    "participating": ([_qubit], [0]),
+    "tau_grid_ns": ([float], None),
+    "tau_start_ns": (float, None),
+    "tau_stop_ns": (float, None),
+    "num_points": (int, None),
+}
+TOMOGRAPHY = {
+    **COLLECTIVE,
+    "state": (("w_collective", "w_sequential"), "w_collective"),
+    "sigma": (float, 0.0),
+    "readout_coefficients": ([float], list(tomography.DEFAULT_READOUT_COEFFICIENTS)),
+}
+CERTIFY = {
+    "rho_path": (str, REQUIRED),
+    "restarts": (int, entanglement.DEFAULT_RESTARTS),
+    "budget": (int, entanglement.DEFAULT_BUDGET),
+    "thresholds": ([float], list(entanglement.DEFAULT_THRESHOLDS)),
+}
+# experiment name -> (table of its params, runner)
+EXPERIMENTS = {
+    "rabi_scan": (RABI_SCAN, _rabi_scan),
+    "w_collective": (COLLECTIVE, partial(_w_state, state="w_collective")),
+    "w_sequential": (PREP, partial(_w_state, state="w_sequential")),
+    "tomography": (TOMOGRAPHY, _tomography),
+    "certify": (CERTIFY, _certify),
+}
+TOP = {
+    "experiment": (tuple(EXPERIMENTS), REQUIRED),
+    "device": (device_from_json, "paper-default"),
+    "noise": (bool, False),
+    "seed": (int, None),
+    "output_dir": (str, "."),
+    "params": (dict, {}),  # read against its experiment's table
+}
 
 
 def run(config_path, out_override=None, seed_override=None, quiet=False) -> list[Path]:
     """Execute the experiment described by a config file; returns artifact paths."""
-    config_path = Path(config_path)
-    if not config_path.exists():
-        raise ConfigError(f"no such config file: {config_path}")
-    raw = config_path.read_bytes()
-    try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"invalid JSON in {config_path}: {err}") from err
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-
-    experiment = cfg.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; known: {EXPERIMENTS}")
-    device = device_from_json(cfg.get("device", "paper-default"))
-    noise = _flag(cfg.get("noise", False), "noise")
-    seed = cfg.get("seed") if seed_override is None else seed_override
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params must be an object")
-    sigma = _number(params.get("sigma", 0.0), "sigma")
-    if (noise or sigma > 0) and seed is None:
+    cfg, raw = _load_json(Path(config_path))
+    top = read(cfg, TOP)
+    table, runner = EXPERIMENTS[top["experiment"]]
+    params = read(top["params"], table, "params")
+    seed = top["seed"] if seed_override is None else _typed(seed_override, int, "--seed")
+    if top["noise"] and seed is None:
         raise ConfigError("a seed is required whenever noise is enabled")
-    if seed is not None:
-        seed = _number(seed, "seed", int)
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
-
-    out = Path(out_override) if out_override else Path(cfg.get("output_dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(out_override) if out_override else Path(top["output_dir"])
 
     start = time.time()
-    if experiment == "rabi_scan":
-        artifacts = _experiment_rabi_scan(device, params, noise, seed, out)
-    elif experiment == "w_collective":
-        artifacts = _experiment_w(device, params, noise, seed, out, "w_collective")
-    elif experiment == "w_sequential":
-        artifacts = _experiment_w(device, params, noise, seed, out, "w_sequential")
-    elif experiment == "tomography":
-        artifacts = _experiment_tomography(device, params, noise, seed, out)
-    else:
-        artifacts = _experiment_certify(device, params, noise, seed, out)
+    artifacts = runner(Run(top["device"], top["noise"], seed, out), **params)
 
     manifest = {
         "config_sha256": hashlib.sha256(raw).hexdigest(),
@@ -357,17 +393,14 @@ def run(config_path, out_override=None, seed_override=None, quiet=False) -> list
         if not p.exists() or p.stat().st_size == 0:
             raise NumericalError(f"artifact {name} missing or empty")
     if not quiet:
-        print(f"{experiment}: wrote {len(artifacts)} artifacts to {out}")
+        print(f"{top['experiment']}: wrote {len(artifacts)} artifacts to {out}")
     return [out / a for a in artifacts]
 
 
 def export_preset(name: str, out_dir) -> Path:
     """Write a named device preset as a re-loadable config file."""
-    config = named_preset(name)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{name}.json"
-    _write_json(path, device_to_json(config))
+    path = Path(out_dir) / f"{name}.json"
+    _write_json(path, device_to_json(named_preset(name)))
     return path
 
 
@@ -378,18 +411,13 @@ def reconstruct(records_path, readout_config, out_dir, quiet=False, seed=0) -> l
         raise ConfigError(f"no such records file: {records_path}")
     coeffs = tomography.DEFAULT_READOUT_COEFFICIENTS
     if readout_config:
-        try:
-            obj = json.loads(Path(readout_config).read_text())
-            coeffs = obj["coefficients"]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as err:
-            raise ConfigError(f"bad readout config {readout_config}: {err}") from err
+        coeffs = read(_load_json(Path(readout_config))[0], READOUT, "readout")["coefficients"]
     readout = tomography.build_readout(coeffs)
     tset = tomography.tomography_set(readout)
     records = tomography.records_from_csv(records_path.read_text(), tset)
     result = tomography.reconstruct(records, tset)
     report = entanglement.certification_report(result.rho, seed=seed)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "rho_mle.json", rho_to_json(result.rho))
     _write_text(out / "pauli_set.csv", _pauli_csv(result.rho))
     _write_json(out / "certification.json", report)
@@ -400,11 +428,9 @@ def reconstruct(records_path, readout_config, out_dir, quiet=False, seed=0) -> l
 
 def certify(rho_path, out_dir, seed=0, quiet=False) -> Path:
     """Certification report (fidelity, witness, tangle bound) for a state file."""
-    rho = _load_rho(Path(rho_path))
+    rho = rho_from_json(_load_json(Path(rho_path))[0])
     report = entanglement.certification_report(rho, seed=seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "certification.json"
+    path = Path(out_dir) / "certification.json"
     _write_json(path, report)
     if not quiet:
         print(f"certification written to {path}")

@@ -72,8 +72,8 @@ class CrosstalkMatrix:
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=float, copy=True)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ConfigError("crosstalk matrix must be square")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+            raise ConfigError("crosstalk matrix must be square and nonempty")
         if not np.isfinite(mat).all() or np.linalg.cond(mat) > 1e12:
             raise ConfigError("crosstalk matrix must be invertible")
         mat.setflags(write=False)

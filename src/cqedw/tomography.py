@@ -76,10 +76,6 @@ class ReadoutOperator:
     coefficients: tuple[float, ...]
     matrix: OperatorMatrix
 
-    @property
-    def identity_coefficient(self) -> float:
-        return self.coefficients[0]
-
 
 def build_readout(coefficients: Sequence[float]) -> ReadoutOperator:
     """Readout operator from its 8 diagonal-Pauli coefficients.

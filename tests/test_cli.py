@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import cqedw
-from cqedw import entanglement, tomography
+from cqedw import cli, entanglement, tomography
 from cqedw.cli import device_from_json, device_to_json, main, rho_from_json, rho_to_json
 from cqedw.device import paper_system
 from cqedw.hilbert import DensityMatrix
@@ -93,7 +94,7 @@ def test_run_rabi_scan(tmp_path):
     assert manifest["config_sha256"] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
 
 
-def test_run_malformed_config_exits_2(tmp_path):
+def test_run_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("run", "--config", bad) == 2
@@ -156,6 +157,70 @@ def test_run_malformed_config_exits_2(tmp_path):
         assert run_cli("run", "--config", bad) == 2, (experiment, params, seed)
     write_config(bad, experiment="w_collective", noise="no", seed=0)
     assert run_cli("run", "--config", bad) == 2
+
+    # unknown, misplaced and mistyped keys; each of these used to exit 0
+    def device(edit):
+        obj = device_to_json(paper_system())
+        edit(obj)
+        return obj
+
+    rho_files = []
+    for name, edit in (("dim.json", {"dim": 8.7}), ("basis.json", {"basis": "ABC-cavity-first"})):
+        rho_files.append(tmp_path / name)
+        rho_files[-1].write_text(json.dumps({**rho_to_json(w), **edit}))
+    certify = {"rho_path": str(rho_path), "restarts": 2, "budget": 10}
+    coefficients = list(tomography.DEFAULT_READOUT_COEFFICIENTS)
+    for overrides in (
+        {"experiment": "w_collective", "sede": 3},
+        {"experiment": "w_collective", "params": {"phase_corect": False}},
+        {"experiment": "w_collective", "params": {"sourse_qubit": 0}},
+        {"experiment": "certify", "seed": 0, "params": {**certify, "budgit": 10}},
+        {"experiment": "w_collective", "params": {"state": "w_sequential"}},  # used to be overridden
+        {"experiment": "w_sequential", "params": {"source_qubit": 0}},  # used to be ignored
+        {"experiment": "rabi_scan", "seed": 1, "params": {**scan, "sigma": 0.1}},
+        {"experiment": "rabi_scan", "params": {**scan, "tau_grid_ns": list(range(11))}},
+        {"experiment": "w_collective", "device": device(lambda d: d.update(crosstalks=d["crosstalk"]))},
+        {"experiment": "w_collective", "device": device(lambda d: d["qubits"][0].update(t2_nss=5.0))},
+        {"experiment": "w_collective", "device": device(lambda d: d.update(photon_cutoff=2.9))},
+        {"experiment": "w_collective", "device": device(lambda d: d.update(photon_cutoff=True))},
+        {"experiment": "w_collective", "device": device(lambda d: d["qubits"][0].update(t1_us=True))},
+        {"experiment": "w_collective", "device": device(lambda d: d["qubits"][0].update(t1_us="2.1"))},
+        {"experiment": "tomography", "seed": 0,
+         "params": {"readout_coefficients": [coefficients[0], True, *coefficients[2:]]}},
+        *({"experiment": "certify", "seed": 0, "params": {**certify, "rho_path": str(path)}}
+          for path in rho_files),
+    ):
+        write_config(bad, **overrides)
+        assert run_cli("run", "--config", bad) == 2, overrides
+    err = capsys.readouterr().err  # the message names the offending key by its path
+    assert "params.phase_corect" in err and "device.qubits[0].t2_nss" in err
+    for path in rho_files:
+        assert run_cli("certify", path, "--out", tmp_path / "out") == 2
+    # a device without qubits; it exited 2 before, through a caught LinAlgError
+    write_config(bad, experiment="w_collective",
+                 device=device(lambda d: (d.update(qubits=[]), d.pop("crosstalk"))))
+    assert run_cli("run", "--config", bad) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_matches_config_schema(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    # each key table in the README lists exactly the keys its schema table reads
+    def keys(heading):
+        block = readme.split(heading, 1)[1].split("\n\n", 2)[1]
+        return set(re.findall(r"^\| `(\w+)`", block, re.M))
+
+    assert keys("Top level:") == set(cli.TOP)
+    assert keys("A device object") == set(cli.DEVICE)
+    for name, (table, _) in cli.EXPERIMENTS.items():
+        assert keys(f"`params` of `{name}`") == set(table), name
+
+    # the example config, verbatim, passes the schema and runs
+    example = readme.split("Example `scan.json`:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "scan.json").write_text(example)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("run", "--config", "scan.json", "--quiet") == 0
+    assert (tmp_path / "out" / "scan3" / "fit_cavity.json").stat().st_size > 0
 
 
 def test_cli_import_leaves_out_scipy_optimize():
@@ -339,6 +404,12 @@ def test_reconstruct_missing_row_exits_2(tmp_path):
     for coefficients in (["a"] * 8, [float("nan")] * 8):
         readout.write_text(json.dumps({"coefficients": coefficients}))
         assert run_cli("reconstruct", path, "--out", tmp_path, "--readout", readout) == 2
+    # a boolean coefficient and an unknown key; both used to exit 0
+    coefficients = list(tomography.DEFAULT_READOUT_COEFFICIENTS)
+    for obj in ({"coefficients": [True] * 8}, {"coefficients": coefficients, "coefficent": 1}):
+        readout.write_text(json.dumps(obj))
+        assert run_cli("reconstruct", path, "--out", tmp_path / "rd", "--readout", readout) == 2
+    assert not (tmp_path / "rd").exists()
 
 
 def test_determinism_bit_identical_artifacts(tmp_path):
