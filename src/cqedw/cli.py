@@ -114,13 +114,19 @@ def _qubit(value, path: str) -> int:
     raise ConfigError(f"{path} must be a qubit index or letter, got {value!r}")
 
 
-def _load_json(path: Path) -> tuple[object, bytes]:
-    """The parsed content of a JSON file, and its bytes."""
+def _read_bytes(path: Path) -> bytes:
+    """The bytes of a file; a missing file, a directory or any OSError is a ConfigError."""
     try:
-        raw = path.read_bytes()
-        return json.loads(raw), raw
+        return path.read_bytes()
     except OSError as err:
         raise ConfigError(f"cannot read {path}: {err.strerror}") from err
+
+
+def _load_json(path: Path) -> tuple[object, bytes]:
+    """The parsed content of a JSON file, and its bytes."""
+    raw = _read_bytes(path)
+    try:
+        return json.loads(raw), raw
     except ValueError as err:  # JSONDecodeError, or bytes that are not text
         raise ConfigError(f"invalid JSON in {path}: {err}") from err
 
@@ -250,7 +256,10 @@ class Run(NamedTuple):
 
 def _prepare_state(run: Run, state, phase_correct, source_qubit=None):
     if state == "w_collective":
-        rho = protocols.prepare_w_collective(run.device, run.noise, source_qubit)
+        source = COLLECTIVE["source_qubit"][1] if source_qubit is None else source_qubit
+        rho = protocols.prepare_w_collective(run.device, run.noise, source)
+    elif source_qubit is not None:  # a tomography config's params
+        raise ConfigError("params.source_qubit is read only with state w_collective")
     else:
         rho = protocols.prepare_w_sequential(run.device, noise=run.noise)
     info = {"state": state, "noise": run.noise}
@@ -335,7 +344,8 @@ RABI_SCAN = {
     "num_points": (int, None),
 }
 TOMOGRAPHY = {
-    **COLLECTIVE,
+    **PREP,
+    "source_qubit": (int, None),  # w_collective only; absent means COLLECTIVE's default
     "state": (("w_collective", "w_sequential"), "w_collective"),
     "sigma": (float, 0.0),
     "readout_coefficients": ([float], list(tomography.DEFAULT_READOUT_COEFFICIENTS)),
@@ -407,14 +417,16 @@ def export_preset(name: str, out_dir) -> Path:
 def reconstruct(records_path, readout_config, out_dir, quiet=False, seed=0) -> list[Path]:
     """Rebuild a density matrix from a measurement-record CSV."""
     records_path = Path(records_path)
-    if not records_path.exists():
-        raise ConfigError(f"no such records file: {records_path}")
+    try:
+        text = _read_bytes(records_path).decode()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"records file {records_path} is not UTF-8 text: {err}") from err
     coeffs = tomography.DEFAULT_READOUT_COEFFICIENTS
     if readout_config:
         coeffs = read(_load_json(Path(readout_config))[0], READOUT, "readout")["coefficients"]
     readout = tomography.build_readout(coeffs)
     tset = tomography.tomography_set(readout)
-    records = tomography.records_from_csv(records_path.read_text(), tset)
+    records = tomography.records_from_csv(text, tset)
     result = tomography.reconstruct(records, tset)
     report = entanglement.certification_report(result.rho, seed=seed)
     out = Path(out_dir)

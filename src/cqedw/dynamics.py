@@ -14,6 +14,13 @@ kappa); each constant segment is propagated exactly as rho(t) =
 expm(L t) rho(0), with L the vectorized Lindblad generator (Havel,
 J. Math. Phys. 44, 534 (2003)) built on the subspace reachable from the
 initial support.
+
+A segment is propagated over a vector of times at once:
+``evolve_unitary_stack`` reuses one eigendecomposition for every time and
+``evolve_lindblad_stack`` one generator and one stacked ``expm``.  Each
+returns a stack with every state checked against the tolerances of
+``hilbert``.  ``evolve_unitary`` and ``evolve_lindblad`` are their one-time
+cases.
 """
 from __future__ import annotations
 
@@ -24,7 +31,14 @@ import numpy as np
 
 from .device import SystemConfig, decoherence_rates
 from .errors import ConfigError, NumericalError
-from .hilbert import DensityMatrix, OperatorMatrix, QuantumState, operator_table
+from .hilbert import (
+    DensityMatrix,
+    OperatorMatrix,
+    QuantumState,
+    check_density_stack,
+    check_ket_stack,
+    operator_table,
+)
 
 
 @dataclass(frozen=True)
@@ -83,13 +97,29 @@ def _check_hermitian(h: OperatorMatrix):
         raise NumericalError(f"Hamiltonian is not Hermitian (deviation {dev})")
 
 
-def evolve_unitary(state: QuantumState, h: OperatorMatrix, t: float) -> QuantumState:
-    """Propagate a pure state by exp(-i H t) via eigendecomposition."""
+def evolve_unitary_stack(
+    state: QuantumState, h: OperatorMatrix, times: Sequence[float]
+) -> np.ndarray:
+    """Amplitudes of exp(-i H t) psi for every t in ``times``, a (T, d) stack.
+
+    One eigendecomposition H = V diag(w) V^+ serves every time: row t is
+    V (exp(-i t w) * V^+ psi), a stacked matrix-vector product, so that no
+    row's rounding depends on the other times.  A zero time returns psi
+    unchanged.  Each row is checked by ``check_ket_stack``.
+    """
     _check_hermitian(h)
     w, v = np.linalg.eigh(h.entries)
-    phases = np.exp(-1j * w * t)
-    amps = v @ (phases * (v.conj().T @ state.amplitudes))
-    return QuantumState(amps, state.spec)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    phased = np.exp(-1j * np.outer(times, w)) * (v.conj().T @ state.amplitudes)
+    amps = (v @ phased[:, :, None])[:, :, 0]
+    amps[times == 0] = state.amplitudes
+    check_ket_stack(amps)
+    return amps
+
+
+def evolve_unitary(state: QuantumState, h: OperatorMatrix, t: float) -> QuantumState:
+    """Propagate a pure state by exp(-i H t): the one-time case of :func:`evolve_unitary_stack`."""
+    return QuantumState(evolve_unitary_stack(state, h, [t])[0], state.spec)
 
 
 def _reachable(rho: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -110,31 +140,31 @@ def _reachable(rho: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
         mask = grown
 
 
-def evolve_lindblad(
+def evolve_lindblad_stack(
     rho: DensityMatrix,
     h: OperatorMatrix,
     collapse: Sequence[CollapseOperator],
-    t: float,
-) -> DensityMatrix:
-    """Open-system propagation for time ``t``: rho(t) = expm(L t) rho.
+    times: Sequence[float],
+) -> np.ndarray:
+    """Open-system propagation to every t in ``times``: a (T, d, d) stack of expm(L t) rho.
 
     L is the row-major vectorized Lindblad generator,
 
         L = -i (H_eff x 1 - 1 x H_eff^*) + sum_k L_k x L_k^*,
         H_eff = H - (i/2) sum_k L_k^+ L_k,
 
-    with sqrt(rate) absorbed into each L_k.  It is built only on the basis
-    states reachable from rho's support through the nonzero patterns of H,
-    the L_k and the L_k^+ L_k; their span is invariant under the dynamics,
-    so the restriction is exact.  With three qubits and photon cutoff 2, a
-    single-excitation state reaches 5 of the 24 basis states, so L is
-    25 x 25 instead of 576 x 576.
+    with sqrt(rate) absorbed into each L_k.  It is built once, only on the
+    basis states reachable from rho's support through the nonzero patterns
+    of H, the L_k and the L_k^+ L_k; their span is invariant under the
+    dynamics, so the restriction is exact.  With three qubits and photon
+    cutoff 2, a single-excitation state reaches 5 of the 24 basis states, so
+    L is 25 x 25 instead of 576 x 576.  One stacked ``expm`` of L t covers
+    every time, and each padded result is checked by ``check_density_stack``.
     """
-    if t < 0:
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if np.any(times < 0):
         raise ConfigError("t must be >= 0")
     _check_hermitian(h)
-    if t == 0:
-        return rho
     ls = np.array([np.sqrt(c.rate) * c.matrix.entries for c in collapse if c.rate > 0])
     ls = ls.reshape(-1, *h.entries.shape)  # (channels, dim, dim), also with no channel
     decay = np.swapaxes(ls.conj(), -1, -2) @ ls
@@ -148,10 +178,21 @@ def evolve_lindblad(
     gen += np.einsum("kij,kab->iajb", ls, ls.conj()).reshape(n * n, n * n)
     from scipy.linalg import expm  # imported here: certify and reconstruct never propagate
 
-    small = expm(gen * t) @ rho.entries[sub].reshape(-1)
-    out = np.zeros(rho.entries.shape, dtype=complex)
-    out[sub] = small.reshape(n, n)
-    return DensityMatrix(out, rho.spec)
+    small = expm(gen[None] * times[:, None, None]) @ rho.entries[sub].reshape(-1)
+    out = np.zeros((times.size, *rho.entries.shape), dtype=complex)
+    out[:, sub[0], sub[1]] = small.reshape(-1, n, n)
+    check_density_stack(out)
+    return out
+
+
+def evolve_lindblad(
+    rho: DensityMatrix,
+    h: OperatorMatrix,
+    collapse: Sequence[CollapseOperator],
+    t: float,
+) -> DensityMatrix:
+    """rho(t) = expm(L t) rho: the one-time case of :func:`evolve_lindblad_stack`."""
+    return DensityMatrix(evolve_lindblad_stack(rho, h, collapse, [t])[0], rho.spec)
 
 
 def single_excitation_oracle(

@@ -24,6 +24,7 @@ HERMITICITY_ATOL = 1e-10
 NORM_ATOL = 1e-9
 TRACE_ATOL = 1e-9
 EIG_FLOOR = -1e-8
+IMAG_ATOL = 1e-10  # imaginary part of a Hermitian expectation
 
 # Single-qubit operators in the (|g>, |e>) = (bit 0, bit 1) basis.
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -105,6 +106,47 @@ def qubit_spec(dim: int) -> HilbertSpec:
 QUBIT_SPEC_3 = HilbertSpec(num_qubits=3, photon_cutoff=0)
 
 
+def _worst(deviation: np.ndarray, label: str) -> tuple[str, float]:
+    """The largest entry of a per-state deviation, and ``label`` naming its state."""
+    k = int(np.argmax(deviation))
+    return (f"{label} {k} of {deviation.size}" if deviation.size > 1 else label), deviation[k]
+
+
+def check_ket_stack(amps: np.ndarray) -> None:
+    """Raise NumericalError unless each row of a (T, d) stack is a finite unit vector.
+
+    The norm tolerance is NORM_ATOL; :class:`QuantumState` checks its
+    amplitudes as a stack of one.
+    """
+    where, bad = _worst(~np.isfinite(amps).all(axis=1), "state")
+    if bad:
+        raise NumericalError(f"{where} has non-finite amplitudes")
+    where, dev = _worst(np.abs(np.linalg.norm(amps, axis=1) - 1.0), "state")
+    if dev > NORM_ATOL:
+        raise NumericalError(f"{where} has a norm off 1 by {dev}, beyond {NORM_ATOL}")
+
+
+def check_density_stack(mats: np.ndarray) -> None:
+    """Raise NumericalError unless each matrix of a (T, d, d) stack is a density matrix.
+
+    Each must be finite, Hermitian within HERMITICITY_ATOL, of unit trace
+    within TRACE_ATOL, and have no eigenvalue below EIG_FLOOR (one batched
+    ``eigvalsh``).  :class:`DensityMatrix` checks its entries as a stack of one.
+    """
+    where, bad = _worst(~np.isfinite(mats).all(axis=(1, 2)), "density matrix")
+    if bad:
+        raise NumericalError(f"{where} has non-finite entries")
+    where, herm = _worst(np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2)), "density matrix")
+    if herm > HERMITICITY_ATOL:
+        raise NumericalError(f"{where} non-Hermitian by {herm}")
+    where, dev = _worst(np.abs(np.trace(mats, axis1=1, axis2=2).real - 1.0), "density matrix")
+    if dev > TRACE_ATOL:
+        raise NumericalError(f"{where} has a trace off 1 by {dev}")
+    where, depth = _worst(-np.linalg.eigvalsh(mats)[:, 0], "density matrix")
+    if -depth < EIG_FLOOR:
+        raise NumericalError(f"{where} has eigenvalue {-depth} below {EIG_FLOOR}")
+
+
 @dataclass(frozen=True)
 class QuantumState:
     """Pure state vector on a :class:`HilbertSpec`, unit norm within 1e-9."""
@@ -118,11 +160,7 @@ class QuantumState:
             raise ConfigError(
                 f"state has {amps.shape[0]} amplitudes, spec dimension is {self.spec.dim}"
             )
-        if not np.all(np.isfinite(amps)):
-            raise NumericalError("state has non-finite amplitudes")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise NumericalError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
+        check_ket_stack(amps[None])
         object.__setattr__(self, "amplitudes", amps)
 
     def density_matrix(self) -> "DensityMatrix":
@@ -141,17 +179,7 @@ class DensityMatrix:
         d = self.spec.dim
         if mat.shape != (d, d):
             raise ConfigError(f"density matrix shape {mat.shape} does not match dim {d}")
-        if not np.all(np.isfinite(mat)):
-            raise NumericalError("density matrix has non-finite entries")
-        herm = np.abs(mat - mat.conj().T).max()
-        if herm > HERMITICITY_ATOL:
-            raise NumericalError(f"density matrix non-Hermitian by {herm}")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise NumericalError(f"density matrix trace {tr} deviates from 1")
-        lo = np.linalg.eigvalsh(mat)[0]
-        if lo < EIG_FLOOR:
-            raise NumericalError(f"density matrix has eigenvalue {lo} below {EIG_FLOOR}")
+        check_density_stack(mat[None])
         object.__setattr__(self, "entries", mat)
 
     def purity(self) -> float:
@@ -316,21 +344,32 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[Union[int, str]]) -> Densit
     return DensityMatrix(reduced, new_spec)
 
 
-def expectation(op: OperatorMatrix, state: Union[DensityMatrix, QuantumState]):
-    """Tr(op rho) (or <psi|op|psi>); real for Hermitian operators.
+def expectation_stack(op: OperatorMatrix, stack: np.ndarray) -> np.ndarray:
+    """<psi_t|op|psi_t> for each row of a (T, d) stack, or Tr(op rho_t) for a (T, d, d) one.
 
-    Raises on mismatched specs; for a Hermitian operator the imaginary part
-    is checked to vanish within 1e-10 and a float is returned, otherwise the
-    complex value is returned as-is.
+    For a Hermitian operator each imaginary part is checked to vanish within
+    IMAG_ATOL and the real parts are returned; otherwise the complex values.
     """
-    if op.spec.dim != state.spec.dim:
+    if stack.shape[-1] != op.spec.dim:
         raise ConfigError("operator and state live on different spaces")
-    if isinstance(state, QuantumState):
-        val = complex(np.vdot(state.amplitudes, op.entries @ state.amplitudes))
+    if stack.ndim == 2:
+        vals = np.einsum("ti,ti->t", stack.conj(), stack @ op.entries.T)
     else:
-        val = complex(np.einsum("ij,ji->", op.entries, state.entries))
-    if op.hermitian:
-        if abs(val.imag) > 1e-10:
-            raise NumericalError(f"Hermitian expectation has imaginary part {val.imag}")
-        return float(val.real)
-    return val
+        vals = np.einsum("ij,tji->t", op.entries, stack)
+    if not op.hermitian:
+        return vals
+    where, imag = _worst(np.abs(vals.imag), "expectation")
+    if imag > IMAG_ATOL:
+        raise NumericalError(f"Hermitian {where} has imaginary part {imag}")
+    return vals.real
+
+
+def expectation(op: OperatorMatrix, state: Union[DensityMatrix, QuantumState]):
+    """Tr(op rho) (or <psi|op|psi>): the stack of one of :func:`expectation_stack`.
+
+    Raises on mismatched dimensions; a Hermitian operator gives a float, any
+    other a complex value.
+    """
+    data = state.amplitudes if isinstance(state, QuantumState) else state.entries
+    val = expectation_stack(op, data[None])[0]
+    return float(val) if op.hermitian else complex(val)

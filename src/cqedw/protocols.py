@@ -28,15 +28,19 @@ from .dynamics import (
     build_hamiltonian,
     collapse_operators,
     evolve_lindblad,
+    evolve_lindblad_stack,
     evolve_unitary,
+    evolve_unitary_stack,
 )
 from .errors import ConfigError
 from .hilbert import (
     DensityMatrix,
+    HilbertSpec,
     QuantumState,
     basis_ket,
     embed_qubit_operator,
     expectation,
+    expectation_stack,
     operator_table,
     partial_trace,
     qubit_rotation,
@@ -170,14 +174,24 @@ def run_schedule(
     return state
 
 
+def population_stack(stack: np.ndarray, spec: HilbertSpec) -> tuple[np.ndarray, ...]:
+    """(per-qubit excited (T, N), all-ground (T,), mean photon number (T,)) of a stack.
+
+    ``stack`` holds T amplitude vectors, (T, d), or T density matrices, (T, d, d).
+    """
+    ops = operator_table(spec)
+    return (
+        np.stack([expectation_stack(op, stack) for op in ops.excited], axis=1),
+        expectation_stack(ops.all_ground, stack),
+        expectation_stack(ops.number, stack),
+    )
+
+
 def populations(state: Union[QuantumState, DensityMatrix]):
     """(per-qubit excited, all-ground, mean photon number) for one state."""
-    ops = operator_table(state.spec)
-    return (
-        np.array([expectation(op, state) for op in ops.excited]),
-        expectation(ops.all_ground, state),
-        expectation(ops.number, state),
-    )
+    data = state.amplitudes if isinstance(state, QuantumState) else state.entries
+    q, g, n = population_stack(data[None], state.spec)
+    return q[0], float(g[0]), float(n[0])
 
 
 def cavity_population(state: Union[QuantumState, DensityMatrix]) -> float:
@@ -220,6 +234,10 @@ def rabi_scan(
     participating index); from that state the participating set is brought
     to resonance for each interaction time tau and the populations are
     recorded.  Qubits outside the set stay parked at their bias detuning.
+    The resonant segment's Hamiltonian is built once, and one propagator
+    (one ``eigh``, or one Lindblad generator and one stacked ``expm``) takes
+    the loaded state to every tau; every state and population is still
+    checked per tau.
     """
     part = sorted(set(participating))
     if not part:
@@ -235,15 +253,13 @@ def rabi_scan(
     src = part[0] if source_qubit is None else source_qubit
 
     loaded = run_schedule(config, single_photon_schedule(config, src), noise=noise)
-    collapse = collapse_operators(config) if noise else None
-    q_pops = np.empty((tau.size, config.spec.num_qubits))
-    g_pop = np.empty(tau.size)
-    c_pop = np.empty(tau.size)
-    for i, t in enumerate(tau):
-        final = _run_segment(config, _segment(config, part, float(t)), loaded, collapse)
-        q_pops[i], g_pop[i], c_pop[i] = populations(final)
+    h = build_hamiltonian(config, _realized_detunings(config, part), coupled=part)
+    if noise:
+        stack = evolve_lindblad_stack(loaded, h, collapse_operators(config), tau)
+    else:
+        stack = evolve_unitary_stack(loaded, h, tau)
     labels = tuple(q.label for q in config.qubits)
-    return PopulationTrace(tau, q_pops, g_pop, c_pop, labels)
+    return PopulationTrace(tau, *population_stack(stack, config.spec), labels)
 
 
 def collective_interaction_time(config: SystemConfig) -> float:

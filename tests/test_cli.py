@@ -177,6 +177,8 @@ def test_run_malformed_config_exits_2(tmp_path, capsys):
         {"experiment": "certify", "seed": 0, "params": {**certify, "budgit": 10}},
         {"experiment": "w_collective", "params": {"state": "w_sequential"}},  # used to be overridden
         {"experiment": "w_sequential", "params": {"source_qubit": 0}},  # used to be ignored
+        {"experiment": "tomography", "seed": 0,  # so was this one
+         "params": {"state": "w_sequential", "source_qubit": 0}},
         {"experiment": "rabi_scan", "seed": 1, "params": {**scan, "sigma": 0.1}},
         {"experiment": "rabi_scan", "params": {**scan, "tau_grid_ns": list(range(11))}},
         {"experiment": "w_collective", "device": device(lambda d: d.update(crosstalks=d["crosstalk"]))},
@@ -194,6 +196,7 @@ def test_run_malformed_config_exits_2(tmp_path, capsys):
         assert run_cli("run", "--config", bad) == 2, overrides
     err = capsys.readouterr().err  # the message names the offending key by its path
     assert "params.phase_corect" in err and "device.qubits[0].t2_nss" in err
+    assert err.count("params.source_qubit") >= 2  # the w_sequential and tomography cases
     for path in rho_files:
         assert run_cli("certify", path, "--out", tmp_path / "out") == 2
     # a device without qubits; it exited 2 before, through a caught LinAlgError
@@ -410,6 +413,12 @@ def test_reconstruct_missing_row_exits_2(tmp_path):
         readout.write_text(json.dumps(obj))
         assert run_cli("reconstruct", path, "--out", tmp_path / "rd", "--readout", readout) == 2
     assert not (tmp_path / "rd").exists()
+    # a directory and a file that is not UTF-8; both escaped as tracebacks with exit 1
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\xff\xfe")
+    for records in (tmp_path, binary):
+        assert run_cli("reconstruct", records, "--out", tmp_path / "bin") == 2
+    assert not (tmp_path / "bin").exists()
 
 
 def test_determinism_bit_identical_artifacts(tmp_path):

@@ -15,8 +15,11 @@ from cqedw.hilbert import (
     basis_ket,
     cavity_annihilation,
     cavity_number,
+    check_density_stack,
+    check_ket_stack,
     embed_qubit_operator,
     expectation,
+    expectation_stack,
     ket_from_label,
     operator_table,
     partial_trace,
@@ -230,3 +233,67 @@ def test_state_validation():
     bad[0, 1] = 0.5  # non-Hermitian
     with pytest.raises(NumericalError):
         DensityMatrix(bad, SPEC31)
+
+
+def test_stack_checks_reject_one_bad_state_in_the_middle():
+    # each state breaks one tolerance by a factor of 2; the stack check and the
+    # single-state classes must both reject it
+    rng = np.random.default_rng(5)
+    rho = random_density(SPEC31, rng).entries
+    bad_rhos = []
+    herm = rho.copy()
+    herm[0, 1] += 2e-10
+    bad_rhos.append(herm)
+    trace = rho.copy()
+    trace[0, 0] += 2e-9
+    bad_rhos.append(trace)
+    diag = np.full(16, 1.0 / 15) + 0j
+    diag[0], diag[1] = -2e-8, 1.0 / 15 + 2e-8
+    bad_rhos.append(np.diag(diag))
+    nan_rho = rho.copy()
+    nan_rho[3, 3] = np.nan
+    bad_rhos.append(nan_rho)
+    good_rhos = np.stack([random_density(SPEC31, rng).entries for _ in range(5)])
+    check_density_stack(good_rhos)
+    for bad in bad_rhos:
+        for k in (0, 2, 4):
+            stack = good_rhos.copy()
+            stack[k] = bad
+            with pytest.raises(NumericalError):
+                check_density_stack(stack)
+        with pytest.raises(NumericalError):
+            DensityMatrix(bad, SPEC31)
+
+    psi = random_pure(SPEC31, rng).amplitudes
+    nan_psi = psi.copy()
+    nan_psi[5] = np.inf
+    good_kets = np.stack([random_pure(SPEC31, rng).amplitudes for _ in range(5)])
+    check_ket_stack(good_kets)
+    for bad in (psi * (1 + 2e-9), nan_psi):
+        for k in (0, 2, 4):
+            stack = good_kets.copy()
+            stack[k] = bad
+            with pytest.raises(NumericalError):
+                check_ket_stack(stack)
+        with pytest.raises(NumericalError):
+            QuantumState(bad, SPEC31)
+
+
+def test_expectation_stack_matches_single_states():
+    rng = np.random.default_rng(8)
+    sz = embed_qubit_operator(SIGMA_Z, 1, SPEC31)
+    a = cavity_annihilation(SPEC31)
+    kets = [random_pure(SPEC31, rng) for _ in range(4)]
+    rhos = [random_density(SPEC31, rng) for _ in range(4)]
+    for states, data in ((kets, np.stack([k.amplitudes for k in kets])),
+                         (rhos, np.stack([r.entries for r in rhos]))):
+        for op in (sz, a):
+            single = np.array([expectation(op, s) for s in states])
+            assert np.abs(expectation_stack(op, data) - single).max() == 0.0
+    # a Hermitian expectation whose imaginary part is 2e-10 is rejected in a stack
+    ground = operator_table(SPEC31).all_ground
+    skew = np.stack([r.entries for r in rhos])
+    skew[2, 0, 0] += 2e-10j
+    with pytest.raises(NumericalError):
+        expectation_stack(ground, skew)
+    expectation_stack(ground, skew[:2])

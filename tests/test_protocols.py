@@ -143,6 +143,40 @@ def test_rabi_scan_matches_per_point_schedule(crosstalk, part, noise, src):
     assert np.abs(trace.cavity_population - n).max() <= 1e-12
 
 
+@pytest.mark.parametrize("noise", [False, True])
+def test_rabi_scan_work_does_not_grow_with_points(monkeypatch, noise):
+    # one Hamiltonian and one propagator per scan, not one per tau
+    import scipy.linalg
+
+    from cqedw import dynamics, protocols
+
+    counts = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(protocols, "build_hamiltonian")
+    counted(np.linalg, "eigh")
+    counted(dynamics, "_reachable")  # one per Lindblad generator built
+    counted(scipy.linalg, "expm")
+    cfg = paper_system()
+    seen = []
+    for points in (11, 81):
+        counts.clear()
+        rabi_scan(cfg, (0, 1, 2), np.linspace(0.0, 10e-9, points), noise=noise)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["build_hamiltonian"] == 2  # the photon load, then the scan
+    assert set(seen[0]) == ({"build_hamiltonian", "_reachable", "expm"} if noise
+                            else {"build_hamiltonian", "eigh"})
+
+
 def test_rabi_scan_validation():
     cfg = paper_system(photon_cutoff=1)
     with pytest.raises(ConfigError):
