@@ -21,7 +21,7 @@ import hashlib
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -302,9 +302,9 @@ def _tomography(run: Run, sigma, readout_coefficients, **prep) -> list[str]:
         raise ConfigError("a seed is required whenever params.sigma > 0")
     rho_true, info = _prepare_state(run, **prep)
     tset = tomography.tomography_set(tomography.build_readout(readout_coefficients))
-    records = tomography.simulate_measurements(rho_true, tset, sigma, run.seed)
-    _write_text(run.out / "records.csv", tomography.records_to_csv(records))
-    result = tomography.reconstruct(records, tset)
+    outcomes = tomography.simulate_measurements(rho_true, tset, sigma, run.seed)
+    _write_text(run.out / "records.csv", tomography.records_to_csv(outcomes, tset))
+    result = tomography.reconstruct(outcomes, tset)
     _write_json(run.out / "rho_true.json", rho_to_json(rho_true))
     _write_json(run.out / "rho_mle.json", rho_to_json(result.rho))
     _write_text(run.out / "pauli_set.csv", _pauli_csv(result.rho))
@@ -426,8 +426,8 @@ def reconstruct(records_path, readout_config, out_dir, quiet=False, seed=0) -> l
         coeffs = read(_load_json(Path(readout_config))[0], READOUT, "readout")["coefficients"]
     readout = tomography.build_readout(coeffs)
     tset = tomography.tomography_set(readout)
-    records = tomography.records_from_csv(text, tset)
-    result = tomography.reconstruct(records, tset)
+    outcomes = tomography.records_from_csv(text, tset)
+    result = tomography.reconstruct(outcomes, tset)
     report = entanglement.certification_report(result.rho, seed=seed)
     out = Path(out_dir)
     _write_json(out / "rho_mle.json", rho_to_json(result.rho))
@@ -449,6 +449,7 @@ def certify(rho_path, out_dir, seed=0, quiet=False) -> Path:
     return path
 
 
+@cache  # built on the first main() call, not at import, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cqedw",

@@ -9,6 +9,9 @@ reduces to a linear least-squares solve followed by projection of the
 eigenvalue vector onto the probability simplex (the closest physical state
 in Frobenius norm).
 
+Outcomes are one float vector whose entry n belongs to ``tset.labels[n]``;
+only the records CSV carries labels, and it is matched to the set by label.
+
 Pauli strings are labeled with qubit C leftmost, matching the |C,B,A> ket
 convention ("IIX" is X on qubit A).  Tomography always acts on the reduced
 three-qubit state; the cavity is measured empty and traced out beforehand.
@@ -16,9 +19,10 @@ three-qubit state; the cavity is measured empty and traced out beforehand.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,6 +59,8 @@ POPULATION_ROTATION_LABELS = ("id", "x180")
 # that every Pauli coordinate is sensed with gain >~ 0.2 and Gaussian noise
 # of sigma ~ 0.02 reconstructs the W state with fidelity > 0.95.
 DEFAULT_READOUT_COEFFICIENTS = (0.0, 1.0, 0.95, 0.9, 0.85, 0.8, 0.75, 0.7)
+
+RECORDS_HEADER = "rotation_label_A,rotation_label_B,rotation_label_C,value"
 
 
 def pauli_matrix(label: str) -> np.ndarray:
@@ -171,54 +177,32 @@ def _population_design(pop_set: TomographySet) -> np.ndarray:
     return np.vstack([diag, np.ones((1, 8))])
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    labels: tuple[str, str, str]
-    noiseless: float
-    noisy: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ConfigError("noise sigma must be >= 0")
-
-
 def expectation_values(rho: DensityMatrix, tset: TomographySet) -> np.ndarray:
     """Noiseless outcomes Tr(O_n rho) of the reduced three-qubit state."""
     return tset.design @ pauli_set(rho)
 
 
-def simulate_measurements(
-    rho: DensityMatrix, tset: TomographySet, sigma, seed: int
-) -> list[MeasurementRecord]:
-    """Noiseless expectations plus Gaussian noise, reproducible by seed.
+def simulate_measurements(rho: DensityMatrix, tset: TomographySet, sigma, seed: int) -> np.ndarray:
+    """Noisy outcomes in ``tset.labels`` order, reproducible by seed.
 
-    ``sigma`` is a single width applied to every outcome or a per-operator
-    vector of widths.
+    Each is the noiseless expectation plus Gaussian noise of the one width
+    ``sigma``, a finite number >= 0.
     """
-    sig = np.broadcast_to(np.asarray(sigma, dtype=float), (len(tset),))
-    if not np.all(np.isfinite(sig)) or np.any(sig < 0):
-        raise ConfigError("sigma must be finite and >= 0")
-    clean = expectation_values(rho, tset)
-    rng = np.random.default_rng(seed)
-    noisy = clean + sig * rng.standard_normal(clean.size)
-    return [
-        MeasurementRecord(l, float(c), float(n), float(s))
-        for l, c, n, s in zip(tset.labels, clean, noisy, sig)
-    ]
+    if isinstance(sigma, bool) or not isinstance(sigma, numbers.Real) or not 0 <= sigma < np.inf:
+        raise ConfigError(f"sigma must be one finite number >= 0, got {sigma!r}")
+    noise = np.random.default_rng(seed).standard_normal(len(tset))
+    return expectation_values(rho, tset) + sigma * noise
 
 
-def _outcomes(records: Sequence[MeasurementRecord], tset: TomographySet) -> np.ndarray:
-    """Noisy outcomes in set order; records must match the set's labels one to one."""
-    if len(records) != len(tset):
-        raise ConfigError(f"got {len(records)} records for {len(tset)} operators")
-    for rec, lab in zip(records, tset.labels):
-        if tuple(rec.labels) != tuple(lab):
-            raise ConfigError(f"record labels {rec.labels} do not match set entry {lab}")
-    return np.array([r.noisy for r in records])
+def _outcomes(outcomes: np.ndarray, tset: TomographySet) -> np.ndarray:
+    """Outcomes as a float vector; entry n belongs to ``tset.labels[n]``."""
+    y = np.asarray(outcomes, dtype=float)
+    if y.shape != (len(tset),):
+        raise ConfigError(f"got outcomes of shape {y.shape} for {len(tset)} operators")
+    return y
 
 
-def linear_inversion(records: Sequence[MeasurementRecord], tset: TomographySet) -> np.ndarray:
+def linear_inversion(outcomes: np.ndarray, tset: TomographySet) -> np.ndarray:
     """Least-squares Hermitian estimate from noisy outcomes.
 
     Solves for the 63 traceless Pauli components with the trace pinned to 1,
@@ -226,19 +210,18 @@ def linear_inversion(records: Sequence[MeasurementRecord], tset: TomographySet) 
     sigma = 0.  The result can be unphysical (negative eigenvalues), which is
     what :func:`mle_project` repairs.
     """
-    y = _outcomes(records, tset)
-    coeffs = tset._traceless_pinv @ (y - tset.design[:, 0])
+    coeffs = tset._traceless_pinv @ (_outcomes(outcomes, tset) - tset.design[:, 0])
     r = np.concatenate([[1.0], coeffs])
     return np.tensordot(r, PAULI_STACK, axes=1) / 8.0
 
 
-def invert_populations(records: Sequence[MeasurementRecord], pop_set: TomographySet) -> np.ndarray:
+def invert_populations(outcomes: np.ndarray, pop_set: TomographySet) -> np.ndarray:
     """Basis-state populations from the 8 population measurements.
 
     Solves the diagonal system with the normalization sum(p) = 1 appended;
     exact at sigma = 0.
     """
-    b = np.concatenate([_outcomes(records, pop_set), [1.0]])
+    b = np.concatenate([_outcomes(outcomes, pop_set), [1.0]])
     populations, *_ = np.linalg.lstsq(_population_design(pop_set), b, rcond=None)
     return populations
 
@@ -257,7 +240,6 @@ def _project_simplex(lam: np.ndarray) -> tuple[np.ndarray, float]:
 @dataclass(frozen=True)
 class ReconstructionResult:
     rho: DensityMatrix
-    estimate: np.ndarray  # pre-projection Hermitian estimate
     eigenvalue_shift: float
     residual_norm: float  # Frobenius distance moved by the projection
 
@@ -281,18 +263,13 @@ def mle_project(estimate: np.ndarray) -> ReconstructionResult:
     projected, shift = _project_simplex(lam)
     rho = (vec * projected[None, :]) @ vec.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    result = DensityMatrix(rho, spec)
-    return ReconstructionResult(
-        rho=result,
-        estimate=est,
-        eigenvalue_shift=shift,
-        residual_norm=float(np.linalg.norm(rho - est)),
-    )
+    residual = float(np.linalg.norm(rho - est))
+    return ReconstructionResult(DensityMatrix(rho, spec), shift, residual)
 
 
-def reconstruct(records: Sequence[MeasurementRecord], tset: TomographySet) -> ReconstructionResult:
+def reconstruct(outcomes: np.ndarray, tset: TomographySet) -> ReconstructionResult:
     """Linear inversion followed by the physicality projection."""
-    return mle_project(linear_inversion(records, tset))
+    return mle_project(linear_inversion(outcomes, tset))
 
 
 def pauli_set(rho: DensityMatrix) -> np.ndarray:
@@ -302,38 +279,36 @@ def pauli_set(rho: DensityMatrix) -> np.ndarray:
     return np.einsum("kij,ji->k", PAULI_STACK, rho.entries).real
 
 
-def records_to_csv(records: Iterable[MeasurementRecord]) -> str:
-    lines = ["rotation_label_A,rotation_label_B,rotation_label_C,value"]
-    for r in records:
-        lines.append(f"{r.labels[0]},{r.labels[1]},{r.labels[2]},{r.noisy:.12g}")
+def records_to_csv(outcomes: np.ndarray, tset: TomographySet) -> str:
+    """One row per outcome, labeled by its entry of ``tset.labels``."""
+    lines = [RECORDS_HEADER]
+    for (a, b, c), value in zip(tset.labels, _outcomes(outcomes, tset).tolist()):
+        lines.append(f"{a},{b},{c},{value:.12g}")
     return "\n".join(lines) + "\n"
 
 
-def records_from_csv(text: str, tset: TomographySet, sigma: float = 0.0) -> list[MeasurementRecord]:
-    """Parse a records CSV and align it with ``tset``; every label must appear once."""
+def records_from_csv(text: str, tset: TomographySet) -> np.ndarray:
+    """Outcomes in set order from a CSV whose rows name each triple of the set once."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].split(",") != [
-        "rotation_label_A",
-        "rotation_label_B",
-        "rotation_label_C",
-        "value",
-    ]:
+    if not lines or lines[0] != RECORDS_HEADER:
         raise ConfigError("records CSV must start with the rotation-label header")
-    values = {}
+    values = dict.fromkeys(tset.labels)  # set order; None until its row is read
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 4:
             raise ConfigError(f"malformed records row: {ln!r}")
         key = (parts[0].strip(), parts[1].strip(), parts[2].strip())
+        if key not in values:
+            raise ConfigError(f"row {ln!r} names a rotation triple outside the set")
+        if values[key] is not None:
+            raise ConfigError(f"row {ln!r} repeats rotation triple {key}")
         try:
             values[key] = float(parts[3])
         except ValueError as err:
             raise ConfigError(f"non-numeric value in row {ln!r}") from err
         if not np.isfinite(values[key]):
             raise ConfigError(f"non-finite value in row {ln!r}")
-    missing = [l for l in tset.labels if l not in values]
+    missing = [l for l, v in values.items() if v is None]
     if missing:
         raise ConfigError(f"records CSV is missing {len(missing)} labels, e.g. {missing[0]}")
-    return [
-        MeasurementRecord(l, float("nan"), values[l], sigma) for l in tset.labels
-    ]
+    return np.array(list(values.values()))

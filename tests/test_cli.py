@@ -388,12 +388,17 @@ def test_noisy_tomography_raises_no_warnings(tmp_path):
 def test_reconstruct_missing_row_exits_2(tmp_path):
     tset = tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
     w = entanglement.TargetState.w_paper().vector.density_matrix()
-    recs = tomography.simulate_measurements(w, tset, 0.0, 0)
-    text = tomography.records_to_csv(recs)
+    text = tomography.records_to_csv(tomography.simulate_measurements(w, tset, 0.0, 0), tset)
     lines = text.strip().split("\n")
     path = tmp_path / "records.csv"
     path.write_text("\n".join(lines[:-1]) + "\n")
     assert run_cli("reconstruct", path, "--out", tmp_path) == 2
+    # a repeated triple and a triple outside the set; both used to exit 0
+    assert lines[1].startswith("id,id,id,")
+    for extra in ("id,id,id,0.25", "x45,id,id,0.5"):
+        path.write_text(text + extra + "\n")
+        assert run_cli("reconstruct", path, "--out", tmp_path / "extra") == 2
+    assert not (tmp_path / "extra").exists()
 
     for value in ("nan", "inf", "-inf"):
         row = lines[5].rsplit(",", 1)[0] + "," + value

@@ -113,38 +113,26 @@ def test_population_set_diagonal_and_inversion(w_rho):
     assert len(pset) == 8
     for op in pset.operators:
         assert np.abs(op - np.diag(np.diag(op))).max() < 1e-12
-    records = simulate_measurements(w_rho, pset, 0.0, 0)
-    pops = invert_populations(records, pset)
+    outcomes = simulate_measurements(w_rho, pset, 0.0, 0)
+    pops = invert_populations(outcomes, pset)
     assert np.abs(pops - np.diag(w_rho.entries).real).max() < 1e-10
-    # the records must follow the set's labels, not only its length
-    swapped = list(records)
-    swapped[0], swapped[3] = swapped[3], swapped[0]
     with pytest.raises(ConfigError):
-        invert_populations(swapped, pset)
-    with pytest.raises(ConfigError):
-        invert_populations(records[:7], pset)
+        invert_populations(outcomes[:7], pset)
     # 8 diagonal operators cannot span the 63 traceless Pauli directions
     with pytest.raises(IncompleteReadoutError):
-        linear_inversion(records, pset)
+        linear_inversion(outcomes, pset)
 
 
 def test_simulate_measurements_deterministic(w_rho, tset):
     a = simulate_measurements(w_rho, tset, 0.03, seed=7)
     b = simulate_measurements(w_rho, tset, 0.03, seed=7)
-    assert all(x.noisy == y.noisy for x, y in zip(a, b))
+    assert a.shape == (64,) and np.array_equal(a, b)
     c = simulate_measurements(w_rho, tset, 0.0, seed=7)
-    assert all(x.noisy == x.noiseless for x in c)
-
-
-def test_simulate_measurements_per_operator_sigma(w_rho, tset):
-    sig = np.zeros(64)
-    sig[5] = 0.5
-    recs = simulate_measurements(w_rho, tset, sig, seed=4)
-    assert recs[5].sigma == 0.5
-    untouched = [r.noisy == r.noiseless for i, r in enumerate(recs) if i != 5]
-    assert all(untouched) and recs[5].noisy != recs[5].noiseless
-    with pytest.raises(ConfigError):
-        simulate_measurements(w_rho, tset, -0.1, seed=0)
+    assert np.array_equal(c, expectation_values(w_rho, tset))
+    # one finite width >= 0; a per-operator vector is not a width
+    for sigma in (np.full(64, 0.03), -0.1, float("nan"), float("inf"), True):
+        with pytest.raises(ConfigError):
+            simulate_measurements(w_rho, tset, sigma, seed=0)
 
 
 def test_simulate_measurements_noise_statistics(w_rho, tset):
@@ -153,8 +141,8 @@ def test_simulate_measurements_noise_statistics(w_rho, tset):
     sigma = 0.05
     devs = []
     for seed in range(157):
-        recs = simulate_measurements(w_rho, tset, sigma, seed)
-        devs.extend(r.noisy - r.noiseless for r in recs)
+        noisy = simulate_measurements(w_rho, tset, sigma, seed)
+        devs.extend(noisy - expectation_values(w_rho, tset))
     assert len(devs) >= 10**4
     assert abs(np.mean(devs)) < 5 * sigma / 100
 
@@ -163,8 +151,8 @@ def test_linear_inversion_exact_at_zero_noise(tset):
     rng = np.random.default_rng(2)
     for _ in range(5):
         rho = random_density(QUBIT_SPEC_3, rng)
-        recs = simulate_measurements(rho, tset, 0.0, 0)
-        est = linear_inversion(recs, tset)
+        outcomes = simulate_measurements(rho, tset, 0.0, 0)
+        est = linear_inversion(outcomes, tset)
         assert np.abs(est - rho.entries).max() < 1e-10
     mixed = DensityMatrix(np.eye(8) / 8, QUBIT_SPEC_3)
     est = linear_inversion(simulate_measurements(mixed, tset, 0.0, 0), tset)
@@ -172,19 +160,16 @@ def test_linear_inversion_exact_at_zero_noise(tset):
 
 
 def test_linear_inversion_noisy_spectrum_goes_negative(w_rho, tset):
-    recs = simulate_measurements(w_rho, tset, 0.05, seed=3)
-    est = linear_inversion(recs, tset)
+    outcomes = simulate_measurements(w_rho, tset, 0.05, seed=3)
+    est = linear_inversion(outcomes, tset)
     assert np.linalg.eigvalsh(est).min() < 0.0
 
 
 def test_linear_inversion_validates_alignment(w_rho, tset):
-    recs = simulate_measurements(w_rho, tset, 0.0, 0)
-    with pytest.raises(ConfigError):
-        linear_inversion(recs[:10], tset)
-    swapped = list(recs)
-    swapped[0], swapped[1] = swapped[1], swapped[0]
-    with pytest.raises(ConfigError):
-        linear_inversion(swapped, tset)
+    outcomes = simulate_measurements(w_rho, tset, 0.0, 0)
+    for bad in (outcomes[:10], outcomes.reshape(8, 8), np.append(outcomes, 0.0)):
+        with pytest.raises(ConfigError):
+            linear_inversion(bad, tset)
 
 
 def test_mle_project_fixed_point():
@@ -202,16 +187,16 @@ def test_mle_project_hand_example():
 
 
 def test_mle_project_idempotent(w_rho, tset):
-    recs = simulate_measurements(w_rho, tset, 0.05, seed=11)
-    first = mle_project(linear_inversion(recs, tset))
+    outcomes = simulate_measurements(w_rho, tset, 0.05, seed=11)
+    first = mle_project(linear_inversion(outcomes, tset))
     second = mle_project(first.rho.entries)
     assert np.abs(second.rho.entries - first.rho.entries).max() < 1e-13
 
 
 def test_mle_project_beats_random_candidates(w_rho, tset):
     rng = np.random.default_rng(13)
-    recs = simulate_measurements(w_rho, tset, 0.05, seed=17)
-    est = linear_inversion(recs, tset)
+    outcomes = simulate_measurements(w_rho, tset, 0.05, seed=17)
+    est = linear_inversion(outcomes, tset)
     res = mle_project(est)
     best = res.residual_norm
     g = rng.standard_normal((5000, 8, 8)) + 1j * rng.standard_normal((5000, 8, 8))
@@ -250,8 +235,8 @@ def test_pauli_set_values(w_rho):
 
 
 def test_pipeline_identity_at_zero_noise(w_rho, tset):
-    recs = simulate_measurements(w_rho, tset, 0.0, 0)
-    res = reconstruct(recs, tset)
+    outcomes = simulate_measurements(w_rho, tset, 0.0, 0)
+    res = reconstruct(outcomes, tset)
     assert np.abs(pauli_set(res.rho) - pauli_set(w_rho)).max() < 1e-9
 
 
@@ -268,8 +253,8 @@ def test_end_to_end_random_states_small_noise(tset):
     rng = np.random.default_rng(21)
     for trial in range(6):
         rho = random_density(QUBIT_SPEC_3, rng)
-        recs = simulate_measurements(rho, tset, 1e-3, seed=trial)
-        res = reconstruct(recs, tset)
+        outcomes = simulate_measurements(rho, tset, 1e-3, seed=trial)
+        res = reconstruct(outcomes, tset)
         assert uhlmann_fidelity(rho.entries, res.rho.entries) > 0.999
 
 
@@ -287,15 +272,21 @@ def test_noise_monotonicity(w_rho, tset):
 
 
 def test_records_csv_roundtrip(w_rho, tset):
-    recs = simulate_measurements(w_rho, tset, 0.01, seed=9)
-    text = records_to_csv(recs)
+    outcomes = simulate_measurements(w_rho, tset, 0.01, seed=9)
+    text = records_to_csv(outcomes, tset)
     back = records_from_csv(text, tset)
-    assert np.allclose([r.noisy for r in back], [r.noisy for r in recs], atol=1e-10)
+    assert np.allclose(back, outcomes, atol=1e-10)
+    # rows are matched by label, not by position: a shuffled file is the same record
+    header, *rows = text.strip().split("\n")
+    order = np.random.default_rng(0).permutation(len(rows))
+    shuffled = records_from_csv("\n".join([header] + [rows[i] for i in order]) + "\n", tset)
+    assert not np.array_equal(order, np.arange(len(rows)))
+    assert np.array_equal(shuffled, back)
+    assert np.array_equal(reconstruct(shuffled, tset).rho.entries, reconstruct(back, tset).rho.entries)
 
 
 def test_records_csv_missing_row(w_rho, tset):
-    recs = simulate_measurements(w_rho, tset, 0.0, seed=0)
-    text = records_to_csv(recs)
+    text = records_to_csv(simulate_measurements(w_rho, tset, 0.0, seed=0), tset)
     truncated = "\n".join(text.strip().split("\n")[:-1]) + "\n"
     with pytest.raises(ConfigError):
         records_from_csv(truncated, tset)
