@@ -9,13 +9,14 @@ which is 1 for a GHZ state and 0 for every W-class or product state.  For
 mixed states the convex roof (minimum average tangle over decompositions)
 is approximated from above by a lockstep Riemannian gradient descent over
 isometric mixtures of the eigenvector ensemble, driven by the analytic
-Wirtinger gradient of Det (64 restarts of up to 400 iterations by
-default).  Its kernel is amplitude-major: the rows of every restart form
-one (8, n) array, so each amplitude is a contiguous vector.  The same
-``_hyperdet`` gives Det and its gradient there and, through a moved axis,
-``tangle_quartic`` on (..., 8) input.  The result is the average tangle of
-an explicit decomposition, an upper bound, never a claim of the exact
-roof.  The descent is plain numpy; one seeded draw picks its starting
+Wirtinger gradient of Det.  By default 64 restarts run the first 150 of
+400 iterations, half of them on a smooth surrogate; then only the 8 with
+the lowest true average tangle descend it for the last 250.  Its kernel
+is amplitude-major: the rows of every restart form one (8, n) array, so
+each amplitude is a contiguous vector.  The same ``_hyperdet`` gives Det
+and its gradient there and, through a moved axis, ``tangle_quartic`` on
+(..., 8) input.  The result is the average tangle of an explicit
+decomposition, an upper bound, never a claim of the exact roof.  The descent is plain numpy; one seeded draw picks its starting
 points, so the same seed gives the same bound.
 """
 from __future__ import annotations
@@ -279,10 +280,13 @@ def three_tangle_mixed(
     predicted decrease t |grad|^2 falls below 1e-13.  ``budget`` counts
     iterations per restart.  For the first 3/8 of them, every other
     restart descends the smooth surrogate sum_k p_k tau_k^2, which reaches
-    the zero set where the kink of |Det| stalls the true objective; then
-    every restart descends sum_k p_k tau_k from where it stands.  The
-    result is the smallest average tangle of any evaluated decomposition,
-    so it is an explicit upper bound.
+    the zero set where the kink of |Det| stalls the true objective.  Then
+    every restart is evaluated on the true average sum_k p_k tau_k, and only
+    the eighth of them with the lowest value (at least one, ties to the
+    lower index) descends it from where it stands; without a surrogate
+    phase (``budget`` < 3) every restart does.  The result is the smallest
+    average tangle of any evaluated decomposition, retired restarts
+    included, so it is an explicit upper bound.
     """
     if rho.spec.dim != 8:
         raise ConfigError("three-tangle is defined for three qubits")
@@ -307,11 +311,16 @@ def three_tangle_mixed(
     early = 3 * budget // 8
     best = np.full(restarts, np.inf)
     used = 0
-    for squared, iterations in ((surrogate, early), (np.zeros(restarts, dtype=bool), budget - early)):
-        idx, v, sq = np.arange(restarts), isometries, squared
-        f, tau, g = _roof_objective(v, wtil, sq)
+    for squared, iterations, kept in (
+        (surrogate, early, restarts),
+        (np.zeros(restarts, dtype=bool), budget - early, max(1, restarts // 8) if early else restarts),
+    ):
+        f, tau, g = _roof_objective(isometries, wtil, squared)
         best = np.minimum(best, tau)
-        gg, t = _sq_norm(g), np.ones(restarts)
+        # the restarts of lowest true average go on; ties go to the lower index
+        idx = np.sort(np.argsort(tau, kind="stable")[:kept])
+        v, f, g, sq = isometries[idx], f[idx], g[idx], squared[idx]
+        gg, t = _sq_norm(g), np.ones(kept)
         for _ in range(iterations):
             used += idx.size
             q = _retract(v - t[:, None, None] * g)

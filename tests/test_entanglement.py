@@ -196,6 +196,62 @@ def test_tangle_mixed_bookkeeping(monkeypatch):
     assert three_tangle_mixed(rho, restarts=3, budget=20, seed=5).value == min(seen)
 
 
+def test_tangle_mixed_retires_restarts(monkeypatch):
+    # after the surrogate phase only the eighth of the restarts with the
+    # lowest true average tangle descends; every restart still feeds the bound
+    rho = random_density(QUBIT_SPEC_3, np.random.default_rng(9), rank=3)
+    restarts, budget = entanglement.DEFAULT_RESTARTS, entanglement.DEFAULT_BUDGET
+    calls = []
+
+    def recording(v, wtil, squared):
+        out = roof_objective(v, wtil, squared)
+        calls.append((v.copy(), squared, out))  # the descent updates its stack in place
+        return out
+
+    roof_objective = entanglement._roof_objective
+    monkeypatch.setattr(entanglement, "_roof_objective", recording)
+    est = three_tangle_mixed(rho, seed=5)
+    # the switch is the one evaluation of every restart on the true objective
+    switch = [i for i, (v, sq, _) in enumerate(calls) if len(v) == restarts and not sq.any()]
+    assert len(switch) == 1 and 1 < switch[0] < len(calls) - 1
+    assert all(len(v) <= restarts // 8 for v, _, _ in calls[switch[0] + 1:])
+    v, _, (_, tau, g) = calls[switch[0]]
+    kept = np.sort(np.argsort(tau, kind="stable")[:restarts // 8])
+    assert tau[kept].max() <= np.delete(tau, kept).min()
+    # the first trial of the kept restarts is the unit step from where they stood
+    np.testing.assert_allclose(calls[switch[0] + 1][0], entanglement._retract(v[kept] - g[kept]),
+                               rtol=0.0, atol=1e-12)
+    early = 3 * budget // 8
+    assert est.optimizer_iterations <= restarts * early + restarts // 8 * (budget - early)
+    assert est.value == min(min(out[1]) for _, _, out in calls)
+
+
+def test_tangle_mixed_on_benchmark_certify_inputs():
+    # the three states of the certify benchmark at workload seed 1, built
+    # here, with their verdicts and bounds; the bounds may not rise
+    w = TargetState.w_paper().vector.density_matrix().entries
+    ghz = TargetState.ghz().vector.density_matrix().entries
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    mixed = g @ g.conj().T
+    fixed = np.random.default_rng(0)
+    psi = fixed.standard_normal(8) + 1j * fixed.standard_normal(8)
+    psi /= np.linalg.norm(psi)
+    cases = (
+        (0.9 * w + 0.1 * mixed / np.trace(mixed).real, "W_class", 7.354162e-8),
+        (0.9 * w + 0.1 * np.outer(psi, psi.conj()), "W_class", 4.484264e-4),
+        (0.9 * ghz + 0.1 * w, "GHZ_class", 0.7302008),
+    )
+    for rho, verdict, bound in cases:
+        report = certification_report(DensityMatrix(0.5 * (rho + rho.conj().T), QUBIT_SPEC_3))
+        assert report["classification"] == verdict
+        assert report["tangle_bound"] <= bound
+
+    noisy, _ = apply_phase_correction(prepare_w_collective(paper_system(), noise=True),
+                                      TargetState.w_paper().vector)
+    assert three_tangle_mixed(noisy, seed=3).value == 0.0
+
+
 def ghz_w_roof(p: float) -> float:
     """Exact convex-roof tangle of p GHZ + (1 - p) W (Lohmayer, Osterloh,
     Siewert, Uhlmann, PRL 97, 260502 (2006))."""
