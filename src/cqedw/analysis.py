@@ -1,4 +1,9 @@
-"""Oscillation frequency extraction and the sqrt(N) scaling regression."""
+"""Oscillation frequency extraction and the sqrt(N) scaling regression.
+
+A population trace is fitted to a damped cosine by bounded least squares in
+units of its time span, with the closed-form Jacobian; the regression then
+fits f^2 against the number of qubits.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -91,13 +96,31 @@ def _spectral_seed(times: np.ndarray, values: np.ndarray):
 def fit_damped_sinusoid(times, values) -> FitReport:
     """Fit a + b exp(-gamma t) cos(2 pi f t + phi) to one population trace.
 
+    The solve runs in units of the time span: u = t / span, F = f span and
+    G = gamma span, so every parameter is of order one.  It passes the
+    closed-form Jacobian of a + b exp(-G u) cos(2 pi F u + phi) to scipy's
+    bounded ``dogbox`` least squares, seeded at the periodogram peak with
+    0 <= F <= 0.75 n and G >= 0.  f, gamma and the covariance come back in
+    SI units.
+
+    ``covariance_diagonal`` holds the Gauss-Newton variances s^2 (J^T J)^-1
+    of (f, b, phi, gamma, a), with s^2 the residual sum of squares over
+    n - 5: for independent, equal-variance noise on the samples they
+    estimate each parameter's sampling variance.  A rank-deficient Jacobian
+    reports every variance as inf.
+
     Parameters
     ----------
-    times : array of sample times, s (>= 8 samples spanning >= 1 period)
-    values : array of samples
+    times : finite, strictly ascending sample times, s (>= 8 samples
+        spanning >= 1 period)
+    values : finite samples
 
     Raises
     ------
+    ConfigError
+        If the arrays are not equal-length 1-D, hold fewer than 8 samples,
+        the times are not finite and strictly ascending or a value is not
+        finite.
     FitError
         If no dominant spectral peak seeds the fit or the least-squares
         refinement does not converge within its evaluation budget.
@@ -108,42 +131,62 @@ def fit_damped_sinusoid(times, values) -> FitReport:
         raise ConfigError("times and values must be equal-length 1-D arrays")
     if t.size < 8:
         raise ConfigError("need at least 8 samples")
+    if not np.isfinite(t).all():
+        raise ConfigError("times must be finite")
+    if not (np.diff(t) > 0).all():
+        raise ConfigError("times must be strictly ascending")
+    if not np.isfinite(y).all():
+        raise ConfigError("values must be finite")
     f0, a0, p0 = _spectral_seed(t, y)
 
     from scipy.optimize import least_squares
 
-    def residuals(params):
-        f, amp, phase, gamma, offset = params
-        return offset + amp * np.exp(-gamma * t) * np.cos(2 * np.pi * f * t + phase) - y
-
-    x0 = np.array([f0, a0, p0, 0.0, y.mean()])
     span = t[-1] - t[0]
+    u = t / span
+
+    def parts(params):
+        big_f, amp, phase, big_g, offset = params
+        envelope = np.exp(-big_g * u)
+        theta = 2 * np.pi * big_f * u + phase
+        return amp, offset, envelope * np.cos(theta), envelope * np.sin(theta)
+
+    def residuals(params):
+        amp, offset, ecos, _ = parts(params)
+        return offset + amp * ecos - y
+
+    def jacobian(params):
+        amp, _, ecos, esin = parts(params)
+        return np.column_stack(
+            (-2 * np.pi * amp * u * esin, ecos, -amp * esin, -amp * u * ecos, np.ones_like(u))
+        )
+
+    x0 = np.array([f0 * span, a0, p0, 0.0, y.mean()])
     lower = [0.0, -np.inf, -2 * np.pi, 0.0, -np.inf]
-    upper = [0.75 * t.size / span, np.inf, 2 * np.pi, np.inf, np.inf]
-    result = least_squares(residuals, x0, bounds=(lower, upper), max_nfev=5000)
+    upper = [0.75 * t.size, np.inf, 2 * np.pi, np.inf, np.inf]
+    result = least_squares(
+        residuals, x0, jac=jacobian, bounds=(lower, upper), method="dogbox", max_nfev=5000
+    )
     if not result.success:
         raise FitError(f"damped-sinusoid fit did not converge: {result.message}")
-    f, amp, phase, gamma, offset = result.x
+    big_f, amp, phase, big_g, offset = result.x
     if amp < 0:
         amp, phase = -amp, phase + np.pi
-    res = result.fun
-    rms = float(np.sqrt(np.mean(res**2)))
-    # Gauss-Newton covariance estimate; degenerate directions reported as inf.
-    jac = result.jac
-    dof = max(1, t.size - 5)
-    try:
-        cov = np.linalg.pinv(jac.T @ jac) * (2 * result.cost / dof)
-        diag = tuple(float(v) for v in np.diag(cov))
-    except np.linalg.LinAlgError:
-        diag = tuple([float("inf")] * 5)
+    rms = float(np.sqrt(np.mean(result.fun**2)))
+    # (J^T J)^-1 from the SVD of J, so its condition number is not squared.
+    _, sv, vt = np.linalg.svd(result.jac, full_matrices=False)
+    if sv[-1] > sv[0] * t.size * np.finfo(float).eps:
+        var = ((vt / sv[:, None]) ** 2).sum(axis=0) * (2 * result.cost / (t.size - 5))
+        var[[0, 3]] /= span**2
+    else:
+        var = np.full(5, np.inf)
     return FitReport(
-        frequency=float(f),
+        frequency=float(big_f / span),
         amplitude=float(amp),
         phase=float(np.mod(phase + np.pi, 2 * np.pi) - np.pi),
-        decay_rate=float(gamma),
+        decay_rate=float(big_g / span),
         offset=float(offset),
         residual_rms=rms,
-        covariance_diagonal=diag,
+        covariance_diagonal=tuple(float(v) for v in var),
     )
 
 

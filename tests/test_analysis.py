@@ -17,17 +17,20 @@ def test_fit_clean_cosine():
     assert rep.residual_rms < 1e-6
 
 
+_TRUTH = FitReport(
+    frequency=130e6,
+    amplitude=0.45,
+    phase=0.7,
+    decay_rate=3e7,
+    offset=0.5,
+    residual_rms=0.0,
+    covariance_diagonal=(0.0,) * 5,
+)
+
+
 def test_fit_damped_noisy_roundtrip():
     rng = np.random.default_rng(9)
-    truth = FitReport(
-        frequency=130e6,
-        amplitude=0.45,
-        phase=0.7,
-        decay_rate=3e7,
-        offset=0.5,
-        residual_rms=0.0,
-        covariance_diagonal=(0.0,) * 5,
-    )
+    truth = _TRUTH
     t = np.linspace(0, 25e-9, 120)
     rep = fit_damped_sinusoid(t, truth.model(t))
     assert abs(rep.frequency - truth.frequency) / truth.frequency < 1e-3
@@ -106,3 +109,93 @@ def test_scaling_csv():
     lines = csv.strip().split("\n")
     assert lines[0] == "n_qubits,frequency_hz,frequency_squared_hz2"
     assert len(lines) == 4
+
+
+def _noisy_collective_trace():
+    tau = np.linspace(0, 10e-9, 21)
+    return tau, rabi_scan(paper_system(), [0, 1, 2], tau, noise=True).cavity_population
+
+
+def test_fit_covariance_matches_seeded_scatter():
+    # the reported sigma_f and sigma_gamma estimate the spread of the fitted
+    # values over independent noise draws
+    t = np.linspace(0, 25e-9, 120)
+    clean = _TRUTH.model(t)
+    reports = [
+        fit_damped_sinusoid(t, clean + 0.01 * np.random.default_rng(seed).standard_normal(t.size))
+        for seed in range(200)
+    ]
+    for index, attr in ((0, "frequency"), (3, "decay_rate")):
+        empirical = np.std([getattr(r, attr) for r in reports], ddof=1)
+        reported = np.median([np.sqrt(r.covariance_diagonal[index]) for r in reports])
+        assert 0.8 <= reported / empirical <= 1.25, (attr, reported, empirical)
+
+
+def test_fit_covariance_matches_si_jacobian_svd():
+    t, y = _noisy_collective_trace()
+    rep = fit_damped_sinusoid(t, y)
+    # Jacobian of the residuals in SI units at the reported parameters
+    envelope = np.exp(-rep.decay_rate * t)
+    theta = 2 * np.pi * rep.frequency * t + rep.phase
+    jac = np.column_stack((
+        -2 * np.pi * t * rep.amplitude * envelope * np.sin(theta),
+        envelope * np.cos(theta),
+        -rep.amplitude * envelope * np.sin(theta),
+        -t * rep.amplitude * envelope * np.cos(theta),
+        np.ones_like(t),
+    ))
+    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    s2 = t.size * rep.residual_rms**2 / (t.size - 5)
+    reference = ((vt / sv[:, None]) ** 2).sum(axis=0) * s2
+    np.testing.assert_allclose(rep.covariance_diagonal, reference, rtol=1e-6, atol=0)
+    assert 1e-6 < np.sqrt(rep.covariance_diagonal[0]) / rep.frequency < 1e-1
+
+
+_T64 = np.linspace(0, 20e-9, 64)
+_Y64 = np.cos(2 * np.pi * 100e6 * _T64)
+
+
+@pytest.mark.parametrize(
+    "times, values, message",
+    [
+        (_T64[::-1], _Y64, "strictly ascending"),
+        (np.repeat(_T64[:32], 2), _Y64, "strictly ascending"),
+        (_T64, np.where(np.arange(64) == 5, np.nan, _Y64), "values must be finite"),
+        (np.where(np.arange(64) == 63, np.inf, _T64), _Y64, "times must be finite"),
+        (np.full(64, 1e-9), _Y64, "strictly ascending"),
+        (np.random.default_rng(0).permutation(_T64), _Y64, "strictly ascending"),
+    ],
+    ids=["descending", "repeated", "nan_value", "inf_time", "constant", "shuffled"],
+)
+def test_fit_rejects_bad_samples(times, values, message):
+    with pytest.raises(ConfigError, match=message):
+        fit_damped_sinusoid(times, values)
+
+
+@pytest.mark.parametrize("participating", [[0], [0, 1], [0, 1, 2]], ids=["A", "AB", "ABC"])
+def test_fit_ideal_trace_residual(participating):
+    tau = np.linspace(0, 20e-9, 81)
+    trace = rabi_scan(paper_system(photon_cutoff=1), participating, tau)
+    assert fit_damped_sinusoid(trace.times, trace.cavity_population).residual_rms < 1e-9
+
+
+def test_fit_uses_analytic_jacobian_and_few_evaluations(monkeypatch):
+    import scipy.optimize
+
+    seen = {"jac": None, "calls": 0}
+    original = scipy.optimize.least_squares
+
+    def spy(fun, x0, jac="2-point", **kwargs):
+        seen["jac"] = jac
+
+        def counted(x):
+            seen["calls"] += 1
+            return fun(x)
+
+        return original(counted, x0, jac=jac, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    t, y = _noisy_collective_trace()
+    fit_damped_sinusoid(t, y)
+    assert callable(seen["jac"])
+    assert 0 < seen["calls"] <= 20
