@@ -1,13 +1,11 @@
-"""Oscillation frequency extraction and the sqrt(N) scaling regression.
+"""Oscillation frequency extraction from population traces.
 
 A population trace is fitted to a damped cosine by bounded least squares in
-units of its time span, with the closed-form Jacobian; the regression then
-fits f^2 against the number of qubits.
+units of its time span, with the closed-form Jacobian.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -48,21 +46,6 @@ class FitReport:
             "residual_rms": self.residual_rms,
             "covariance_diagonal": list(self.covariance_diagonal),
         }
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    """Ordinary least squares of squared frequency against qubit number."""
-
-    qubit_numbers: tuple[int, ...]
-    frequencies: tuple[float, ...]  # Hz
-    slope: float  # Hz^2 per qubit
-    intercept: float  # Hz^2
-    r_squared: float
-
-    def __post_init__(self):
-        if self.slope <= 0:
-            raise ConfigError("scaling slope must be positive for collective data")
 
 
 def _spectral_seed(times: np.ndarray, values: np.ndarray):
@@ -188,36 +171,3 @@ def fit_damped_sinusoid(times, values) -> FitReport:
         residual_rms=rms,
         covariance_diagonal=tuple(float(v) for v in var),
     )
-
-
-def sqrtN_regression(reports: Mapping[int, FitReport]) -> ScalingReport:
-    """Fit f_N^2 = slope * N + intercept over the provided per-N reports.
-
-    For equal couplings g the slope estimates (2 g / 2 pi)^2 and the
-    intercept vanishes.
-    """
-    if len(reports) < 2:
-        raise ConfigError("need at least two distinct N to regress")
-    ns = np.array(sorted(reports), dtype=float)
-    f2 = np.array([reports[int(n)].frequency ** 2 for n in ns])
-    slope, intercept = np.polyfit(ns, f2, 1)
-    predicted = slope * ns + intercept
-    ss_res = float(((f2 - predicted) ** 2).sum())
-    ss_tot = float(((f2 - f2.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return ScalingReport(
-        qubit_numbers=tuple(int(n) for n in ns),
-        frequencies=tuple(float(reports[int(n)].frequency) for n in ns),
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r2,
-    )
-
-
-def scaling_to_csv(report: ScalingReport) -> str:
-    """Plot-ready (N, f, f^2) rows for the scaling regression."""
-    lines = ["n_qubits,frequency_hz,frequency_squared_hz2"]
-    for n, f in zip(report.qubit_numbers, report.frequencies):
-        lines.append(f"{n},{f:.12g},{f * f:.12g}")
-    return "\n".join(lines) + "\n"
-

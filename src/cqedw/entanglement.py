@@ -58,17 +58,6 @@ class TargetState:
         return cls(QuantumState(amps / np.sqrt(3), QUBIT_SPEC_3), "W_plus")
 
     @classmethod
-    def w_from_couplings(cls, couplings) -> "TargetState":
-        """Single-excitation bright state: amplitudes proportional to g_j."""
-        g = np.asarray(couplings, dtype=float)
-        if g.shape != (3,):
-            raise ConfigError("need exactly three couplings")
-        amps = np.zeros(8, dtype=complex)
-        for j in range(3):
-            amps[1 << j] = g[j]
-        return cls(QuantumState(amps / np.linalg.norm(amps), QUBIT_SPEC_3), "custom")
-
-    @classmethod
     def ghz(cls) -> "TargetState":
         amps = np.zeros(8, dtype=complex)
         amps[[0b000, 0b111]] = 1.0
@@ -344,23 +333,6 @@ def three_tangle_mixed(
                     break
         isometries[idx] = v
     return TangleEstimate(min(1.0, float(best.min())), "mixed_upper_bound", 2 * r, used)
-
-
-def classify_w_vs_ghz(
-    rho: DensityMatrix,
-    thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
-    restarts: int = DEFAULT_RESTARTS,
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
-) -> str:
-    """Classify a three-qubit state as ``W_class``, ``GHZ_class`` or ``inconclusive``.
-
-    The verdict of :func:`certification_report`.
-    """
-    report = certification_report(
-        rho, restarts=restarts, budget=budget, seed=seed, thresholds=thresholds
-    )
-    return report["classification"]
 
 
 def certification_report(

@@ -39,7 +39,6 @@ from .hilbert import (
     QuantumState,
     basis_ket,
     embed_qubit_operator,
-    expectation,
     expectation_stack,
     operator_table,
     partial_trace,
@@ -194,11 +193,6 @@ def populations(state: Union[QuantumState, DensityMatrix]):
     return q[0], float(g[0]), float(n[0])
 
 
-def cavity_population(state: Union[QuantumState, DensityMatrix]) -> float:
-    """Mean photon number <a^dag a>."""
-    return expectation(operator_table(state.spec).number, state)
-
-
 def single_photon_schedule(
     config: SystemConfig, source_qubit: int, transfer_duration: float | None = None
 ) -> PulseSchedule:
@@ -304,18 +298,18 @@ def sequential_swap_times(config: SystemConfig) -> tuple[float, float, float]:
     )
 
 
-def sequential_w_schedule(config: SystemConfig, through_segment: int = 3) -> PulseSchedule:
-    """Sequential W preparation schedule, optionally truncated after a segment."""
+def sequential_w_schedule(config: SystemConfig) -> PulseSchedule:
+    """Sequential W preparation schedule: the C pi-pulse, then swaps C, B, A."""
     if config.spec.num_qubits != 3:
         raise ConfigError("sequential W preparation requires N=3")
     tau1, tau2, tau3 = sequential_swap_times(config)
-    segments = [
+    segments = (
         _segment(config, (), 0.0, [(2, "x", np.pi)]),
         _segment(config, (2,), tau1),
         _segment(config, (1,), tau2),
         _segment(config, (0,), tau3),
-    ]
-    return PulseSchedule(tuple(segments[: through_segment + 1]), basis_ket(config.spec))
+    )
+    return PulseSchedule(segments, basis_ket(config.spec))
 
 
 def prepare_w_sequential(config: SystemConfig, noise: bool = False) -> DensityMatrix:

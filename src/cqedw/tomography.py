@@ -4,10 +4,14 @@ The dispersive readout measures one diagonal observable M of the three
 qubits; rotating the qubits before measurement realizes the conjugated
 operators U^+ M U.  With per-qubit rotations drawn from {Id, Rx(pi),
 Rx(pi/2), Ry(pi/2)} the 64 conjugations plus the trace constraint span the
-full Hermitian space, so a Gaussian-noise maximum-likelihood estimate
-reduces to a linear least-squares solve followed by projection of the
-eigenvalue vector onto the probability simplex (the closest physical state
-in Frobenius norm).
+full Hermitian space.  The estimate is a linear least-squares solve with the
+trace pinned to 1, followed by projection of its eigenvalue vector onto the
+probability simplex: the closest physical state in Frobenius norm.  That is
+not the Gaussian-noise maximum-likelihood state.  The two coincide only for
+an isotropic design, D^T D proportional to the identity (Smolin, Gambetta,
+Smith, PRL 108, 070502 (2012)); the default readout weighs the Pauli
+coordinates unequally, and D[:, 1:]^T D[:, 1:] has eigenvalues from 0.057
+to 38.2, a condition number of about 674.
 
 Outcomes are one float vector whose entry n belongs to ``tset.labels[n]``;
 only the records CSV carries labels, and it is matched to the set by label.
@@ -52,7 +56,6 @@ ROTATIONS = {
     "y90": qubit_rotation("y", np.pi / 2),
 }
 FULL_ROTATION_LABELS = ("id", "x180", "x90", "y90")
-POPULATION_ROTATION_LABELS = ("id", "x180")
 
 # Default joint-readout coefficients.  The identity offset is calibrated
 # away (0); correlation terms stay comparable to the single-qubit shifts so
@@ -161,22 +164,6 @@ def tomography_set(readout: ReadoutOperator) -> TomographySet:
     return tset
 
 
-def population_set(readout: ReadoutOperator) -> TomographySet:
-    """The 8 bit-flip conjugations; spans the diagonal (populations) exactly."""
-    labels = tuple(itertools.product(POPULATION_ROTATION_LABELS, repeat=3))
-    ops = tuple(_conjugated(readout, l) for l in labels)
-    tset = TomographySet(ops, labels, readout)
-    if np.linalg.matrix_rank(_population_design(tset), tol=1e-9) != 8:
-        raise IncompleteReadoutError("population set does not span the diagonal")
-    return tset
-
-
-def _population_design(pop_set: TomographySet) -> np.ndarray:
-    """Operator diagonals with the normalization row sum(p) = 1 appended."""
-    diag = np.diagonal(np.stack(pop_set.operators), axis1=1, axis2=2).real
-    return np.vstack([diag, np.ones((1, 8))])
-
-
 def expectation_values(rho: DensityMatrix, tset: TomographySet) -> np.ndarray:
     """Noiseless outcomes Tr(O_n rho) of the reduced three-qubit state."""
     return tset.design @ pauli_set(rho)
@@ -213,17 +200,6 @@ def linear_inversion(outcomes: np.ndarray, tset: TomographySet) -> np.ndarray:
     coeffs = tset._traceless_pinv @ (_outcomes(outcomes, tset) - tset.design[:, 0])
     r = np.concatenate([[1.0], coeffs])
     return np.tensordot(r, PAULI_STACK, axes=1) / 8.0
-
-
-def invert_populations(outcomes: np.ndarray, pop_set: TomographySet) -> np.ndarray:
-    """Basis-state populations from the 8 population measurements.
-
-    Solves the diagonal system with the normalization sum(p) = 1 appended;
-    exact at sigma = 0.
-    """
-    b = np.concatenate([_outcomes(outcomes, pop_set), [1.0]])
-    populations, *_ = np.linalg.lstsq(_population_design(pop_set), b, rcond=None)
-    return populations
 
 
 def _project_simplex(lam: np.ndarray) -> tuple[np.ndarray, float]:

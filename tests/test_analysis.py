@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cqedw import analysis
-from cqedw.analysis import FitReport, fit_damped_sinusoid, scaling_to_csv, sqrtN_regression
+from cqedw.analysis import FitReport, fit_damped_sinusoid
 from cqedw.device import paper_system
 from cqedw.errors import ConfigError, FitError
 from cqedw.protocols import rabi_scan
@@ -42,6 +42,16 @@ def test_fit_damped_noisy_roundtrip():
     rep2 = fit_damped_sinusoid(t, rep.model(t))
     assert abs(rep2.frequency - rep.frequency) / rep.frequency < 1e-3
 
+    # noisy fit: every parameter within 4 reported standard errors of the
+    # truth, and the residual at the noise level
+    sigma = 0.01
+    noisy = fit_damped_sinusoid(t, truth.model(t) + sigma * rng.standard_normal(t.size))
+    fitted = (noisy.frequency, noisy.amplitude, noisy.phase, noisy.decay_rate, noisy.offset)
+    true = (truth.frequency, truth.amplitude, truth.phase, truth.decay_rate, truth.offset)
+    stderr = np.sqrt(noisy.covariance_diagonal)
+    assert np.all(np.abs(np.subtract(fitted, true)) <= 4 * stderr), (fitted, stderr)
+    assert 0.5 * sigma <= noisy.residual_rms <= 2 * sigma
+
 
 def test_fit_invariance_under_scale_and_offset():
     t = np.linspace(0, 18e-9, 90)
@@ -67,48 +77,11 @@ def test_fit_ideal_single_qubit_trace():
     assert abs(rep.frequency - 105.4e6) / 105.4e6 < 0.005
 
 
-def _report(freq):
-    return FitReport(
-        frequency=freq,
-        amplitude=0.5,
-        phase=0.0,
-        decay_rate=0.0,
-        offset=0.5,
-        residual_rms=0.0,
-        covariance_diagonal=(0.0,) * 5,
-    )
-
-
-def test_sqrtn_regression_equal_couplings():
-    f1 = 200e6
-    reports = {n: _report(f1 * np.sqrt(n)) for n in (1, 2, 3)}
-    sc = sqrtN_regression(reports)
-    assert abs(sc.intercept / sc.slope) < 0.01
-    assert np.isclose(sc.slope, f1**2, rtol=1e-9)
-    assert sc.r_squared > 0.9999
-
-
 def test_sqrtn_regression_quoted_hardware_frequencies():
     # measured oscillation frequencies 112.0, 161.8, 195.2 MHz
-    reports = {1: _report(112.0e6), 2: _report(161.8e6), 3: _report(195.2e6)}
     ratios = (161.8 / 112.0) ** 2, (195.2 / 112.0) ** 2
     assert abs(ratios[0] - 2.09) < 0.005
     assert abs(ratios[1] - 3.04) < 0.005
-    sc = sqrtN_regression(reports)
-    assert abs(sc.slope / 112.0e6**2 - 1.0) < 0.1  # slope consistent with f1^2
-
-
-def test_sqrtn_regression_needs_two_points():
-    with pytest.raises(ConfigError):
-        sqrtN_regression({3: _report(195.2e6)})
-
-
-def test_scaling_csv():
-    sc = sqrtN_regression({n: _report(100e6 * np.sqrt(n)) for n in (1, 2, 3)})
-    csv = scaling_to_csv(sc)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "n_qubits,frequency_hz,frequency_squared_hz2"
-    assert len(lines) == 4
 
 
 def _noisy_collective_trace():

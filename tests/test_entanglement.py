@@ -9,7 +9,6 @@ from cqedw.entanglement import (
     TangleEstimate,
     TargetState,
     certification_report,
-    classify_w_vs_ghz,
     decomposition_average_tangle,
     fidelity,
     tangle_quartic,
@@ -351,14 +350,16 @@ def test_tangle_mixed_on_noisy_collective_state():
     rho, _ = apply_phase_correction(prepare_w_collective(cfg, noise=True), target.vector)
     est = three_tangle_mixed(rho, seed=3)
     assert est.value < 0.1
-    assert classify_w_vs_ghz(rho, seed=3) == "W_class"
+    assert certification_report(rho, seed=3)["classification"] == "W_class"
 
 
 def test_classification():
-    assert classify_w_vs_ghz(TargetState.w_paper().vector.density_matrix(), seed=0) == "W_class"
-    assert classify_w_vs_ghz(TargetState.ghz().vector.density_matrix(), seed=0) == "GHZ_class"
-    mixed = DensityMatrix(np.eye(8) / 8, QUBIT_SPEC_3)
-    assert classify_w_vs_ghz(mixed, seed=0) == "inconclusive"
+    def verdict(rho):
+        return certification_report(rho, seed=0)["classification"]
+
+    assert verdict(TargetState.w_paper().vector.density_matrix()) == "W_class"
+    assert verdict(TargetState.ghz().vector.density_matrix()) == "GHZ_class"
+    assert verdict(DensityMatrix(np.eye(8) / 8, QUBIT_SPEC_3)) == "inconclusive"
 
 
 def test_certification_report_shape():

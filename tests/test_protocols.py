@@ -17,7 +17,6 @@ from cqedw.protocols import (
     PulseSchedule,
     ScheduleSegment,
     apply_phase_correction,
-    cavity_population,
     collective_interaction_time,
     populations,
     prepare_w_collective,
@@ -43,8 +42,8 @@ def test_single_photon_transfer_is_complete():
     cfg = paper_system()
     for src in range(3):
         out = run_schedule(cfg, single_photon_schedule(cfg, src))
-        assert abs(cavity_population(out) - 1.0) < 1e-6
-        q, _, _ = populations(out)
+        q, _, n = populations(out)
+        assert abs(n - 1.0) < 1e-6
         assert np.abs(q).max() < 1e-6
 
 
@@ -221,7 +220,8 @@ def test_sequential_swap_times():
 
 def test_sequential_first_segment_splits_two_thirds():
     cfg = paper_system()
-    out = run_schedule(cfg, sequential_w_schedule(cfg, through_segment=1))
+    full = sequential_w_schedule(cfg)
+    out = run_schedule(cfg, PulseSchedule(full.segments[:2], full.initial_state))
     q, _, n = populations(out)
     assert abs(n - 2 / 3) < 1e-6
     assert abs(q[2] - 1 / 3) < 1e-6
@@ -239,14 +239,10 @@ def test_ideal_w_preparation_both_protocols():
 
     # sequential leaves the cavity in vacuum
     final = run_schedule(cfg, sequential_w_schedule(cfg))
-    assert cavity_population(final) < 1e-6
+    assert populations(final)[2] < 1e-6
 
 
 def test_w_from_equal_couplings_has_plus_signs():
-    plus = TargetState.w_plus().vector.amplitudes
-    from_g = TargetState.w_from_couplings([1e8, 1e8, 1e8]).vector.amplitudes
-    assert np.abs(plus - from_g).max() < 1e-12
-
     cfg = equal_coupling_system(3, photon_cutoff=2)
     rho = prepare_w_collective(cfg)
     corrected, _ = apply_phase_correction(rho, TargetState.w_plus().vector)

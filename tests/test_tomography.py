@@ -8,14 +8,13 @@ from cqedw.tomography import (
     DEFAULT_READOUT_COEFFICIENTS,
     DIAGONAL_LABELS,
     PAULI_LABELS,
+    TomographySet,
     build_readout,
     expectation_values,
-    invert_populations,
     linear_inversion,
     mle_project,
     pauli_matrix,
     pauli_set,
-    population_set,
     reconstruct,
     records_from_csv,
     records_to_csv,
@@ -78,8 +77,8 @@ def reference_design(tset):
 
 def test_design_matches_reference_loop(tset):
     weak = tomography_set(build_readout(WEAK_CORRELATION_COEFFICIENTS))
-    pset = population_set(build_readout(DEFAULT_READOUT_COEFFICIENTS))
-    for s in (tset, weak, pset):
+    partial = TomographySet(tset.operators[:8], tset.labels[:8], tset.readout)
+    for s in (tset, weak, partial):
         assert s.design.shape == (len(s), 64)
         assert np.abs(s.design - reference_design(s)).max() <= 1e-15
     with pytest.raises(ValueError):
@@ -108,19 +107,13 @@ def test_x180_flips_za_coefficients(tset):
         assert np.isclose(got, -coeff if contains_za else coeff, atol=1e-12)
 
 
-def test_population_set_diagonal_and_inversion(w_rho):
-    pset = population_set(build_readout(DEFAULT_READOUT_COEFFICIENTS))
-    assert len(pset) == 8
-    for op in pset.operators:
-        assert np.abs(op - np.diag(np.diag(op))).max() < 1e-12
-    outcomes = simulate_measurements(w_rho, pset, 0.0, 0)
-    pops = invert_populations(outcomes, pset)
-    assert np.abs(pops - np.diag(w_rho.entries).real).max() < 1e-10
-    with pytest.raises(ConfigError):
-        invert_populations(outcomes[:7], pset)
-    # 8 diagonal operators cannot span the 63 traceless Pauli directions
+def test_rank_deficient_set_rejects_inversion(w_rho, tset):
+    # 8 operators cannot span the 63 traceless Pauli directions
+    partial = TomographySet(tset.operators[:8], tset.labels[:8], tset.readout)
+    assert partial.completeness_rank() == 9
+    outcomes = simulate_measurements(w_rho, partial, 0.0, 0)
     with pytest.raises(IncompleteReadoutError):
-        linear_inversion(outcomes, pset)
+        linear_inversion(outcomes, partial)
 
 
 def test_simulate_measurements_deterministic(w_rho, tset):
