@@ -13,14 +13,16 @@ pure dephasing (sigma_z at rate gamma_phi/2) and cavity decay (a at rate
 kappa); each constant segment is propagated exactly as rho(t) =
 expm(L t) rho(0), with L the vectorized Lindblad generator (Havel,
 J. Math. Phys. 44, 534 (2003)) built on the subspace reachable from the
-initial support.
+initial support.  L preserves Hermiticity, so it is a real matrix in an
+orthonormal basis of Hermitian operators, and it is exponentiated there.
 
 A segment is propagated over a vector of times at once:
 ``evolve_unitary_stack`` reuses one eigendecomposition for every time and
-``evolve_lindblad_stack`` one generator and one stacked ``expm``.  Each
-returns a stack with every state checked against the tolerances of
-``hilbert``.  ``evolve_unitary`` and ``evolve_lindblad`` are their one-time
-cases.
+``evolve_lindblad_stack`` one real generator and one stacked real ``expm``.
+Each returns a stack with every state checked against the tolerances of
+``hilbert`` (the open-system states on their reachable block, before
+zero padding).  ``evolve_unitary`` and ``evolve_lindblad`` are their
+one-time cases.
 """
 from __future__ import annotations
 
@@ -140,30 +142,41 @@ def _reachable(rho: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
         mask = grown
 
 
-def evolve_lindblad_stack(
-    rho: DensityMatrix,
-    h: OperatorMatrix,
-    collapse: Sequence[CollapseOperator],
-    times: Sequence[float],
-) -> np.ndarray:
-    """Open-system propagation to every t in ``times``: a (T, d, d) stack of expm(L t) rho.
+def _hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the n x n Hermitian matrices as the columns of an (n^2, n^2) array.
 
-    L is the row-major vectorized Lindblad generator,
-
-        L = -i (H_eff x 1 - 1 x H_eff^*) + sum_k L_k x L_k^*,
-        H_eff = H - (i/2) sum_k L_k^+ L_k,
-
-    with sqrt(rate) absorbed into each L_k.  It is built once, only on the
-    basis states reachable from rho's support through the nonzero patterns
-    of H, the L_k and the L_k^+ L_k; their span is invariant under the
-    dynamics, so the restriction is exact.  With three qubits and photon
-    cutoff 2, a single-excitation state reaches 5 of the 24 basis states, so
-    L is 25 x 25 instead of 576 x 576.  One stacked ``expm`` of L t covers
-    every time, and each padded result is checked by ``check_density_stack``.
+    Each column is a row-major vec: first the n units E_ii, then the
+    n(n-1)/2 matrices (E_ij + E_ji)/sqrt(2) and last the n(n-1)/2 matrices
+    i (E_ij - E_ji)/sqrt(2), i < j.  The coordinates B^+ vec(A) of a
+    Hermitian A are real, and a Hermiticity-preserving superoperator is a
+    real matrix in this basis (Havel, J. Math. Phys. 44, 534 (2003)).
     """
-    times = np.asarray(times, dtype=float).reshape(-1)
-    if np.any(times < 0):
-        raise ConfigError("t must be >= 0")
+    iu, ju = np.triu_indices(n, 1)
+    sym = n + np.arange(iu.size)
+    anti = sym + iu.size
+    basis = np.zeros((n, n, n * n), dtype=complex)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    basis[iu, ju, sym] = basis[ju, iu, sym] = np.sqrt(0.5)
+    basis[iu, ju, anti] = 1j * np.sqrt(0.5)
+    basis[ju, iu, anti] = -1j * np.sqrt(0.5)
+    return basis.reshape(n * n, n * n)
+
+
+def _lindblad_generator(
+    rho: DensityMatrix, h: OperatorMatrix, collapse: Sequence[CollapseOperator]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The reachable-state mask of rho and the row-major vectorized Lindblad generator on it.
+
+    L = -i (H_eff x 1 - 1 x H_eff^*) + sum_k L_k x L_k^*,
+    H_eff = H - (i/2) sum_k L_k^+ L_k,
+
+    with sqrt(rate) absorbed into each L_k, is built only on the basis
+    states reachable from rho's support through the nonzero patterns of H,
+    the L_k and the L_k^+ L_k; their span is invariant under the dynamics,
+    so the restriction is exact.  With three qubits and photon cutoff 2, a
+    single-excitation state reaches 5 of the 24 basis states, so L is
+    25 x 25 instead of 576 x 576.
+    """
     _check_hermitian(h)
     ls = np.array([np.sqrt(c.rate) * c.matrix.entries for c in collapse if c.rate > 0])
     ls = ls.reshape(-1, *h.entries.shape)  # (channels, dim, dim), also with no channel
@@ -176,12 +189,47 @@ def evolve_lindblad_stack(
     ls = ls[:, keep][:, :, keep]
     gen = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
     gen += np.einsum("kij,kab->iajb", ls, ls.conj()).reshape(n * n, n * n)
+    return keep, gen
+
+
+def evolve_lindblad_stack(
+    rho: DensityMatrix,
+    h: OperatorMatrix,
+    collapse: Sequence[CollapseOperator],
+    times: Sequence[float],
+) -> np.ndarray:
+    """Open-system propagation to every t in ``times``: a (T, d, d) stack of expm(L t) rho.
+
+    L is :func:`_lindblad_generator` on the states reachable from rho,
+    taken to the real matrix L_r = B^+ L B in the Hermitian basis B of
+    :func:`_hermitian_basis`; an imaginary part of B^+ L B above 1e-12
+    max|L| raises NumericalError.  One stacked real ``expm`` of L_r t acts
+    on the real coordinates of rho, and B maps every result back.  Each
+    n x n block is checked by ``check_density_stack`` and then padded with
+    zeros; padding adds only zero eigenvalues and changes neither
+    Hermiticity, trace nor finiteness, so the check's verdict is that of
+    the padded stack.
+    """
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if np.any(times < 0):
+        raise ConfigError("t must be >= 0")
+    keep, gen = _lindblad_generator(rho, h, collapse)
+    n = int(keep.sum())
+    basis = _hermitian_basis(n)
+    coords_of = basis.conj().T  # B^+: a Hermitian matrix's vec to its real coordinates
+    gen_b = coords_of @ gen @ basis
+    dropped = np.abs(gen_b.imag).max()
+    if dropped > 1e-12 * np.abs(gen).max():
+        raise NumericalError(f"generator has imaginary part {dropped} in the Hermitian basis")
+    sub = np.ix_(keep, keep)
+    x0 = (coords_of @ rho.entries[sub].reshape(-1)).real
     from scipy.linalg import expm  # imported here: certify and reconstruct never propagate
 
-    small = expm(gen[None] * times[:, None, None]) @ rho.entries[sub].reshape(-1)
+    coords = expm(gen_b.real[None] * times[:, None, None]) @ x0
+    small = (coords @ basis.T).reshape(-1, n, n)
+    check_density_stack(small)
     out = np.zeros((times.size, *rho.entries.shape), dtype=complex)
-    out[:, sub[0], sub[1]] = small.reshape(-1, n, n)
-    check_density_stack(out)
+    out[:, sub[0], sub[1]] = small
     return out
 
 

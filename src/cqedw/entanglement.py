@@ -286,6 +286,8 @@ def three_tangle_mixed(
     lam, vec = np.linalg.eigh(rho.entries)
     keep = lam > EIGENVALUE_CUTOFF * lam.max()
     lam, vec = lam[keep], vec[:, keep]
+    # rho_kk = 0 puts e_k in the kernel of a PSD rho; eigh leaves ~1e-17 there
+    vec[np.diag(rho.entries).real == 0] = 0.0
     r = lam.size
     wtil = (np.sqrt(lam)[None, :] * vec).T  # (r, 8)
 

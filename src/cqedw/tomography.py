@@ -115,18 +115,22 @@ class TomographySet:
     ``design`` is the operators expanded in the 64 Pauli strings (identity
     first), D[n, k] = Tr(P_k O_n) / 8, so noiseless outcomes are
     ``design @ pauli_set(rho)``.  It is computed once, when the set is made,
-    and read by simulation, inversion and the completeness check.
+    and read by simulation, inversion and the completeness check.  So is one
+    SVD of its traceless block ``design[:, 1:]``, from which both the rank
+    and the pseudo-inverse are derived.
     """
 
     operators: tuple[np.ndarray, ...]
     labels: tuple[tuple[str, str, str], ...]  # per-qubit rotation labels (A, B, C)
     readout: ReadoutOperator
     design: np.ndarray = field(init=False, repr=False, compare=False)
+    _svd: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         design = np.einsum("kij,nji->nk", PAULI_STACK, np.stack(self.operators)).real / 8.0
         design.setflags(write=False)
         object.__setattr__(self, "design", design)
+        object.__setattr__(self, "_svd", np.linalg.svd(design[:, 1:], full_matrices=False))
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -135,16 +139,22 @@ class TomographySet:
         """Rank of the design with the trace row e_0 appended (64 when complete).
 
         Tr(rho) = 1 is not measured but pins the identity component.  The row
-        e_0 always adds exactly one dimension to the traceless block.
+        e_0 always adds exactly one dimension to the traceless block, whose
+        rank counts its singular values above 1e-9.
         """
-        return int(np.linalg.matrix_rank(self.design[:, 1:], tol=1e-9)) + 1
+        return int(np.count_nonzero(self._svd[1] > 1e-9)) + 1
 
     @cached_property
     def _traceless_pinv(self) -> np.ndarray:
-        """Pseudo-inverse of ``design[:, 1:]``, computed on first use."""
+        """Pseudo-inverse of ``design[:, 1:]``, computed on first use.
+
+        It is ``np.linalg.pinv``'s product V diag(1/s) U^T on the stored SVD;
+        a complete set keeps every singular value.
+        """
         if self.completeness_rank() != 64:
             raise IncompleteReadoutError("design matrix is rank deficient")
-        return np.linalg.pinv(self.design[:, 1:])
+        u, s, vt = self._svd
+        return vt.T @ ((1.0 / s)[:, None] * u.T)
 
 
 def _conjugated(readout: ReadoutOperator, labels: tuple[str, str, str]) -> np.ndarray:

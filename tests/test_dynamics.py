@@ -10,6 +10,8 @@ from cqedw import protocols
 from cqedw.device import G_RAD_PER_PI_MHZ, equal_coupling_system, paper_system
 from cqedw.dynamics import (
     CollapseOperator,
+    _hermitian_basis,
+    _lindblad_generator,
     _reachable,
     build_hamiltonian,
     collapse_operators,
@@ -219,6 +221,18 @@ def test_lindblad_restricted_matches_full_space_expm():
         assert abs(np.trace(out.entries).real - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 24])
+def test_hermitian_basis_orthonormal_and_round_trips(n):
+    b = _hermitian_basis(n)
+    assert np.abs(b.conj().T @ b - np.eye(n * n)).max() <= 1e-15
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = g + g.conj().T
+    coords = b.conj().T @ a.reshape(-1)
+    assert np.abs(coords.imag).max() <= 1e-15 * np.abs(a).max()
+    assert np.abs((b @ coords.real).reshape(n, n) - a).max() <= 1e-15 * np.abs(a).max()
+
+
 def test_lindblad_positivity():
     cfg = paper_system(photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
@@ -402,6 +416,23 @@ def test_lindblad_invariants_on_random_devices(g, delta, amps, boost):
         n_now = expectation(n_op, rho)
         assert n_now <= n_prev + 1e-12
         n_prev = n_now
+
+
+@settings(max_examples=20, deadline=None)
+@given(g=couplings_mhz, delta=detunings_mhz, boost=st.floats(1.0, 1e3))
+def test_lindblad_generator_real_in_hermitian_basis(g, delta, boost):
+    # the devices and boosted rates of the invariants test, from one excitation
+    # (5 reachable states) and from full support (all 16)
+    cfg = random_device(g)
+    spec = cfg.spec
+    h = build_hamiltonian(cfg, 2 * np.pi * 1e6 * np.array(delta))
+    cs = [CollapseOperator(c.matrix, c.rate * boost) for c in collapse_operators(cfg)]
+    mixed = DensityMatrix(np.eye(spec.dim, dtype=complex) / spec.dim, spec)
+    for rho, n in ((basis_ket(spec, [], 1).density_matrix(), 5), (mixed, spec.dim)):
+        keep, gen = _lindblad_generator(rho, h, cs)
+        assert keep.sum() == n
+        b = _hermitian_basis(n)
+        assert np.abs((b.conj().T @ gen @ b).imag).max() <= 1e-12 * np.abs(gen).max()
 
 
 @settings(max_examples=20, deadline=None)

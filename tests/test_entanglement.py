@@ -251,6 +251,17 @@ def test_tangle_mixed_on_benchmark_certify_inputs():
     assert three_tangle_mixed(noisy, seed=3).value == 0.0
 
 
+def test_tangle_mixed_exactly_zero_on_single_excitation_support():
+    # every pure state in span{|000>, |001>, |010>, |100>} has zero tangle;
+    # rho_kk = 0 on the other basis states puts them in rho's kernel, so each
+    # decomposition vector vanishes there exactly and the bound is exactly 0
+    support = np.ix_([0, 1, 2, 4], [0, 1, 2, 4])
+    for seed in range(12):
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[support] = random_density(HilbertSpec(2, 0), np.random.default_rng(seed)).entries
+        assert three_tangle_mixed(DensityMatrix(rho, QUBIT_SPEC_3)).value == 0.0
+
+
 def ghz_w_roof(p: float) -> float:
     """Exact convex-roof tangle of p GHZ + (1 - p) W (Lohmayer, Osterloh,
     Siewert, Uhlmann, PRL 97, 260502 (2006))."""

@@ -65,6 +65,21 @@ def test_tomography_set_rank(tset):
     assert np.linalg.matrix_rank(tset.design, tol=1e-9) == 63
 
 
+def test_one_svd_per_set_gives_rank_and_pinv(w_rho, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    tset = tomography_set(build_readout(DEFAULT_READOUT_COEFFICIENTS))
+    tset.completeness_rank()
+    linear_inversion(expectation_values(w_rho, tset), tset)
+    linear_inversion(expectation_values(w_rho, tset), tset)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # the same rank and, bit for bit, the same pseudo-inverse as numpy's own
+    assert tset.completeness_rank() == np.linalg.matrix_rank(tset.design[:, 1:], tol=1e-9) + 1
+    assert np.array_equal(tset._traceless_pinv, np.linalg.pinv(tset.design[:, 1:]))
+
+
 def reference_design(tset):
     """D[n, k] = Tr(P_k O_n) / 8, one scalar trace per entry."""
     return np.array(
