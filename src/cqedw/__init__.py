@@ -25,7 +25,6 @@ from .device import (  # noqa: F401
 from .hilbert import (  # noqa: F401
     DensityMatrix,
     HilbertSpec,
-    OperatorMatrix,
     QuantumState,
     basis_ket,
     ket_from_label,

@@ -264,9 +264,7 @@ def _prepare_state(run: Run, state, phase_correct, source_qubit=None):
         rho = protocols.prepare_w_sequential(run.device, noise=run.noise)
     info = {"state": state, "noise": run.noise}
     if phase_correct:
-        rho, angles = protocols.apply_phase_correction(
-            rho, entanglement.TargetState.w_paper().vector
-        )
+        rho, angles = protocols.apply_phase_correction(rho, entanglement.W_PAPER)
         info["phase_correction_angles_rad"] = [float(a) for a in angles]
     return rho, info
 
@@ -288,9 +286,8 @@ def _rabi_scan(run: Run, participating, tau_grid_ns, tau_start_ns, tau_stop_ns, 
 def _w_state(run: Run, **prep) -> list[str]:
     rho, info = _prepare_state(run, **prep)
     _write_json(run.out / "rho.json", rho_to_json(rho))
-    target = entanglement.TargetState.w_paper()
     info.update(
-        fidelity_w=entanglement.fidelity(rho, target),
+        fidelity_w=entanglement.fidelity(rho, entanglement.W_PAPER),
         witness=entanglement.witness_value(rho),
     )
     _write_json(run.out / "summary.json", info)
@@ -311,7 +308,7 @@ def _tomography(run: Run, sigma, readout_coefficients, **prep) -> list[str]:
     info.update(
         sigma=sigma,
         fidelity_to_truth=entanglement.uhlmann_fidelity(result.rho, rho_true),
-        fidelity_w=entanglement.fidelity(result.rho, entanglement.TargetState.w_paper()),
+        fidelity_w=entanglement.fidelity(result.rho, entanglement.W_PAPER),
         eigenvalue_shift=result.eigenvalue_shift,
         residual_norm=result.residual_norm,
     )

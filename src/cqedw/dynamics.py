@@ -35,7 +35,6 @@ from .device import SystemConfig, decoherence_rates
 from .errors import ConfigError, NumericalError
 from .hilbert import (
     DensityMatrix,
-    OperatorMatrix,
     QuantumState,
     check_density_stack,
     check_ket_stack,
@@ -45,7 +44,7 @@ from .hilbert import (
 
 @dataclass(frozen=True)
 class CollapseOperator:
-    matrix: OperatorMatrix
+    matrix: np.ndarray  # (d, d) jump operator
     rate: float  # 1/s
 
     def __post_init__(self):
@@ -57,13 +56,14 @@ def build_hamiltonian(
     config: SystemConfig,
     detunings: Sequence[float],
     coupled: Sequence[int] | None = None,
-) -> OperatorMatrix:
+) -> np.ndarray:
     """Rotating-frame Hamiltonian H/hbar (rad/s) for fixed per-qubit detunings (rad/s).
 
     ``coupled`` restricts the exchange terms to a subset of qubits; the
     default couples everyone.  A qubit outside the set is propagated in the
     far-detuned limit: its detuning term (exact dynamic phase) stays, its
-    exchange with the mode is dropped.
+    exchange with the mode is dropped.  The result is a read-only (d, d)
+    complex array; the propagators check its Hermiticity.
     """
     spec = config.spec
     detunings = np.asarray(detunings, dtype=float)
@@ -73,10 +73,11 @@ def build_hamiltonian(
     ops = operator_table(spec)
     total = 0
     for j, q in enumerate(config.qubits):
-        total = total + 0.5 * detunings[j] * ops.sigma_z[j].entries
+        total = total + 0.5 * detunings[j] * ops.sigma_z[j]
         if j in coupled_set:
-            total = total + q.coupling_g * ops.exchange[j].entries
-    return OperatorMatrix(total, spec, hermitian=True)
+            total = total + q.coupling_g * ops.exchange[j]
+    total.setflags(write=False)
+    return total
 
 
 def collapse_operators(config: SystemConfig) -> list[CollapseOperator]:
@@ -92,15 +93,15 @@ def collapse_operators(config: SystemConfig) -> list[CollapseOperator]:
     return channels
 
 
-def _check_hermitian(h: OperatorMatrix):
-    dev = np.abs(h.entries - h.entries.conj().T).max()
-    scale = max(1.0, np.abs(h.entries).max())
+def _check_hermitian(h: np.ndarray):
+    dev = np.abs(h - h.conj().T).max()
+    scale = max(1.0, np.abs(h).max())
     if dev > 1e-9 * scale:
         raise NumericalError(f"Hamiltonian is not Hermitian (deviation {dev})")
 
 
 def evolve_unitary_stack(
-    state: QuantumState, h: OperatorMatrix, times: Sequence[float]
+    state: QuantumState, h: np.ndarray, times: Sequence[float]
 ) -> np.ndarray:
     """Amplitudes of exp(-i H t) psi for every t in ``times``, a (T, d) stack.
 
@@ -110,7 +111,7 @@ def evolve_unitary_stack(
     unchanged.  Each row is checked by ``check_ket_stack``.
     """
     _check_hermitian(h)
-    w, v = np.linalg.eigh(h.entries)
+    w, v = np.linalg.eigh(h)
     times = np.asarray(times, dtype=float).reshape(-1)
     phased = np.exp(-1j * np.outer(times, w)) * (v.conj().T @ state.amplitudes)
     amps = (v @ phased[:, :, None])[:, :, 0]
@@ -119,7 +120,7 @@ def evolve_unitary_stack(
     return amps
 
 
-def evolve_unitary(state: QuantumState, h: OperatorMatrix, t: float) -> QuantumState:
+def evolve_unitary(state: QuantumState, h: np.ndarray, t: float) -> QuantumState:
     """Propagate a pure state by exp(-i H t): the one-time case of :func:`evolve_unitary_stack`."""
     return QuantumState(evolve_unitary_stack(state, h, [t])[0], state.spec)
 
@@ -163,7 +164,7 @@ def _hermitian_basis(n: int) -> np.ndarray:
 
 
 def _lindblad_generator(
-    rho: DensityMatrix, h: OperatorMatrix, collapse: Sequence[CollapseOperator]
+    rho: DensityMatrix, h: np.ndarray, collapse: Sequence[CollapseOperator]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The reachable-state mask of rho and the row-major vectorized Lindblad generator on it.
 
@@ -178,14 +179,14 @@ def _lindblad_generator(
     25 x 25 instead of 576 x 576.
     """
     _check_hermitian(h)
-    ls = np.array([np.sqrt(c.rate) * c.matrix.entries for c in collapse if c.rate > 0])
-    ls = ls.reshape(-1, *h.entries.shape)  # (channels, dim, dim), also with no channel
+    ls = np.array([np.sqrt(c.rate) * c.matrix for c in collapse if c.rate > 0])
+    ls = ls.reshape(-1, *h.shape)  # (channels, dim, dim), also with no channel
     decay = np.swapaxes(ls.conj(), -1, -2) @ ls
-    keep = _reachable(rho.entries, [h.entries, *ls, *decay])
+    keep = _reachable(rho.entries, [h, *ls, *decay])
     sub = np.ix_(keep, keep)
     n = int(keep.sum())
     eye = np.eye(n)
-    h_eff = h.entries[sub] - 0.5j * decay.sum(axis=0)[sub]
+    h_eff = h[sub] - 0.5j * decay.sum(axis=0)[sub]
     ls = ls[:, keep][:, :, keep]
     gen = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
     gen += np.einsum("kij,kab->iajb", ls, ls.conj()).reshape(n * n, n * n)
@@ -194,7 +195,7 @@ def _lindblad_generator(
 
 def evolve_lindblad_stack(
     rho: DensityMatrix,
-    h: OperatorMatrix,
+    h: np.ndarray,
     collapse: Sequence[CollapseOperator],
     times: Sequence[float],
 ) -> np.ndarray:
@@ -235,7 +236,7 @@ def evolve_lindblad_stack(
 
 def evolve_lindblad(
     rho: DensityMatrix,
-    h: OperatorMatrix,
+    h: np.ndarray,
     collapse: Sequence[CollapseOperator],
     t: float,
 ) -> DensityMatrix:

@@ -16,8 +16,9 @@ is amplitude-major: the rows of every restart form one (8, n) array, so
 each amplitude is a contiguous vector.  The same ``_hyperdet`` gives Det
 and its gradient there and, through a moved axis, ``tangle_quartic`` on
 (..., 8) input.  The result is the average tangle of an explicit
-decomposition, an upper bound, never a claim of the exact roof.  The descent is plain numpy; one seeded draw picks its starting
-points, so the same seed gives the same bound.
+decomposition, an upper bound, never a claim of the exact roof.  The
+descent is plain numpy; one seeded draw picks its starting points, so the
+same seed gives the same bound.
 """
 from __future__ import annotations
 
@@ -35,33 +36,12 @@ DEFAULT_THRESHOLDS = (0.1, 0.5)
 EIGENVALUE_CUTOFF = 1e-10
 
 
-@dataclass(frozen=True)
-class TargetState:
-    """A named three-qubit reference state."""
-
-    vector: QuantumState
-    label: str
-
-    @classmethod
-    def w_paper(cls) -> "TargetState":
-        """1/sqrt(3) (|g,g,e> + |g,e,g> - |e,g,g>) in |C,B,A> notation."""
-        amps = np.zeros(8, dtype=complex)
-        amps[0b001] = 1.0  # qubit A excited
-        amps[0b010] = 1.0  # qubit B excited
-        amps[0b100] = -1.0  # qubit C excited
-        return cls(QuantumState(amps / np.sqrt(3), QUBIT_SPEC_3), "W_paper")
-
-    @classmethod
-    def w_plus(cls) -> "TargetState":
-        amps = np.zeros(8, dtype=complex)
-        amps[[0b001, 0b010, 0b100]] = 1.0
-        return cls(QuantumState(amps / np.sqrt(3), QUBIT_SPEC_3), "W_plus")
-
-    @classmethod
-    def ghz(cls) -> "TargetState":
-        amps = np.zeros(8, dtype=complex)
-        amps[[0b000, 0b111]] = 1.0
-        return cls(QuantumState(amps / np.sqrt(2), QUBIT_SPEC_3), "GHZ")
+# The paper's W target, 1/sqrt(3) (|g,g,e> + |g,e,g> - |e,g,g>) in |C,B,A>
+# notation (basis index 1, 2, 4 = qubit A, B, C excited), and GHZ.
+W_PAPER = QuantumState(
+    np.array([0, 1, 1, 0, -1, 0, 0, 0], dtype=complex) / np.sqrt(3), QUBIT_SPEC_3
+)
+GHZ = QuantumState(np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=complex) / np.sqrt(2), QUBIT_SPEC_3)
 
 
 @dataclass(frozen=True)
@@ -76,13 +56,9 @@ class TangleEstimate:
             raise ConfigError(f"tangle value {self.value} outside [0, 1]")
 
 
-def _as_vector(target: Union[TargetState, QuantumState]) -> np.ndarray:
-    return (target.vector if isinstance(target, TargetState) else target).amplitudes
-
-
-def fidelity(rho: DensityMatrix, target: Union[TargetState, QuantumState]) -> float:
+def fidelity(rho: DensityMatrix, target: QuantumState) -> float:
     """State fidelity <t|rho|t> against a pure target."""
-    t = _as_vector(target)
+    t = target.amplitudes
     if t.shape[0] != rho.spec.dim:
         raise ConfigError("state and target dimensions differ")
     return float(np.real(t.conj() @ rho.entries @ t))
@@ -113,7 +89,7 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def witness_operator() -> np.ndarray:
     """The W witness 2/3 Id - |W><W| (negative expectation certifies W-type)."""
-    w = TargetState.w_paper().vector.amplitudes
+    w = W_PAPER.amplitudes
     return (2.0 / 3.0) * np.eye(8, dtype=complex) - np.outer(w, w.conj())
 
 
@@ -366,7 +342,7 @@ def certification_report(
     else:
         classification = "inconclusive"
     return {
-        "fidelity": fidelity(rho, TargetState.w_paper()),
+        "fidelity": fidelity(rho, W_PAPER),
         "witness": wit,
         "tangle_bound": estimate.value,
         "classification": classification,

@@ -186,26 +186,6 @@ class DensityMatrix:
         return float(np.einsum("ij,ji->", self.entries, self.entries).real)
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """A d x d operator, optionally flagged (and then checked) Hermitian."""
-
-    entries: np.ndarray
-    spec: HilbertSpec
-    hermitian: bool = False
-
-    def __post_init__(self):
-        mat = _readonly(np.asarray(self.entries))
-        d = self.spec.dim
-        if mat.shape != (d, d):
-            raise ConfigError(f"operator shape {mat.shape} does not match dim {d}")
-        if self.hermitian:
-            herm = np.abs(mat - mat.conj().T).max()
-            if herm > HERMITICITY_ATOL:
-                raise NumericalError(f"operator flagged Hermitian deviates by {herm}")
-        object.__setattr__(self, "entries", mat)
-
-
 def basis_ket(spec: HilbertSpec, excited: Iterable[int] = (), n_photon: int = 0) -> QuantumState:
     """Product basis state with the listed qubits excited and ``n_photon`` photons."""
     amps = np.zeros(spec.dim, dtype=complex)
@@ -225,7 +205,7 @@ def ket_from_label(spec: HilbertSpec, qubits: str, n_photon: int = 0) -> Quantum
     return basis_ket(spec, excited, n_photon)
 
 
-def embed_qubit_operator(op2: np.ndarray, qubit_index: int, spec: HilbertSpec) -> OperatorMatrix:
+def embed_qubit_operator(op2: np.ndarray, qubit_index: int, spec: HilbertSpec) -> np.ndarray:
     """Embed a single-qubit operator at ``qubit_index``, identity elsewhere.
 
     Parameters
@@ -236,7 +216,7 @@ def embed_qubit_operator(op2: np.ndarray, qubit_index: int, spec: HilbertSpec) -
 
     Returns
     -------
-    OperatorMatrix
+    (d, d) read-only complex array
         Id (x) ... (x) op2 (x) ... (x) Id (x) Id_cavity laid out per the
         package basis convention (qubit 0 fastest, cavity slowest).
     """
@@ -248,37 +228,36 @@ def embed_qubit_operator(op2: np.ndarray, qubit_index: int, spec: HilbertSpec) -
     full = np.eye(spec.cavity_dim, dtype=complex)
     for j in reversed(range(spec.num_qubits)):
         full = np.kron(full, op2 if j == qubit_index else ID2)
-    hermitian = bool(np.abs(op2 - op2.conj().T).max() <= HERMITICITY_ATOL)
-    return OperatorMatrix(full, spec, hermitian=hermitian)
+    return _readonly(full)
 
 
-def cavity_annihilation(spec: HilbertSpec) -> OperatorMatrix:
+def cavity_annihilation(spec: HilbertSpec) -> np.ndarray:
     """Annihilation operator of the mode: a|n> = sqrt(n)|n-1>, identity on qubits."""
     a = np.diag(np.sqrt(np.arange(1, spec.cavity_dim, dtype=float)), k=1).astype(complex)
-    full = np.kron(a, np.eye(2**spec.num_qubits, dtype=complex))
-    return OperatorMatrix(full, spec, hermitian=False)
+    return _readonly(np.kron(a, np.eye(2**spec.num_qubits, dtype=complex)))
 
 
-def cavity_number(spec: HilbertSpec) -> OperatorMatrix:
+def cavity_number(spec: HilbertSpec) -> np.ndarray:
     """Photon number operator a^dag a."""
-    a = cavity_annihilation(spec).entries
-    return OperatorMatrix(a.conj().T @ a, spec, hermitian=True)
+    a = cavity_annihilation(spec)
+    return _readonly(a.conj().T @ a)
 
 
 @dataclass(frozen=True)
 class OperatorTable:
-    """Operators of the dynamics and readout; per-qubit tuples are in qubit order.
+    """Operators of the dynamics and readout, each a read-only (d, d) complex array.
 
-    ``exchange[j]`` is a^dag sigma-_j + sigma+_j a.
+    Per-qubit tuples are in qubit order; ``exchange[j]`` is
+    a^dag sigma-_j + sigma+_j a.
     """
 
-    sigma_z: tuple[OperatorMatrix, ...]
-    sigma_minus: tuple[OperatorMatrix, ...]
-    exchange: tuple[OperatorMatrix, ...]
-    annihilation: OperatorMatrix
-    number: OperatorMatrix
-    excited: tuple[OperatorMatrix, ...]
-    all_ground: OperatorMatrix
+    sigma_z: tuple[np.ndarray, ...]
+    sigma_minus: tuple[np.ndarray, ...]
+    exchange: tuple[np.ndarray, ...]
+    annihilation: np.ndarray
+    number: np.ndarray
+    excited: tuple[np.ndarray, ...]
+    all_ground: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -289,11 +268,10 @@ def operator_table(spec: HilbertSpec) -> OperatorTable:
         return tuple(embed_qubit_operator(op2, j, spec) for j in range(spec.num_qubits))
 
     a = cavity_annihilation(spec)
-    a_dag = a.entries.conj().T
+    a_dag = a.conj().T
     sigma_minus = embed(SIGMA_MINUS)
     exchange = tuple(
-        OperatorMatrix(a_dag @ sm.entries + sp.entries @ a.entries, spec, hermitian=True)
-        for sm, sp in zip(sigma_minus, embed(SIGMA_PLUS))
+        _readonly(a_dag @ sm + sp @ a) for sm, sp in zip(sigma_minus, embed(SIGMA_PLUS))
     )
     ground = np.arange(spec.dim) % 2**spec.num_qubits == 0  # every qubit bit is 0
     return OperatorTable(
@@ -303,7 +281,7 @@ def operator_table(spec: HilbertSpec) -> OperatorTable:
         annihilation=a,
         number=cavity_number(spec),
         excited=embed(PROJ_EXCITED),
-        all_ground=OperatorMatrix(np.diag(ground), spec, hermitian=True),
+        all_ground=_readonly(np.diag(ground)),
     )
 
 
@@ -344,32 +322,19 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[Union[int, str]]) -> Densit
     return DensityMatrix(reduced, new_spec)
 
 
-def expectation_stack(op: OperatorMatrix, stack: np.ndarray) -> np.ndarray:
+def expectation_stack(op: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """<psi_t|op|psi_t> for each row of a (T, d) stack, or Tr(op rho_t) for a (T, d, d) one.
 
-    For a Hermitian operator each imaginary part is checked to vanish within
-    IMAG_ATOL and the real parts are returned; otherwise the complex values.
+    ``op`` is a Hermitian (d, d) operator: each imaginary part is checked to
+    vanish within IMAG_ATOL, and the real parts are returned.
     """
-    if stack.shape[-1] != op.spec.dim:
+    if stack.shape[-1] != op.shape[0]:
         raise ConfigError("operator and state live on different spaces")
     if stack.ndim == 2:
-        vals = np.einsum("ti,ti->t", stack.conj(), stack @ op.entries.T)
+        vals = np.einsum("ti,ti->t", stack.conj(), stack @ op.T)
     else:
-        vals = np.einsum("ij,tji->t", op.entries, stack)
-    if not op.hermitian:
-        return vals
+        vals = np.einsum("ij,tji->t", op, stack)
     where, imag = _worst(np.abs(vals.imag), "expectation")
     if imag > IMAG_ATOL:
         raise NumericalError(f"Hermitian {where} has imaginary part {imag}")
     return vals.real
-
-
-def expectation(op: OperatorMatrix, state: Union[DensityMatrix, QuantumState]):
-    """Tr(op rho) (or <psi|op|psi>): the stack of one of :func:`expectation_stack`.
-
-    Raises on mismatched dimensions; a Hermitian operator gives a float, any
-    other a complex value.
-    """
-    data = state.amplitudes if isinstance(state, QuantumState) else state.entries
-    val = expectation_stack(op, data[None])[0]
-    return float(val) if op.hermitian else complex(val)

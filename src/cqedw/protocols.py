@@ -1,9 +1,10 @@
 """Pulse schedules for the vacuum Rabi and W-state experiments.
 
-A schedule is an ordered list of piecewise-constant segments; each segment
-holds the realized per-qubit detunings (rad/s, after crosstalk) and an
-optional list of instantaneous single-qubit rotations applied at the
-segment start.  Flux pulses are ideal rectangles.
+A schedule is an initial state and an ordered list of piecewise-constant
+segments; each segment holds the realized per-qubit detunings (rad/s,
+after crosstalk).  The one microwave pulse of every experiment, an ideal
+x-axis pi pulse on the source qubit of |g...g,0>, is folded into the
+initial state.  Flux pulses are ideal rectangles.
 
 Crosstalk acts on commanded detuning *changes* relative to the steady-state
 bias: a segment that parks qubit j at target detuning d_j is compiled as
@@ -45,8 +46,6 @@ from .hilbert import (
     qubit_rotation,
 )
 
-Rotation = tuple[int, str, float]  # (qubit index, axis, angle)
-
 
 @dataclass(frozen=True)
 class ScheduleSegment:
@@ -60,7 +59,6 @@ class ScheduleSegment:
 
     duration: float  # s
     detunings: np.ndarray  # realized per-qubit detunings, rad/s
-    boundary_rotations: tuple[Rotation, ...] = ()
     coupled: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -69,7 +67,6 @@ class ScheduleSegment:
         d = np.array(self.detunings, dtype=float, copy=True)
         d.setflags(write=False)
         object.__setattr__(self, "detunings", d)
-        object.__setattr__(self, "boundary_rotations", tuple(self.boundary_rotations))
         if self.coupled is not None:
             object.__setattr__(self, "coupled", tuple(sorted(self.coupled)))
 
@@ -125,16 +122,15 @@ def _realized_detunings(config: SystemConfig, resonant: Iterable[int]) -> np.nda
     return bias + apply_crosstalk(target - bias, config.crosstalk)
 
 
-def _segment(
-    config: SystemConfig,
-    resonant: Iterable[int],
-    duration: float,
-    rotations: Sequence[Rotation] = (),
-) -> ScheduleSegment:
+def _segment(config: SystemConfig, resonant: Iterable[int], duration: float) -> ScheduleSegment:
     resonant = tuple(resonant)
-    return ScheduleSegment(
-        duration, _realized_detunings(config, resonant), tuple(rotations), coupled=resonant
-    )
+    return ScheduleSegment(duration, _realized_detunings(config, resonant), coupled=resonant)
+
+
+def _pi_pulsed(spec: HilbertSpec, qubit: int) -> QuantumState:
+    """|g...g,0> after an ideal x-axis pi pulse on ``qubit``."""
+    u = embed_qubit_operator(qubit_rotation("x", np.pi), qubit, spec)
+    return QuantumState(u @ basis_ket(spec).amplitudes, spec)
 
 
 def _run_segment(
@@ -143,14 +139,7 @@ def _run_segment(
     state: Union[QuantumState, DensityMatrix],
     collapse: Sequence[CollapseOperator] | None,
 ) -> Union[QuantumState, DensityMatrix]:
-    """Boundary rotations, then the segment's evolution; ``collapse=None`` is closed-system."""
-    spec = config.spec
-    for qubit, axis, angle in seg.boundary_rotations:
-        u = embed_qubit_operator(qubit_rotation(axis, angle), qubit, spec).entries
-        if collapse is None:
-            state = QuantumState(u @ state.amplitudes, spec)
-        else:
-            state = DensityMatrix(u @ state.entries @ u.conj().T, spec)
+    """The segment's evolution; ``collapse=None`` is closed-system."""
     if seg.duration == 0:
         return state
     h = build_hamiltonian(config, seg.detunings, coupled=seg.coupled)
@@ -198,8 +187,9 @@ def single_photon_schedule(
 ) -> PulseSchedule:
     """Pi-pulse on the source qubit at bias, then a resonant swap segment.
 
-    The default transfer duration pi / (2 |g_source|) moves the full
-    excitation into the cavity.
+    The pulsed ket is the schedule's initial state and the swap its one
+    segment.  The default transfer duration pi / (2 |g_source|) moves the
+    full excitation into the cavity.
     """
     n = config.spec.num_qubits
     if not 0 <= source_qubit < n:
@@ -208,11 +198,8 @@ def single_photon_schedule(
         raise ConfigError("photon cutoff must be >= 1 to host the photon")
     g = abs(config.qubits[source_qubit].coupling_g)
     tau0 = np.pi / (2 * g) if transfer_duration is None else transfer_duration
-    segments = (
-        _segment(config, (), 0.0, [(source_qubit, "x", np.pi)]),
-        _segment(config, (source_qubit,), tau0),
-    )
-    return PulseSchedule(segments, basis_ket(config.spec))
+    segments = (_segment(config, (source_qubit,), tau0),)
+    return PulseSchedule(segments, _pi_pulsed(config.spec, source_qubit))
 
 
 def rabi_scan(
@@ -299,17 +286,19 @@ def sequential_swap_times(config: SystemConfig) -> tuple[float, float, float]:
 
 
 def sequential_w_schedule(config: SystemConfig) -> PulseSchedule:
-    """Sequential W preparation schedule: the C pi-pulse, then swaps C, B, A."""
+    """Sequential W preparation schedule: swaps C, B, A after the C pi-pulse.
+
+    The pulsed ket is the schedule's initial state.
+    """
     if config.spec.num_qubits != 3:
         raise ConfigError("sequential W preparation requires N=3")
     tau1, tau2, tau3 = sequential_swap_times(config)
     segments = (
-        _segment(config, (), 0.0, [(2, "x", np.pi)]),
         _segment(config, (2,), tau1),
         _segment(config, (1,), tau2),
         _segment(config, (0,), tau3),
     )
-    return PulseSchedule(segments, basis_ket(config.spec))
+    return PulseSchedule(segments, _pi_pulsed(config.spec, 2))
 
 
 def prepare_w_sequential(config: SystemConfig, noise: bool = False) -> DensityMatrix:

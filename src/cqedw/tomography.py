@@ -1,8 +1,9 @@
 """Joint-readout tomography: operator sets, noisy outcomes, reconstruction.
 
 The dispersive readout measures one diagonal observable M of the three
-qubits; rotating the qubits before measurement realizes the conjugated
-operators U^+ M U.  With per-qubit rotations drawn from {Id, Rx(pi),
+qubits, an 8 x 8 matrix from ``build_readout``; rotating the qubits before
+measurement realizes the conjugated operators U^+ M U of
+``tomography_set``.  With per-qubit rotations drawn from {Id, Rx(pi),
 Rx(pi/2), Ry(pi/2)} the 64 conjugations plus the trace constraint span the
 full Hermitian space.  The estimate is a linear least-squares solve with the
 trace pinned to 1, followed by projection of its eigenvalue vector onto the
@@ -33,12 +34,10 @@ import numpy as np
 from .errors import ConfigError, IncompleteReadoutError, NumericalError
 from .hilbert import (
     ID2,
-    QUBIT_SPEC_3,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     DensityMatrix,
-    OperatorMatrix,
     qubit_rotation,
     qubit_spec,
 )
@@ -78,19 +77,12 @@ PAULI_STACK = np.stack([pauli_matrix(l) for l in PAULI_LABELS])
 PAULI_STACK.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class ReadoutOperator:
-    """Diagonal joint-readout observable on the three-qubit space."""
+def build_readout(coefficients: Sequence[float]) -> np.ndarray:
+    """Diagonal joint-readout observable M from its 8 diagonal-Pauli coefficients.
 
-    coefficients: tuple[float, ...]
-    matrix: OperatorMatrix
-
-
-def build_readout(coefficients: Sequence[float]) -> ReadoutOperator:
-    """Readout operator from its 8 diagonal-Pauli coefficients.
-
-    The identity coefficient is a calibration offset and may vanish; every
-    other coefficient must be nonzero or the conjugated set cannot be
+    M is returned as a read-only 8 x 8 complex array.  The identity
+    coefficient is a calibration offset and may vanish; every other
+    coefficient must be nonzero or the conjugated set cannot be
     tomographically complete.
     """
     try:
@@ -105,7 +97,8 @@ def build_readout(coefficients: Sequence[float]) -> ReadoutOperator:
             f"zero coefficient on {zeros}: readout cannot span the qubit populations"
         )
     mat = sum(c * pauli_matrix(l) for c, l in zip(coeffs, DIAGONAL_LABELS))
-    return ReadoutOperator(coeffs, OperatorMatrix(mat, QUBIT_SPEC_3, hermitian=True))
+    mat.setflags(write=False)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -122,7 +115,6 @@ class TomographySet:
 
     operators: tuple[np.ndarray, ...]
     labels: tuple[tuple[str, str, str], ...]  # per-qubit rotation labels (A, B, C)
-    readout: ReadoutOperator
     design: np.ndarray = field(init=False, repr=False, compare=False)
     _svd: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
@@ -157,17 +149,20 @@ class TomographySet:
         return vt.T @ ((1.0 / s)[:, None] * u.T)
 
 
-def _conjugated(readout: ReadoutOperator, labels: tuple[str, str, str]) -> np.ndarray:
+def _conjugated(readout: np.ndarray, labels: tuple[str, str, str]) -> np.ndarray:
     la, lb, lc = labels
     u = np.kron(ROTATIONS[lc], np.kron(ROTATIONS[lb], ROTATIONS[la]))
-    return u.conj().T @ readout.matrix.entries @ u
+    return u.conj().T @ readout @ u
 
 
-def tomography_set(readout: ReadoutOperator) -> TomographySet:
-    """All 64 rotation triples; raises if the set is rank-deficient."""
+def tomography_set(readout: np.ndarray) -> TomographySet:
+    """The readout M of :func:`build_readout` under all 64 rotation triples.
+
+    Raises if the set is rank-deficient.
+    """
     labels = tuple(itertools.product(FULL_ROTATION_LABELS, repeat=3))
     ops = tuple(_conjugated(readout, l) for l in labels)
-    tset = TomographySet(ops, labels, readout)
+    tset = TomographySet(ops, labels)
     rank = tset.completeness_rank()
     if rank != 64:
         raise IncompleteReadoutError(f"tomography set has rank {rank}, expected 64")

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from cqedw.device import paper_system
-from cqedw.hilbert import QUBIT_SPEC_3, DensityMatrix, HilbertSpec, QuantumState  # noqa: F401
+from cqedw.hilbert import (  # noqa: F401
+    QUBIT_SPEC_3,
+    DensityMatrix,
+    HilbertSpec,
+    QuantumState,
+    expectation_stack,
+)
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +19,18 @@ def paper_config():
 @pytest.fixture(scope="session")
 def paper_config_n1():
     return paper_system(photon_cutoff=1)
+
+
+def w_plus() -> QuantumState:
+    """(|g,g,e> + |g,e,g> + |e,g,g>)/sqrt(3), the W state of equal signs."""
+    amps = np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=complex)
+    return QuantumState(amps / np.sqrt(3), QUBIT_SPEC_3)
+
+
+def expectation(op: np.ndarray, state) -> float:
+    """<op> of one QuantumState or DensityMatrix: a stack of one for ``expectation_stack``."""
+    data = state.amplitudes if isinstance(state, QuantumState) else state.entries
+    return float(expectation_stack(op, data[None])[0])
 
 
 def random_pure(spec: HilbertSpec, rng) -> QuantumState:

@@ -10,7 +10,8 @@ from cqedw import analysis, tomography
 from cqedw.device import equal_coupling_system, paper_system, transmon_frequency
 from cqedw.dynamics import build_hamiltonian, evolve_unitary, single_excitation_oracle
 from cqedw.entanglement import (
-    TargetState,
+    GHZ,
+    W_PAPER,
     decomposition_average_tangle,
     fidelity,
     three_tangle_mixed,
@@ -110,14 +111,14 @@ def test_criterion_05_oracle_equivalence():
 
 def test_criterion_06_ideal_w_preparation():
     cfg = paper_system()
-    target = TargetState.w_paper()
+    target = W_PAPER
     tau_w = collective_interaction_time(cfg)
     assert np.isclose(tau_w * 1e9, 2.641, atol=0.001)  # hardware quoted 2.9 ns
     taus = np.array(sequential_swap_times(cfg)) * 1e9
     assert np.allclose(taus, [2.725, 2.256, 4.744], atol=0.001)
 
-    f_c = fidelity(apply_phase_correction(prepare_w_collective(cfg), target.vector)[0], target)
-    f_s = fidelity(apply_phase_correction(prepare_w_sequential(cfg), target.vector)[0], target)
+    f_c = fidelity(apply_phase_correction(prepare_w_collective(cfg), target)[0], target)
+    f_s = fidelity(apply_phase_correction(prepare_w_sequential(cfg), target)[0], target)
     assert f_c > 0.999 and f_s > 0.999
     _ok(6, f"ideal W fidelities: collective {f_c:.5f}, sequential {f_s:.5f} (>0.999)")
 
@@ -125,9 +126,9 @@ def test_criterion_06_ideal_w_preparation():
 def test_criterion_07_decoherence_ceilings():
     start = time.time()
     cfg = paper_system()
-    target = TargetState.w_paper()
-    rho_c, _ = apply_phase_correction(prepare_w_collective(cfg, noise=True), target.vector)
-    rho_s, _ = apply_phase_correction(prepare_w_sequential(cfg, noise=True), target.vector)
+    target = W_PAPER
+    rho_c, _ = apply_phase_correction(prepare_w_collective(cfg, noise=True), target)
+    rho_s, _ = apply_phase_correction(prepare_w_sequential(cfg, noise=True), target)
     f_c = fidelity(rho_c, target)
     f_s = fidelity(rho_s, target)
     assert abs(f_c - 0.97) <= 0.03
@@ -140,17 +141,17 @@ def test_criterion_07_decoherence_ceilings():
 
 def test_criterion_08_crosstalk_asymmetry():
     cfg = paper_system(crosstalk_epsilon=0.02)
-    target = TargetState.w_paper()
-    f_c = fidelity(apply_phase_correction(prepare_w_collective(cfg), target.vector)[0], target)
-    f_s = fidelity(apply_phase_correction(prepare_w_sequential(cfg), target.vector)[0], target)
+    target = W_PAPER
+    f_c = fidelity(apply_phase_correction(prepare_w_collective(cfg), target)[0], target)
+    f_s = fidelity(apply_phase_correction(prepare_w_sequential(cfg), target)[0], target)
     assert f_c < f_s
     # hardware values 78%/91% are annotations only (crosstalk magnitudes unpublished)
     _ok(8, f"crosstalk asymmetry: collective {f_c:.3f} < sequential {f_s:.3f}")
 
 
 def test_criterion_09_tomography_pipeline():
-    target = TargetState.w_paper()
-    rho_w = target.vector.density_matrix()
+    target = W_PAPER
+    rho_w = target.density_matrix()
     tset = tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
 
     recs = tomography.simulate_measurements(rho_w, tset, 0.0, 0)
@@ -192,17 +193,17 @@ def test_criterion_09_tomography_pipeline():
 
 
 def test_criterion_10_certification_identities():
-    target = TargetState.w_paper()
+    target = W_PAPER
     rng = np.random.default_rng(3)
     for _ in range(20):
         rho = random_density(QUBIT_SPEC_3, rng)
         assert abs(witness_value(rho) - (2 / 3 - fidelity(rho, target))) < 1e-14
-    assert abs(witness_value(target.vector.density_matrix()) + 1 / 3) < 1e-12
+    assert abs(witness_value(target.density_matrix()) + 1 / 3) < 1e-12
 
     ground = np.zeros(8)
     ground[0] = 1.0
     rho_078 = DensityMatrix(
-        0.78 * target.vector.density_matrix().entries + 0.22 * np.outer(ground, ground),
+        0.78 * target.density_matrix().entries + 0.22 * np.outer(ground, ground),
         QUBIT_SPEC_3,
     )
     wit = witness_value(rho_078)
@@ -215,15 +216,15 @@ def test_criterion_10_certification_identities():
 
 
 def test_criterion_11_tangle():
-    ghz = three_tangle_pure(TargetState.ghz().vector).value
-    w = three_tangle_pure(TargetState.w_paper().vector).value
+    ghz = three_tangle_pure(GHZ).value
+    w = three_tangle_pure(W_PAPER).value
     assert abs(ghz - 1.0) < 1e-6
     assert w < 1e-10
 
     # upper bound on constructed mixtures
     rng = np.random.default_rng(5)
-    ghz_v = TargetState.ghz().vector.amplitudes
-    w_v = TargetState.w_paper().vector.amplitudes
+    ghz_v = GHZ.amplitudes
+    w_v = W_PAPER.amplitudes
     mix = DensityMatrix(
         0.5 * np.outer(ghz_v, ghz_v.conj()) + 0.5 * np.outer(w_v, w_v.conj()), QUBIT_SPEC_3
     )
@@ -237,8 +238,8 @@ def test_criterion_11_tangle():
             assert est.value <= decomposition_average_tangle(v @ wtil) + 1e-8
 
     cfg = paper_system()
-    target = TargetState.w_paper()
-    noisy, _ = apply_phase_correction(prepare_w_collective(cfg, noise=True), target.vector)
+    target = W_PAPER
+    noisy, _ = apply_phase_correction(prepare_w_collective(cfg, noise=True), target)
     bound = three_tangle_mixed(noisy, seed=2).value
     assert bound < 0.1  # W-class verdict; hardware estimate was 0.06
     _ok(11, f"tangle(GHZ) = {ghz:.8f}, tangle(W) = {w:.1e}; mixed bound valid; "

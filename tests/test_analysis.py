@@ -77,11 +77,14 @@ def test_fit_ideal_single_qubit_trace():
     assert abs(rep.frequency - 105.4e6) / 105.4e6 < 0.005
 
 
-def test_sqrtn_regression_quoted_hardware_frequencies():
-    # measured oscillation frequencies 112.0, 161.8, 195.2 MHz
-    ratios = (161.8 / 112.0) ** 2, (195.2 / 112.0) ** 2
-    assert abs(ratios[0] - 2.09) < 0.005
-    assert abs(ratios[1] - 3.04) < 0.005
+def test_fit_of_hardware_frequencies_gives_quoted_squared_ratios():
+    # the measured one-, two- and three-qubit oscillations at 112.0, 161.8 and
+    # 195.2 MHz, sampled as the scans are; the quoted squared ratios are 2.09 and 3.04
+    t = np.linspace(0, 20e-9, 81)
+    f1, f2, f3 = (fit_damped_sinusoid(t, np.cos(2 * np.pi * f * t)).frequency
+                  for f in (112.0e6, 161.8e6, 195.2e6))
+    assert abs((f2 / f1) ** 2 - 2.09) < 0.005
+    assert abs((f3 / f1) ** 2 - 3.04) < 0.005
 
 
 def _noisy_collective_trace():

@@ -100,7 +100,7 @@ def test_run_malformed_config_exits_2(tmp_path, capsys):
     assert run_cli("run", "--config", bad) == 2
     assert not (tmp_path / "out").exists()
 
-    w = entanglement.TargetState.w_paper().vector.density_matrix()
+    w = entanglement.W_PAPER.density_matrix()
     rho_path = tmp_path / "w.json"
     rho_path.write_text(json.dumps(rho_to_json(w)))
     for params in (
@@ -289,7 +289,7 @@ def test_run_w_collective_and_certify(tmp_path):
 
 
 def test_certify_ideal_w_file(tmp_path):
-    w = entanglement.TargetState.w_paper().vector.density_matrix()
+    w = entanglement.W_PAPER.density_matrix()
     path = tmp_path / "w.json"
     path.write_text(json.dumps(rho_to_json(w)))
     assert run_cli("certify", path, "--out", tmp_path, "--quiet") == 0
@@ -300,7 +300,7 @@ def test_certify_ideal_w_file(tmp_path):
 
 
 def test_certify_as_run_experiment(tmp_path):
-    w = entanglement.TargetState.w_paper().vector.density_matrix()
+    w = entanglement.W_PAPER.density_matrix()
     rho_path = tmp_path / "w.json"
     rho_path.write_text(json.dumps(rho_to_json(w)))
     cfg_path = tmp_path / "cfg.json"
@@ -322,13 +322,13 @@ def test_certify_rejects_invalid_file(tmp_path):
     assert run_cli("certify", bad, "--out", tmp_path) == 2
     bad.write_text(json.dumps({"dim": 0, "real": [], "imag": []}))
     assert run_cli("certify", bad, "--out", tmp_path) == 2
-    w = rho_to_json(entanglement.TargetState.w_paper().vector.density_matrix())
+    w = rho_to_json(entanglement.W_PAPER.density_matrix())
     w["real"][9] = float("nan")  # json writes NaN, and json.loads reads it back
     bad.write_text(json.dumps(w))
     assert run_cli("certify", bad, "--out", tmp_path) == 2
 
     # a negative seed, on a mixed state and on the rank-1 path that draws no noise
-    w = entanglement.TargetState.w_paper().vector.density_matrix()
+    w = entanglement.W_PAPER.density_matrix()
     mixed = rho_to_json(DensityMatrix(0.9 * w.entries + 0.1 * np.eye(8) / 8, w.spec))
     for rho in (mixed, rho_to_json(w)):
         bad.write_text(json.dumps(rho))
@@ -337,7 +337,7 @@ def test_certify_rejects_invalid_file(tmp_path):
 
 
 def test_rho_json_roundtrip():
-    w = entanglement.TargetState.w_paper().vector.density_matrix()
+    w = entanglement.W_PAPER.density_matrix()
     back = rho_from_json(rho_to_json(w))
     assert np.abs(back.entries - w.entries).max() < 1e-15
 
@@ -387,7 +387,7 @@ def test_noisy_tomography_raises_no_warnings(tmp_path):
 
 def test_reconstruct_missing_row_exits_2(tmp_path):
     tset = tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
-    w = entanglement.TargetState.w_paper().vector.density_matrix()
+    w = entanglement.W_PAPER.density_matrix()
     text = tomography.records_to_csv(tomography.simulate_measurements(w, tset, 0.0, 0), tset)
     lines = text.strip().split("\n")
     path = tmp_path / "records.csv"

@@ -27,14 +27,12 @@ from cqedw.hilbert import (
     SIGMA_Z,
     DensityMatrix,
     HilbertSpec,
-    OperatorMatrix,
     QuantumState,
     basis_ket,
     cavity_number,
     embed_qubit_operator,
-    expectation,
 )
-from conftest import random_pure
+from conftest import expectation, random_pure
 
 
 def single_excitation_indices(spec):
@@ -42,15 +40,15 @@ def single_excitation_indices(spec):
 
 
 def excitation_number(spec):
-    n_exc = cavity_number(spec).entries.copy()
+    n_exc = cavity_number(spec).copy()
     for j in range(spec.num_qubits):
-        n_exc += (embed_qubit_operator(SIGMA_Z, j, spec).entries + np.eye(spec.dim)) / 2
-    return OperatorMatrix(n_exc, spec, hermitian=True)
+        n_exc += (embed_qubit_operator(SIGMA_Z, j, spec) + np.eye(spec.dim)) / 2
+    return n_exc
 
 
 def rk4_lindblad(rho, h, collapse, t, dt):
     """Fixed-step RK4 on the full-space Lindblad equation, an independent reference."""
-    ls = [np.sqrt(c.rate) * c.matrix.entries for c in collapse]
+    ls = [np.sqrt(c.rate) * c.matrix for c in collapse]
     acc = sum((l.conj().T @ l for l in ls), np.zeros_like(h))
 
     def rhs(r):
@@ -75,7 +73,7 @@ def full_space_expm(rho, h, collapse, t):
     eye = np.eye(h.shape[0])
     gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for c in collapse:
-        l = np.sqrt(c.rate) * c.matrix.entries
+        l = np.sqrt(c.rate) * c.matrix
         d = l.conj().T @ l
         gen += np.kron(l, l.conj()) - 0.5 * (np.kron(d, eye) + np.kron(eye, d.T))
     return (scipy.linalg.expm(gen * t) @ rho.reshape(-1)).reshape(rho.shape)
@@ -106,7 +104,7 @@ def test_build_hamiltonian_matches_kron_reference():
     for cutoff in (1, 2):
         cfg = paper_system(photon_cutoff=cutoff)
         for coupled in (None, (0, 2), ()):
-            h = build_hamiltonian(cfg, detunings, coupled=coupled).entries
+            h = build_hamiltonian(cfg, detunings, coupled=coupled)
             ref = kron_hamiltonian(cfg, detunings, coupled)
             assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max(), (cutoff, coupled)
             assert np.abs(h - h.conj().T).max() < 1e-12
@@ -117,7 +115,7 @@ def test_single_qubit_resonant_eigenvalues():
     h = build_hamiltonian(cfg, [0.0])
     g = cfg.qubits[0].coupling_g
     idx = single_excitation_indices(cfg.spec)
-    block = h.entries[np.ix_(idx, idx)]
+    block = h[np.ix_(idx, idx)]
     assert np.allclose(np.linalg.eigvalsh(block), [-g, g])
 
 
@@ -125,7 +123,7 @@ def test_three_qubit_resonant_eigenvalues_brute_force():
     cfg = paper_system(photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     idx = single_excitation_indices(cfg.spec)
-    block = h.entries[np.ix_(idx, idx)]
+    block = h[np.ix_(idx, idx)]
     eig = np.sort(np.linalg.eigvalsh(block))
     g_tot = np.sqrt((cfg.couplings() ** 2).sum())
     assert np.allclose(eig, [-g_tot, 0.0, 0.0, g_tot], atol=1e-6 * g_tot)
@@ -134,7 +132,7 @@ def test_three_qubit_resonant_eigenvalues_brute_force():
 def test_zero_couplings_hamiltonian_diagonal():
     cfg = paper_system(photon_cutoff=1)
     h = build_hamiltonian(cfg, cfg.bias_detunings(), coupled=())
-    off = h.entries - np.diag(np.diag(h.entries))
+    off = h - np.diag(np.diag(h))
     assert np.abs(off).max() == 0.0
 
 
@@ -159,7 +157,7 @@ def test_evolve_unitary_rejects_non_hermitian():
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(NumericalError):
-        evolve_unitary(basis_ket(spec, [], 0), OperatorMatrix(bad, spec), 1e-9)
+        evolve_unitary(basis_ket(spec, [], 0), bad, 1e-9)
 
 
 def test_lindblad_closed_system_matches_unitary():
@@ -174,7 +172,7 @@ def test_lindblad_closed_system_matches_unitary():
 def test_lindblad_t1_only_exponential_decay():
     cfg = equal_coupling_system(1, photon_cutoff=1)
     spec = cfg.spec
-    h = OperatorMatrix(np.zeros((spec.dim, spec.dim), dtype=complex), spec, hermitian=True)
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
     t1 = cfg.qubits[0].t1
     channel = [c for c in collapse_operators(cfg) if np.isclose(c.rate, 1 / t1)]
     rho0 = basis_ket(spec, [0], 0).density_matrix()
@@ -191,7 +189,7 @@ def test_lindblad_w_sequential_matches_fine_step_rk4(monkeypatch):
     exact = protocols.prepare_w_sequential(cfg, noise=True).entries
 
     def rk4_segment(rho, h, collapse, t):
-        return DensityMatrix(rk4_lindblad(rho.entries, h.entries, collapse, t, 2.5e-12), rho.spec)
+        return DensityMatrix(rk4_lindblad(rho.entries, h, collapse, t, 2.5e-12), rho.spec)
 
     monkeypatch.setattr(protocols, "evolve_lindblad", rk4_segment)
     reference = protocols.prepare_w_sequential(cfg, noise=True).entries
@@ -203,9 +201,7 @@ def test_lindblad_restricted_matches_full_space_expm():
     spec = cfg.spec
     h = build_hamiltonian(cfg, 2 * np.pi * np.array([30e6, -45e6, 10e6]))
     cs = collapse_operators(cfg)
-    ops = [h.entries] + [c.matrix.entries for c in cs] + [
-        c.matrix.entries.conj().T @ c.matrix.entries for c in cs
-    ]
+    ops = [h] + [c.matrix for c in cs] + [c.matrix.conj().T @ c.matrix for c in cs]
     starts = [
         # |ggg,1> reaches the three |e_j,0> and |ggg,0>
         (basis_ket(spec, [], 1).density_matrix(), 5),
@@ -216,7 +212,7 @@ def test_lindblad_restricted_matches_full_space_expm():
     for rho0, support in starts:
         assert _reachable(rho0.entries, ops).sum() == support
         out = evolve_lindblad(rho0, h, cs, t)
-        ref = full_space_expm(rho0.entries, h.entries, cs, t)
+        ref = full_space_expm(rho0.entries, h, cs, t)
         assert np.abs(out.entries - ref).max() < 1e-12
         assert abs(np.trace(out.entries).real - 1.0) < 1e-12
 
@@ -249,10 +245,10 @@ def test_lindblad_rejects_bad_inputs():
     rho0 = basis_ket(cfg.spec, [], 0).density_matrix()
     with pytest.raises(ConfigError):
         evolve_lindblad(rho0, h, [], -1e-9)
-    bad = h.entries.copy()
+    bad = h.copy()
     bad[0, 1] += 1e6
     with pytest.raises(NumericalError):
-        evolve_lindblad(rho0, OperatorMatrix(bad, cfg.spec), [], 1e-9)
+        evolve_lindblad(rho0, bad, [], 1e-9)
 
 
 def test_oracle_amplitudes_at_factorization_time():
@@ -337,10 +333,9 @@ def test_excitation_conservation():
     cfg = paper_system(photon_cutoff=2)
     spec = cfg.spec
     n_op = excitation_number(spec)
-    n_exc = n_op.entries
     h = build_hamiltonian(cfg, 2 * np.pi * np.array([5e6, -3e6, 1e6]))
-    comm = h.entries @ n_exc - n_exc @ h.entries
-    assert np.abs(comm).max() < 1e-9 * np.abs(h.entries).max()
+    comm = h @ n_op - n_op @ h
+    assert np.abs(comm).max() < 1e-9 * np.abs(h).max()
 
     rng = np.random.default_rng(17)
     psi = random_pure(spec, rng)
@@ -360,11 +355,7 @@ def test_frame_gauge_invariance():
     h1 = build_hamiltonian(cfg, delta)
     # working in the frame rotating at omega_r - c: detunings gain c and the
     # cavity term c a^dag a reappears
-    h2 = OperatorMatrix(
-        build_hamiltonian(cfg, delta + shift).entries + shift * cavity_number(spec).entries,
-        spec,
-        hermitian=True,
-    )
+    h2 = build_hamiltonian(cfg, delta + shift) + shift * cavity_number(spec)
     psi0 = basis_ket(spec, [], 1)
     for t in np.linspace(0, 9e-9, 15):
         p1 = np.abs(evolve_unitary(psi0, h1, t).amplitudes) ** 2

@@ -6,8 +6,9 @@ import pytest
 from cqedw import entanglement
 from cqedw.device import paper_system
 from cqedw.entanglement import (
+    GHZ,
+    W_PAPER,
     TangleEstimate,
-    TargetState,
     certification_report,
     decomposition_average_tangle,
     fidelity,
@@ -21,14 +22,14 @@ from cqedw.entanglement import (
 from cqedw.errors import ConfigError
 from cqedw.hilbert import DensityMatrix, HilbertSpec, QuantumState
 from cqedw.protocols import apply_phase_correction, prepare_w_collective
-from conftest import QUBIT_SPEC_3, random_density, random_pure, random_unitary
+from conftest import QUBIT_SPEC_3, random_density, random_pure, random_unitary, w_plus
 from conftest import tangle_quartic as reference_quartic
 from conftest import uhlmann_fidelity as reference_uhlmann
 
 
 def test_fidelity_examples():
-    w = TargetState.w_paper()
-    assert np.isclose(fidelity(w.vector.density_matrix(), w), 1.0)
+    w = W_PAPER
+    assert np.isclose(fidelity(w.density_matrix(), w), 1.0)
     mixed = DensityMatrix(np.eye(8) / 8, QUBIT_SPEC_3)
     assert np.isclose(fidelity(mixed, w), 1 / 8)
 
@@ -38,9 +39,9 @@ def test_uhlmann_fidelity_rank_deficient():
     rank2 = random_density(QUBIT_SPEC_3, rng, rank=2)
     assert abs(uhlmann_fidelity(rank2, rank2) - 1.0) < 1e-12
     # a pure argument reduces it to <psi|rho|psi>
-    w = TargetState.w_paper()
+    w = W_PAPER
     for rho in (rank2, random_density(QUBIT_SPEC_3, rng)):
-        assert abs(uhlmann_fidelity(rho, w.vector.density_matrix()) - fidelity(rho, w)) < 1e-12
+        assert abs(uhlmann_fidelity(rho, w.density_matrix()) - fidelity(rho, w)) < 1e-12
     for rank in (1, 2, 8):
         a = random_density(QUBIT_SPEC_3, rng, rank=rank)
         b = random_density(QUBIT_SPEC_3, rng, rank=3)
@@ -53,7 +54,7 @@ def test_uhlmann_fidelity_rank_deficient():
 
 def test_fidelity_linearity():
     rng = np.random.default_rng(3)
-    w = TargetState.w_paper()
+    w = W_PAPER
     r1 = random_density(QUBIT_SPEC_3, rng)
     r2 = random_density(QUBIT_SPEC_3, rng)
     for lam in (0.0, 0.3, 0.71, 1.0):
@@ -65,12 +66,12 @@ def test_fidelity_linearity():
 def test_witness_identity_and_values():
     # operator route against the algebraic identity 2/3 - F, machine precision
     rng = np.random.default_rng(1)
-    w = TargetState.w_paper()
+    w = W_PAPER
     for _ in range(10):
         rho = random_density(QUBIT_SPEC_3, rng)
         assert abs(witness_value(rho) - (2 / 3 - fidelity(rho, w))) < 1e-14
 
-    assert np.isclose(witness_value(w.vector.density_matrix()), -1 / 3, atol=1e-12)
+    assert np.isclose(witness_value(w.density_matrix()), -1 / 3, atol=1e-12)
     mixed = DensityMatrix(np.eye(8) / 8, QUBIT_SPEC_3)
     assert np.isclose(witness_value(mixed), 2 / 3 - 1 / 8, atol=1e-12)
     assert np.abs(witness_operator() - witness_operator().conj().T).max() < 1e-14
@@ -78,11 +79,11 @@ def test_witness_identity_and_values():
 
 def test_witness_at_quoted_fidelity():
     # a state with F = 0.78: witness = 2/3 - 0.78 = -0.1133, quoted rounded as -0.12
-    w = TargetState.w_paper()
+    w = W_PAPER
     ground = np.zeros(8)
     ground[0] = 1.0
     rho = DensityMatrix(
-        0.78 * w.vector.density_matrix().entries + 0.22 * np.outer(ground, ground),
+        0.78 * w.density_matrix().entries + 0.22 * np.outer(ground, ground),
         QUBIT_SPEC_3,
     )
     val = witness_value(rho)
@@ -92,9 +93,9 @@ def test_witness_at_quoted_fidelity():
 
 
 def test_tangle_pure_values():
-    assert abs(three_tangle_pure(TargetState.ghz().vector).value - 1.0) < 1e-6
-    assert three_tangle_pure(TargetState.w_paper().vector).value < 1e-10
-    assert three_tangle_pure(TargetState.w_plus().vector).value < 1e-10
+    assert abs(three_tangle_pure(GHZ).value - 1.0) < 1e-6
+    assert three_tangle_pure(W_PAPER).value < 1e-10
+    assert three_tangle_pure(w_plus()).value < 1e-10
     product = np.zeros(8, dtype=complex)
     product[0b001] = 1.0  # |g>|g>|e>
     assert three_tangle_pure(QuantumState(product, QUBIT_SPEC_3)).value == 0.0
@@ -132,7 +133,7 @@ def test_tangle_mixed_pure_input_matches_pure():
 
 
 def test_tangle_mixed_two_w_class_states():
-    w1 = TargetState.w_paper().vector.amplitudes
+    w1 = W_PAPER.amplitudes
     amps = np.zeros(8, dtype=complex)
     amps[[1, 2, 4]] = [0.5, -0.5, np.sqrt(0.5)]
     rho = 0.5 * np.outer(w1, w1.conj()) + 0.5 * np.outer(amps, amps.conj())
@@ -142,8 +143,8 @@ def test_tangle_mixed_two_w_class_states():
 
 def test_tangle_mixed_is_upper_bound():
     rng = np.random.default_rng(7)
-    ghz = TargetState.ghz().vector.amplitudes
-    w = TargetState.w_paper().vector.amplitudes
+    ghz = GHZ.amplitudes
+    w = W_PAPER.amplitudes
     rank2 = 0.6 * np.outer(ghz, ghz.conj()) + 0.4 * np.outer(w, w.conj())
     # full rank: the largest isometries of the descent (16 x 8)
     full = random_density(QUBIT_SPEC_3, np.random.default_rng(17)).entries
@@ -174,8 +175,8 @@ def test_tangle_mixed_bookkeeping(monkeypatch):
 
     # restarts whose predicted decrease vanishes leave the stack: a rank-2
     # state on the zero set of the roof converges well within the budget
-    ghz = TargetState.ghz().vector.amplitudes
-    w = TargetState.w_paper().vector.amplitudes
+    ghz = GHZ.amplitudes
+    w = W_PAPER.amplitudes
     rank2 = DensityMatrix(0.6 * np.outer(ghz, ghz.conj()) + 0.4 * np.outer(w, w.conj()), QUBIT_SPEC_3)
     converged = three_tangle_mixed(rank2, seed=2)
     assert converged.value < 1e-9
@@ -228,8 +229,8 @@ def test_tangle_mixed_retires_restarts(monkeypatch):
 def test_tangle_mixed_on_benchmark_certify_inputs():
     # the three states of the certify benchmark at workload seed 1, built
     # here, with their verdicts and bounds; the bounds may not rise
-    w = TargetState.w_paper().vector.density_matrix().entries
-    ghz = TargetState.ghz().vector.density_matrix().entries
+    w = W_PAPER.density_matrix().entries
+    ghz = GHZ.density_matrix().entries
     rng = np.random.default_rng(1)
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     mixed = g @ g.conj().T
@@ -247,7 +248,7 @@ def test_tangle_mixed_on_benchmark_certify_inputs():
         assert report["tangle_bound"] <= bound
 
     noisy, _ = apply_phase_correction(prepare_w_collective(paper_system(), noise=True),
-                                      TargetState.w_paper().vector)
+                                      W_PAPER)
     assert three_tangle_mixed(noisy, seed=3).value == 0.0
 
 
@@ -292,8 +293,8 @@ def test_tangle_mixed_matches_ghz_w_roof(p):
     # GHZ and W_paper are locally equivalent to the pair of the closed form:
     # phases exp(-i pi/3) on qubits A and B and exp(2i pi/3) on C map them to
     # (|000> + |111>)/sqrt2 and a global phase times (|001> + |010> + |100>)/sqrt3
-    ghz = TargetState.ghz().vector.amplitudes
-    w = TargetState.w_paper().vector.amplitudes
+    ghz = GHZ.amplitudes
+    w = W_PAPER.amplitudes
     rho = DensityMatrix(p * np.outer(ghz, ghz.conj()) + (1 - p) * np.outer(w, w.conj()), QUBIT_SPEC_3)
     gap = three_tangle_mixed(rho, seed=0).value - ghz_w_roof(p)
     assert -1e-9 <= gap <= 1e-4
@@ -357,8 +358,8 @@ def test_roof_objective_paths_agree():
 
 def test_tangle_mixed_on_noisy_collective_state():
     cfg = paper_system()
-    target = TargetState.w_paper()
-    rho, _ = apply_phase_correction(prepare_w_collective(cfg, noise=True), target.vector)
+    target = W_PAPER
+    rho, _ = apply_phase_correction(prepare_w_collective(cfg, noise=True), target)
     est = three_tangle_mixed(rho, seed=3)
     assert est.value < 0.1
     assert certification_report(rho, seed=3)["classification"] == "W_class"
@@ -368,14 +369,14 @@ def test_classification():
     def verdict(rho):
         return certification_report(rho, seed=0)["classification"]
 
-    assert verdict(TargetState.w_paper().vector.density_matrix()) == "W_class"
-    assert verdict(TargetState.ghz().vector.density_matrix()) == "GHZ_class"
+    assert verdict(W_PAPER.density_matrix()) == "W_class"
+    assert verdict(GHZ.density_matrix()) == "GHZ_class"
     assert verdict(DensityMatrix(np.eye(8) / 8, QUBIT_SPEC_3)) == "inconclusive"
 
 
 def test_certification_report_shape():
     report = certification_report(
-        TargetState.w_paper().vector.density_matrix(), restarts=4, budget=200, seed=0
+        W_PAPER.density_matrix(), restarts=4, budget=200, seed=0
     )
     assert set(report) == {"fidelity", "witness", "tangle_bound", "classification", "optimizer_stats"}
     assert report["classification"] == "W_class"

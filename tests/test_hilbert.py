@@ -18,13 +18,12 @@ from cqedw.hilbert import (
     check_density_stack,
     check_ket_stack,
     embed_qubit_operator,
-    expectation,
     expectation_stack,
     ket_from_label,
     operator_table,
     partial_trace,
 )
-from conftest import random_density, random_pure
+from conftest import expectation, random_density, random_pure
 
 SPEC31 = HilbertSpec(num_qubits=3, photon_cutoff=1)
 
@@ -54,17 +53,17 @@ def test_ket_from_label_reads_cba():
 
 def test_embed_identity_is_identity():
     op = embed_qubit_operator(ID2, 1, SPEC31)
-    assert np.array_equal(op.entries, np.eye(16))
+    assert np.array_equal(op, np.eye(16))
 
 
 def test_embed_sigma_z_sign_convention():
-    sz_a = embed_qubit_operator(SIGMA_Z, 0, SPEC31).entries
+    sz_a = embed_qubit_operator(SIGMA_Z, 0, SPEC31)
     assert sz_a[1, 1] == 1.0  # |g,g,e,0>
     assert sz_a[0, 0] == -1.0  # |g,g,g,0>
 
 
 def test_embed_sigma_minus_on_qubit_c():
-    sm_c = embed_qubit_operator(SIGMA_MINUS, 2, SPEC31).entries
+    sm_c = embed_qubit_operator(SIGMA_MINUS, 2, SPEC31)
     assert sm_c[0, 4] == 1.0  # |e_C,g,g,0> -> |g,g,g,0>
     assert np.count_nonzero(sm_c[:, 4]) == 1
 
@@ -77,14 +76,14 @@ def test_embed_errors():
 
 
 def test_cavity_annihilation_ladder():
-    a1 = cavity_annihilation(SPEC31).entries
+    a1 = cavity_annihilation(SPEC31)
     ket1 = basis_ket(SPEC31, [], 1).amplitudes
     out = a1 @ ket1
     assert np.allclose(out, basis_ket(SPEC31, [], 0).amplitudes)
     assert np.allclose(a1 @ basis_ket(SPEC31, [], 0).amplitudes, 0.0)
 
     spec2 = HilbertSpec(1, 2)
-    a2 = cavity_annihilation(spec2).entries
+    a2 = cavity_annihilation(spec2)
     bra1 = basis_ket(spec2, [], 1).amplitudes
     ket2 = basis_ket(spec2, [], 2).amplitudes
     assert np.isclose(bra1.conj() @ a2 @ ket2, np.sqrt(2))
@@ -95,12 +94,12 @@ def test_embedding_composition_and_commutation():
     for _ in range(5):
         op1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         op2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        lhs = embed_qubit_operator(op1 @ op2, 1, SPEC31).entries
-        rhs = embed_qubit_operator(op1, 1, SPEC31).entries @ embed_qubit_operator(op2, 1, SPEC31).entries
+        lhs = embed_qubit_operator(op1 @ op2, 1, SPEC31)
+        rhs = embed_qubit_operator(op1, 1, SPEC31) @ embed_qubit_operator(op2, 1, SPEC31)
         assert np.abs(lhs - rhs).max() < 1e-12
 
-        a = embed_qubit_operator(op1, 0, SPEC31).entries
-        b = embed_qubit_operator(op2, 2, SPEC31).entries
+        a = embed_qubit_operator(op1, 0, SPEC31)
+        b = embed_qubit_operator(op2, 2, SPEC31)
         assert np.abs(a @ b - b @ a).max() == 0.0  # disjoint embeddings commute exactly
 
 
@@ -111,9 +110,9 @@ def test_operator_table_cached_readonly_and_matches_embedding():
         n = spec.num_qubits
 
         def embed(op2, j):
-            return embed_qubit_operator(op2, j, spec).entries
+            return embed_qubit_operator(op2, j, spec)
 
-        a = cavity_annihilation(spec).entries
+        a = cavity_annihilation(spec)
         all_ground = np.eye(spec.dim)
         for j in range(n):
             all_ground = all_ground @ embed(PROJ_GROUND, j)
@@ -123,7 +122,7 @@ def test_operator_table_cached_readonly_and_matches_embedding():
             "exchange": [a.conj().T @ embed(SIGMA_MINUS, j) + embed(SIGMA_PLUS, j) @ a
                          for j in range(n)],
             "annihilation": [a],
-            "number": [cavity_number(spec).entries],
+            "number": [cavity_number(spec)],
             "excited": [embed(PROJ_EXCITED, j) for j in range(n)],
             "all_ground": [all_ground],
         }
@@ -132,10 +131,10 @@ def test_operator_table_cached_readonly_and_matches_embedding():
             ops = ops if isinstance(ops, tuple) else (ops,)
             assert len(ops) == len(refs), name
             for op, ref in zip(ops, refs):
-                assert op.spec == spec
-                np.testing.assert_array_equal(op.entries, ref, err_msg=name)
+                assert op.shape == (spec.dim, spec.dim)
+                np.testing.assert_array_equal(op, ref, err_msg=name)
                 with pytest.raises(ValueError):
-                    op.entries[0, 0] = 1.0
+                    op[0, 0] = 1.0
 
 
 def test_partial_trace_product_state():
@@ -202,15 +201,14 @@ def test_expectation_dimension_mismatch():
         expectation(op, rho)
 
 
-def test_expectation_non_hermitian_returns_complex():
+def test_expectation_stack_rejects_imaginary_expectation():
+    # <a> on (|g,0> + i|g,1>)/sqrt(2) is 0.5i: the operator is not Hermitian
     spec = HilbertSpec(1, 1)
     amps = np.zeros(4, dtype=complex)
     amps[spec.index([], 0)] = 1 / np.sqrt(2)
     amps[spec.index([], 1)] = 1j / np.sqrt(2)
-    psi = QuantumState(amps, spec)
-    val = expectation(cavity_annihilation(spec), psi)
-    assert isinstance(val, complex)
-    assert np.isclose(val, 0.5j)
+    with pytest.raises(NumericalError, match="imaginary part"):
+        expectation_stack(cavity_annihilation(spec), amps[None])
 
 
 def test_pure_state_purity():
@@ -282,12 +280,12 @@ def test_stack_checks_reject_one_bad_state_in_the_middle():
 def test_expectation_stack_matches_single_states():
     rng = np.random.default_rng(8)
     sz = embed_qubit_operator(SIGMA_Z, 1, SPEC31)
-    a = cavity_annihilation(SPEC31)
+    n = cavity_number(SPEC31)
     kets = [random_pure(SPEC31, rng) for _ in range(4)]
     rhos = [random_density(SPEC31, rng) for _ in range(4)]
     for states, data in ((kets, np.stack([k.amplitudes for k in kets])),
                          (rhos, np.stack([r.entries for r in rhos]))):
-        for op in (sz, a):
+        for op in (sz, n):
             single = np.array([expectation(op, s) for s in states])
             assert np.abs(expectation_stack(op, data) - single).max() == 0.0
     # a Hermitian expectation whose imaginary part is 2e-10 is rejected in a stack

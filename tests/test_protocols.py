@@ -9,7 +9,7 @@ import pytest
 import cqedw
 from cqedw import analysis
 from cqedw.device import apply_crosstalk, equal_coupling_system, paper_system
-from cqedw.entanglement import TargetState, fidelity
+from cqedw.entanglement import W_PAPER, fidelity
 from cqedw.errors import ConfigError
 from cqedw.hilbert import DensityMatrix, QuantumState, basis_ket
 from cqedw.protocols import (
@@ -27,7 +27,7 @@ from cqedw.protocols import (
     sequential_w_schedule,
     single_photon_schedule,
 )
-from conftest import QUBIT_SPEC_3
+from conftest import QUBIT_SPEC_3, w_plus
 
 
 def test_single_photon_durations():
@@ -47,10 +47,12 @@ def test_single_photon_transfer_is_complete():
         assert np.abs(q).max() < 1e-6
 
 
-def test_single_photon_zero_duration_keeps_qubit_excited():
+@pytest.mark.parametrize("noise", [False, True])
+def test_single_photon_zero_duration_keeps_qubit_excited(noise):
+    # the pi pulse is the schedule's initial state; noisy runs start from its density matrix
     cfg = paper_system()
     sched = single_photon_schedule(cfg, 1, transfer_duration=0.0)
-    out = run_schedule(cfg, sched)
+    out = run_schedule(cfg, sched, noise=noise)
     q, _, n = populations(out)
     assert abs(n) < 1e-9 and abs(q[1] - 1.0) < 1e-9
 
@@ -221,7 +223,7 @@ def test_sequential_swap_times():
 def test_sequential_first_segment_splits_two_thirds():
     cfg = paper_system()
     full = sequential_w_schedule(cfg)
-    out = run_schedule(cfg, PulseSchedule(full.segments[:2], full.initial_state))
+    out = run_schedule(cfg, PulseSchedule(full.segments[:1], full.initial_state))
     q, _, n = populations(out)
     assert abs(n - 2 / 3) < 1e-6
     assert abs(q[2] - 1 / 3) < 1e-6
@@ -230,11 +232,11 @@ def test_sequential_first_segment_splits_two_thirds():
 def test_ideal_w_preparation_both_protocols():
     # acceptance criterion 6
     cfg = paper_system()
-    target = TargetState.w_paper()
+    target = W_PAPER
     rho_c = prepare_w_collective(cfg)
     rho_s = prepare_w_sequential(cfg)
     for rho in (rho_c, rho_s):
-        corrected, _ = apply_phase_correction(rho, target.vector)
+        corrected, _ = apply_phase_correction(rho, target)
         assert fidelity(corrected, target) > 0.999
 
     # sequential leaves the cavity in vacuum
@@ -245,8 +247,8 @@ def test_ideal_w_preparation_both_protocols():
 def test_w_from_equal_couplings_has_plus_signs():
     cfg = equal_coupling_system(3, photon_cutoff=2)
     rho = prepare_w_collective(cfg)
-    corrected, _ = apply_phase_correction(rho, TargetState.w_plus().vector)
-    assert fidelity(corrected, TargetState.w_plus()) > 1 - 1e-9
+    corrected, _ = apply_phase_correction(rho, w_plus())
+    assert fidelity(corrected, w_plus()) > 1 - 1e-9
 
 
 def test_sequential_and_collective_agree_up_to_local_phases():
@@ -265,9 +267,9 @@ def test_sequential_and_collective_agree_up_to_local_phases():
 def test_decoherence_ceilings():
     # acceptance criterion 7: Lindblad model on the measured T1/T2/Q
     cfg = paper_system()
-    target = TargetState.w_paper()
-    rho_c, _ = apply_phase_correction(prepare_w_collective(cfg, noise=True), target.vector)
-    rho_s, _ = apply_phase_correction(prepare_w_sequential(cfg, noise=True), target.vector)
+    target = W_PAPER
+    rho_c, _ = apply_phase_correction(prepare_w_collective(cfg, noise=True), target)
+    rho_s, _ = apply_phase_correction(prepare_w_sequential(cfg, noise=True), target)
     f_c = fidelity(rho_c, target)
     f_s = fidelity(rho_s, target)
     assert abs(f_c - 0.97) <= 0.03
@@ -278,48 +280,48 @@ def test_decoherence_ceilings():
 def test_crosstalk_asymmetry():
     # acceptance criterion 8: property, not number
     cfg = paper_system(crosstalk_epsilon=0.02)
-    target = TargetState.w_paper()
-    rho_c, _ = apply_phase_correction(prepare_w_collective(cfg), target.vector)
-    rho_s, _ = apply_phase_correction(prepare_w_sequential(cfg), target.vector)
+    target = W_PAPER
+    rho_c, _ = apply_phase_correction(prepare_w_collective(cfg), target)
+    rho_s, _ = apply_phase_correction(prepare_w_sequential(cfg), target)
     assert fidelity(rho_c, target) < fidelity(rho_s, target)
 
 
 def test_phase_correction_identity_case():
-    target = TargetState.w_paper()
-    rho = target.vector.density_matrix()
-    corrected, angles = apply_phase_correction(rho, target.vector)
+    target = W_PAPER
+    rho = target.density_matrix()
+    corrected, angles = apply_phase_correction(rho, target)
     assert fidelity(corrected, target) >= 1 - 1e-9
     assert np.abs(np.exp(1j * angles) - 1.0).max() < 1e-2
 
 
 def test_phase_correction_inverts_known_rotation():
-    target = TargetState.w_paper()
-    spec = target.vector.spec
+    target = W_PAPER
+    spec = target.spec
     bits = np.array([[(i >> j) & 1 for j in range(3)] for i in range(8)])
     signs = 1.0 - 2.0 * bits
     for phi in (0.4, 1.9, 3.6, 5.6):
         phases = np.exp(0.5j * signs @ np.array([phi, 0.0, 0.0]))
-        rot = (phases[:, None] * target.vector.density_matrix().entries) * phases.conj()[None, :]
-        corrected, _ = apply_phase_correction(DensityMatrix(rot, spec), target.vector)
+        rot = (phases[:, None] * target.density_matrix().entries) * phases.conj()[None, :]
+        corrected, _ = apply_phase_correction(DensityMatrix(rot, spec), target)
         assert abs(fidelity(corrected, target) - 1.0) < 1e-8
 
 
 def test_phase_correction_cannot_help_maximally_mixed():
-    target = TargetState.w_paper()
+    target = W_PAPER
     mixed = DensityMatrix(np.eye(8) / 8, QUBIT_SPEC_3)
-    corrected, _ = apply_phase_correction(mixed, target.vector)
+    corrected, _ = apply_phase_correction(mixed, target)
     assert abs(fidelity(corrected, target) - 1 / 8) < 1e-12
 
 
 def test_phase_correction_never_decreases_fidelity():
     rng = np.random.default_rng(5)
-    target = TargetState.w_paper()
+    target = W_PAPER
     from conftest import random_density
 
     for _ in range(5):
         rho = random_density(QUBIT_SPEC_3, rng)
         before = fidelity(rho, target)
-        corrected, _ = apply_phase_correction(rho, target.vector)
+        corrected, _ = apply_phase_correction(rho, target)
         assert fidelity(corrected, target) >= before - 1e-12
 
 
@@ -339,7 +341,7 @@ def test_phase_correction_reaches_dense_grid_optimum():
         amps = np.zeros(8, dtype=complex)
         amps[[0b001, 0b010, 0b100]] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         w_class = QuantumState(amps / np.linalg.norm(amps), QUBIT_SPEC_3)
-        for target in (TargetState.w_paper().vector, w_class):
+        for target in (W_PAPER, w_class):
             v = phases.conj() * target.amplitudes  # Z(phi)^+ |t> for every grid point
             grid_best = np.einsum("ci,ij,cj->c", v.conj(), rho.entries, v).real.max()
             corrected, _ = apply_phase_correction(rho, target)
@@ -351,9 +353,9 @@ def test_w_path_leaves_out_scipy_optimize():
     code = (
         "import sys\n"
         "from cqedw.device import paper_system\n"
-        "from cqedw.entanglement import TargetState\n"
+        "from cqedw.entanglement import W_PAPER\n"
         "from cqedw.protocols import apply_phase_correction, prepare_w_collective\n"
-        "apply_phase_correction(prepare_w_collective(paper_system()), TargetState.w_paper().vector)\n"
+        "apply_phase_correction(prepare_w_collective(paper_system()), W_PAPER)\n"
         "print('scipy.optimize' in sys.modules)"
     )
     src = str(Path(cqedw.__file__).resolve().parent.parent)

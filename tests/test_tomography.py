@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cqedw.entanglement import TargetState, fidelity
+from cqedw.entanglement import W_PAPER, fidelity
 from cqedw.errors import ConfigError, IncompleteReadoutError, NumericalError
 from cqedw.hilbert import DensityMatrix
 from cqedw.tomography import (
@@ -35,7 +35,7 @@ def tset():
 
 @pytest.fixture(scope="module")
 def w_rho():
-    return TargetState.w_paper().vector.density_matrix()
+    return W_PAPER.density_matrix()
 
 
 def test_build_readout_rejects_zero_coefficients():
@@ -48,8 +48,10 @@ def test_build_readout_rejects_zero_coefficients():
 def test_build_readout_identity_trace():
     for coeffs in (DEFAULT_READOUT_COEFFICIENTS, (0.2, 1.0, 0.9, 0.8, 0.3, 0.25, 0.2, 0.1)):
         m = build_readout(coeffs)
-        assert np.isclose(np.trace(m.matrix.entries).real / 8.0, coeffs[0])
-        assert np.abs(m.matrix.entries - np.diag(np.diag(m.matrix.entries))).max() == 0.0
+        assert np.isclose(np.trace(m).real / 8.0, coeffs[0])
+        assert np.abs(m - np.diag(np.diag(m))).max() == 0.0
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0  # read-only
 
 
 def test_weak_correlation_coefficients_accepted_and_complete():
@@ -92,7 +94,7 @@ def reference_design(tset):
 
 def test_design_matches_reference_loop(tset):
     weak = tomography_set(build_readout(WEAK_CORRELATION_COEFFICIENTS))
-    partial = TomographySet(tset.operators[:8], tset.labels[:8], tset.readout)
+    partial = TomographySet(tset.operators[:8], tset.labels[:8])
     for s in (tset, weak, partial):
         assert s.design.shape == (len(s), 64)
         assert np.abs(s.design - reference_design(s)).max() <= 1e-15
@@ -110,13 +112,13 @@ def test_expectation_values_match_traces(tset):
 
 def test_identity_rotation_returns_readout(tset):
     idx = tset.labels.index(("id", "id", "id"))
-    assert np.abs(tset.operators[idx] - tset.readout.matrix.entries).max() < 1e-14
+    assert np.abs(tset.operators[idx] - build_readout(DEFAULT_READOUT_COEFFICIENTS)).max() < 1e-14
 
 
 def test_x180_flips_za_coefficients(tset):
     idx = tset.labels.index(("x180", "id", "id"))
     flipped = tset.operators[idx]
-    for label, coeff in zip(DIAGONAL_LABELS, tset.readout.coefficients):
+    for label, coeff in zip(DIAGONAL_LABELS, DEFAULT_READOUT_COEFFICIENTS):
         got = np.einsum("ij,ji->", pauli_matrix(label), flipped).real / 8.0
         contains_za = label[2] == "Z"
         assert np.isclose(got, -coeff if contains_za else coeff, atol=1e-12)
@@ -124,7 +126,7 @@ def test_x180_flips_za_coefficients(tset):
 
 def test_rank_deficient_set_rejects_inversion(w_rho, tset):
     # 8 operators cannot span the 63 traceless Pauli directions
-    partial = TomographySet(tset.operators[:8], tset.labels[:8], tset.readout)
+    partial = TomographySet(tset.operators[:8], tset.labels[:8])
     assert partial.completeness_rank() == 9
     outcomes = simulate_measurements(w_rho, partial, 0.0, 0)
     with pytest.raises(IncompleteReadoutError):
@@ -249,7 +251,7 @@ def test_pipeline_identity_at_zero_noise(w_rho, tset):
 
 
 def test_monte_carlo_fidelity_at_sigma_002(w_rho, tset):
-    target = TargetState.w_paper()
+    target = W_PAPER
     fids = [
         fidelity(reconstruct(simulate_measurements(w_rho, tset, 0.02, seed), tset).rho, target)
         for seed in range(100)
@@ -267,7 +269,7 @@ def test_end_to_end_random_states_small_noise(tset):
 
 
 def test_noise_monotonicity(w_rho, tset):
-    target = TargetState.w_paper()
+    target = W_PAPER
     means = []
     for sigma in (0.0, 1e-3, 1e-2, 1e-1):
         fids = [
