@@ -232,9 +232,13 @@ def rho_from_json(obj, path: str = "rho") -> DensityMatrix:
 
 
 def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    """Write a text file, making its directory; any OSError is a ConfigError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror}") from err
 
 
 def _write_json(path: Path, obj):

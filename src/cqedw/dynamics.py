@@ -17,16 +17,14 @@ initial support.  L preserves Hermiticity, so it is a real matrix in an
 orthonormal basis of Hermitian operators, and it is exponentiated there.
 
 A segment is propagated over a vector of times at once:
-``evolve_unitary_stack`` reuses one eigendecomposition for every time and
-``evolve_lindblad_stack`` one real generator and one stacked real ``expm``.
+``evolve_unitary`` reuses one eigendecomposition for every time and
+``evolve_lindblad`` one real generator and one stacked real ``expm``.
 Each returns a stack with every state checked against the tolerances of
 ``hilbert`` (the open-system states on their reachable block, before
-zero padding).  ``evolve_unitary`` and ``evolve_lindblad`` are their
-one-time cases.
+zero padding).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,16 +38,6 @@ from .hilbert import (
     check_ket_stack,
     operator_table,
 )
-
-
-@dataclass(frozen=True)
-class CollapseOperator:
-    matrix: np.ndarray  # (d, d) jump operator
-    rate: float  # 1/s
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ConfigError("collapse rate must be >= 0")
 
 
 def build_hamiltonian(
@@ -80,17 +68,23 @@ def build_hamiltonian(
     return total
 
 
-def collapse_operators(config: SystemConfig) -> list[CollapseOperator]:
-    """Relaxation, dephasing and cavity-loss channels of the configured device."""
+def collapse_operators(config: SystemConfig) -> np.ndarray:
+    """The device's jump operators sqrt(rate) L_k as a read-only (2N+1, d, d) stack.
+
+    Per qubit j, relaxation sqrt(gamma1) sigma-_j and then dephasing
+    sqrt(gamma_phi / 2) sigma_z_j; last, cavity loss sqrt(kappa) a.
+    """
     ops = operator_table(config.spec)
     channels = []
     for j, q in enumerate(config.qubits):
         rates = decoherence_rates(q, config.resonator)
-        channels.append(CollapseOperator(ops.sigma_minus[j], rates.gamma1))
-        channels.append(CollapseOperator(ops.sigma_z[j], rates.gamma_phi / 2))
+        channels.append(np.sqrt(rates.gamma1) * ops.sigma_minus[j])
+        channels.append(np.sqrt(rates.gamma_phi / 2) * ops.sigma_z[j])
     kappa = decoherence_rates(config.qubits[0], config.resonator).kappa
-    channels.append(CollapseOperator(ops.annihilation, kappa))
-    return channels
+    channels.append(np.sqrt(kappa) * ops.annihilation)
+    stack = np.array(channels)
+    stack.setflags(write=False)
+    return stack
 
 
 def _check_hermitian(h: np.ndarray):
@@ -100,9 +94,7 @@ def _check_hermitian(h: np.ndarray):
         raise NumericalError(f"Hamiltonian is not Hermitian (deviation {dev})")
 
 
-def evolve_unitary_stack(
-    state: QuantumState, h: np.ndarray, times: Sequence[float]
-) -> np.ndarray:
+def evolve_unitary(state: QuantumState, h: np.ndarray, times: Sequence[float]) -> np.ndarray:
     """Amplitudes of exp(-i H t) psi for every t in ``times``, a (T, d) stack.
 
     One eigendecomposition H = V diag(w) V^+ serves every time: row t is
@@ -118,11 +110,6 @@ def evolve_unitary_stack(
     amps[times == 0] = state.amplitudes
     check_ket_stack(amps)
     return amps
-
-
-def evolve_unitary(state: QuantumState, h: np.ndarray, t: float) -> QuantumState:
-    """Propagate a pure state by exp(-i H t): the one-time case of :func:`evolve_unitary_stack`."""
-    return QuantumState(evolve_unitary_stack(state, h, [t])[0], state.spec)
 
 
 def _reachable(rho: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -164,23 +151,23 @@ def _hermitian_basis(n: int) -> np.ndarray:
 
 
 def _lindblad_generator(
-    rho: DensityMatrix, h: np.ndarray, collapse: Sequence[CollapseOperator]
+    rho: DensityMatrix, h: np.ndarray, collapse: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The reachable-state mask of rho and the row-major vectorized Lindblad generator on it.
 
     L = -i (H_eff x 1 - 1 x H_eff^*) + sum_k L_k x L_k^*,
     H_eff = H - (i/2) sum_k L_k^+ L_k,
 
-    with sqrt(rate) absorbed into each L_k, is built only on the basis
-    states reachable from rho's support through the nonzero patterns of H,
-    the L_k and the L_k^+ L_k; their span is invariant under the dynamics,
-    so the restriction is exact.  With three qubits and photon cutoff 2, a
-    single-excitation state reaches 5 of the 24 basis states, so L is
-    25 x 25 instead of 576 x 576.
+    with ``collapse`` the (channels, d, d) stack of jump operators L_k
+    (sqrt(rate) absorbed, as :func:`collapse_operators` returns them), is
+    built only on the basis states reachable from rho's support through the
+    nonzero patterns of H, the L_k and the L_k^+ L_k; their span is
+    invariant under the dynamics, so the restriction is exact.  With three
+    qubits and photon cutoff 2, a single-excitation state reaches 5 of the
+    24 basis states, so L is 25 x 25 instead of 576 x 576.
     """
     _check_hermitian(h)
-    ls = np.array([np.sqrt(c.rate) * c.matrix for c in collapse if c.rate > 0])
-    ls = ls.reshape(-1, *h.shape)  # (channels, dim, dim), also with no channel
+    ls = np.asarray(collapse, dtype=complex).reshape(-1, *h.shape)  # also with no channel
     decay = np.swapaxes(ls.conj(), -1, -2) @ ls
     keep = _reachable(rho.entries, [h, *ls, *decay])
     sub = np.ix_(keep, keep)
@@ -193,10 +180,10 @@ def _lindblad_generator(
     return keep, gen
 
 
-def evolve_lindblad_stack(
+def evolve_lindblad(
     rho: DensityMatrix,
     h: np.ndarray,
-    collapse: Sequence[CollapseOperator],
+    collapse: np.ndarray,
     times: Sequence[float],
 ) -> np.ndarray:
     """Open-system propagation to every t in ``times``: a (T, d, d) stack of expm(L t) rho.
@@ -232,16 +219,6 @@ def evolve_lindblad_stack(
     out = np.zeros((times.size, *rho.entries.shape), dtype=complex)
     out[:, sub[0], sub[1]] = small
     return out
-
-
-def evolve_lindblad(
-    rho: DensityMatrix,
-    h: np.ndarray,
-    collapse: Sequence[CollapseOperator],
-    t: float,
-) -> DensityMatrix:
-    """rho(t) = expm(L t) rho: the one-time case of :func:`evolve_lindblad_stack`."""
-    return DensityMatrix(evolve_lindblad_stack(rho, h, collapse, [t])[0], rho.spec)
 
 
 def single_excitation_oracle(

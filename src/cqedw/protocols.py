@@ -1,13 +1,17 @@
 """Pulse schedules for the vacuum Rabi and W-state experiments.
 
 A schedule is an initial state and an ordered list of piecewise-constant
-segments; each segment holds the realized per-qubit detunings (rad/s,
-after crosstalk).  The one microwave pulse of every experiment, an ideal
-x-axis pi pulse on the source qubit of |g...g,0>, is folded into the
-initial state.  Flux pulses are ideal rectangles.
+segments; each segment names the qubits it brings to resonance with the
+mode for its duration, while the others stay parked at their bias.  The
+one microwave pulse of every experiment, an ideal x-axis pi pulse on the
+source qubit of |g...g,0>, is folded into the initial state.  Flux pulses
+are ideal rectangles.
 
-Crosstalk acts on commanded detuning *changes* relative to the steady-state
-bias: a segment that parks qubit j at target detuning d_j is compiled as
+A segment is compiled when it runs, by :func:`_propagate`, which
+``run_schedule`` calls once per segment and ``rabi_scan`` once for its
+whole tau grid.  Crosstalk acts on commanded detuning *changes* relative to
+the steady-state bias: a segment that sets qubit j to target detuning d_j
+(0 if resonant, its bias otherwise) is compiled as
 
     realized = bias + X @ (target - bias)
 
@@ -24,15 +28,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .device import SystemConfig, apply_crosstalk
-from .dynamics import (
-    CollapseOperator,
-    build_hamiltonian,
-    collapse_operators,
-    evolve_lindblad,
-    evolve_lindblad_stack,
-    evolve_unitary,
-    evolve_unitary_stack,
-)
+from .dynamics import build_hamiltonian, collapse_operators, evolve_lindblad, evolve_unitary
 from .errors import ConfigError
 from .hilbert import (
     DensityMatrix,
@@ -49,26 +45,19 @@ from .hilbert import (
 
 @dataclass(frozen=True)
 class ScheduleSegment:
-    """One piecewise-constant stage of a schedule.
+    """One piecewise-constant stage: the ``resonant`` qubits at resonance for ``duration``.
 
-    ``coupled`` lists the qubits pulsed near resonance during the segment;
-    qubits not listed are parked, i.e. propagated in the far-detuned limit
-    (exchange with the mode dropped, detuning phase kept exactly).  ``None``
-    couples everyone.
+    Qubits not listed are parked, i.e. propagated in the far-detuned limit
+    (exchange with the mode dropped, detuning phase kept exactly).
     """
 
     duration: float  # s
-    detunings: np.ndarray  # realized per-qubit detunings, rad/s
-    coupled: tuple[int, ...] | None = None
+    resonant: tuple[int, ...]
 
     def __post_init__(self):
         if self.duration < 0:
             raise ConfigError("segment duration must be >= 0")
-        d = np.array(self.detunings, dtype=float, copy=True)
-        d.setflags(write=False)
-        object.__setattr__(self, "detunings", d)
-        if self.coupled is not None:
-            object.__setattr__(self, "coupled", tuple(sorted(self.coupled)))
+        object.__setattr__(self, "resonant", tuple(sorted(self.resonant)))
 
 
 @dataclass(frozen=True)
@@ -114,38 +103,36 @@ class PopulationTrace:
         return "\n".join(lines) + "\n"
 
 
-def _realized_detunings(config: SystemConfig, resonant: Iterable[int]) -> np.ndarray:
-    bias = config.bias_detunings()
-    target = bias.copy()
-    for j in resonant:
-        target[j] = 0.0
-    return bias + apply_crosstalk(target - bias, config.crosstalk)
-
-
-def _segment(config: SystemConfig, resonant: Iterable[int], duration: float) -> ScheduleSegment:
-    resonant = tuple(resonant)
-    return ScheduleSegment(duration, _realized_detunings(config, resonant), coupled=resonant)
-
-
 def _pi_pulsed(spec: HilbertSpec, qubit: int) -> QuantumState:
     """|g...g,0> after an ideal x-axis pi pulse on ``qubit``."""
     u = embed_qubit_operator(qubit_rotation("x", np.pi), qubit, spec)
     return QuantumState(u @ basis_ket(spec).amplitudes, spec)
 
 
-def _run_segment(
+def _propagate(
     config: SystemConfig,
-    seg: ScheduleSegment,
+    resonant: Sequence[int],
     state: Union[QuantumState, DensityMatrix],
-    collapse: Sequence[CollapseOperator] | None,
-) -> Union[QuantumState, DensityMatrix]:
-    """The segment's evolution; ``collapse=None`` is closed-system."""
-    if seg.duration == 0:
-        return state
-    h = build_hamiltonian(config, seg.detunings, coupled=seg.coupled)
+    collapse: np.ndarray | None,
+    times: Sequence[float],
+) -> np.ndarray:
+    """The state after ``resonant`` qubits sit at resonance for each of ``times``: a stack.
+
+    The segment is compiled here: the targets are 0 for ``resonant`` and the
+    bias for everyone else, crosstalk acts on the commanded change, and only
+    ``resonant`` qubits exchange with the mode.  ``collapse=None`` is
+    closed-system, with a (T, d) stack of amplitudes; otherwise ``collapse``
+    is the jump-operator stack of ``collapse_operators`` and the result a
+    (T, d, d) stack of density matrices.
+    """
+    bias = config.bias_detunings()
+    target = bias.copy()
+    target[list(resonant)] = 0.0
+    realized = bias + apply_crosstalk(target - bias, config.crosstalk)
+    h = build_hamiltonian(config, realized, coupled=resonant)
     if collapse is None:
-        return evolve_unitary(state, h, seg.duration)
-    return evolve_lindblad(state, h, collapse, seg.duration)
+        return evolve_unitary(state, h, times)
+    return evolve_lindblad(state, h, collapse, times)
 
 
 def run_schedule(
@@ -158,7 +145,8 @@ def run_schedule(
     state: Union[QuantumState, DensityMatrix]
     state = schedule.initial_state.density_matrix() if noise else schedule.initial_state
     for seg in schedule.segments:
-        state = _run_segment(config, seg, state, collapse)
+        row = _propagate(config, seg.resonant, state, collapse, [seg.duration])[0]
+        state = DensityMatrix(row, state.spec) if noise else QuantumState(row, state.spec)
     return state
 
 
@@ -182,23 +170,20 @@ def populations(state: Union[QuantumState, DensityMatrix]):
     return q[0], float(g[0]), float(n[0])
 
 
-def single_photon_schedule(
-    config: SystemConfig, source_qubit: int, transfer_duration: float | None = None
-) -> PulseSchedule:
+def single_photon_schedule(config: SystemConfig, source_qubit: int) -> PulseSchedule:
     """Pi-pulse on the source qubit at bias, then a resonant swap segment.
 
     The pulsed ket is the schedule's initial state and the swap its one
-    segment.  The default transfer duration pi / (2 |g_source|) moves the
-    full excitation into the cavity.
+    segment.  The transfer duration pi / (2 |g_source|) moves the full
+    excitation into the cavity.
     """
     n = config.spec.num_qubits
     if not 0 <= source_qubit < n:
         raise ConfigError(f"source qubit {source_qubit} out of range")
     if config.spec.photon_cutoff < 1:
         raise ConfigError("photon cutoff must be >= 1 to host the photon")
-    g = abs(config.qubits[source_qubit].coupling_g)
-    tau0 = np.pi / (2 * g) if transfer_duration is None else transfer_duration
-    segments = (_segment(config, (source_qubit,), tau0),)
+    tau0 = np.pi / (2 * abs(config.qubits[source_qubit].coupling_g))
+    segments = (ScheduleSegment(tau0, (source_qubit,)),)
     return PulseSchedule(segments, _pi_pulsed(config.spec, source_qubit))
 
 
@@ -207,18 +192,17 @@ def rabi_scan(
     participating: Iterable[int],
     tau_grid: Sequence[float],
     noise: bool = False,
-    source_qubit: int | None = None,
 ) -> PopulationTrace:
     """Collective vacuum Rabi oscillation scan.
 
-    The photon is loaded once from the source qubit (default: the lowest
-    participating index); from that state the participating set is brought
-    to resonance for each interaction time tau and the populations are
-    recorded.  Qubits outside the set stay parked at their bias detuning.
-    The resonant segment's Hamiltonian is built once, and one propagator
-    (one ``eigh``, or one Lindblad generator and one stacked ``expm``) takes
-    the loaded state to every tau; every state and population is still
-    checked per tau.
+    The photon is loaded once from the lowest participating qubit; from
+    that state the participating set is brought to resonance for each
+    interaction time tau >= 0 and the populations are recorded.  Qubits
+    outside the set stay parked at their bias detuning.  The scan is one
+    :func:`_propagate` call over the tau grid, the step every schedule
+    segment takes: one Hamiltonian and one propagator (one ``eigh``, or one
+    Lindblad generator and one stacked ``expm``) serve every tau; every
+    state and population is still checked per tau.
     """
     part = sorted(set(participating))
     if not part:
@@ -231,14 +215,11 @@ def rabi_scan(
         raise ConfigError("tau grid must be a nonempty, finite 1-D sequence")
     if np.any(np.diff(tau) <= 0):
         raise ConfigError("tau grid must be strictly ascending")
-    src = part[0] if source_qubit is None else source_qubit
+    if tau[0] < 0:
+        raise ConfigError("interaction times must be >= 0")
 
-    loaded = run_schedule(config, single_photon_schedule(config, src), noise=noise)
-    h = build_hamiltonian(config, _realized_detunings(config, part), coupled=part)
-    if noise:
-        stack = evolve_lindblad_stack(loaded, h, collapse_operators(config), tau)
-    else:
-        stack = evolve_unitary_stack(loaded, h, tau)
+    loaded = run_schedule(config, single_photon_schedule(config, part[0]), noise=noise)
+    stack = _propagate(config, part, loaded, collapse_operators(config) if noise else None, tau)
     labels = tuple(q.label for q in config.qubits)
     return PopulationTrace(tau, *population_stack(stack, config.spec), labels)
 
@@ -262,10 +243,8 @@ def prepare_w_collective(
         raise ConfigError("collective W preparation requires N=3")
     prep = single_photon_schedule(config, source_qubit)
     tau_w = collective_interaction_time(config)
-    schedule = PulseSchedule(
-        prep.segments + (_segment(config, range(3), tau_w),), prep.initial_state
-    )
-    final = run_schedule(config, schedule, noise=noise)
+    segments = prep.segments + (ScheduleSegment(tau_w, range(3)),)
+    final = run_schedule(config, PulseSchedule(segments, prep.initial_state), noise=noise)
     rho = final if isinstance(final, DensityMatrix) else final.density_matrix()
     return partial_trace(rho, range(3))
 
@@ -292,19 +271,14 @@ def sequential_w_schedule(config: SystemConfig) -> PulseSchedule:
     """
     if config.spec.num_qubits != 3:
         raise ConfigError("sequential W preparation requires N=3")
-    tau1, tau2, tau3 = sequential_swap_times(config)
-    segments = (
-        _segment(config, (2,), tau1),
-        _segment(config, (1,), tau2),
-        _segment(config, (0,), tau3),
-    )
+    swaps = zip(sequential_swap_times(config), (2, 1, 0))  # C, then B, then A
+    segments = tuple(ScheduleSegment(t, (q,)) for t, q in swaps)
     return PulseSchedule(segments, _pi_pulsed(config.spec, 2))
 
 
 def prepare_w_sequential(config: SystemConfig, noise: bool = False) -> DensityMatrix:
     """Sequential W preparation via one-at-a-time swaps C -> B -> A."""
-    schedule = sequential_w_schedule(config)
-    final = run_schedule(config, schedule, noise=noise)
+    final = run_schedule(config, sequential_w_schedule(config), noise=noise)
     rho = final if isinstance(final, DensityMatrix) else final.density_matrix()
     return partial_trace(rho, range(3))
 

@@ -140,6 +140,7 @@ def test_run_malformed_config_exits_2(tmp_path, capsys):
         ("rabi_scan", {**scan, "tau_stop_ns": inf}, None),
         ("rabi_scan", {**scan, "participating": 5}, None),
         ("rabi_scan", {**scan, "participating": [True]}, None),  # a boolean is no qubit index
+        ("rabi_scan", {**scan, "tau_start_ns": -5.0}, None),  # negative times; this exited 0
         ("w_collective", {"phase_correct": "no"}, None),  # only JSON true/false
         ("w_collective", {"source_qubit": "x"}, None),
         ("w_collective", {}, "abc"),
@@ -156,6 +157,8 @@ def test_run_malformed_config_exits_2(tmp_path, capsys):
         write_config(bad, experiment=experiment, seed=seed, params=params)
         assert run_cli("run", "--config", bad) == 2, (experiment, params, seed)
     write_config(bad, experiment="w_collective", noise="no", seed=0)
+    assert run_cli("run", "--config", bad) == 2
+    write_config(bad, experiment="rabi_scan", noise=True, seed=1, params={**scan, "tau_start_ns": -5.0})
     assert run_cli("run", "--config", bad) == 2
 
     # unknown, misplaced and mistyped keys; each of these used to exit 0
@@ -334,6 +337,30 @@ def test_certify_rejects_invalid_file(tmp_path):
         bad.write_text(json.dumps(rho))
         assert run_cli("certify", bad, "--out", tmp_path / "neg", "--seed", -1) == 2
     assert not (tmp_path / "neg").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "export-preset", "certify", "reconstruct"])
+def test_unwritable_output_exits_2(tmp_path, command):
+    # --out under a regular file; each subcommand used to end in a NotADirectoryError traceback
+    w = entanglement.W_PAPER.density_matrix()
+    tset = tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
+    inputs = {
+        "run": ["--config", tmp_path / "cfg.json"],
+        "export-preset": ["paper-default"],
+        "certify": [tmp_path / "w.json"],
+        "reconstruct": [tmp_path / "records.csv"],
+    }
+    write_config(tmp_path / "cfg.json", experiment="w_collective")
+    (tmp_path / "w.json").write_text(json.dumps(rho_to_json(w)))
+    records = tomography.simulate_measurements(w, tset, 0.0, 0)
+    (tmp_path / "records.csv").write_text(tomography.records_to_csv(records, tset))
+    (tmp_path / "file").write_text("")
+    src = str(Path(cqedw.__file__).resolve().parent.parent)
+    argv = [command, *map(str, inputs[command]), "--out", str(tmp_path / "file" / "out")]
+    out = subprocess.run([sys.executable, "-m", "cqedw.cli", *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 2, out.stderr
+    assert "cannot write" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_rho_json_roundtrip():

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqedw import protocols
-from cqedw.device import G_RAD_PER_PI_MHZ, equal_coupling_system, paper_system
+from cqedw.device import G_RAD_PER_PI_MHZ, decoherence_rates, equal_coupling_system, paper_system
 from cqedw.dynamics import (
-    CollapseOperator,
     _hermitian_basis,
     _lindblad_generator,
     _reachable,
@@ -29,8 +28,10 @@ from cqedw.hilbert import (
     HilbertSpec,
     QuantumState,
     basis_ket,
+    cavity_annihilation,
     cavity_number,
     embed_qubit_operator,
+    expectation_stack,
 )
 from conftest import expectation, random_pure
 
@@ -48,12 +49,11 @@ def excitation_number(spec):
 
 def rk4_lindblad(rho, h, collapse, t, dt):
     """Fixed-step RK4 on the full-space Lindblad equation, an independent reference."""
-    ls = [np.sqrt(c.rate) * c.matrix for c in collapse]
-    acc = sum((l.conj().T @ l for l in ls), np.zeros_like(h))
+    acc = sum((l.conj().T @ l for l in collapse), np.zeros_like(h))
 
     def rhs(r):
         out = -1j * (h @ r - r @ h) - 0.5 * (acc @ r + r @ acc)
-        for l in ls:
+        for l in collapse:
             out = out + l @ r @ l.conj().T
         return out
 
@@ -72,8 +72,7 @@ def full_space_expm(rho, h, collapse, t):
     """expm of the unrestricted row-major Lindblad generator (d^2 x d^2)."""
     eye = np.eye(h.shape[0])
     gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for c in collapse:
-        l = np.sqrt(c.rate) * c.matrix
+    for l in collapse:
         d = l.conj().T @ l
         gen += np.kron(l, l.conj()) - 0.5 * (np.kron(d, eye) + np.kron(eye, d.T))
     return (scipy.linalg.expm(gen * t) @ rho.reshape(-1)).reshape(rho.shape)
@@ -140,16 +139,16 @@ def test_evolve_unitary_basics():
     cfg = equal_coupling_system(1, g_over_pi_mhz=100.0, photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0])
     psi0 = basis_ket(cfg.spec, [0], 0)
-    assert np.allclose(evolve_unitary(psi0, h, 0.0).amplitudes, psi0.amplitudes)
-
     g = cfg.qubits[0].coupling_g
     t_swap = np.pi / (2 * g)
-    out = evolve_unitary(psi0, h, t_swap)
+    stack = evolve_unitary(psi0, h, [0.0, t_swap])
+    assert stack.shape == (2, cfg.spec.dim)
+    assert np.array_equal(stack[0], psi0.amplitudes)  # a zero time returns psi unchanged
     target = -1j * basis_ket(cfg.spec, [], 1).amplitudes
-    assert np.abs(out.amplitudes - target).max() < 1e-10
+    assert np.abs(stack[1] - target).max() < 1e-10
 
-    back = evolve_unitary(out, h, -t_swap)
-    assert np.abs(back.amplitudes - psi0.amplitudes).max() < 1e-10
+    back = evolve_unitary(QuantumState(stack[1], cfg.spec), h, [-t_swap])[0]
+    assert np.abs(back - psi0.amplitudes).max() < 1e-10
 
 
 def test_evolve_unitary_rejects_non_hermitian():
@@ -157,16 +156,34 @@ def test_evolve_unitary_rejects_non_hermitian():
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(NumericalError):
-        evolve_unitary(basis_ket(spec, [], 0), bad, 1e-9)
+        evolve_unitary(basis_ket(spec, [], 0), bad, [1e-9])
+
+
+def test_collapse_operators_stack_order_and_rates():
+    cfg = paper_system(photon_cutoff=2)
+    spec = cfg.spec
+    cs = collapse_operators(cfg)
+    assert cs.shape == (2 * spec.num_qubits + 1, spec.dim, spec.dim)
+    assert not cs.flags.writeable
+    expected = []
+    for j, q in enumerate(cfg.qubits):  # relaxation, then dephasing, per qubit
+        rates = decoherence_rates(q, cfg.resonator)
+        expected.append(np.sqrt(rates.gamma1) * embed_qubit_operator(SIGMA_MINUS, j, spec))
+        expected.append(np.sqrt(rates.gamma_phi / 2) * embed_qubit_operator(SIGMA_Z, j, spec))
+    kappa = decoherence_rates(cfg.qubits[0], cfg.resonator).kappa
+    expected.append(np.sqrt(kappa) * cavity_annihilation(spec))  # cavity loss last
+    for k, op in enumerate(expected):
+        assert np.array_equal(cs[k], op), k
 
 
 def test_lindblad_closed_system_matches_unitary():
     cfg = paper_system(photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     psi0 = basis_ket(cfg.spec, [], 1)
-    rho = evolve_lindblad(psi0.density_matrix(), h, [], 3e-9)
-    psi = evolve_unitary(psi0, h, 3e-9)
-    assert np.abs(rho.entries - psi.density_matrix().entries).max() < 1e-8
+    rho = evolve_lindblad(psi0.density_matrix(), h, [], [3e-9])
+    psi = evolve_unitary(psi0, h, [3e-9])
+    assert rho.shape == (1, cfg.spec.dim, cfg.spec.dim)
+    assert np.abs(rho[0] - np.outer(psi[0], psi[0].conj())).max() < 1e-8
 
 
 def test_lindblad_t1_only_exponential_decay():
@@ -174,11 +191,11 @@ def test_lindblad_t1_only_exponential_decay():
     spec = cfg.spec
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
     t1 = cfg.qubits[0].t1
-    channel = [c for c in collapse_operators(cfg) if np.isclose(c.rate, 1 / t1)]
+    channel = collapse_operators(cfg)[:1]  # qubit 0's relaxation
     rho0 = basis_ket(spec, [0], 0).density_matrix()
     t = 300e-9
-    rho = evolve_lindblad(rho0, h, channel, t)
-    p_e = expectation(embed_qubit_operator(PROJ_EXCITED, 0, spec), rho)
+    rho = evolve_lindblad(rho0, h, channel, [t])
+    p_e = expectation_stack(embed_qubit_operator(PROJ_EXCITED, 0, spec), rho)[0]
     assert abs(p_e - np.exp(-t / t1)) < 1e-12
 
 
@@ -188,10 +205,10 @@ def test_lindblad_w_sequential_matches_fine_step_rk4(monkeypatch):
     cfg = paper_system()
     exact = protocols.prepare_w_sequential(cfg, noise=True).entries
 
-    def rk4_segment(rho, h, collapse, t):
-        return DensityMatrix(rk4_lindblad(rho.entries, h, collapse, t, 2.5e-12), rho.spec)
+    def rk4_stack(rho, h, collapse, times):
+        return np.array([rk4_lindblad(rho.entries, h, collapse, t, 2.5e-12) for t in times])
 
-    monkeypatch.setattr(protocols, "evolve_lindblad", rk4_segment)
+    monkeypatch.setattr(protocols, "evolve_lindblad", rk4_stack)
     reference = protocols.prepare_w_sequential(cfg, noise=True).entries
     assert np.abs(exact - reference).max() < 2e-6
 
@@ -201,7 +218,7 @@ def test_lindblad_restricted_matches_full_space_expm():
     spec = cfg.spec
     h = build_hamiltonian(cfg, 2 * np.pi * np.array([30e6, -45e6, 10e6]))
     cs = collapse_operators(cfg)
-    ops = [h] + [c.matrix for c in cs] + [c.matrix.conj().T @ c.matrix for c in cs]
+    ops = [h, *cs, *(c.conj().T @ c for c in cs)]
     starts = [
         # |ggg,1> reaches the three |e_j,0> and |ggg,0>
         (basis_ket(spec, [], 1).density_matrix(), 5),
@@ -211,10 +228,10 @@ def test_lindblad_restricted_matches_full_space_expm():
     t = 50e-9
     for rho0, support in starts:
         assert _reachable(rho0.entries, ops).sum() == support
-        out = evolve_lindblad(rho0, h, cs, t)
+        out = evolve_lindblad(rho0, h, cs, [t])[0]
         ref = full_space_expm(rho0.entries, h, cs, t)
-        assert np.abs(out.entries - ref).max() < 1e-12
-        assert abs(np.trace(out.entries).real - 1.0) < 1e-12
+        assert np.abs(out - ref).max() < 1e-12
+        assert abs(np.trace(out).real - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 24])
@@ -233,10 +250,9 @@ def test_lindblad_positivity():
     cfg = paper_system(photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     cs = collapse_operators(cfg)
-    rho = basis_ket(cfg.spec, [2], 0).density_matrix()
-    for _ in range(4):
-        rho = evolve_lindblad(rho, h, cs, 5e-9)
-        assert np.linalg.eigvalsh(rho.entries).min() >= -1e-7
+    rho0 = basis_ket(cfg.spec, [2], 0).density_matrix()
+    stack = evolve_lindblad(rho0, h, cs, 5e-9 * np.arange(1, 5))
+    assert np.linalg.eigvalsh(stack).min() >= -1e-7
 
 
 def test_lindblad_rejects_bad_inputs():
@@ -244,11 +260,11 @@ def test_lindblad_rejects_bad_inputs():
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     rho0 = basis_ket(cfg.spec, [], 0).density_matrix()
     with pytest.raises(ConfigError):
-        evolve_lindblad(rho0, h, [], -1e-9)
+        evolve_lindblad(rho0, h, [], [0.0, -1e-9])
     bad = h.copy()
     bad[0, 1] += 1e6
     with pytest.raises(NumericalError):
-        evolve_lindblad(rho0, bad, [], 1e-9)
+        evolve_lindblad(rho0, bad, [], [1e-9])
 
 
 def test_oracle_amplitudes_at_factorization_time():
@@ -293,11 +309,10 @@ def test_oracle_equivalence_full_space():
         h = build_hamiltonian(cfg, detunings)
         psi0 = basis_ket(cfg.spec, [], 1)
         idx = single_excitation_indices(cfg.spec)
-        worst = 0.0
-        for t in np.linspace(0.0, 12e-9, 50):
-            full = evolve_unitary(psi0, h, t).amplitudes[idx]
-            oracle = single_excitation_oracle(g, detunings, t)
-            worst = max(worst, np.abs(full - oracle).max())
+        times = np.linspace(0.0, 12e-9, 50)
+        full = evolve_unitary(psi0, h, times)[:, idx]
+        oracle = np.array([single_excitation_oracle(g, detunings, t) for t in times])
+        worst = np.abs(full - oracle).max()
         assert worst < 1e-8, f"N={n}: {worst}"
 
 
@@ -308,10 +323,10 @@ def test_oracle_equivalence_with_detunings():
     h = build_hamiltonian(cfg, detunings)
     psi0 = basis_ket(cfg.spec, [], 1)
     idx = single_excitation_indices(cfg.spec)
-    for t in np.linspace(0.0, 10e-9, 25):
-        full = evolve_unitary(psi0, h, t).amplitudes[idx]
-        oracle = single_excitation_oracle(g, detunings, t)
-        assert np.abs(full - oracle).max() < 1e-8
+    times = np.linspace(0.0, 10e-9, 25)
+    full = evolve_unitary(psi0, h, times)[:, idx]
+    oracle = np.array([single_excitation_oracle(g, detunings, t) for t in times])
+    assert np.abs(full - oracle).max() < 1e-8
 
 
 def test_dark_state_is_stationary():
@@ -325,8 +340,8 @@ def test_dark_state_is_stationary():
         amps[cfg.spec.index([j])] = c[j]
     psi0 = QuantumState(amps, cfg.spec)
     h = build_hamiltonian(cfg, np.zeros(3))
-    out = evolve_unitary(psi0, h, 7e-9)
-    assert np.abs(np.abs(out.amplitudes) ** 2 - np.abs(psi0.amplitudes) ** 2).max() < 1e-9
+    out = evolve_unitary(psi0, h, [7e-9])[0]
+    assert np.abs(np.abs(out) ** 2 - np.abs(psi0.amplitudes) ** 2).max() < 1e-9
 
 
 def test_excitation_conservation():
@@ -340,9 +355,8 @@ def test_excitation_conservation():
     rng = np.random.default_rng(17)
     psi = random_pure(spec, rng)
     ref = expectation(n_op, psi)
-    for t in np.linspace(0, 8e-9, 20):
-        val = expectation(n_op, evolve_unitary(psi, h, t))
-        assert abs(val - ref) < 1e-9
+    vals = expectation_stack(n_op, evolve_unitary(psi, h, np.linspace(0, 8e-9, 20)))
+    assert np.abs(vals - ref).max() < 1e-9
 
 
 def test_frame_gauge_invariance():
@@ -357,10 +371,10 @@ def test_frame_gauge_invariance():
     # cavity term c a^dag a reappears
     h2 = build_hamiltonian(cfg, delta + shift) + shift * cavity_number(spec)
     psi0 = basis_ket(spec, [], 1)
-    for t in np.linspace(0, 9e-9, 15):
-        p1 = np.abs(evolve_unitary(psi0, h1, t).amplitudes) ** 2
-        p2 = np.abs(evolve_unitary(psi0, h2, t).amplitudes) ** 2
-        assert np.abs(p1 - p2).max() < 1e-9
+    times = np.linspace(0, 9e-9, 15)
+    p1 = np.abs(evolve_unitary(psi0, h1, times)) ** 2
+    p2 = np.abs(evolve_unitary(psi0, h2, times)) ** 2
+    assert np.abs(p1 - p2).max() < 1e-9
 
 
 # -- invariants over random devices --------------------------------------------
@@ -395,16 +409,14 @@ def test_lindblad_invariants_on_random_devices(g, delta, amps, boost):
     rho = QuantumState(vec / np.linalg.norm(vec), spec).density_matrix()
     h = build_hamiltonian(cfg, 2 * np.pi * 1e6 * np.array(delta))
     # boosted rates make the dissipators visible within a few nanoseconds
-    cs = [CollapseOperator(c.matrix, c.rate * boost) for c in collapse_operators(cfg)]
+    cs = np.sqrt(boost) * collapse_operators(cfg)
     n_op = excitation_number(spec)
     n_prev = expectation(n_op, rho)
-    for _ in range(4):
-        rho = evolve_lindblad(rho, h, cs, 2e-9)
-        m = rho.entries
+    stack = evolve_lindblad(rho, h, cs, 2e-9 * np.arange(1, 5))
+    for m, n_now in zip(stack, expectation_stack(n_op, stack)):
         assert abs(np.trace(m).real - 1.0) < 1e-10
         assert np.abs(m - m.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(m).min() >= -1e-10
-        n_now = expectation(n_op, rho)
         assert n_now <= n_prev + 1e-12
         n_prev = n_now
 
@@ -417,7 +429,7 @@ def test_lindblad_generator_real_in_hermitian_basis(g, delta, boost):
     cfg = random_device(g)
     spec = cfg.spec
     h = build_hamiltonian(cfg, 2 * np.pi * 1e6 * np.array(delta))
-    cs = [CollapseOperator(c.matrix, c.rate * boost) for c in collapse_operators(cfg)]
+    cs = np.sqrt(boost) * collapse_operators(cfg)
     mixed = DensityMatrix(np.eye(spec.dim, dtype=complex) / spec.dim, spec)
     for rho, n in ((basis_ket(spec, [], 1).density_matrix(), 5), (mixed, spec.dim)):
         keep, gen = _lindblad_generator(rho, h, cs)
@@ -433,7 +445,7 @@ def test_lindblad_closed_system_matches_oracle(g, delta, t_ns):
     spec = cfg.spec
     detunings = 2 * np.pi * 1e6 * np.array(delta)
     rho0 = basis_ket(spec, [], 1).density_matrix()
-    rho = evolve_lindblad(rho0, build_hamiltonian(cfg, detunings), [], t_ns * 1e-9)
+    rho = evolve_lindblad(rho0, build_hamiltonian(cfg, detunings), [], [t_ns * 1e-9])[0]
     psi = single_excitation_oracle(cfg.couplings(), detunings, t_ns * 1e-9)
     idx = single_excitation_indices(spec)
-    assert np.abs(rho.entries[np.ix_(idx, idx)] - np.outer(psi, psi.conj())).max() < 1e-9
+    assert np.abs(rho[np.ix_(idx, idx)] - np.outer(psi, psi.conj())).max() < 1e-9

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import cqedw
-from cqedw import analysis
-from cqedw.device import apply_crosstalk, equal_coupling_system, paper_system
+from cqedw import analysis, protocols
+from cqedw.device import equal_coupling_system, paper_system
 from cqedw.entanglement import W_PAPER, fidelity
 from cqedw.errors import ConfigError
 from cqedw.hilbert import DensityMatrix, QuantumState, basis_ket
@@ -51,7 +51,7 @@ def test_single_photon_transfer_is_complete():
 def test_single_photon_zero_duration_keeps_qubit_excited(noise):
     # the pi pulse is the schedule's initial state; noisy runs start from its density matrix
     cfg = paper_system()
-    sched = single_photon_schedule(cfg, 1, transfer_duration=0.0)
+    sched = PulseSchedule((ScheduleSegment(0.0, (1,)),), single_photon_schedule(cfg, 1).initial_state)
     out = run_schedule(cfg, sched, noise=noise)
     q, _, n = populations(out)
     assert abs(n) < 1e-9 and abs(q[1] - 1.0) < 1e-9
@@ -60,8 +60,8 @@ def test_single_photon_zero_duration_keeps_qubit_excited(noise):
 def test_single_photon_full_period_returns_excitation():
     cfg = paper_system()
     g = abs(cfg.qubits[0].coupling_g)
-    sched = single_photon_schedule(cfg, 0, transfer_duration=np.pi / g)
-    out = run_schedule(cfg, sched)
+    segment = ScheduleSegment(np.pi / g, (0,))
+    out = run_schedule(cfg, PulseSchedule((segment,), single_photon_schedule(cfg, 0).initial_state))
     q, _, n = populations(out)
     assert abs(q[0] - 1.0) < 1e-6 and abs(n) < 1e-6
 
@@ -110,35 +110,31 @@ def test_rabi_scan_antiphase_and_excitation_conservation():
         assert np.abs(trace.cavity_population - trace.ground_population).max() < 1e-9
 
 
-def per_point_scan(cfg, part, taus, noise, src):
+def per_point_scan(cfg, part, taus, noise):
     """Rabi scan the long way: the full prep + tau schedule through run_schedule per point."""
-    bias = cfg.bias_detunings()
-    target = bias.copy()
-    target[list(part)] = 0.0
-    realized = bias + apply_crosstalk(target - bias, cfg.crosstalk)
-    prep = single_photon_schedule(cfg, src)
+    prep = single_photon_schedule(cfg, part[0])
     rows = []
     for t in taus:
-        segment = ScheduleSegment(t, realized, coupled=tuple(part))
+        segment = ScheduleSegment(t, part)
         schedule = PulseSchedule(prep.segments + (segment,), prep.initial_state)
         rows.append(populations(run_schedule(cfg, schedule, noise=noise)))
     return [np.array(col) for col in zip(*rows)]
 
 
 @pytest.mark.parametrize(
-    "crosstalk, part, noise, src",
+    "crosstalk, part, noise",
     [
-        (0.0, (0, 1, 2), False, None),
-        (0.0, (0, 1, 2), True, None),
-        (0.02, (0, 1), False, 2),
-        (0.02, (1,), True, 0),
+        (0.0, (0, 1, 2), False),
+        (0.0, (0, 1, 2), True),
+        (0.02, (0, 1), False),
+        (0.02, (1, 2), True),
     ],
 )
-def test_rabi_scan_matches_per_point_schedule(crosstalk, part, noise, src):
+def test_rabi_scan_matches_per_point_schedule(crosstalk, part, noise):
     cfg = paper_system(crosstalk_epsilon=crosstalk)
     taus = np.linspace(0.0, 10e-9, 11)
-    trace = rabi_scan(cfg, part, taus, noise=noise, source_qubit=src)
-    q, g, n = per_point_scan(cfg, part, taus, noise, part[0] if src is None else src)
+    trace = rabi_scan(cfg, part, taus, noise=noise)
+    q, g, n = per_point_scan(cfg, part, taus, noise)
     assert np.abs(trace.qubit_populations - q).max() <= 1e-12
     assert np.abs(trace.ground_population - g).max() <= 1e-12
     assert np.abs(trace.cavity_population - n).max() <= 1e-12
@@ -188,6 +184,28 @@ def test_rabi_scan_validation():
         rabi_scan(cfg, [0], [2e-9, 1e-9])
     with pytest.raises(ConfigError):
         rabi_scan(cfg, [5], [1e-9])
+    for noise in (False, True):  # negative times used to pass in the ideal mode only
+        with pytest.raises(ConfigError):
+            rabi_scan(cfg, [0], [-5e-9, 1e-9], noise=noise)
+
+
+def test_segment_compiles_crosstalk_on_the_commanded_change(monkeypatch):
+    # a segment that brings qubit q to resonance commands the change -bias_q on q
+    # alone, so the realized detunings are bias - bias_q * X[:, q]
+    cfg = paper_system(crosstalk_epsilon=0.02)
+    bias, x = cfg.bias_detunings(), cfg.crosstalk.matrix
+    seen = []
+    build = protocols.build_hamiltonian
+
+    def recorded(config, detunings, coupled):
+        seen.append((np.array(detunings), tuple(coupled)))
+        return build(config, detunings, coupled=coupled)
+
+    monkeypatch.setattr(protocols, "build_hamiltonian", recorded)
+    run_schedule(cfg, sequential_w_schedule(cfg))
+    assert [coupled for _, coupled in seen] == [(2,), (1,), (0,)]
+    for detunings, (q,) in seen:
+        assert np.abs(detunings - (bias - bias[q] * x[:, q])).max() <= 1e-9 * np.abs(bias).max()
 
 
 def test_sqrt_n_frequency_law():
