@@ -13,15 +13,17 @@ pure dephasing (sigma_z at rate gamma_phi/2) and cavity decay (a at rate
 kappa); each constant segment is propagated exactly as rho(t) =
 expm(L t) rho(0), with L the vectorized Lindblad generator (Havel,
 J. Math. Phys. 44, 534 (2003)) built on the subspace reachable from the
-initial support.  L preserves Hermiticity, so it is a real matrix in an
-orthonormal basis of Hermitian operators, and it is exponentiated there.
+initial support under every segment of the schedule.  L preserves
+Hermiticity, so it is a real matrix in an orthonormal basis of Hermitian
+operators, and it is exponentiated there.
 
 A segment is propagated over a vector of times at once:
 ``evolve_unitary`` reuses one eigendecomposition for every time and
-``evolve_lindblad`` one real generator and one stacked real ``expm``.
-Each returns a stack with every state checked against the tolerances of
-``hilbert`` (the open-system states on their reachable block, before
-zero padding).
+``evolve_lindblad`` one real generator and one stacked real ``expm``;
+``evolve_lindblad`` also runs the segments before it on the same block,
+carrying real coordinates.  Each returns a stack with every state checked
+against the tolerances of ``hilbert`` (the open-system states on their
+reachable block, before zero padding).
 """
 from __future__ import annotations
 
@@ -150,74 +152,87 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return basis.reshape(n * n, n * n)
 
 
-def _lindblad_generator(
-    rho: DensityMatrix, h: np.ndarray, collapse: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The reachable-state mask of rho and the row-major vectorized Lindblad generator on it.
+def _lindblad_generator(h: np.ndarray, ls: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """The row-major vectorized Lindblad generator of one segment on one block.
 
     L = -i (H_eff x 1 - 1 x H_eff^*) + sum_k L_k x L_k^*,
     H_eff = H - (i/2) sum_k L_k^+ L_k,
 
-    with ``collapse`` the (channels, d, d) stack of jump operators L_k
-    (sqrt(rate) absorbed, as :func:`collapse_operators` returns them), is
-    built only on the basis states reachable from rho's support through the
-    nonzero patterns of H, the L_k and the L_k^+ L_k; their span is
-    invariant under the dynamics, so the restriction is exact.  With three
-    qubits and photon cutoff 2, a single-excitation state reaches 5 of the
-    24 basis states, so L is 25 x 25 instead of 576 x 576.
+    with ``h`` the n x n block of H, ``ls`` the (channels, n, n) blocks of
+    the jump operators L_k (sqrt(rate) absorbed, as
+    :func:`collapse_operators` returns them) and ``decay`` the n x n block
+    of sum_k L_k^+ L_k.
     """
-    _check_hermitian(h)
-    ls = np.asarray(collapse, dtype=complex).reshape(-1, *h.shape)  # also with no channel
-    decay = np.swapaxes(ls.conj(), -1, -2) @ ls
-    keep = _reachable(rho.entries, [h, *ls, *decay])
-    sub = np.ix_(keep, keep)
-    n = int(keep.sum())
+    n = h.shape[0]
     eye = np.eye(n)
-    h_eff = h[sub] - 0.5j * decay.sum(axis=0)[sub]
-    ls = ls[:, keep][:, :, keep]
+    h_eff = h - 0.5j * decay
     gen = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
     gen += np.einsum("kij,kab->iajb", ls, ls.conj()).reshape(n * n, n * n)
-    return keep, gen
+    return gen
 
 
 def evolve_lindblad(
     rho: DensityMatrix,
+    before: Sequence[tuple[np.ndarray, float]],
     h: np.ndarray,
     collapse: np.ndarray,
     times: Sequence[float],
 ) -> np.ndarray:
-    """Open-system propagation to every t in ``times``: a (T, d, d) stack of expm(L t) rho.
+    """Open-system propagation of a schedule: a (T, d, d) stack, one state per entry of ``times``.
 
-    L is :func:`_lindblad_generator` on the states reachable from rho,
-    taken to the real matrix L_r = B^+ L B in the Hermitian basis B of
-    :func:`_hermitian_basis`; an imaginary part of B^+ L B above 1e-12
-    max|L| raises NumericalError.  One stacked real ``expm`` of L_r t acts
-    on the real coordinates of rho, and B maps every result back.  Each
-    n x n block is checked by ``check_density_stack`` and then padded with
-    zeros; padding adds only zero eigenvalues and changes neither
-    Hermiticity, trace nor finiteness, so the check's verdict is that of
-    the padded stack.
+    rho runs through each (H_j, t_j) of ``before`` in order, and then
+    through ``h`` for every t in ``times``; ``collapse`` is the
+    (channels, d, d) jump-operator stack of every segment.
+
+    The dynamics is built once, on the basis states reachable from rho's
+    support through the nonzero patterns of every segment's H, the L_k and
+    the L_k^+ L_k.  Their span is invariant under every segment, so the
+    restriction is exact; with three qubits and photon cutoff 2, a
+    single-excitation state reaches 5 of the 24 basis states, and each
+    generator is 25 x 25 instead of 576 x 576.  Each segment's
+    :func:`_lindblad_generator` is taken to the real matrix L_r = B^+ L B in
+    the one Hermitian basis B of :func:`_hermitian_basis`; an imaginary part
+    of B^+ L B above 1e-12 max|L| raises NumericalError.  The real
+    coordinates of rho are carried from segment to segment by ``expm`` of
+    L_r t_j, and the last segment takes them to every time in one stacked
+    ``expm``.  Every propagated state, the one after each segment of
+    ``before`` and every returned one, is checked once, on its block, by one
+    ``check_density_stack`` call; padding with zeros adds only zero
+    eigenvalues and changes neither Hermiticity, trace nor finiteness, so the
+    check's verdict is that of the padded state.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
-    if np.any(times < 0):
+    if np.any(times < 0) or any(t < 0 for _, t in before):
         raise ConfigError("t must be >= 0")
-    keep, gen = _lindblad_generator(rho, h, collapse)
+    hs = [h_j for h_j, _ in before] + [h]
+    for h_j in hs:
+        _check_hermitian(h_j)
+    ls = np.asarray(collapse, dtype=complex).reshape(-1, *h.shape)  # also with no channel
+    decay = np.swapaxes(ls.conj(), -1, -2) @ ls
+    keep = _reachable(rho.entries, [*hs, *ls, *decay])
+    sub = np.ix_(keep, keep)
     n = int(keep.sum())
+    ls = ls[:, keep][:, :, keep]
+    decay = decay.sum(axis=0)[sub]
     basis = _hermitian_basis(n)
     coords_of = basis.conj().T  # B^+: a Hermitian matrix's vec to its real coordinates
-    gen_b = coords_of @ gen @ basis
-    dropped = np.abs(gen_b.imag).max()
-    if dropped > 1e-12 * np.abs(gen).max():
-        raise NumericalError(f"generator has imaginary part {dropped} in the Hermitian basis")
-    sub = np.ix_(keep, keep)
-    x0 = (coords_of @ rho.entries[sub].reshape(-1)).real
     from scipy.linalg import expm  # imported here: certify and reconstruct never propagate
 
-    coords = expm(gen_b.real[None] * times[:, None, None]) @ x0
-    small = (coords @ basis.T).reshape(-1, n, n)
+    def propagate(x, h_j, ts):
+        gen = _lindblad_generator(h_j[sub], ls, decay)
+        gen_b = coords_of @ gen @ basis
+        dropped = np.abs(gen_b.imag).max()
+        if dropped > 1e-12 * np.abs(gen).max():
+            raise NumericalError(f"generator has imaginary part {dropped} in the Hermitian basis")
+        return expm(gen_b.real[None] * ts[:, None, None]) @ x
+
+    coords = [(coords_of @ rho.entries[sub].reshape(-1)).real]
+    for h_j, t in before:
+        coords.append(propagate(coords[-1], h_j, np.array([t]))[0])
+    small = (np.vstack([*coords[1:], propagate(coords[-1], h, times)]) @ basis.T).reshape(-1, n, n)
     check_density_stack(small)
     out = np.zeros((times.size, *rho.entries.shape), dtype=complex)
-    out[:, sub[0], sub[1]] = small
+    out[:, sub[0], sub[1]] = small[len(before):]
     return out
 
 

@@ -182,6 +182,18 @@ class DensityMatrix:
         check_density_stack(mat[None])
         object.__setattr__(self, "entries", mat)
 
+    @classmethod
+    def checked(cls, entries: np.ndarray, spec: HilbertSpec) -> "DensityMatrix":
+        """Wrap a (d, d) matrix that ``check_density_stack`` has already passed.
+
+        The entries are copied read-only but not checked a second time; the
+        open-system propagator checks each state on its reachable block.
+        """
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "entries", _readonly(entries))
+        object.__setattr__(rho, "spec", spec)
+        return rho
+
     def purity(self) -> float:
         return float(np.einsum("ij,ji->", self.entries, self.entries).real)
 

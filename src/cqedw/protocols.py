@@ -7,10 +7,13 @@ one microwave pulse of every experiment, an ideal x-axis pi pulse on the
 source qubit of |g...g,0>, is folded into the initial state.  Flux pulses
 are ideal rectangles.
 
-A segment is compiled when it runs, by :func:`_propagate`, which
-``run_schedule`` calls once per segment and ``rabi_scan`` once for its
-whole tau grid.  Crosstalk acts on commanded detuning *changes* relative to
-the steady-state bias: a segment that sets qubit j to target detuning d_j
+Each segment is compiled by :func:`_hamiltonian`.  :func:`_propagate`
+runs a whole schedule with its last segment held for a vector of times;
+``run_schedule`` holds it for its duration, and ``rabi_scan`` appends the
+scan segment to the loading schedule and holds it for its tau grid.
+
+Crosstalk acts on commanded detuning *changes* relative to the
+steady-state bias: a segment that sets qubit j to target detuning d_j
 (0 if resonant, its bias otherwise) is compiled as
 
     realized = bias + X @ (target - bias)
@@ -109,30 +112,43 @@ def _pi_pulsed(spec: HilbertSpec, qubit: int) -> QuantumState:
     return QuantumState(u @ basis_ket(spec).amplitudes, spec)
 
 
-def _propagate(
-    config: SystemConfig,
-    resonant: Sequence[int],
-    state: Union[QuantumState, DensityMatrix],
-    collapse: np.ndarray | None,
-    times: Sequence[float],
-) -> np.ndarray:
-    """The state after ``resonant`` qubits sit at resonance for each of ``times``: a stack.
+def _hamiltonian(config: SystemConfig, resonant: Sequence[int]) -> np.ndarray:
+    """H of the segment that brings the ``resonant`` qubits to resonance.
 
-    The segment is compiled here: the targets are 0 for ``resonant`` and the
-    bias for everyone else, crosstalk acts on the commanded change, and only
-    ``resonant`` qubits exchange with the mode.  ``collapse=None`` is
-    closed-system, with a (T, d) stack of amplitudes; otherwise ``collapse``
-    is the jump-operator stack of ``collapse_operators`` and the result a
-    (T, d, d) stack of density matrices.
+    The targets are 0 for ``resonant`` and the bias for everyone else,
+    crosstalk acts on the commanded change, and only ``resonant`` qubits
+    exchange with the mode.
     """
     bias = config.bias_detunings()
     target = bias.copy()
     target[list(resonant)] = 0.0
     realized = bias + apply_crosstalk(target - bias, config.crosstalk)
-    h = build_hamiltonian(config, realized, coupled=resonant)
-    if collapse is None:
-        return evolve_unitary(state, h, times)
-    return evolve_lindblad(state, h, collapse, times)
+    return build_hamiltonian(config, realized, coupled=resonant)
+
+
+def _propagate(
+    config: SystemConfig, schedule: PulseSchedule, noise: bool, times: Sequence[float]
+) -> np.ndarray:
+    """The schedule's state with its last segment held for each of ``times``: a stack.
+
+    Every earlier segment runs for its duration; the last segment's own
+    duration is not read.  Each segment is compiled by :func:`_hamiltonian`.
+    Closed-system runs give a (T, d) stack of amplitudes and carry the ket
+    from segment to segment.  With ``noise``, the result is a (T, d, d)
+    stack of density matrices from one :func:`evolve_lindblad` call, which
+    restricts the whole schedule to one reachable block and carries its real
+    coordinates from segment to segment.
+    """
+    *head, last = schedule.segments
+    before = [(_hamiltonian(config, seg.resonant), seg.duration) for seg in head]
+    h = _hamiltonian(config, last.resonant)
+    if noise:
+        rho = schedule.initial_state.density_matrix()
+        return evolve_lindblad(rho, before, h, collapse_operators(config), times)
+    state = schedule.initial_state
+    for h_j, t in before:
+        state = QuantumState(evolve_unitary(state, h_j, [t])[0], state.spec)
+    return evolve_unitary(state, h, times)
 
 
 def run_schedule(
@@ -140,14 +156,15 @@ def run_schedule(
     schedule: PulseSchedule,
     noise: bool = False,
 ) -> Union[QuantumState, DensityMatrix]:
-    """Execute a schedule; closed-system unless ``noise`` enables the Lindblad model."""
-    collapse = collapse_operators(config) if noise else None
-    state: Union[QuantumState, DensityMatrix]
-    state = schedule.initial_state.density_matrix() if noise else schedule.initial_state
-    for seg in schedule.segments:
-        row = _propagate(config, seg.resonant, state, collapse, [seg.duration])[0]
-        state = DensityMatrix(row, state.spec) if noise else QuantumState(row, state.spec)
-    return state
+    """Execute a schedule; closed-system unless ``noise`` enables the Lindblad model.
+
+    With ``noise``, every segment's state is checked once, on the reachable
+    block, by :func:`evolve_lindblad`, and the final state is not checked
+    again when it is wrapped.
+    """
+    spec = schedule.initial_state.spec
+    final = _propagate(config, schedule, noise, [schedule.segments[-1].duration])[0]
+    return DensityMatrix.checked(final, spec) if noise else QuantumState(final, spec)
 
 
 def population_stack(stack: np.ndarray, spec: HilbertSpec) -> tuple[np.ndarray, ...]:
@@ -198,11 +215,13 @@ def rabi_scan(
     The photon is loaded once from the lowest participating qubit; from
     that state the participating set is brought to resonance for each
     interaction time tau >= 0 and the populations are recorded.  Qubits
-    outside the set stay parked at their bias detuning.  The scan is one
-    :func:`_propagate` call over the tau grid, the step every schedule
-    segment takes: one Hamiltonian and one propagator (one ``eigh``, or one
-    Lindblad generator and one stacked ``expm``) serve every tau; every
-    state and population is still checked per tau.
+    outside the set stay parked at their bias detuning.  The scan is the
+    loading schedule with a resonant segment appended and held for every
+    tau: one :func:`_propagate` call, the step every schedule takes.  One
+    Hamiltonian and one propagator (one ``eigh``, or one Lindblad generator
+    and one stacked ``expm``) serve every tau.  A noisy scan continues from
+    the loaded state's real coordinates on the schedule's one reachable
+    block, and every state and population is still checked per tau.
     """
     part = sorted(set(participating))
     if not part:
@@ -218,8 +237,9 @@ def rabi_scan(
     if tau[0] < 0:
         raise ConfigError("interaction times must be >= 0")
 
-    loaded = run_schedule(config, single_photon_schedule(config, part[0]), noise=noise)
-    stack = _propagate(config, part, loaded, collapse_operators(config) if noise else None, tau)
+    load = single_photon_schedule(config, part[0])
+    scan = PulseSchedule(load.segments + (ScheduleSegment(0.0, part),), load.initial_state)
+    stack = _propagate(config, scan, noise, tau)
     labels = tuple(q.label for q in config.qubits)
     return PopulationTrace(tau, *population_stack(stack, config.spec), labels)
 

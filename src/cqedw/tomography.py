@@ -96,7 +96,7 @@ def build_readout(coefficients: Sequence[float]) -> np.ndarray:
         raise IncompleteReadoutError(
             f"zero coefficient on {zeros}: readout cannot span the qubit populations"
         )
-    mat = sum(c * pauli_matrix(l) for c, l in zip(coeffs, DIAGONAL_LABELS))
+    mat = sum(c * PAULI_STACK[PAULI_LABELS.index(l)] for c, l in zip(coeffs, DIAGONAL_LABELS))
     mat.setflags(write=False)
     return mat
 
@@ -105,21 +105,26 @@ def build_readout(coefficients: Sequence[float]) -> np.ndarray:
 class TomographySet:
     """Labeled measurement operators U^+ M U for one readout operator.
 
-    ``design`` is the operators expanded in the 64 Pauli strings (identity
-    first), D[n, k] = Tr(P_k O_n) / 8, so noiseless outcomes are
-    ``design @ pauli_set(rho)``.  It is computed once, when the set is made,
-    and read by simulation, inversion and the completeness check.  So is one
-    SVD of its traceless block ``design[:, 1:]``, from which both the rank
-    and the pseudo-inverse are derived.
+    ``operators`` is one read-only (n, 8, 8) array, operator k measured
+    after the rotations ``labels[k]``.  ``design`` is the operators expanded
+    in the 64 Pauli strings (identity first), D[n, k] = Tr(P_k O_n) / 8, so
+    noiseless outcomes are ``design @ pauli_set(rho)``.  It is computed once,
+    when the set is made, in one einsum over ``operators``, and read by
+    simulation, inversion and the completeness check.  So is one SVD of its
+    traceless block ``design[:, 1:]``, from which both the rank and the
+    pseudo-inverse are derived.
     """
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     labels: tuple[tuple[str, str, str], ...]  # per-qubit rotation labels (A, B, C)
     design: np.ndarray = field(init=False, repr=False, compare=False)
     _svd: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        design = np.einsum("kij,nji->nk", PAULI_STACK, np.stack(self.operators)).real / 8.0
+        ops = np.array(self.operators, dtype=complex)
+        ops.setflags(write=False)
+        object.__setattr__(self, "operators", ops)
+        design = np.einsum("kij,nji->nk", PAULI_STACK, ops).real / 8.0
         design.setflags(write=False)
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "_svd", np.linalg.svd(design[:, 1:], full_matrices=False))
@@ -149,20 +154,21 @@ class TomographySet:
         return vt.T @ ((1.0 / s)[:, None] * u.T)
 
 
-def _conjugated(readout: np.ndarray, labels: tuple[str, str, str]) -> np.ndarray:
-    la, lb, lc = labels
-    u = np.kron(ROTATIONS[lc], np.kron(ROTATIONS[lb], ROTATIONS[la]))
-    return u.conj().T @ readout @ u
-
-
 def tomography_set(readout: np.ndarray) -> TomographySet:
     """The readout M of :func:`build_readout` under all 64 rotation triples.
 
-    Raises if the set is rank-deficient.
+    Triple (a, b, c) rotates by U = R_c (x) R_b (x) R_a, with A the fastest
+    factor.  All 64 U are two einsums of outer products over the four
+    one-qubit rotations, multiplied in the order of
+    ``np.kron(R_c, np.kron(R_b, R_a))``, and every U^+ M U is one batched
+    matmul.  Labels run over ``itertools.product`` of the rotation names,
+    C fastest.  Raises if the set is rank-deficient.
     """
     labels = tuple(itertools.product(FULL_ROTATION_LABELS, repeat=3))
-    ops = tuple(_conjugated(readout, l) for l in labels)
-    tset = TomographySet(ops, labels)
+    rot = np.stack([ROTATIONS[l] for l in FULL_ROTATION_LABELS])
+    ba = np.einsum("bij,akl->baikjl", rot, rot).reshape(4, 4, 4, 4)  # R_b (x) R_a
+    u = np.einsum("cpq,baxy->abcpxqy", rot, ba).reshape(64, 8, 8)  # R_c (x) (R_b (x) R_a)
+    tset = TomographySet(u.conj().swapaxes(1, 2) @ readout @ u, labels)
     rank = tset.completeness_rank()
     if rank != 64:
         raise IncompleteReadoutError(f"tomography set has rank {rank}, expected 64")
@@ -191,6 +197,8 @@ def _outcomes(outcomes: np.ndarray, tset: TomographySet) -> np.ndarray:
     y = np.asarray(outcomes, dtype=float)
     if y.shape != (len(tset),):
         raise ConfigError(f"got outcomes of shape {y.shape} for {len(tset)} operators")
+    if not np.isfinite(y).all():
+        raise ConfigError(f"outcomes must be finite; entry {int(np.argmin(np.isfinite(y)))} is not")
     return y
 
 
@@ -237,6 +245,8 @@ def mle_project(estimate: np.ndarray) -> ReconstructionResult:
     if est.ndim != 2 or est.shape[0] != est.shape[1]:
         raise ConfigError("estimate must be a square matrix")
     spec = qubit_spec(est.shape[0])
+    if not np.isfinite(est).all():
+        raise NumericalError("mle_project requires a finite estimate")
     if np.abs(est - est.conj().T).max() > 1e-8:
         raise NumericalError("mle_project requires a Hermitian estimate")
     est = 0.5 * (est + est.conj().T)

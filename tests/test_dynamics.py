@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqedw import protocols
-from cqedw.device import G_RAD_PER_PI_MHZ, decoherence_rates, equal_coupling_system, paper_system
+from cqedw.device import (
+    G_RAD_PER_PI_MHZ,
+    decoherence_rates,
+    equal_coupling_system,
+    named_preset,
+    paper_system,
+)
 from cqedw.dynamics import (
     _hermitian_basis,
     _lindblad_generator,
@@ -180,7 +186,7 @@ def test_lindblad_closed_system_matches_unitary():
     cfg = paper_system(photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     psi0 = basis_ket(cfg.spec, [], 1)
-    rho = evolve_lindblad(psi0.density_matrix(), h, [], [3e-9])
+    rho = evolve_lindblad(psi0.density_matrix(), [], h, [], [3e-9])
     psi = evolve_unitary(psi0, h, [3e-9])
     assert rho.shape == (1, cfg.spec.dim, cfg.spec.dim)
     assert np.abs(rho[0] - np.outer(psi[0], psi[0].conj())).max() < 1e-8
@@ -194,7 +200,7 @@ def test_lindblad_t1_only_exponential_decay():
     channel = collapse_operators(cfg)[:1]  # qubit 0's relaxation
     rho0 = basis_ket(spec, [0], 0).density_matrix()
     t = 300e-9
-    rho = evolve_lindblad(rho0, h, channel, [t])
+    rho = evolve_lindblad(rho0, [], h, channel, [t])
     p_e = expectation_stack(embed_qubit_operator(PROJ_EXCITED, 0, spec), rho)[0]
     assert abs(p_e - np.exp(-t / t1)) < 1e-12
 
@@ -205,8 +211,11 @@ def test_lindblad_w_sequential_matches_fine_step_rk4(monkeypatch):
     cfg = paper_system()
     exact = protocols.prepare_w_sequential(cfg, noise=True).entries
 
-    def rk4_stack(rho, h, collapse, times):
-        return np.array([rk4_lindblad(rho.entries, h, collapse, t, 2.5e-12) for t in times])
+    def rk4_stack(rho, before, h, collapse, times):
+        r = rho.entries
+        for h_j, t in before:
+            r = rk4_lindblad(r, h_j, collapse, t, 2.5e-12)
+        return np.array([rk4_lindblad(r, h, collapse, t, 2.5e-12) for t in times])
 
     monkeypatch.setattr(protocols, "evolve_lindblad", rk4_stack)
     reference = protocols.prepare_w_sequential(cfg, noise=True).entries
@@ -228,10 +237,26 @@ def test_lindblad_restricted_matches_full_space_expm():
     t = 50e-9
     for rho0, support in starts:
         assert _reachable(rho0.entries, ops).sum() == support
-        out = evolve_lindblad(rho0, h, cs, [t])[0]
+        out = evolve_lindblad(rho0, [], h, cs, [t])[0]
         ref = full_space_expm(rho0.entries, h, cs, t)
         assert np.abs(out - ref).max() < 1e-12
         assert abs(np.trace(out).real - 1.0) < 1e-12
+    # both multi-segment W preparations, each propagated on one 5-state block,
+    # against every segment taken in turn on the full 24-state space
+    for preset in ("paper-default", "paper-crosstalk-2pct"):
+        cfg = named_preset(preset)
+        cs = collapse_operators(cfg)
+        load = protocols.single_photon_schedule(cfg, 2)
+        collective = protocols.PulseSchedule(
+            load.segments + (protocols.ScheduleSegment(protocols.collective_interaction_time(cfg), range(3)),),
+            load.initial_state,
+        )
+        for schedule in (collective, protocols.sequential_w_schedule(cfg)):
+            out = protocols.run_schedule(cfg, schedule, noise=True).entries
+            ref = schedule.initial_state.density_matrix().entries
+            for seg in schedule.segments:
+                ref = full_space_expm(ref, protocols._hamiltonian(cfg, seg.resonant), cs, seg.duration)
+            assert np.abs(out - ref).max() < 1e-12, preset
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 24])
@@ -251,7 +276,7 @@ def test_lindblad_positivity():
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     cs = collapse_operators(cfg)
     rho0 = basis_ket(cfg.spec, [2], 0).density_matrix()
-    stack = evolve_lindblad(rho0, h, cs, 5e-9 * np.arange(1, 5))
+    stack = evolve_lindblad(rho0, [], h, cs, 5e-9 * np.arange(1, 5))
     assert np.linalg.eigvalsh(stack).min() >= -1e-7
 
 
@@ -260,11 +285,15 @@ def test_lindblad_rejects_bad_inputs():
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     rho0 = basis_ket(cfg.spec, [], 0).density_matrix()
     with pytest.raises(ConfigError):
-        evolve_lindblad(rho0, h, [], [0.0, -1e-9])
+        evolve_lindblad(rho0, [], h, [], [0.0, -1e-9])
+    with pytest.raises(ConfigError):  # a segment run before the last one
+        evolve_lindblad(rho0, [(h, -1e-9)], h, [], [1e-9])
     bad = h.copy()
     bad[0, 1] += 1e6
     with pytest.raises(NumericalError):
-        evolve_lindblad(rho0, bad, [], [1e-9])
+        evolve_lindblad(rho0, [], bad, [], [1e-9])
+    with pytest.raises(NumericalError):
+        evolve_lindblad(rho0, [(bad, 1e-9)], h, [], [1e-9])
 
 
 def test_oracle_amplitudes_at_factorization_time():
@@ -412,7 +441,7 @@ def test_lindblad_invariants_on_random_devices(g, delta, amps, boost):
     cs = np.sqrt(boost) * collapse_operators(cfg)
     n_op = excitation_number(spec)
     n_prev = expectation(n_op, rho)
-    stack = evolve_lindblad(rho, h, cs, 2e-9 * np.arange(1, 5))
+    stack = evolve_lindblad(rho, [], h, cs, 2e-9 * np.arange(1, 5))
     for m, n_now in zip(stack, expectation_stack(n_op, stack)):
         assert abs(np.trace(m).real - 1.0) < 1e-10
         assert np.abs(m - m.conj().T).max() < 1e-12
@@ -431,9 +460,12 @@ def test_lindblad_generator_real_in_hermitian_basis(g, delta, boost):
     h = build_hamiltonian(cfg, 2 * np.pi * 1e6 * np.array(delta))
     cs = np.sqrt(boost) * collapse_operators(cfg)
     mixed = DensityMatrix(np.eye(spec.dim, dtype=complex) / spec.dim, spec)
+    decay = np.swapaxes(cs.conj(), -1, -2) @ cs
     for rho, n in ((basis_ket(spec, [], 1).density_matrix(), 5), (mixed, spec.dim)):
-        keep, gen = _lindblad_generator(rho, h, cs)
+        keep = _reachable(rho.entries, [h, *cs, *decay])
         assert keep.sum() == n
+        sub = np.ix_(keep, keep)
+        gen = _lindblad_generator(h[sub], cs[:, keep][:, :, keep], decay.sum(axis=0)[sub])
         b = _hermitian_basis(n)
         assert np.abs((b.conj().T @ gen @ b).imag).max() <= 1e-12 * np.abs(gen).max()
 
@@ -445,7 +477,7 @@ def test_lindblad_closed_system_matches_oracle(g, delta, t_ns):
     spec = cfg.spec
     detunings = 2 * np.pi * 1e6 * np.array(delta)
     rho0 = basis_ket(spec, [], 1).density_matrix()
-    rho = evolve_lindblad(rho0, build_hamiltonian(cfg, detunings), [], [t_ns * 1e-9])[0]
+    rho = evolve_lindblad(rho0, [], build_hamiltonian(cfg, detunings), [], [t_ns * 1e-9])[0]
     psi = single_excitation_oracle(cfg.couplings(), detunings, t_ns * 1e-9)
     idx = single_excitation_indices(spec)
     assert np.abs(rho[np.ix_(idx, idx)] - np.outer(psi, psi.conj())).max() < 1e-9

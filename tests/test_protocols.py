@@ -174,6 +174,48 @@ def test_rabi_scan_work_does_not_grow_with_points(monkeypatch, noise):
                             else {"build_hamiltonian", "eigh"})
 
 
+def test_noisy_schedule_builds_one_block_and_checks_each_state_once(monkeypatch):
+    # one reachable set and one Hermitian basis per schedule or scan, and every
+    # propagated state checked once on the 5-state block, never again at 24 x 24
+    from cqedw import dynamics, hilbert
+
+    calls, checked = {}, []
+
+    def counted(name):
+        fn = getattr(dynamics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, wrapper)
+
+    def check(mats):
+        checked.append(mats.shape[:2])
+        return hilbert_check(mats)
+
+    hilbert_check = hilbert.check_density_stack
+    counted("_reachable")
+    counted("_hermitian_basis")
+    monkeypatch.setattr(dynamics, "check_density_stack", check)
+    monkeypatch.setattr(hilbert, "check_density_stack", check)
+    cfg = paper_system()
+    runs = [
+        # (run, expected (states, dim) per check): the pi-pulsed initial state at
+        # 24, the propagated states on the block, the cavity-traced state at 8
+        (lambda: prepare_w_sequential(cfg, noise=True), [(1, 24), (3, 5), (1, 8)]),
+        (lambda: prepare_w_collective(cfg, noise=True), [(1, 24), (2, 5), (1, 8)]),
+        (lambda: rabi_scan(cfg, (0, 1, 2), np.linspace(0.0, 10e-9, 21), noise=True),
+         [(1, 24), (22, 5)]),
+    ]
+    for run, expected in runs:
+        calls.clear()
+        checked.clear()
+        run()
+        assert calls == {"_reachable": 1, "_hermitian_basis": 1}
+        assert checked == expected
+
+
 def test_rabi_scan_validation():
     cfg = paper_system(photon_cutoff=1)
     with pytest.raises(ConfigError):

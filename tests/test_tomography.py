@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from cqedw.hilbert import DensityMatrix
 from cqedw.tomography import (
     DEFAULT_READOUT_COEFFICIENTS,
     DIAGONAL_LABELS,
+    FULL_ROTATION_LABELS,
     PAULI_LABELS,
+    ROTATIONS,
     TomographySet,
     build_readout,
     expectation_values,
@@ -54,6 +58,14 @@ def test_build_readout_identity_trace():
             m[0, 0] = 1.0  # read-only
 
 
+def test_build_readout_matches_kron_sum():
+    # the sum over the stacked diagonal Pauli strings, bit for bit the sum of
+    # fresh Kronecker products
+    for coeffs in (DEFAULT_READOUT_COEFFICIENTS, WEAK_CORRELATION_COEFFICIENTS):
+        kron_sum = sum(c * pauli_matrix(l) for c, l in zip(coeffs, DIAGONAL_LABELS))
+        assert np.array_equal(build_readout(coeffs), kron_sum)
+
+
 def test_weak_correlation_coefficients_accepted_and_complete():
     tset = tomography_set(build_readout(WEAK_CORRELATION_COEFFICIENTS))
     assert tset.completeness_rank() == 64
@@ -82,6 +94,15 @@ def test_one_svd_per_set_gives_rank_and_pinv(w_rho, monkeypatch):
     assert np.array_equal(tset._traceless_pinv, np.linalg.pinv(tset.design[:, 1:]))
 
 
+def reference_operators(readout):
+    """U^+ M U per rotation triple (A, B, C), with U = R_C (x) R_B (x) R_A from np.kron."""
+    ops = []
+    for la, lb, lc in itertools.product(FULL_ROTATION_LABELS, repeat=3):
+        u = np.kron(ROTATIONS[lc], np.kron(ROTATIONS[lb], ROTATIONS[la]))
+        ops.append(u.conj().T @ readout @ u)
+    return np.array(ops)
+
+
 def reference_design(tset):
     """D[n, k] = Tr(P_k O_n) / 8, one scalar trace per entry."""
     return np.array(
@@ -98,8 +119,17 @@ def test_design_matches_reference_loop(tset):
     for s in (tset, weak, partial):
         assert s.design.shape == (len(s), 64)
         assert np.abs(s.design - reference_design(s)).max() <= 1e-15
+    # the batched set, bit for bit the per-triple products, on both readouts
+    for coeffs in (DEFAULT_READOUT_COEFFICIENTS, WEAK_CORRELATION_COEFFICIENTS):
+        s = tomography_set(build_readout(coeffs))
+        assert s.labels == tuple(itertools.product(FULL_ROTATION_LABELS, repeat=3))
+        assert np.array_equal(s.operators, reference_operators(build_readout(coeffs)))
     with pytest.raises(ValueError):
         tset.design[0, 0] = 1.0  # read-only
+    for s in (tset, partial):
+        assert s.operators.shape == (len(s), 8, 8)
+        with pytest.raises(ValueError):
+            s.operators[0, 0, 0] = 1.0  # read-only
 
 
 def test_expectation_values_match_traces(tset):
@@ -221,6 +251,29 @@ def test_mle_project_rejects_non_hermitian():
     bad[0, 1] = 1.0
     with pytest.raises(NumericalError):
         mle_project(bad)
+
+
+def test_reconstruct_rejects_non_finite_outcomes(w_rho, tset):
+    # a NaN or inf outcome is malformed input, not an eigensolver failure
+    outcomes = simulate_measurements(w_rho, tset, 0.0, 0)
+    for bad in (np.nan, np.inf, -np.inf):
+        y = outcomes.copy()
+        y[5] = bad
+        for call in (reconstruct, linear_inversion, records_to_csv):
+            with pytest.raises(ConfigError, match="finite"):
+                call(y, tset)
+
+
+def test_mle_project_rejects_non_finite_estimate():
+    for bad in (np.nan, np.inf):
+        est = np.eye(8, dtype=complex) / 8
+        est[2, 2] = bad
+        with pytest.raises(NumericalError, match="finite"):
+            mle_project(est)
+        est = np.eye(8, dtype=complex) / 8
+        est[0, 3] = est[3, 0] = bad * 1j  # NaN slips past a Hermiticity test of > 1e-8
+        with pytest.raises(NumericalError, match="finite"):
+            mle_project(est)
 
 
 def test_mle_project_rejects_non_qubit_dimension():
