@@ -160,7 +160,7 @@ def test_rabi_scan_work_does_not_grow_with_points(monkeypatch, noise):
 
     counted(protocols, "build_hamiltonian")
     counted(np.linalg, "eigh")
-    counted(dynamics, "_reachable")  # one per Lindblad generator built
+    counted(dynamics, "_reachable")  # one per noisy schedule or scan
     counted(scipy.linalg, "expm")
     cfg = paper_system()
     seen = []
@@ -190,11 +190,12 @@ def test_noisy_schedule_builds_one_block_and_checks_each_state_once(monkeypatch)
 
         monkeypatch.setattr(dynamics, name, wrapper)
 
+    hilbert_check = hilbert.check_density_stack
+
     def check(mats):
         checked.append(mats.shape[:2])
         return hilbert_check(mats)
 
-    hilbert_check = hilbert.check_density_stack
     counted("_reachable")
     counted("_hermitian_basis")
     monkeypatch.setattr(dynamics, "check_density_stack", check)
