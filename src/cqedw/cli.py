@@ -1,6 +1,7 @@
 """Batch experiment runner and file formats.
 
-Subcommands: ``run``, ``export-preset``, ``reconstruct``, ``certify``.
+Subcommands: ``run``, ``export-preset``, ``reconstruct``, ``certify``; the last two
+execute the ``run`` config they stand for, and all but ``export-preset`` write a manifest.
 Exit codes: 0 success, 2 config/schema error, 3 numerical failure.
 
 Every JSON input is read once against a table of its keys (:func:`read`): an
@@ -307,8 +308,7 @@ def _tomography(run: Run, sigma, readout_coefficients, **prep) -> list[str]:
     _write_text(run.out / "records.csv", tomography.records_to_csv(outcomes, tset))
     result = tomography.reconstruct(outcomes, tset)
     _write_json(run.out / "rho_true.json", rho_to_json(rho_true))
-    _write_json(run.out / "rho_mle.json", rho_to_json(result.rho))
-    _write_text(run.out / "pauli_set.csv", _pauli_csv(result.rho))
+    estimate = _write_estimate(run, result.rho)
     info.update(
         sigma=sigma,
         fidelity_to_truth=entanglement.uhlmann_fidelity(result.rho, rho_true),
@@ -317,20 +317,38 @@ def _tomography(run: Run, sigma, readout_coefficients, **prep) -> list[str]:
         residual_norm=result.residual_norm,
     )
     _write_json(run.out / "summary.json", info)
-    return ["records.csv", "rho_true.json", "rho_mle.json", "pauli_set.csv", "summary.json"]
+    return ["records.csv", "rho_true.json", *estimate, "summary.json"]
 
 
-def _pauli_csv(rho: DensityMatrix) -> str:
-    values = tomography.pauli_set(rho)
+def _reconstruct(run: Run, records_path, readout_coefficients) -> list[str]:
+    try:
+        text = _read_bytes(Path(records_path)).decode()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"records file {records_path} is not UTF-8 text: {err}") from err
+    tset = tomography.tomography_set(tomography.build_readout(readout_coefficients))
+    rho = tomography.reconstruct(tomography.records_from_csv(text, tset), tset).rho
+    certified = _certification(run, rho)  # first, so that a failure writes nothing
+    return _write_estimate(run, rho) + certified
+
+
+def _write_estimate(run: Run, rho: DensityMatrix) -> list[str]:
+    """Write a reconstructed state and its 64 Pauli expectation values."""
+    _write_json(run.out / "rho_mle.json", rho_to_json(rho))
     lines = ["label,value"]
-    lines += [f"{l},{v:.12g}" for l, v in zip(tomography.PAULI_LABELS, values)]
-    return "\n".join(lines) + "\n"
+    lines += [f"{l},{v:.12g}" for l, v in zip(tomography.PAULI_LABELS, tomography.pauli_set(rho))]
+    _write_text(run.out / "pauli_set.csv", "\n".join(lines) + "\n")
+    return ["rho_mle.json", "pauli_set.csv"]
 
 
-def _certify(run: Run, rho_path, restarts, budget, thresholds) -> list[str]:
+def _certify(run: Run, rho_path, **options) -> list[str]:
     rho = rho_from_json(_load_json(Path(rho_path))[0], "params.rho_path")
+    return _certification(run, rho, **options)
+
+
+def _certification(run: Run, rho: DensityMatrix, **options) -> list[str]:
+    """Write the certification report of ``rho``; without a seed, seed 0."""
     seed = 0 if run.seed is None else run.seed
-    report = entanglement.certification_report(rho, restarts, budget, seed, thresholds)
+    report = entanglement.certification_report(rho, seed=seed, **options)
     _write_json(run.out / "certification.json", report)
     return ["certification.json"]
 
@@ -357,12 +375,17 @@ CERTIFY = {
     "budget": (int, entanglement.DEFAULT_BUDGET),
     "thresholds": ([float], list(entanglement.DEFAULT_THRESHOLDS)),
 }
+RECONSTRUCT = {
+    "records_path": (str, REQUIRED),
+    "readout_coefficients": TOMOGRAPHY["readout_coefficients"],
+}
 # experiment name -> (table of its params, runner)
 EXPERIMENTS = {
     "rabi_scan": (RABI_SCAN, _rabi_scan),
     "w_collective": (COLLECTIVE, partial(_w_state, state="w_collective")),
     "w_sequential": (PREP, partial(_w_state, state="w_sequential")),
     "tomography": (TOMOGRAPHY, _tomography),
+    "reconstruct": (RECONSTRUCT, _reconstruct),
     "certify": (CERTIFY, _certify),
 }
 TOP = {
@@ -375,78 +398,61 @@ TOP = {
 }
 
 
-def run(config_path, out_override=None, seed_override=None, quiet=False) -> list[Path]:
-    """Execute the experiment described by a config file; returns artifact paths."""
-    cfg, raw = _load_json(Path(config_path))
+def execute(cfg, raw: bytes, out=None, seed=None, quiet=False) -> list[Path]:
+    """Execute a parsed config and write its manifest; returns artifact paths.
+
+    The manifest hashes ``raw``, the config's bytes.  ``out`` and ``seed``
+    (an integer >= 0), when given, replace the config's output_dir and seed.
+    """
     top = read(cfg, TOP)
     table, runner = EXPERIMENTS[top["experiment"]]
     params = read(top["params"], table, "params")
-    seed = top["seed"] if seed_override is None else _typed(seed_override, int, "--seed")
+    seed = top["seed"] if seed is None else seed
     if top["noise"] and seed is None:
         raise ConfigError("a seed is required whenever noise is enabled")
-    out = Path(out_override) if out_override else Path(top["output_dir"])
+    out = Path(out) if out else Path(top["output_dir"])
 
-    start = time.time()
+    start = time.perf_counter()
     artifacts = runner(Run(top["device"], top["noise"], seed, out), **params)
-
     manifest = {
         "config_sha256": hashlib.sha256(raw).hexdigest(),
         "artifacts": artifacts,
-        "versions": {
-            "cqedw": __version__,
-            "numpy": np.__version__,
-        },
-        "duration_s": time.time() - start,
+        "versions": {"cqedw": __version__, "numpy": np.__version__},
+        "duration_s": time.perf_counter() - start,
     }
     _write_json(out / "manifest.json", manifest)
     for name in artifacts:
-        p = out / name
-        if not p.exists() or p.stat().st_size == 0:
+        if not (out / name).exists() or (out / name).stat().st_size == 0:
             raise NumericalError(f"artifact {name} missing or empty")
     if not quiet:
         print(f"{top['experiment']}: wrote {len(artifacts)} artifacts to {out}")
     return [out / a for a in artifacts]
 
 
+def run(config_path, quiet=False) -> list[Path]:
+    """Execute the experiment described by a config file; returns artifact paths."""
+    return execute(*_load_json(Path(config_path)), quiet=quiet)
+
+
+def _command_config(args, seed) -> tuple[object, bytes]:
+    """The config that a ``run``, ``certify`` or ``reconstruct`` command executes, and its bytes."""
+    if args.command == "run":
+        return _load_json(Path(args.config))
+    if args.command == "certify":
+        params = {"rho_path": args.rho}
+    else:
+        params = {"records_path": args.records}
+        if args.readout:
+            readout = read(_load_json(Path(args.readout))[0], READOUT, "readout")
+            params["readout_coefficients"] = readout["coefficients"]
+    cfg = {"experiment": args.command, "seed": seed, "params": params}
+    return cfg, json.dumps(cfg, sort_keys=True).encode()
+
+
 def export_preset(name: str, out_dir) -> Path:
     """Write a named device preset as a re-loadable config file."""
     path = Path(out_dir) / f"{name}.json"
     _write_json(path, device_to_json(named_preset(name)))
-    return path
-
-
-def reconstruct(records_path, readout_config, out_dir, quiet=False, seed=0) -> list[Path]:
-    """Rebuild a density matrix from a measurement-record CSV."""
-    records_path = Path(records_path)
-    try:
-        text = _read_bytes(records_path).decode()
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"records file {records_path} is not UTF-8 text: {err}") from err
-    coeffs = tomography.DEFAULT_READOUT_COEFFICIENTS
-    if readout_config:
-        coeffs = read(_load_json(Path(readout_config))[0], READOUT, "readout")["coefficients"]
-    readout = tomography.build_readout(coeffs)
-    tset = tomography.tomography_set(readout)
-    outcomes = tomography.records_from_csv(text, tset)
-    result = tomography.reconstruct(outcomes, tset)
-    report = entanglement.certification_report(result.rho, seed=seed)
-    out = Path(out_dir)
-    _write_json(out / "rho_mle.json", rho_to_json(result.rho))
-    _write_text(out / "pauli_set.csv", _pauli_csv(result.rho))
-    _write_json(out / "certification.json", report)
-    if not quiet:
-        print(f"reconstructed state written to {out}")
-    return [out / "rho_mle.json", out / "pauli_set.csv", out / "certification.json"]
-
-
-def certify(rho_path, out_dir, seed=0, quiet=False) -> Path:
-    """Certification report (fidelity, witness, tangle bound) for a state file."""
-    rho = rho_from_json(_load_json(Path(rho_path))[0])
-    report = entanglement.certification_report(rho, seed=seed)
-    path = Path(out_dir) / "certification.json"
-    _write_json(path, report)
-    if not quiet:
-        print(f"certification written to {path}")
     return path
 
 
@@ -457,46 +463,39 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Collective vacuum Rabi / W-state experiments at desk scale",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    executed = argparse.ArgumentParser(add_help=False)  # options of the commands execute() runs
+    executed.add_argument("--out", default=None)
+    executed.add_argument("--seed", type=int, default=None)
+    executed.add_argument("--quiet", action="store_true")
 
-    p_run = sub.add_parser("run", help="execute an experiment config")
+    p_run = sub.add_parser("run", parents=[executed], help="execute an experiment config")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--quiet", action="store_true")
 
     p_exp = sub.add_parser("export-preset", help="write a built-in device preset")
     p_exp.add_argument("name", choices=sorted(PRESETS))
     p_exp.add_argument("--out", default=".")
     p_exp.add_argument("--quiet", action="store_true")
 
-    p_rec = sub.add_parser("reconstruct", help="reconstruct a state from records CSV")
+    p_rec = sub.add_parser("reconstruct", parents=[executed],
+                           help="reconstruct a state from records CSV")
     p_rec.add_argument("records")
     p_rec.add_argument("--readout", default=None, help="JSON file with readout coefficients")
-    p_rec.add_argument("--out", default=".")
-    p_rec.add_argument("--seed", type=int, default=0)
-    p_rec.add_argument("--quiet", action="store_true")
 
-    p_cert = sub.add_parser("certify", help="certify a density-matrix file")
+    p_cert = sub.add_parser("certify", parents=[executed], help="certify a density-matrix file")
     p_cert.add_argument("rho")
-    p_cert.add_argument("--out", default=".")
-    p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.add_argument("--quiet", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            run(args.config, args.out, args.seed, args.quiet)
-        elif args.command == "export-preset":
+        if args.command == "export-preset":
             path = export_preset(args.name, args.out)
             if not args.quiet:
                 print(f"preset written to {path}")
-        elif args.command == "reconstruct":
-            reconstruct(args.records, args.readout, args.out, args.quiet, args.seed)
-        elif args.command == "certify":
-            certify(args.rho, args.out, args.seed, args.quiet)
+        else:
+            seed = None if args.seed is None else _typed(args.seed, int, "--seed")
+            execute(*_command_config(args, seed), args.out, seed, args.quiet)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -89,8 +90,6 @@ def test_run_rabi_scan(tmp_path):
     assert sorted(manifest["artifacts"]) == ["fit_cavity.json", "trace.csv"]
     for name in manifest["artifacts"]:
         assert (out / name).stat().st_size > 0
-    import hashlib
-
     assert manifest["config_sha256"] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
 
 
@@ -302,21 +301,75 @@ def test_certify_ideal_w_file(tmp_path):
     assert report["tangle_bound"] < 1e-6
 
 
-def test_certify_as_run_experiment(tmp_path):
+WEAK_READOUT = [0.0, 1.0, 0.9, 0.8, 0.3, 0.25, 0.2, 0.1]
+
+
+@pytest.mark.parametrize(
+    "argv, seed, params",
+    [
+        (["certify", "rho.json"], None, {"rho_path": "rho.json"}),
+        (["certify", "rho.json", "--seed", "3"], 3, {"rho_path": "rho.json"}),
+        (["reconstruct", "records.csv"], None, {"records_path": "records.csv"}),
+        (["reconstruct", "weak.csv", "--readout", "weak.json"], None,
+         {"records_path": "weak.csv", "readout_coefficients": WEAK_READOUT}),
+    ],
+    ids=["certify", "certify-seed", "reconstruct", "reconstruct-readout"],
+)
+def test_subcommand_as_run_experiment(tmp_path, monkeypatch, argv, seed, params):
+    # a subcommand executes the run config it stands for: same artifacts, and a manifest
     w = entanglement.W_PAPER.density_matrix()
-    rho_path = tmp_path / "w.json"
-    rho_path.write_text(json.dumps(rho_to_json(w)))
-    cfg_path = tmp_path / "cfg.json"
-    write_config(
-        cfg_path,
-        experiment="certify",
-        seed=0,
-        params={"rho_path": str(rho_path), "restarts": 4, "budget": 300},
-    )
-    assert run_cli("run", "--config", cfg_path, "--quiet") == 0
-    report = json.loads((tmp_path / "out" / "certification.json").read_text())
-    assert np.isclose(report["fidelity"], 1.0, atol=1e-12)
-    assert np.isclose(report["witness"], -1 / 3, atol=1e-12)
+    rho = DensityMatrix(0.9 * w.entries + 0.1 * np.eye(8) / 8, w.spec)
+    monkeypatch.chdir(tmp_path)
+    Path("rho.json").write_text(json.dumps(rho_to_json(rho)))
+    for name, coefficients in (("records.csv", tomography.DEFAULT_READOUT_COEFFICIENTS),
+                               ("weak.csv", WEAK_READOUT)):
+        tset = tomography.tomography_set(tomography.build_readout(coefficients))
+        records = tomography.simulate_measurements(rho, tset, 0.0, 0)
+        Path(name).write_text(tomography.records_to_csv(records, tset))
+    Path("weak.json").write_text(json.dumps({"coefficients": WEAK_READOUT}))
+    canonical = json.dumps({"experiment": argv[0], "seed": seed, "params": params}, sort_keys=True)
+    Path("cfg.json").write_text(canonical)
+
+    assert run_cli(*argv, "--out", "sub", "--quiet") == 0
+    assert run_cli("run", "--config", "cfg.json", "--out", "run", "--quiet") == 0
+    manifests = [json.loads(Path(out, "manifest.json").read_text()) for out in ("sub", "run")]
+    for out, manifest in zip(("sub", "run"), manifests):
+        assert manifest["config_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+        written = sorted(p.name for p in Path(out).iterdir() if p.name != "manifest.json")
+        assert sorted(manifest["artifacts"]) == written
+    assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
+    for name in manifests[0]["artifacts"]:
+        assert Path("sub", name).read_bytes() == Path("run", name).read_bytes(), name
+    report = json.loads(Path("sub", "certification.json").read_text())
+    assert report["optimizer_stats"]["seed"] == (0 if seed is None else seed)
+    assert np.isclose(report["fidelity"], 0.9 + 0.1 / 8, atol=1e-12)
+    assert np.isclose(report["witness"], 2 / 3 - report["fidelity"], atol=1e-12)
+
+
+def test_manifest_lists_what_the_run_wrote(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    w = entanglement.W_PAPER.density_matrix()
+    Path("rho.json").write_text(json.dumps(rho_to_json(w)))
+    tset = tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
+    records = tomography.simulate_measurements(w, tset, 0.0, 0)
+    Path("records.csv").write_text(tomography.records_to_csv(records, tset))
+    params = {
+        "rabi_scan": {"participating": ["A"], "tau_start_ns": 0.0, "tau_stop_ns": 20.0,
+                      "num_points": 41},
+        "w_collective": {},
+        "w_sequential": {},
+        "tomography": {"sigma": 0.01},
+        "reconstruct": {"records_path": "records.csv"},
+        "certify": {"rho_path": "rho.json", "restarts": 2, "budget": 50},
+    }
+    assert set(params) == set(cli.EXPERIMENTS)
+    for experiment, p in params.items():
+        cfg = {"experiment": experiment, "seed": 1, "output_dir": experiment, "params": p}
+        Path("cfg.json").write_text(json.dumps(cfg))
+        assert run_cli("run", "--config", "cfg.json", "--quiet") == 0, experiment
+        manifest = json.loads(Path(experiment, "manifest.json").read_text())
+        written = sorted(f.name for f in Path(experiment).iterdir() if f.name != "manifest.json")
+        assert sorted(manifest["artifacts"]) == written, experiment
 
 
 def test_certify_rejects_invalid_file(tmp_path):
