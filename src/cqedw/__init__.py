@@ -13,19 +13,5 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
-from .device import (  # noqa: F401
-    CrosstalkMatrix,
-    QubitParams,
-    ResonatorParams,
-    SystemConfig,
-    equal_coupling_system,
-    named_preset,
-    paper_system,
-)
-from .hilbert import (  # noqa: F401
-    DensityMatrix,
-    HilbertSpec,
-    QuantumState,
-    basis_ket,
-    ket_from_label,
-)
+from .device import CrosstalkMatrix, QubitParams, ResonatorParams, SystemConfig  # noqa: F401
+from .hilbert import DensityMatrix, HilbertSpec, QuantumState, basis_ket  # noqa: F401

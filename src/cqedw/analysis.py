@@ -30,12 +30,6 @@ class FitReport:
         if not np.isfinite(self.residual_rms):
             raise ConfigError("residual RMS must be finite")
 
-    def model(self, times: np.ndarray) -> np.ndarray:
-        t = np.asarray(times, dtype=float)
-        return self.offset + self.amplitude * np.exp(-self.decay_rate * t) * np.cos(
-            2 * np.pi * self.frequency * t + self.phase
-        )
-
     def to_dict(self) -> dict:
         return {
             "frequency_hz": self.frequency,

@@ -10,10 +10,17 @@ path (e.g. ``params.phase_corect``) before anything is written.
 
 All JSON/CSV artifacts are deterministic functions of the configuration
 (including the seed), so identical runs produce bit-identical files.
-Physical quantities in config files carry their unit in the field name
-(g_over_pi_mhz, t1_us, ...) to keep the g/pi versus omega/2pi conventions
-explicit.  Density matrices are stored as
-{dim, real, imag, basis: "CBA-cavity-last"} with row-major arrays.
+Density matrices are stored as {dim, real, imag, basis: "CBA-cavity-last"}
+with row-major arrays.
+
+A device is a preset name or a device object (:func:`device_to_json`); the
+built-in presets are stored as device objects in :data:`PRESETS` and read by
+the same :func:`device_from_json`.  Physical quantities in a device object
+carry their unit in the field name (g_over_pi_mhz, t1_us, ...) to keep the
+g/pi versus omega/2pi conventions explicit.  :class:`SystemConfig` holds
+qubit and resonator frequencies in GHz (the value of omega/2pi), couplings
+in signed rad/s and times in seconds: g = pi * (g_over_pi_mhz) * 1e6, so
+that the vacuum Rabi frequency 2 g / 2pi reproduces the quoted MHz values.
 """
 from __future__ import annotations
 
@@ -29,17 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, analysis, entanglement, protocols, tomography
-from .device import (
-    G_RAD_PER_PI_MHZ,
-    PRESETS,
-    SECONDS_PER_NS,
-    SECONDS_PER_US,
-    CrosstalkMatrix,
-    QubitParams,
-    ResonatorParams,
-    SystemConfig,
-    named_preset,
-)
+from .device import CrosstalkMatrix, QubitParams, ResonatorParams, SystemConfig
 from .errors import ConfigError, CqedwError, NumericalError
 from .hilbert import DensityMatrix, HilbertSpec, qubit_spec
 
@@ -132,6 +129,13 @@ def _load_json(path: Path) -> tuple[object, bytes]:
         raise ConfigError(f"invalid JSON in {path}: {err}") from err
 
 
+# Unit conversions of the device format: reading multiplies by a constant and
+# writing divides by the same one, so a device object round-trips bit for bit.
+G_RAD_PER_PI_MHZ = np.pi * 1e6  # coupling rad/s per quoted (g/pi) MHz
+SECONDS_PER_US = 1e-6
+SECONDS_PER_NS = 1e-9
+
+
 def device_to_json(config: SystemConfig) -> dict:
     return {
         "photon_cutoff": config.spec.photon_cutoff,
@@ -172,11 +176,41 @@ DEVICE = {
     "crosstalk": ([[float]], None),  # None: the identity, no crosstalk
 }
 
+# The paper's three-transmon sample (qubit A carries the negative coupling),
+# exactly as `cqedw export-preset` writes it.
+_PAPER_DEVICE = {
+    "photon_cutoff": 2,
+    "resonator": {"omega_r_ghz": 7.023, "quality_factor": 14800.0},
+    "qubits": [
+        {"label": "A", "ej_max_ghz": 26.8, "ec_ghz": 0.459, "g_over_pi_mhz": -105.4,
+         "bias_ghz": 6.11, "t1_us": 2.1, "t2_ns": 100.0},
+        {"label": "B", "ej_max_ghz": 28.1, "ec_ghz": 0.359, "g_over_pi_mhz": 110.8,
+         "bias_ghz": 4.97, "t1_us": 1.8, "t2_ns": 140.0},
+        {"label": "C", "ej_max_ghz": 25.7, "ec_ghz": 0.358, "g_over_pi_mhz": 111.6,
+         "bias_ghz": 7.82, "t1_us": 1.0, "t2_ns": 440.0},
+    ],
+    "crosstalk": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+}
+PRESETS = {
+    "paper-default": _PAPER_DEVICE,
+    # a uniform 2 % leakage of every flux pulse onto the other two qubits
+    "paper-crosstalk-2pct": {
+        **_PAPER_DEVICE,
+        "crosstalk": [[1.0, 0.02, 0.02], [0.02, 1.0, 0.02], [0.02, 0.02, 1.0]],
+    },
+}
+
 
 def device_from_json(obj, path: str = "device") -> SystemConfig:
-    """A preset name, or a device object in the format of :func:`device_to_json`."""
+    """A preset name, or a device object in the format of :func:`device_to_json`.
+
+    A preset name stands for its device object in :data:`PRESETS`, which is
+    read like any other.
+    """
     if isinstance(obj, str):
-        return named_preset(obj)
+        if obj not in PRESETS:
+            raise ConfigError(f"unknown preset {obj!r}; known: {sorted(PRESETS)}")
+        obj, path = PRESETS[obj], f"preset {obj}"
     device = read(obj, DEVICE, path)
     qubits = tuple(
         QubitParams(
@@ -200,6 +234,11 @@ def device_from_json(obj, path: str = "device") -> SystemConfig:
         spec=HilbertSpec(num_qubits=len(qubits), photon_cutoff=device["photon_cutoff"]),
         crosstalk=CrosstalkMatrix(np.eye(len(qubits)) if rows is None else np.array(rows)),
     )
+
+
+def named_preset(name: str) -> SystemConfig:
+    """The device of the built-in preset ``name``; an unknown name is a ConfigError."""
+    return device_from_json(name)
 
 
 def rho_to_json(rho: DensityMatrix) -> dict:

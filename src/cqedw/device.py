@@ -1,13 +1,12 @@
-"""Transmon and resonator physics: flux tuning, decoherence rates, crosstalk.
+"""Transmon and resonator physics: parameters, validation, decoherence rates,
+crosstalk and flux tuning.
 
-Unit conventions: qubit and resonator frequencies are stored in GHz
-(value of omega/2pi), coupling constants in signed rad/s, times in
-seconds.  The built-in preset stores g_j = pi * (quoted MHz) * 1e6 so that
-the vacuum Rabi frequency 2 g / 2pi reproduces the quoted MHz values.
+Each field comment gives its unit; the device file format and the built-in
+presets, with their unit conversions, live in :mod:`cqedw.cli`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -16,13 +15,6 @@ from .errors import ConfigError
 from .hilbert import HilbertSpec
 
 TWO_PI = 2.0 * np.pi
-
-# Conversion constants shared by the preset and the config file format.
-# Loading multiplies by a constant and exporting divides by the *same*
-# constant, which keeps preset -> file -> preset round trips bit-exact.
-G_RAD_PER_PI_MHZ = np.pi * 1e6  # coupling rad/s per quoted (g/pi) MHz
-SECONDS_PER_US = 1e-6
-SECONDS_PER_NS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,15 +70,6 @@ class CrosstalkMatrix:
             raise ConfigError("crosstalk matrix must be invertible")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def identity(cls, n: int) -> "CrosstalkMatrix":
-        return cls(np.eye(n))
-
-    @classmethod
-    def uniform(cls, n: int, epsilon: float) -> "CrosstalkMatrix":
-        """Identity plus a uniform off-diagonal leakage amplitude."""
-        return cls(np.eye(n) + epsilon * (np.ones((n, n)) - np.eye(n)))
 
 
 @dataclass(frozen=True)
@@ -152,79 +135,3 @@ def apply_crosstalk(commanded_detunings: Sequence[float], xtalk: CrosstalkMatrix
     if v.shape != (xtalk.matrix.shape[0],):
         raise ConfigError("commanded detuning vector length must match matrix size")
     return xtalk.matrix @ v
-
-
-# Device constants of the three-transmon sample, in the unit conventions
-# documented at module top.  Qubit order: A, B, C (qubit A carries the
-# negative coupling).
-_PAPER_QUBITS = (
-    dict(label="A", ej_max=26.8, ec=0.459, g_over_pi_mhz=-105.4, bias=6.11, t1_us=2.1, t2_ns=100.0),
-    dict(label="B", ej_max=28.1, ec=0.359, g_over_pi_mhz=110.8, bias=4.97, t1_us=1.8, t2_ns=140.0),
-    dict(label="C", ej_max=25.7, ec=0.358, g_over_pi_mhz=111.6, bias=7.82, t1_us=1.0, t2_ns=440.0),
-)
-_PAPER_RESONATOR = ResonatorParams(omega_r=7.023, quality_factor=14800.0)
-
-
-def paper_system(photon_cutoff: int = 2, crosstalk_epsilon: float = 0.0) -> SystemConfig:
-    """The three-qubit sample as a ready-to-run configuration.
-
-    ``crosstalk_epsilon`` > 0 switches on the imperfect-control scenario with
-    a uniform off-diagonal flux-pulse leakage of that relative amplitude.
-    """
-    qubits = tuple(
-        QubitParams(
-            ej_max=d["ej_max"],
-            ec=d["ec"],
-            coupling_g=d["g_over_pi_mhz"] * G_RAD_PER_PI_MHZ,
-            bias_frequency=d["bias"],
-            t1=d["t1_us"] * SECONDS_PER_US,
-            t2=d["t2_ns"] * SECONDS_PER_NS,
-            label=d["label"],
-        )
-        for d in _PAPER_QUBITS
-    )
-    n = len(qubits)
-    xtalk = (
-        CrosstalkMatrix.uniform(n, crosstalk_epsilon)
-        if crosstalk_epsilon
-        else CrosstalkMatrix.identity(n)
-    )
-    return SystemConfig(
-        qubits=qubits,
-        resonator=_PAPER_RESONATOR,
-        spec=HilbertSpec(num_qubits=n, photon_cutoff=photon_cutoff),
-        crosstalk=xtalk,
-    )
-
-
-def equal_coupling_system(
-    num_qubits: int,
-    g_over_pi_mhz: float = 100.0,
-    photon_cutoff: int = 2,
-) -> SystemConfig:
-    """Test configuration with identical positive couplings on every qubit."""
-    base = paper_system().qubits[0]
-    qubits = tuple(
-        replace(base, coupling_g=g_over_pi_mhz * G_RAD_PER_PI_MHZ, label=chr(ord("A") + j))
-        for j in range(num_qubits)
-    )
-    return SystemConfig(
-        qubits=qubits,
-        resonator=_PAPER_RESONATOR,
-        spec=HilbertSpec(num_qubits=num_qubits, photon_cutoff=photon_cutoff),
-        crosstalk=CrosstalkMatrix.identity(num_qubits),
-    )
-
-
-PRESETS = {
-    "paper-default": lambda: paper_system(),
-    "paper-crosstalk-2pct": lambda: paper_system(crosstalk_epsilon=0.02),
-}
-
-
-def named_preset(name: str) -> SystemConfig:
-    try:
-        factory = PRESETS[name]
-    except KeyError:
-        raise ConfigError(f"unknown preset {name!r}; known: {sorted(PRESETS)}") from None
-    return factory()

@@ -33,13 +33,7 @@ import numpy as np
 
 from .device import SystemConfig, decoherence_rates
 from .errors import ConfigError, NumericalError
-from .hilbert import (
-    DensityMatrix,
-    QuantumState,
-    check_density_stack,
-    check_ket_stack,
-    operator_table,
-)
+from .hilbert import DensityMatrix, check_density_stack, check_ket_stack, operator_table
 
 
 def build_hamiltonian(
@@ -96,20 +90,21 @@ def _check_hermitian(h: np.ndarray):
         raise NumericalError(f"Hamiltonian is not Hermitian (deviation {dev})")
 
 
-def evolve_unitary(state: QuantumState, h: np.ndarray, times: Sequence[float]) -> np.ndarray:
+def evolve_unitary(psi: np.ndarray, h: np.ndarray, times: Sequence[float]) -> np.ndarray:
     """Amplitudes of exp(-i H t) psi for every t in ``times``, a (T, d) stack.
 
-    One eigendecomposition H = V diag(w) V^+ serves every time: row t is
-    V (exp(-i t w) * V^+ psi), a stacked matrix-vector product, so that no
-    row's rounding depends on the other times.  A zero time returns psi
-    unchanged.  Each row is checked by ``check_ket_stack``.
+    ``psi`` is a (d,) amplitude vector.  One eigendecomposition H = V diag(w)
+    V^+ serves every time: row t is V (exp(-i t w) * V^+ psi), a stacked
+    matrix-vector product, so that no row's rounding depends on the other
+    times.  A zero time returns psi unchanged.  Each row is checked by
+    ``check_ket_stack``.
     """
     _check_hermitian(h)
     w, v = np.linalg.eigh(h)
     times = np.asarray(times, dtype=float).reshape(-1)
-    phased = np.exp(-1j * np.outer(times, w)) * (v.conj().T @ state.amplitudes)
+    phased = np.exp(-1j * np.outer(times, w)) * (v.conj().T @ psi)
     amps = (v @ phased[:, :, None])[:, :, 0]
-    amps[times == 0] = state.amplitudes
+    amps[times == 0] = psi
     check_ket_stack(amps)
     return amps
 

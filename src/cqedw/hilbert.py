@@ -33,7 +33,6 @@ SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 PROJ_EXCITED = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-PROJ_GROUND = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
 CAVITY = "cavity"
@@ -164,7 +163,8 @@ class QuantumState:
         object.__setattr__(self, "amplitudes", amps)
 
     def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.spec)
+        """|psi><psi|, which is not checked again: the ket has passed its check."""
+        return DensityMatrix.checked(np.outer(self.amplitudes, self.amplitudes.conj()), self.spec)
 
 
 @dataclass(frozen=True)
@@ -194,27 +194,12 @@ class DensityMatrix:
         object.__setattr__(rho, "spec", spec)
         return rho
 
-    def purity(self) -> float:
-        return float(np.einsum("ij,ji->", self.entries, self.entries).real)
-
 
 def basis_ket(spec: HilbertSpec, excited: Iterable[int] = (), n_photon: int = 0) -> QuantumState:
     """Product basis state with the listed qubits excited and ``n_photon`` photons."""
     amps = np.zeros(spec.dim, dtype=complex)
     amps[spec.index(excited, n_photon)] = 1.0
     return QuantumState(amps, spec)
-
-
-def ket_from_label(spec: HilbertSpec, qubits: str, n_photon: int = 0) -> QuantumState:
-    """Basis state from a paper-style qubit string, leftmost letter = qubit N-1.
-
-    For N = 3 the string reads |C,B,A>: ``ket_from_label(spec, "gge")`` is the
-    state with qubit A excited.
-    """
-    if len(qubits) != spec.num_qubits or set(qubits) - {"g", "e"}:
-        raise ConfigError(f"label {qubits!r} does not describe {spec.num_qubits} qubits")
-    excited = [spec.num_qubits - 1 - pos for pos, c in enumerate(qubits) if c == "e"]
-    return basis_ket(spec, excited, n_photon)
 
 
 def embed_qubit_operator(op2: np.ndarray, qubit_index: int, spec: HilbertSpec) -> np.ndarray:

@@ -134,10 +134,11 @@ def _propagate(
     Every earlier segment runs for its duration; the last segment's own
     duration is not read.  Each segment is compiled by :func:`_hamiltonian`.
     Closed-system runs give a (T, d) stack of amplitudes and carry the ket
-    from segment to segment.  With ``noise``, the result is a (T, d, d)
-    stack of density matrices from one :func:`evolve_lindblad` call, which
-    restricts the whole schedule to one reachable block and carries its real
-    coordinates from segment to segment.
+    from segment to segment, and :func:`evolve_unitary` checks each ket once.
+    With ``noise``, the result is a (T, d, d) stack of density matrices from
+    one :func:`evolve_lindblad` call, which restricts the whole schedule to
+    one reachable block and carries its real coordinates from segment to
+    segment.
     """
     *head, last = schedule.segments
     before = [(_hamiltonian(config, seg.resonant), seg.duration) for seg in head]
@@ -145,10 +146,10 @@ def _propagate(
     if noise:
         rho = schedule.initial_state.density_matrix()
         return evolve_lindblad(rho, before, h, collapse_operators(config), times)
-    state = schedule.initial_state
+    psi = schedule.initial_state.amplitudes
     for h_j, t in before:
-        state = QuantumState(evolve_unitary(state, h_j, [t])[0], state.spec)
-    return evolve_unitary(state, h, times)
+        psi = evolve_unitary(psi, h_j, [t])[0]
+    return evolve_unitary(psi, h, times)
 
 
 def run_schedule(
@@ -165,6 +166,18 @@ def run_schedule(
     spec = schedule.initial_state.spec
     final = _propagate(config, schedule, noise, [schedule.segments[-1].duration])[0]
     return DensityMatrix.checked(final, spec) if noise else QuantumState(final, spec)
+
+
+def _qubit_state(config: SystemConfig, schedule: PulseSchedule, noise: bool) -> DensityMatrix:
+    """The schedule's final state with the cavity traced out.
+
+    The propagator has checked the final ket, or the final density matrix on
+    its block; only the reduced qubit state is checked again.
+    """
+    final = _propagate(config, schedule, noise, [schedule.segments[-1].duration])[0]
+    if not noise:
+        final = np.outer(final, final.conj())
+    return partial_trace(DensityMatrix.checked(final, config.spec), range(config.spec.num_qubits))
 
 
 def population_stack(stack: np.ndarray, spec: HilbertSpec) -> tuple[np.ndarray, ...]:
@@ -264,9 +277,7 @@ def prepare_w_collective(
     prep = single_photon_schedule(config, source_qubit)
     tau_w = collective_interaction_time(config)
     segments = prep.segments + (ScheduleSegment(tau_w, range(3)),)
-    final = run_schedule(config, PulseSchedule(segments, prep.initial_state), noise=noise)
-    rho = final if isinstance(final, DensityMatrix) else final.density_matrix()
-    return partial_trace(rho, range(3))
+    return _qubit_state(config, PulseSchedule(segments, prep.initial_state), noise)
 
 
 def sequential_swap_times(config: SystemConfig) -> tuple[float, float, float]:
@@ -298,9 +309,7 @@ def sequential_w_schedule(config: SystemConfig) -> PulseSchedule:
 
 def prepare_w_sequential(config: SystemConfig, noise: bool = False) -> DensityMatrix:
     """Sequential W preparation via one-at-a-time swaps C -> B -> A."""
-    final = run_schedule(config, sequential_w_schedule(config), noise=noise)
-    rho = final if isinstance(final, DensityMatrix) else final.density_matrix()
-    return partial_trace(rho, range(3))
+    return _qubit_state(config, sequential_w_schedule(config), noise)
 
 
 def apply_phase_correction(

@@ -1,24 +1,74 @@
 import numpy as np
 import pytest
 
-from cqedw.device import paper_system
+from cqedw.cli import PRESETS, device_from_json
+from cqedw.device import SystemConfig
+from cqedw.errors import ConfigError
 from cqedw.hilbert import (  # noqa: F401
     QUBIT_SPEC_3,
     DensityMatrix,
     HilbertSpec,
     QuantumState,
+    basis_ket,
     expectation_stack,
 )
+
+PROJ_GROUND = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+
+
+def preset_device(name: str = "paper-default", **fields) -> SystemConfig:
+    """A preset's device object with top-level ``fields`` replaced, read by the one device reader.
+
+    ``preset_device(photon_cutoff=1)`` is the paper's sample with at most one photon.
+    """
+    return device_from_json({**PRESETS[name], **fields})
+
+
+def equal_coupling_device(
+    num_qubits: int, g_over_pi_mhz: float = 100.0, photon_cutoff: int = 2
+) -> SystemConfig:
+    """``num_qubits`` copies of the paper's qubit A, labelled A, B, ..., with one positive coupling."""
+    qubit = PRESETS["paper-default"]["qubits"][0]
+    qubits = [
+        {**qubit, "g_over_pi_mhz": g_over_pi_mhz, "label": chr(ord("A") + j)}
+        for j in range(num_qubits)
+    ]
+    return preset_device(qubits=qubits, photon_cutoff=photon_cutoff, crosstalk=None)
 
 
 @pytest.fixture(scope="session")
 def paper_config():
-    return paper_system(photon_cutoff=2)
+    return preset_device(photon_cutoff=2)
 
 
 @pytest.fixture(scope="session")
 def paper_config_n1():
-    return paper_system(photon_cutoff=1)
+    return preset_device(photon_cutoff=1)
+
+
+def ket_from_label(spec: HilbertSpec, qubits: str, n_photon: int = 0) -> QuantumState:
+    """Basis state from a paper-style qubit string, leftmost letter = qubit N-1.
+
+    For N = 3 the string reads |C,B,A>: ``ket_from_label(spec, "gge")`` is the
+    state with qubit A excited.
+    """
+    if len(qubits) != spec.num_qubits or set(qubits) - {"g", "e"}:
+        raise ConfigError(f"label {qubits!r} does not describe {spec.num_qubits} qubits")
+    excited = [spec.num_qubits - 1 - pos for pos, c in enumerate(qubits) if c == "e"]
+    return basis_ket(spec, excited, n_photon)
+
+
+def purity(rho: DensityMatrix) -> float:
+    """Tr(rho^2)."""
+    return float(np.einsum("ij,ji->", rho.entries, rho.entries).real)
+
+
+def fit_model(report, times) -> np.ndarray:
+    """The fitted damped cosine a + b exp(-gamma t) cos(2 pi f t + phi) of a FitReport at ``times``."""
+    t = np.asarray(times, dtype=float)
+    return report.offset + report.amplitude * np.exp(-report.decay_rate * t) * np.cos(
+        2 * np.pi * report.frequency * t + report.phase
+    )
 
 
 def w_plus() -> QuantumState:

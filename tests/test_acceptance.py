@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from cqedw import analysis, tomography
-from cqedw.device import equal_coupling_system, paper_system, transmon_frequency
+from cqedw.device import transmon_frequency
 from cqedw.dynamics import build_hamiltonian, evolve_unitary, single_excitation_oracle
 from cqedw.entanglement import (
     GHZ,
@@ -27,7 +27,7 @@ from cqedw.protocols import (
     rabi_scan,
     sequential_swap_times,
 )
-from conftest import QUBIT_SPEC_3, random_density
+from conftest import QUBIT_SPEC_3, equal_coupling_device, preset_device, random_density
 
 
 def _ok(n, message):
@@ -35,7 +35,7 @@ def _ok(n, message):
 
 
 def test_criterion_01_transmon_formula():
-    cfg = paper_system()
+    cfg = preset_device()
     quoted = (9.58, 8.65, 8.23)
     worst = 0.0
     for q, ref in zip(cfg.qubits, quoted):
@@ -47,7 +47,7 @@ def test_criterion_01_transmon_formula():
 
 def test_criterion_02_vacuum_rabi_n1():
     start = time.time()
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     tau = np.linspace(0.0, 20e-9, 81)
     trace = rabi_scan(cfg, [0], tau)
     f = analysis.fit_damped_sinusoid(tau, trace.cavity_population).frequency
@@ -61,7 +61,7 @@ def test_criterion_02_vacuum_rabi_n1():
 def test_criterion_03_sqrt_n_law():
     start = time.time()
     tau = np.linspace(0.0, 20e-9, 81)
-    cfg_eq = equal_coupling_system(3, g_over_pi_mhz=100.0, photon_cutoff=1)
+    cfg_eq = equal_coupling_device(3, g_over_pi_mhz=100.0, photon_cutoff=1)
     freqs = {}
     for n in (1, 2, 3):
         trace = rabi_scan(cfg_eq, list(range(n)), tau)
@@ -70,7 +70,7 @@ def test_criterion_03_sqrt_n_law():
     r3 = freqs[3] / freqs[1] / np.sqrt(3)
     assert abs(r2 - 1) < 0.005 and abs(r3 - 1) < 0.005
 
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     g = cfg.couplings()
     trace = rabi_scan(cfg, [0, 1, 2], tau)
     f3 = analysis.fit_damped_sinusoid(tau, trace.cavity_population).frequency
@@ -83,7 +83,7 @@ def test_criterion_03_sqrt_n_law():
 
 
 def test_criterion_04_amplitude_law():
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     g = cfg.couplings()
     g2 = (g**2).sum()
     tau_w = np.pi / (2 * np.sqrt(g2))
@@ -96,13 +96,13 @@ def test_criterion_04_amplitude_law():
 def test_criterion_05_oracle_equivalence():
     worst = 0.0
     for n in (1, 2, 3):
-        cfg = paper_system(photon_cutoff=2) if n == 3 else equal_coupling_system(n, photon_cutoff=2)
+        cfg = preset_device(photon_cutoff=2) if n == 3 else equal_coupling_device(n, photon_cutoff=2)
         g = cfg.couplings()
         h = build_hamiltonian(cfg, np.zeros(n))
         psi0 = basis_ket(cfg.spec, [], 1)
         idx = [cfg.spec.index([j]) for j in range(n)] + [cfg.spec.index([], 1)]
         times = np.linspace(0.0, 12e-9, 50)
-        full = evolve_unitary(psi0, h, times)[:, idx]
+        full = evolve_unitary(psi0.amplitudes, h, times)[:, idx]
         oracle = np.array([single_excitation_oracle(g, np.zeros(n), t) for t in times])
         worst = max(worst, np.abs(full - oracle).max())
     assert worst < 1e-8
@@ -110,7 +110,7 @@ def test_criterion_05_oracle_equivalence():
 
 
 def test_criterion_06_ideal_w_preparation():
-    cfg = paper_system()
+    cfg = preset_device()
     target = W_PAPER
     tau_w = collective_interaction_time(cfg)
     assert np.isclose(tau_w * 1e9, 2.641, atol=0.001)  # hardware quoted 2.9 ns
@@ -125,7 +125,7 @@ def test_criterion_06_ideal_w_preparation():
 
 def test_criterion_07_decoherence_ceilings():
     start = time.time()
-    cfg = paper_system()
+    cfg = preset_device()
     target = W_PAPER
     rho_c, _ = apply_phase_correction(prepare_w_collective(cfg, noise=True), target)
     rho_s, _ = apply_phase_correction(prepare_w_sequential(cfg, noise=True), target)
@@ -140,7 +140,7 @@ def test_criterion_07_decoherence_ceilings():
 
 
 def test_criterion_08_crosstalk_asymmetry():
-    cfg = paper_system(crosstalk_epsilon=0.02)
+    cfg = preset_device("paper-crosstalk-2pct")
     target = W_PAPER
     f_c = fidelity(apply_phase_correction(prepare_w_collective(cfg), target)[0], target)
     f_s = fidelity(apply_phase_correction(prepare_w_sequential(cfg), target)[0], target)
@@ -237,7 +237,7 @@ def test_criterion_11_tangle():
             v = np.linalg.qr(rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2)))[0]
             assert est.value <= decomposition_average_tangle(v @ wtil) + 1e-8
 
-    cfg = paper_system()
+    cfg = preset_device()
     target = W_PAPER
     noisy, _ = apply_phase_correction(prepare_w_collective(cfg, noise=True), target)
     bound = three_tangle_mixed(noisy, seed=2).value

@@ -3,9 +3,9 @@ import pytest
 
 from cqedw import analysis
 from cqedw.analysis import FitReport, fit_damped_sinusoid
-from cqedw.device import paper_system
 from cqedw.errors import ConfigError, FitError
 from cqedw.protocols import rabi_scan
+from conftest import fit_model, preset_device
 
 
 def test_fit_clean_cosine():
@@ -32,20 +32,20 @@ def test_fit_damped_noisy_roundtrip():
     rng = np.random.default_rng(9)
     truth = _TRUTH
     t = np.linspace(0, 25e-9, 120)
-    rep = fit_damped_sinusoid(t, truth.model(t))
+    rep = fit_damped_sinusoid(t, fit_model(truth, t))
     assert abs(rep.frequency - truth.frequency) / truth.frequency < 1e-3
     assert abs(rep.amplitude - truth.amplitude) / truth.amplitude < 1e-3
     assert abs(rep.decay_rate - truth.decay_rate) / truth.decay_rate < 1e-2
     assert abs(rep.offset - truth.offset) < 1e-3
 
     # round trip: regenerate from the report's own parameters and refit
-    rep2 = fit_damped_sinusoid(t, rep.model(t))
+    rep2 = fit_damped_sinusoid(t, fit_model(rep, t))
     assert abs(rep2.frequency - rep.frequency) / rep.frequency < 1e-3
 
     # noisy fit: every parameter within 4 reported standard errors of the
     # truth, and the residual at the noise level
     sigma = 0.01
-    noisy = fit_damped_sinusoid(t, truth.model(t) + sigma * rng.standard_normal(t.size))
+    noisy = fit_damped_sinusoid(t, fit_model(truth, t) + sigma * rng.standard_normal(t.size))
     fitted = (noisy.frequency, noisy.amplitude, noisy.phase, noisy.decay_rate, noisy.offset)
     true = (truth.frequency, truth.amplitude, truth.phase, truth.decay_rate, truth.offset)
     stderr = np.sqrt(noisy.covariance_diagonal)
@@ -70,7 +70,7 @@ def test_fit_errors():
 
 
 def test_fit_ideal_single_qubit_trace():
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     tau = np.linspace(0, 20e-9, 81)
     trace = rabi_scan(cfg, [0], tau)
     rep = fit_damped_sinusoid(trace.times, trace.cavity_population)
@@ -89,14 +89,14 @@ def test_fit_of_hardware_frequencies_gives_quoted_squared_ratios():
 
 def _noisy_collective_trace():
     tau = np.linspace(0, 10e-9, 21)
-    return tau, rabi_scan(paper_system(), [0, 1, 2], tau, noise=True).cavity_population
+    return tau, rabi_scan(preset_device(), [0, 1, 2], tau, noise=True).cavity_population
 
 
 def test_fit_covariance_matches_seeded_scatter():
     # the reported sigma_f and sigma_gamma estimate the spread of the fitted
     # values over independent noise draws
     t = np.linspace(0, 25e-9, 120)
-    clean = _TRUTH.model(t)
+    clean = fit_model(_TRUTH, t)
     reports = [
         fit_damped_sinusoid(t, clean + 0.01 * np.random.default_rng(seed).standard_normal(t.size))
         for seed in range(200)
@@ -151,7 +151,7 @@ def test_fit_rejects_bad_samples(times, values, message):
 @pytest.mark.parametrize("participating", [[0], [0, 1], [0, 1, 2]], ids=["A", "AB", "ABC"])
 def test_fit_ideal_trace_residual(participating):
     tau = np.linspace(0, 20e-9, 81)
-    trace = rabi_scan(paper_system(photon_cutoff=1), participating, tau)
+    trace = rabi_scan(preset_device(photon_cutoff=1), participating, tau)
     assert fit_damped_sinusoid(trace.times, trace.cavity_population).residual_rms < 1e-9
 
 

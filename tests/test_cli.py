@@ -13,8 +13,8 @@ import pytest
 import cqedw
 from cqedw import cli, entanglement, tomography
 from cqedw.cli import device_from_json, device_to_json, main, rho_from_json, rho_to_json
-from cqedw.device import paper_system
 from cqedw.hilbert import DensityMatrix
+from conftest import preset_device
 
 
 def run_cli(*args):
@@ -34,16 +34,30 @@ def write_config(path, **overrides):
     return cfg
 
 
-def test_export_preset_roundtrip(tmp_path):
-    assert run_cli("export-preset", "paper-default", "--out", tmp_path, "--quiet") == 0
-    path = tmp_path / "paper-default.json"
+# sha256 of each exported preset; a change to a preset's values or to the writer moves it
+PRESET_SHA256 = {
+    "paper-default": "cd01c8c55990959eba729ccaed082a8a2d8b4b3aed22ef12298038ea74c11c56",
+    "paper-crosstalk-2pct": "577fd08bc131178c926169916c85e07c3ebf53cd519abac48fdc56abb18526d9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_SHA256))
+def test_export_preset_roundtrip(tmp_path, name):
+    assert sorted(cli.PRESETS) == sorted(PRESET_SHA256)
+    assert run_cli("export-preset", name, "--out", tmp_path, "--quiet") == 0
+    path = tmp_path / f"{name}.json"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PRESET_SHA256[name]
     obj = json.loads(path.read_text())
+    # the preset is stored as the very object the export writes
+    assert obj == cli.PRESETS[name]
     loaded = device_from_json(obj)
     # fixed point: re-export reproduces the identical file
     assert json.dumps(device_to_json(loaded), indent=2, sort_keys=True) + "\n" == path.read_text()
-    ref = paper_system()
+    ref = cli.named_preset(name)
     assert loaded.qubits == ref.qubits
     assert loaded.resonator == ref.resonator
+    assert loaded.spec == ref.spec
+    assert loaded.crosstalk.matrix.tobytes() == ref.crosstalk.matrix.tobytes()
     # kappa/2pi from the loaded preset
     from cqedw.device import decoherence_rates
 
@@ -117,7 +131,7 @@ def test_run_malformed_config_exits_2(tmp_path, capsys):
         ("qubits", "t1_us", float("nan")),
         ("resonator", "omega_r_ghz", float("nan")),
     ):
-        device = device_to_json(paper_system())
+        device = device_to_json(preset_device())
         (device["qubits"][0] if section == "qubits" else device["resonator"])[key] = value
         write_config(bad, experiment="w_collective", device=device)
         assert run_cli("run", "--config", bad) == 2
@@ -162,7 +176,7 @@ def test_run_malformed_config_exits_2(tmp_path, capsys):
 
     # unknown, misplaced and mistyped keys; each of these used to exit 0
     def device(edit):
-        obj = device_to_json(paper_system())
+        obj = device_to_json(preset_device())
         edit(obj)
         return obj
 
@@ -265,7 +279,7 @@ def test_run_noise_without_seed_exits_2(tmp_path):
 def test_run_numerical_failure_exits_3(tmp_path):
     # sampling exactly at full swap periods yields a constant trace, which
     # cannot seed the frequency fit
-    period_ns = 1e9 * np.pi / abs(paper_system().qubits[0].coupling_g)
+    period_ns = 1e9 * np.pi / abs(preset_device().qubits[0].coupling_g)
     cfg_path = tmp_path / "cfg.json"
     write_config(
         cfg_path,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cqedw.cli import PRESETS, device_from_json, named_preset
 from cqedw.device import (
     CrosstalkMatrix,
     QubitParams,
@@ -8,19 +9,18 @@ from cqedw.device import (
     SystemConfig,
     apply_crosstalk,
     decoherence_rates,
-    named_preset,
-    paper_system,
     transmon_frequency,
 )
 from cqedw.errors import ConfigError
 from cqedw.hilbert import HilbertSpec
+from conftest import preset_device
 
 # Maximum transition frequencies quoted for the sample, GHz.
 QUOTED_MAX_FREQS = (9.58, 8.65, 8.23)
 
 
 def test_transmon_frequency_formula():
-    cfg = paper_system()
+    cfg = preset_device()
     qc = cfg.qubits[2]
     # direct evaluation of sqrt(8 Ec Ej) - Ec for qubit C
     expected = np.sqrt(8 * 0.358 * 25.7) - 0.358
@@ -29,14 +29,14 @@ def test_transmon_frequency_formula():
 
 
 def test_transmon_frequency_matches_quoted_maxima():
-    cfg = paper_system()
+    cfg = preset_device()
     for q, quoted in zip(cfg.qubits, QUOTED_MAX_FREQS):
         rel = abs(transmon_frequency(0.0, q) - quoted) / quoted
         assert rel < 0.02, f"qubit {q.label}: {rel}"
 
 
 def test_transmon_frequency_degenerate_and_periodic():
-    q = paper_system().qubits[0]
+    q = preset_device().qubits[0]
     assert np.isclose(transmon_frequency(0.5, q), -q.ec)
     assert transmon_frequency(1.0, q) == transmon_frequency(0.0, q)
     # grid avoids the half-integer flux points, where sqrt|cos| is not
@@ -48,7 +48,7 @@ def test_transmon_frequency_degenerate_and_periodic():
 
 
 def test_decoherence_rates_paper_values():
-    cfg = paper_system()
+    cfg = preset_device()
     rates = decoherence_rates(cfg.qubits[0], cfg.resonator)
     assert np.isclose(rates.kappa / (2 * np.pi), 7.023e9 / 14800, rtol=1e-12)
     assert np.isclose(rates.kappa / (2 * np.pi), 474.5e3, rtol=1e-3)
@@ -73,11 +73,11 @@ def test_decoherence_rates_never_negative():
 
 
 def test_apply_crosstalk():
-    ident = CrosstalkMatrix.identity(3)
+    ident = CrosstalkMatrix(np.eye(3))
     v = np.array([1e8, -2e8, 3e8])
     assert np.array_equal(apply_crosstalk(v, ident), v)
 
-    xt = CrosstalkMatrix.uniform(3, 0.02)
+    xt = named_preset("paper-crosstalk-2pct").crosstalk
     out = apply_crosstalk(np.array([0.0, 0.0, 1e9]), xt)
     assert np.allclose(out, [0.02e9, 0.02e9, 1e9])
 
@@ -115,7 +115,7 @@ def test_qubit_params_validation():
 
 
 def test_paper_preset_contents():
-    cfg = paper_system()
+    cfg = preset_device()
     assert cfg.spec.num_qubits == 3 and cfg.spec.photon_cutoff == 2
     g_over_pi_mhz = cfg.couplings() / np.pi / 1e6
     assert np.allclose(g_over_pi_mhz, [-105.4, 110.8, 111.6])
@@ -129,7 +129,7 @@ def test_paper_preset_contents():
 
 
 def test_system_config_validation():
-    cfg = paper_system()
+    cfg = preset_device()
     with pytest.raises(ConfigError):
         SystemConfig(
             qubits=cfg.qubits[:2],
@@ -140,10 +140,14 @@ def test_system_config_validation():
 
 
 def test_named_presets():
-    preset = named_preset("paper-default")
-    ref = paper_system()
-    assert preset.qubits == ref.qubits and preset.resonator == ref.resonator
+    # a preset name and its inline device object take the one reader's path
+    for name, obj in PRESETS.items():
+        preset, inline = named_preset(name), device_from_json(obj)
+        assert preset.qubits == inline.qubits and preset.resonator == inline.resonator
+        assert np.array_equal(preset.crosstalk.matrix, inline.crosstalk.matrix)
+    assert np.array_equal(named_preset("paper-default").crosstalk.matrix, np.eye(3))
     xt = named_preset("paper-crosstalk-2pct")
-    assert np.isclose(xt.crosstalk.matrix[0, 1], 0.02)
-    with pytest.raises(ConfigError):
+    assert np.array_equal(xt.crosstalk.matrix, np.eye(3) + 0.02 * (np.ones((3, 3)) - np.eye(3)))
+    assert xt.qubits == named_preset("paper-default").qubits
+    with pytest.raises(ConfigError, match="known: .'paper-crosstalk-2pct', 'paper-default'"):
         named_preset("nope")

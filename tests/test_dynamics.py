@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,13 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqedw import protocols
-from cqedw.device import (
-    G_RAD_PER_PI_MHZ,
-    decoherence_rates,
-    equal_coupling_system,
-    named_preset,
-    paper_system,
-)
+from cqedw.cli import PRESETS, named_preset
+from cqedw.device import decoherence_rates
 from cqedw.dynamics import (
     _hermitian_basis,
     _lindblad_generator,
@@ -39,7 +32,7 @@ from cqedw.hilbert import (
     embed_qubit_operator,
     expectation_stack,
 )
-from conftest import expectation, random_pure
+from conftest import equal_coupling_device, expectation, preset_device, random_pure
 
 
 def single_excitation_indices(spec):
@@ -107,7 +100,7 @@ def kron_hamiltonian(cfg, detunings, coupled=None):
 def test_build_hamiltonian_matches_kron_reference():
     detunings = [1e8, -2e8, 3e8]
     for cutoff in (1, 2):
-        cfg = paper_system(photon_cutoff=cutoff)
+        cfg = preset_device(photon_cutoff=cutoff)
         for coupled in (None, (0, 2), ()):
             h = build_hamiltonian(cfg, detunings, coupled=coupled)
             ref = kron_hamiltonian(cfg, detunings, coupled)
@@ -116,7 +109,7 @@ def test_build_hamiltonian_matches_kron_reference():
 
 
 def test_single_qubit_resonant_eigenvalues():
-    cfg = equal_coupling_system(1, g_over_pi_mhz=100.0, photon_cutoff=1)
+    cfg = equal_coupling_device(1, g_over_pi_mhz=100.0, photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0])
     g = cfg.qubits[0].coupling_g
     idx = single_excitation_indices(cfg.spec)
@@ -125,7 +118,7 @@ def test_single_qubit_resonant_eigenvalues():
 
 
 def test_three_qubit_resonant_eigenvalues_brute_force():
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     idx = single_excitation_indices(cfg.spec)
     block = h[np.ix_(idx, idx)]
@@ -135,25 +128,25 @@ def test_three_qubit_resonant_eigenvalues_brute_force():
 
 
 def test_zero_couplings_hamiltonian_diagonal():
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     h = build_hamiltonian(cfg, cfg.bias_detunings(), coupled=())
     off = h - np.diag(np.diag(h))
     assert np.abs(off).max() == 0.0
 
 
 def test_evolve_unitary_basics():
-    cfg = equal_coupling_system(1, g_over_pi_mhz=100.0, photon_cutoff=1)
+    cfg = equal_coupling_device(1, g_over_pi_mhz=100.0, photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0])
     psi0 = basis_ket(cfg.spec, [0], 0)
     g = cfg.qubits[0].coupling_g
     t_swap = np.pi / (2 * g)
-    stack = evolve_unitary(psi0, h, [0.0, t_swap])
+    stack = evolve_unitary(psi0.amplitudes, h, [0.0, t_swap])
     assert stack.shape == (2, cfg.spec.dim)
     assert np.array_equal(stack[0], psi0.amplitudes)  # a zero time returns psi unchanged
     target = -1j * basis_ket(cfg.spec, [], 1).amplitudes
     assert np.abs(stack[1] - target).max() < 1e-10
 
-    back = evolve_unitary(QuantumState(stack[1], cfg.spec), h, [-t_swap])[0]
+    back = evolve_unitary(stack[1], h, [-t_swap])[0]
     assert np.abs(back - psi0.amplitudes).max() < 1e-10
 
 
@@ -162,11 +155,11 @@ def test_evolve_unitary_rejects_non_hermitian():
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(NumericalError):
-        evolve_unitary(basis_ket(spec, [], 0), bad, [1e-9])
+        evolve_unitary(basis_ket(spec, [], 0).amplitudes, bad, [1e-9])
 
 
 def test_collapse_operators_stack_order_and_rates():
-    cfg = paper_system(photon_cutoff=2)
+    cfg = preset_device(photon_cutoff=2)
     spec = cfg.spec
     cs = collapse_operators(cfg)
     assert cs.shape == (2 * spec.num_qubits + 1, spec.dim, spec.dim)
@@ -183,17 +176,17 @@ def test_collapse_operators_stack_order_and_rates():
 
 
 def test_lindblad_closed_system_matches_unitary():
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     psi0 = basis_ket(cfg.spec, [], 1)
     rho = evolve_lindblad(psi0.density_matrix(), [], h, [], [3e-9])
-    psi = evolve_unitary(psi0, h, [3e-9])
+    psi = evolve_unitary(psi0.amplitudes, h, [3e-9])
     assert rho.shape == (1, cfg.spec.dim, cfg.spec.dim)
     assert np.abs(rho[0] - np.outer(psi[0], psi[0].conj())).max() < 1e-8
 
 
 def test_lindblad_t1_only_exponential_decay():
-    cfg = equal_coupling_system(1, photon_cutoff=1)
+    cfg = equal_coupling_device(1, photon_cutoff=1)
     spec = cfg.spec
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
     t1 = cfg.qubits[0].t1
@@ -208,7 +201,7 @@ def test_lindblad_t1_only_exponential_decay():
 def test_lindblad_w_sequential_matches_fine_step_rk4(monkeypatch):
     # parked qubits turn by ~0.13 rad per 10 ps step, so RK4 needs dt = 2.5 ps
     # to come within 1e-6 of the exact propagator
-    cfg = paper_system()
+    cfg = preset_device()
     exact = protocols.prepare_w_sequential(cfg, noise=True).entries
 
     def rk4_stack(rho, before, h, collapse, times):
@@ -223,7 +216,7 @@ def test_lindblad_w_sequential_matches_fine_step_rk4(monkeypatch):
 
 
 def test_lindblad_restricted_matches_full_space_expm():
-    cfg = paper_system(photon_cutoff=2)
+    cfg = preset_device(photon_cutoff=2)
     spec = cfg.spec
     h = build_hamiltonian(cfg, 2 * np.pi * np.array([30e6, -45e6, 10e6]))
     cs = collapse_operators(cfg)
@@ -272,7 +265,7 @@ def test_hermitian_basis_orthonormal_and_round_trips(n):
 
 
 def test_lindblad_positivity():
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     cs = collapse_operators(cfg)
     rho0 = basis_ket(cfg.spec, [2], 0).density_matrix()
@@ -281,7 +274,7 @@ def test_lindblad_positivity():
 
 
 def test_lindblad_rejects_bad_inputs():
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     rho0 = basis_ket(cfg.spec, [], 0).density_matrix()
     with pytest.raises(ConfigError):
@@ -297,7 +290,7 @@ def test_lindblad_rejects_bad_inputs():
 
 
 def test_oracle_amplitudes_at_factorization_time():
-    cfg = paper_system()
+    cfg = preset_device()
     g = cfg.couplings()
     g_tot = np.sqrt((g**2).sum())
     tau_w = np.pi / (2 * g_tot)
@@ -332,34 +325,34 @@ def test_oracle_detuned_single_qubit_against_2x2_eigensolve():
 def test_oracle_equivalence_full_space():
     # acceptance criterion 5: full unitary vs small-block oracle, N = 1..3
     for n in (1, 2, 3):
-        cfg = paper_system(photon_cutoff=2) if n == 3 else equal_coupling_system(n, photon_cutoff=2)
+        cfg = preset_device(photon_cutoff=2) if n == 3 else equal_coupling_device(n, photon_cutoff=2)
         g = cfg.couplings()
         detunings = np.zeros(n)
         h = build_hamiltonian(cfg, detunings)
         psi0 = basis_ket(cfg.spec, [], 1)
         idx = single_excitation_indices(cfg.spec)
         times = np.linspace(0.0, 12e-9, 50)
-        full = evolve_unitary(psi0, h, times)[:, idx]
+        full = evolve_unitary(psi0.amplitudes, h, times)[:, idx]
         oracle = np.array([single_excitation_oracle(g, detunings, t) for t in times])
         worst = np.abs(full - oracle).max()
         assert worst < 1e-8, f"N={n}: {worst}"
 
 
 def test_oracle_equivalence_with_detunings():
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     g = cfg.couplings()
     detunings = 2 * np.pi * np.array([30e6, -45e6, 10e6])
     h = build_hamiltonian(cfg, detunings)
     psi0 = basis_ket(cfg.spec, [], 1)
     idx = single_excitation_indices(cfg.spec)
     times = np.linspace(0.0, 10e-9, 25)
-    full = evolve_unitary(psi0, h, times)[:, idx]
+    full = evolve_unitary(psi0.amplitudes, h, times)[:, idx]
     oracle = np.array([single_excitation_oracle(g, detunings, t) for t in times])
     assert np.abs(full - oracle).max() < 1e-8
 
 
 def test_dark_state_is_stationary():
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     g = cfg.couplings()
     # c with sum_j g_j c_j = 0, no cavity amplitude
     c = np.array([g[1], -g[0], 0.0], dtype=complex)
@@ -369,12 +362,12 @@ def test_dark_state_is_stationary():
         amps[cfg.spec.index([j])] = c[j]
     psi0 = QuantumState(amps, cfg.spec)
     h = build_hamiltonian(cfg, np.zeros(3))
-    out = evolve_unitary(psi0, h, [7e-9])[0]
+    out = evolve_unitary(psi0.amplitudes, h, [7e-9])[0]
     assert np.abs(np.abs(out) ** 2 - np.abs(psi0.amplitudes) ** 2).max() < 1e-9
 
 
 def test_excitation_conservation():
-    cfg = paper_system(photon_cutoff=2)
+    cfg = preset_device(photon_cutoff=2)
     spec = cfg.spec
     n_op = excitation_number(spec)
     h = build_hamiltonian(cfg, 2 * np.pi * np.array([5e6, -3e6, 1e6]))
@@ -384,14 +377,14 @@ def test_excitation_conservation():
     rng = np.random.default_rng(17)
     psi = random_pure(spec, rng)
     ref = expectation(n_op, psi)
-    vals = expectation_stack(n_op, evolve_unitary(psi, h, np.linspace(0, 8e-9, 20)))
+    vals = expectation_stack(n_op, evolve_unitary(psi.amplitudes, h, np.linspace(0, 8e-9, 20)))
     assert np.abs(vals - ref).max() < 1e-9
 
 
 def test_frame_gauge_invariance():
     # shifting all detunings by c and compensating with c * (a^dag a + sum sz/2)
     # leaves every population unchanged
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     spec = cfg.spec
     delta = 2 * np.pi * np.array([12e6, -7e6, 25e6])
     shift = 2 * np.pi * 40e6
@@ -401,8 +394,8 @@ def test_frame_gauge_invariance():
     h2 = build_hamiltonian(cfg, delta + shift) + shift * cavity_number(spec)
     psi0 = basis_ket(spec, [], 1)
     times = np.linspace(0, 9e-9, 15)
-    p1 = np.abs(evolve_unitary(psi0, h1, times)) ** 2
-    p2 = np.abs(evolve_unitary(psi0, h2, times)) ** 2
+    p1 = np.abs(evolve_unitary(psi0.amplitudes, h1, times)) ** 2
+    p2 = np.abs(evolve_unitary(psi0.amplitudes, h2, times)) ** 2
     assert np.abs(p1 - p2).max() < 1e-9
 
 
@@ -414,11 +407,10 @@ detunings_mhz = st.tuples(*[st.floats(-100.0, 100.0)] * 3)
 
 
 def random_device(g_over_pi_mhz):
-    cfg = paper_system(photon_cutoff=1)
-    qubits = tuple(
-        replace(q, coupling_g=g * G_RAD_PER_PI_MHZ) for q, g in zip(cfg.qubits, g_over_pi_mhz)
-    )
-    return replace(cfg, qubits=qubits)
+    qubits = [
+        {**q, "g_over_pi_mhz": g} for q, g in zip(PRESETS["paper-default"]["qubits"], g_over_pi_mhz)
+    ]
+    return preset_device(photon_cutoff=1, qubits=qubits)
 
 
 @settings(max_examples=20, deadline=None)

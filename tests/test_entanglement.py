@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cqedw import entanglement
-from cqedw.device import paper_system
 from cqedw.entanglement import (
     GHZ,
     W_PAPER,
@@ -22,7 +21,14 @@ from cqedw.entanglement import (
 from cqedw.errors import ConfigError
 from cqedw.hilbert import DensityMatrix, HilbertSpec, QuantumState
 from cqedw.protocols import apply_phase_correction, prepare_w_collective
-from conftest import QUBIT_SPEC_3, random_density, random_pure, random_unitary, w_plus
+from conftest import (
+    QUBIT_SPEC_3,
+    preset_device,
+    random_density,
+    random_pure,
+    random_unitary,
+    w_plus,
+)
 from conftest import tangle_quartic as reference_quartic
 from conftest import uhlmann_fidelity as reference_uhlmann
 
@@ -247,7 +253,7 @@ def test_tangle_mixed_on_benchmark_certify_inputs():
         assert report["classification"] == verdict
         assert report["tangle_bound"] <= bound
 
-    noisy, _ = apply_phase_correction(prepare_w_collective(paper_system(), noise=True),
+    noisy, _ = apply_phase_correction(prepare_w_collective(preset_device(), noise=True),
                                       W_PAPER)
     assert three_tangle_mixed(noisy, seed=3).value == 0.0
 
@@ -357,7 +363,7 @@ def test_roof_objective_paths_agree():
 
 
 def test_tangle_mixed_on_noisy_collective_state():
-    cfg = paper_system()
+    cfg = preset_device()
     target = W_PAPER
     rho, _ = apply_phase_correction(prepare_w_collective(cfg, noise=True), target)
     est = three_tangle_mixed(rho, seed=3)

@@ -5,7 +5,6 @@ from cqedw.errors import ConfigError, NumericalError
 from cqedw.hilbert import (
     ID2,
     PROJ_EXCITED,
-    PROJ_GROUND,
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
@@ -19,11 +18,10 @@ from cqedw.hilbert import (
     check_ket_stack,
     embed_qubit_operator,
     expectation_stack,
-    ket_from_label,
     operator_table,
     partial_trace,
 )
-from conftest import expectation, random_density, random_pure
+from conftest import PROJ_GROUND, expectation, ket_from_label, purity, random_density, random_pure
 
 SPEC31 = HilbertSpec(num_qubits=3, photon_cutoff=1)
 
@@ -215,7 +213,7 @@ def test_pure_state_purity():
     rng = np.random.default_rng(21)
     for _ in range(5):
         psi = random_pure(SPEC31, rng)
-        assert abs(psi.density_matrix().purity() - 1.0) < 1e-10
+        assert abs(purity(psi.density_matrix()) - 1.0) < 1e-10
 
 
 def test_state_validation():

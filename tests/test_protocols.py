@@ -8,7 +8,6 @@ import pytest
 
 import cqedw
 from cqedw import analysis, protocols
-from cqedw.device import equal_coupling_system, paper_system
 from cqedw.entanglement import W_PAPER, fidelity
 from cqedw.errors import ConfigError
 from cqedw.hilbert import DensityMatrix, QuantumState, basis_ket
@@ -27,11 +26,11 @@ from cqedw.protocols import (
     sequential_w_schedule,
     single_photon_schedule,
 )
-from conftest import QUBIT_SPEC_3, w_plus
+from conftest import QUBIT_SPEC_3, equal_coupling_device, preset_device, w_plus
 
 
 def test_single_photon_durations():
-    cfg = paper_system()
+    cfg = preset_device()
     sched = single_photon_schedule(cfg, 0)
     tau0 = sched.segments[-1].duration
     assert np.isclose(tau0, np.pi / (2 * abs(cfg.qubits[0].coupling_g)), rtol=1e-12)
@@ -39,7 +38,7 @@ def test_single_photon_durations():
 
 
 def test_single_photon_transfer_is_complete():
-    cfg = paper_system()
+    cfg = preset_device()
     for src in range(3):
         out = run_schedule(cfg, single_photon_schedule(cfg, src))
         q, _, n = populations(out)
@@ -50,7 +49,7 @@ def test_single_photon_transfer_is_complete():
 @pytest.mark.parametrize("noise", [False, True])
 def test_single_photon_zero_duration_keeps_qubit_excited(noise):
     # the pi pulse is the schedule's initial state; noisy runs start from its density matrix
-    cfg = paper_system()
+    cfg = preset_device()
     sched = PulseSchedule((ScheduleSegment(0.0, (1,)),), single_photon_schedule(cfg, 1).initial_state)
     out = run_schedule(cfg, sched, noise=noise)
     q, _, n = populations(out)
@@ -58,7 +57,7 @@ def test_single_photon_zero_duration_keeps_qubit_excited(noise):
 
 
 def test_single_photon_full_period_returns_excitation():
-    cfg = paper_system()
+    cfg = preset_device()
     g = abs(cfg.qubits[0].coupling_g)
     segment = ScheduleSegment(np.pi / g, (0,))
     out = run_schedule(cfg, PulseSchedule((segment,), single_photon_schedule(cfg, 0).initial_state))
@@ -67,7 +66,7 @@ def test_single_photon_full_period_returns_excitation():
 
 
 def test_rabi_scan_single_qubit_cosine_law():
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     g = abs(cfg.qubits[0].coupling_g)
     tau = np.linspace(0.0, 15e-9, 41)
     trace = rabi_scan(cfg, [0], tau)
@@ -78,7 +77,7 @@ def test_rabi_scan_single_qubit_cosine_law():
 
 
 def test_rabi_scan_fitted_frequencies():
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     tau = np.linspace(0.0, 20e-9, 81)
     f1 = analysis.fit_damped_sinusoid(tau, rabi_scan(cfg, [0], tau).cavity_population).frequency
     assert abs(f1 - 105.4e6) / 105.4e6 < 0.005
@@ -91,7 +90,7 @@ def test_rabi_scan_fitted_frequencies():
 
 
 def test_rabi_scan_amplitude_law():
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     g = cfg.couplings()
     g_tot_sq = (g**2).sum()
     tau_w = np.pi / (2 * np.sqrt(g_tot_sq))
@@ -101,7 +100,7 @@ def test_rabi_scan_amplitude_law():
 
 def test_rabi_scan_antiphase_and_excitation_conservation():
     for n in (1, 2, 3):
-        cfg = equal_coupling_system(3, photon_cutoff=1) if n < 3 else paper_system(photon_cutoff=1)
+        cfg = equal_coupling_device(3, photon_cutoff=1) if n < 3 else preset_device(photon_cutoff=1)
         tau = np.linspace(0.0, 12e-9, 25)
         trace = rabi_scan(cfg, list(range(n)), tau)
         total = trace.cavity_population + trace.qubit_populations.sum(axis=1)
@@ -131,7 +130,7 @@ def per_point_scan(cfg, part, taus, noise):
     ],
 )
 def test_rabi_scan_matches_per_point_schedule(crosstalk, part, noise):
-    cfg = paper_system(crosstalk_epsilon=crosstalk)
+    cfg = preset_device("paper-crosstalk-2pct" if crosstalk else "paper-default")
     taus = np.linspace(0.0, 10e-9, 11)
     trace = rabi_scan(cfg, part, taus, noise=noise)
     q, g, n = per_point_scan(cfg, part, taus, noise)
@@ -162,7 +161,7 @@ def test_rabi_scan_work_does_not_grow_with_points(monkeypatch, noise):
     counted(np.linalg, "eigh")
     counted(dynamics, "_reachable")  # one per noisy schedule or scan
     counted(scipy.linalg, "expm")
-    cfg = paper_system()
+    cfg = preset_device()
     seen = []
     for points in (11, 81):
         counts.clear()
@@ -200,14 +199,14 @@ def test_noisy_schedule_builds_one_block_and_checks_each_state_once(monkeypatch)
     counted("_hermitian_basis")
     monkeypatch.setattr(dynamics, "check_density_stack", check)
     monkeypatch.setattr(hilbert, "check_density_stack", check)
-    cfg = paper_system()
+    cfg = preset_device()
     runs = [
-        # (run, expected (states, dim) per check): the pi-pulsed initial state at
-        # 24, the propagated states on the block, the cavity-traced state at 8
-        (lambda: prepare_w_sequential(cfg, noise=True), [(1, 24), (3, 5), (1, 8)]),
-        (lambda: prepare_w_collective(cfg, noise=True), [(1, 24), (2, 5), (1, 8)]),
-        (lambda: rabi_scan(cfg, (0, 1, 2), np.linspace(0.0, 10e-9, 21), noise=True),
-         [(1, 24), (22, 5)]),
+        # (run, expected (states, dim) per check): the propagated states on the
+        # block and the cavity-traced state at 8; the pi-pulsed initial state is
+        # checked as a ket, not again as a 24 x 24 density matrix
+        (lambda: prepare_w_sequential(cfg, noise=True), [(3, 5), (1, 8)]),
+        (lambda: prepare_w_collective(cfg, noise=True), [(2, 5), (1, 8)]),
+        (lambda: rabi_scan(cfg, (0, 1, 2), np.linspace(0.0, 10e-9, 21), noise=True), [(22, 5)]),
     ]
     for run, expected in runs:
         calls.clear()
@@ -217,8 +216,36 @@ def test_noisy_schedule_builds_one_block_and_checks_each_state_once(monkeypatch)
         assert checked == expected
 
 
+def test_ideal_preparation_checks_each_ket_once(monkeypatch):
+    # the ground ket, the pi-pulsed ket and one ket per segment are each checked
+    # once; the only density check is the cavity-traced state's, at 8 x 8
+    from cqedw import dynamics, hilbert
+
+    kets, densities = [], []
+    ket_check, density_check = hilbert.check_ket_stack, hilbert.check_density_stack
+
+    def check_ket(amps):
+        kets.append(amps.shape)
+        return ket_check(amps)
+
+    def check_density(mats):
+        densities.append(mats.shape)
+        return density_check(mats)
+
+    for module in (dynamics, hilbert):
+        monkeypatch.setattr(module, "check_ket_stack", check_ket)
+        monkeypatch.setattr(module, "check_density_stack", check_density)
+    cfg = preset_device()
+    for prepare, segments in ((prepare_w_sequential, 3), (prepare_w_collective, 2)):
+        kets.clear()
+        densities.clear()
+        prepare(cfg)
+        assert kets == [(1, 24)] * (2 + segments)
+        assert densities == [(1, 8, 8)]
+
+
 def test_rabi_scan_validation():
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     with pytest.raises(ConfigError):
         rabi_scan(cfg, [], [1e-9])
     with pytest.raises(ConfigError):
@@ -235,7 +262,7 @@ def test_rabi_scan_validation():
 def test_segment_compiles_crosstalk_on_the_commanded_change(monkeypatch):
     # a segment that brings qubit q to resonance commands the change -bias_q on q
     # alone, so the realized detunings are bias - bias_q * X[:, q]
-    cfg = paper_system(crosstalk_epsilon=0.02)
+    cfg = preset_device("paper-crosstalk-2pct")
     bias, x = cfg.bias_detunings(), cfg.crosstalk.matrix
     seen = []
     build = protocols.build_hamiltonian
@@ -253,7 +280,7 @@ def test_segment_compiles_crosstalk_on_the_commanded_change(monkeypatch):
 
 def test_sqrt_n_frequency_law():
     # acceptance criterion 3, equal couplings
-    cfg = equal_coupling_system(3, g_over_pi_mhz=100.0, photon_cutoff=1)
+    cfg = equal_coupling_device(3, g_over_pi_mhz=100.0, photon_cutoff=1)
     tau = np.linspace(0.0, 20e-9, 81)
     freqs = {}
     for n in (1, 2, 3):
@@ -264,7 +291,7 @@ def test_sqrt_n_frequency_law():
 
 
 def test_collective_interaction_time():
-    cfg = paper_system()
+    cfg = preset_device()
     tau_w = collective_interaction_time(cfg)
     g = cfg.couplings()
     assert np.isclose(tau_w, np.pi / (2 * np.sqrt((g**2).sum())), rtol=1e-12)
@@ -272,7 +299,7 @@ def test_collective_interaction_time():
 
 
 def test_sequential_swap_times():
-    cfg = paper_system()
+    cfg = preset_device()
     tau1, tau2, tau3 = sequential_swap_times(cfg)
     g = np.abs(cfg.couplings())
     assert np.isclose(tau1, np.arcsin(np.sqrt(2 / 3)) / g[2], rtol=1e-12)
@@ -282,7 +309,7 @@ def test_sequential_swap_times():
 
 
 def test_sequential_first_segment_splits_two_thirds():
-    cfg = paper_system()
+    cfg = preset_device()
     full = sequential_w_schedule(cfg)
     out = run_schedule(cfg, PulseSchedule(full.segments[:1], full.initial_state))
     q, _, n = populations(out)
@@ -292,7 +319,7 @@ def test_sequential_first_segment_splits_two_thirds():
 
 def test_ideal_w_preparation_both_protocols():
     # acceptance criterion 6
-    cfg = paper_system()
+    cfg = preset_device()
     target = W_PAPER
     rho_c = prepare_w_collective(cfg)
     rho_s = prepare_w_sequential(cfg)
@@ -306,14 +333,14 @@ def test_ideal_w_preparation_both_protocols():
 
 
 def test_w_from_equal_couplings_has_plus_signs():
-    cfg = equal_coupling_system(3, photon_cutoff=2)
+    cfg = equal_coupling_device(3, photon_cutoff=2)
     rho = prepare_w_collective(cfg)
     corrected, _ = apply_phase_correction(rho, w_plus())
     assert fidelity(corrected, w_plus()) > 1 - 1e-9
 
 
 def test_sequential_and_collective_agree_up_to_local_phases():
-    cfg = paper_system()
+    cfg = preset_device()
     rho_c = prepare_w_collective(cfg)
     rho_s = prepare_w_sequential(cfg)
     # purify the collective output (ideal run: pure) and use it as target
@@ -327,7 +354,7 @@ def test_sequential_and_collective_agree_up_to_local_phases():
 
 def test_decoherence_ceilings():
     # acceptance criterion 7: Lindblad model on the measured T1/T2/Q
-    cfg = paper_system()
+    cfg = preset_device()
     target = W_PAPER
     rho_c, _ = apply_phase_correction(prepare_w_collective(cfg, noise=True), target)
     rho_s, _ = apply_phase_correction(prepare_w_sequential(cfg, noise=True), target)
@@ -340,7 +367,7 @@ def test_decoherence_ceilings():
 
 def test_crosstalk_asymmetry():
     # acceptance criterion 8: property, not number
-    cfg = paper_system(crosstalk_epsilon=0.02)
+    cfg = preset_device("paper-crosstalk-2pct")
     target = W_PAPER
     rho_c, _ = apply_phase_correction(prepare_w_collective(cfg), target)
     rho_s, _ = apply_phase_correction(prepare_w_sequential(cfg), target)
@@ -413,10 +440,10 @@ def test_w_path_leaves_out_scipy_optimize():
     # preparing and phase-correcting a W state needs scipy.linalg, not scipy.optimize
     code = (
         "import sys\n"
-        "from cqedw.device import paper_system\n"
+        "from cqedw.cli import named_preset\n"
         "from cqedw.entanglement import W_PAPER\n"
         "from cqedw.protocols import apply_phase_correction, prepare_w_collective\n"
-        "apply_phase_correction(prepare_w_collective(paper_system()), W_PAPER)\n"
+        "apply_phase_correction(prepare_w_collective(named_preset('paper-default')), W_PAPER)\n"
         "print('scipy.optimize' in sys.modules)"
     )
     src = str(Path(cqedw.__file__).resolve().parent.parent)
@@ -426,7 +453,7 @@ def test_w_path_leaves_out_scipy_optimize():
 
 
 def test_population_trace_csv_format():
-    cfg = paper_system(photon_cutoff=1)
+    cfg = preset_device(photon_cutoff=1)
     trace = rabi_scan(cfg, [0], np.linspace(0, 5e-9, 9))
     csv = trace.to_csv()
     lines = csv.strip().split("\n")
@@ -446,12 +473,12 @@ def test_population_trace_validation():
 
 
 def test_schedule_validation():
-    cfg = paper_system()
+    cfg = preset_device()
     with pytest.raises(ConfigError):
         PulseSchedule((), basis_ket(cfg.spec, [], 0))
     with pytest.raises(ConfigError):
-        prepare_w_collective(equal_coupling_system(2))
+        prepare_w_collective(equal_coupling_device(2))
     with pytest.raises(ConfigError):
         single_photon_schedule(cfg, 9)
     with pytest.raises(ConfigError):
-        single_photon_schedule(paper_system(photon_cutoff=0), 0)
+        single_photon_schedule(preset_device(photon_cutoff=0), 0)
