@@ -79,12 +79,13 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Mixed-state fidelity (Tr sqrt(sqrt(sigma) rho sqrt(sigma)))^2.
 
     Both square roots go through ``eigh``, which stays exact on the
-    rank-deficient states the protocols produce.
+    rank-deficient states the protocols produce.  Round-off can push the
+    value past 1 by a few 1e-15, so it is capped at 1.
     """
     if rho.spec.dim != sigma.spec.dim:
         raise ConfigError("state dimensions differ")
     s = _psd_sqrt(sigma.entries)
-    return float(np.trace(_psd_sqrt(s @ rho.entries @ s)).real ** 2)
+    return min(1.0, float(np.trace(_psd_sqrt(s @ rho.entries @ s)).real ** 2))
 
 
 def witness_operator() -> np.ndarray:

@@ -1,16 +1,19 @@
 """Pulse schedules for the vacuum Rabi and W-state experiments.
 
-A schedule is an initial state and an ordered list of piecewise-constant
-segments; each segment names the qubits it brings to resonance with the
-mode for its duration, while the others stay parked at their bias.  The
-one microwave pulse of every experiment, an ideal x-axis pi pulse on the
-source qubit of |g...g,0>, is folded into the initial state.  Flux pulses
-are ideal rectangles.
+Every experiment starts with its one microwave pulse, an ideal x-axis pi
+pulse on a source qubit of |g...g,0>, and then runs piecewise-constant
+flux segments.  A segment is a ``(resonant, duration)`` pair: the
+``resonant`` qubits are brought to resonance with the mode for
+``duration``, while the others stay parked at their bias.  Flux pulses are
+ideal rectangles.
 
-Each segment is compiled by :func:`_hamiltonian`.  :func:`_propagate`
-runs a whole schedule with its last segment held for a vector of times;
-``run_schedule`` holds it for its duration, and ``rabi_scan`` appends the
-scan segment to the loading schedule and holds it for its tau grid.
+A schedule is therefore a source qubit, the segments run in full and one
+held segment.  :func:`_propagate` runs it: it builds the pi-pulsed state,
+compiles each segment with :func:`_hamiltonian`, runs the segments of
+``before`` for their durations and holds the last one for a vector of
+times.  ``rabi_scan`` holds the scan segment for its tau grid after the
+photon load of :func:`_load`; each W preparation holds its last segment
+for its duration and traces the cavity out.
 
 Crosstalk acts on commanded detuning *changes* relative to the
 steady-state bias: a segment that sets qubit j to target detuning d_j
@@ -26,7 +29,7 @@ residual detunings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,34 +47,6 @@ from .hilbert import (
     partial_trace,
     qubit_rotation,
 )
-
-
-@dataclass(frozen=True)
-class ScheduleSegment:
-    """One piecewise-constant stage: the ``resonant`` qubits at resonance for ``duration``.
-
-    Qubits not listed are parked, i.e. propagated in the far-detuned limit
-    (exchange with the mode dropped, detuning phase kept exactly).
-    """
-
-    duration: float  # s
-    resonant: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.duration < 0:
-            raise ConfigError("segment duration must be >= 0")
-        object.__setattr__(self, "resonant", tuple(sorted(self.resonant)))
-
-
-@dataclass(frozen=True)
-class PulseSchedule:
-    segments: tuple[ScheduleSegment, ...]
-    initial_state: QuantumState
-
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if not self.segments:
-            raise ConfigError("schedule must contain at least one segment")
 
 
 @dataclass(frozen=True)
@@ -127,12 +102,17 @@ def _hamiltonian(config: SystemConfig, resonant: Sequence[int]) -> np.ndarray:
 
 
 def _propagate(
-    config: SystemConfig, schedule: PulseSchedule, noise: bool, times: Sequence[float]
+    config: SystemConfig,
+    source: int,
+    before: Sequence[tuple[Sequence[int], float]],
+    resonant: Sequence[int],
+    noise: bool,
+    times: Sequence[float],
 ) -> np.ndarray:
-    """The schedule's state with its last segment held for each of ``times``: a stack.
+    """The pi-pulsed ``source`` run through ``before``, then ``resonant`` held for each of ``times``.
 
-    Every earlier segment runs for its duration; the last segment's own
-    duration is not read.  Each segment is compiled by :func:`_hamiltonian`.
+    Each ``(resonant, duration)`` segment of ``before`` runs for its
+    duration, and every segment is compiled by :func:`_hamiltonian`.
     Closed-system runs give a (T, d) stack of amplitudes and carry the ket
     from segment to segment, and :func:`evolve_unitary` checks each ket once.
     With ``noise``, the result is a (T, d, d) stack of density matrices from
@@ -140,41 +120,28 @@ def _propagate(
     one reachable block and carries its real coordinates from segment to
     segment.
     """
-    *head, last = schedule.segments
-    before = [(_hamiltonian(config, seg.resonant), seg.duration) for seg in head]
-    h = _hamiltonian(config, last.resonant)
+    initial = _pi_pulsed(config.spec, source)
+    segments = [(_hamiltonian(config, r), t) for r, t in before]
+    h = _hamiltonian(config, resonant)
     if noise:
-        rho = schedule.initial_state.density_matrix()
-        return evolve_lindblad(rho, before, h, collapse_operators(config), times)
-    psi = schedule.initial_state.amplitudes
-    for h_j, t in before:
+        rho = initial.density_matrix()
+        return evolve_lindblad(rho, segments, h, collapse_operators(config), times)
+    psi = initial.amplitudes
+    for h_j, t in segments:
         psi = evolve_unitary(psi, h_j, [t])[0]
     return evolve_unitary(psi, h, times)
 
 
-def run_schedule(
-    config: SystemConfig,
-    schedule: PulseSchedule,
-    noise: bool = False,
-) -> Union[QuantumState, DensityMatrix]:
-    """Execute a schedule; closed-system unless ``noise`` enables the Lindblad model.
-
-    With ``noise``, every segment's state is checked once, on the reachable
-    block, by :func:`evolve_lindblad`, and the final state is not checked
-    again when it is wrapped.
-    """
-    spec = schedule.initial_state.spec
-    final = _propagate(config, schedule, noise, [schedule.segments[-1].duration])[0]
-    return DensityMatrix.checked(final, spec) if noise else QuantumState(final, spec)
-
-
-def _qubit_state(config: SystemConfig, schedule: PulseSchedule, noise: bool) -> DensityMatrix:
-    """The schedule's final state with the cavity traced out.
+def _qubit_state(
+    config: SystemConfig, source: int, segments: Sequence[tuple[Sequence[int], float]], noise: bool
+) -> DensityMatrix:
+    """The state after every segment in turn, with the cavity traced out.
 
     The propagator has checked the final ket, or the final density matrix on
     its block; only the reduced qubit state is checked again.
     """
-    final = _propagate(config, schedule, noise, [schedule.segments[-1].duration])[0]
+    *before, (resonant, duration) = segments
+    final = _propagate(config, source, before, resonant, noise, [duration])[0]
     if not noise:
         final = np.outer(final, final.conj())
     return partial_trace(DensityMatrix.checked(final, config.spec), range(config.spec.num_qubits))
@@ -193,28 +160,16 @@ def population_stack(stack: np.ndarray, spec: HilbertSpec) -> tuple[np.ndarray, 
     )
 
 
-def populations(state: Union[QuantumState, DensityMatrix]):
-    """(per-qubit excited, all-ground, mean photon number) for one state."""
-    data = state.amplitudes if isinstance(state, QuantumState) else state.entries
-    q, g, n = population_stack(data[None], state.spec)
-    return q[0], float(g[0]), float(n[0])
+def _load(config: SystemConfig, source: int) -> tuple[tuple[int], float]:
+    """The segment that swaps the pi-pulsed ``source`` qubit's photon into the cavity.
 
-
-def single_photon_schedule(config: SystemConfig, source_qubit: int) -> PulseSchedule:
-    """Pi-pulse on the source qubit at bias, then a resonant swap segment.
-
-    The pulsed ket is the schedule's initial state and the swap its one
-    segment.  The transfer duration pi / (2 |g_source|) moves the full
-    excitation into the cavity.
+    Its duration pi / (2 |g_source|) moves the full excitation.
     """
-    n = config.spec.num_qubits
-    if not 0 <= source_qubit < n:
-        raise ConfigError(f"source qubit {source_qubit} out of range")
+    if not 0 <= source < config.spec.num_qubits:
+        raise ConfigError(f"source qubit {source} out of range")
     if config.spec.photon_cutoff < 1:
         raise ConfigError("photon cutoff must be >= 1 to host the photon")
-    tau0 = np.pi / (2 * abs(config.qubits[source_qubit].coupling_g))
-    segments = (ScheduleSegment(tau0, (source_qubit,)),)
-    return PulseSchedule(segments, _pi_pulsed(config.spec, source_qubit))
+    return (source,), np.pi / (2 * abs(config.qubits[source].coupling_g))
 
 
 def rabi_scan(
@@ -228,9 +183,9 @@ def rabi_scan(
     The photon is loaded once from the lowest participating qubit; from
     that state the participating set is brought to resonance for each
     interaction time tau >= 0 and the populations are recorded.  Qubits
-    outside the set stay parked at their bias detuning.  The scan is the
-    loading schedule with a resonant segment appended and held for every
-    tau: one :func:`_propagate` call, the step every schedule takes.  One
+    outside the set stay parked at their bias detuning.  The scan holds the
+    resonant set for every tau after the photon load of :func:`_load`: one
+    :func:`_propagate` call, the step every schedule takes.  One
     Hamiltonian and one propagator (one ``eigh``, or one Lindblad generator
     and one stacked ``expm``) serve every tau.  A noisy scan continues from
     the loaded state's real coordinates on the schedule's one reachable
@@ -250,9 +205,7 @@ def rabi_scan(
     if tau[0] < 0:
         raise ConfigError("interaction times must be >= 0")
 
-    load = single_photon_schedule(config, part[0])
-    scan = PulseSchedule(load.segments + (ScheduleSegment(0.0, part),), load.initial_state)
-    stack = _propagate(config, scan, noise, tau)
+    stack = _propagate(config, part[0], [_load(config, part[0])], part, noise, tau)
     labels = tuple(q.label for q in config.qubits)
     return PopulationTrace(tau, *population_stack(stack, config.spec), labels)
 
@@ -274,10 +227,8 @@ def prepare_w_collective(
     """
     if config.spec.num_qubits != 3:
         raise ConfigError("collective W preparation requires N=3")
-    prep = single_photon_schedule(config, source_qubit)
-    tau_w = collective_interaction_time(config)
-    segments = prep.segments + (ScheduleSegment(tau_w, range(3)),)
-    return _qubit_state(config, PulseSchedule(segments, prep.initial_state), noise)
+    segments = [_load(config, source_qubit), (range(3), collective_interaction_time(config))]
+    return _qubit_state(config, source_qubit, segments, noise)
 
 
 def sequential_swap_times(config: SystemConfig) -> tuple[float, float, float]:
@@ -295,21 +246,15 @@ def sequential_swap_times(config: SystemConfig) -> tuple[float, float, float]:
     )
 
 
-def sequential_w_schedule(config: SystemConfig) -> PulseSchedule:
-    """Sequential W preparation schedule: swaps C, B, A after the C pi-pulse.
+def prepare_w_sequential(config: SystemConfig, noise: bool = False) -> DensityMatrix:
+    """Sequential W preparation: swaps C, B, A after the pi pulse on C.
 
-    The pulsed ket is the schedule's initial state.
+    Returns the reduced three-qubit density matrix (cavity traced out).
     """
     if config.spec.num_qubits != 3:
         raise ConfigError("sequential W preparation requires N=3")
-    swaps = zip(sequential_swap_times(config), (2, 1, 0))  # C, then B, then A
-    segments = tuple(ScheduleSegment(t, (q,)) for t, q in swaps)
-    return PulseSchedule(segments, _pi_pulsed(config.spec, 2))
-
-
-def prepare_w_sequential(config: SystemConfig, noise: bool = False) -> DensityMatrix:
-    """Sequential W preparation via one-at-a-time swaps C -> B -> A."""
-    return _qubit_state(config, sequential_w_schedule(config), noise)
+    swaps = zip(((2,), (1,), (0,)), sequential_swap_times(config))  # C, then B, then A
+    return _qubit_state(config, 2, list(swaps), noise)
 
 
 def apply_phase_correction(

@@ -216,13 +216,22 @@ def linear_inversion(outcomes: np.ndarray, tset: TomographySet) -> np.ndarray:
 
 
 def _project_simplex(lam: np.ndarray) -> tuple[np.ndarray, float]:
-    """Euclidean projection onto {x >= 0, sum x = 1}; returns (x, shift)."""
+    """Euclidean projection onto {x >= 0, sum x = 1}; returns (x, shift).
+
+    The top entry is always in the support: its term is exactly 1, though
+    it rounds to 0 once that entry passes ~2^53.  A support of that entry
+    alone gives the unit vector on it exactly, since ``lam - shift`` can
+    round to all zeros there.
+    """
     srt = np.sort(lam)[::-1]
     cumsum = np.cumsum(srt)
     ks = np.arange(1, lam.size + 1)
     support = srt + (1.0 - cumsum) / ks > 0
+    support[0] = True
     k = int(np.nonzero(support)[0].max()) + 1
     shift = (cumsum[k - 1] - 1.0) / k
+    if k == 1:
+        return (np.arange(lam.size) == np.argmax(lam)).astype(float), float(shift)
     return np.maximum(lam - shift, 0.0), float(shift)
 
 

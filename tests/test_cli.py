@@ -520,6 +520,20 @@ def test_reconstruct_missing_row_exits_2(tmp_path):
     assert not (tmp_path / "bin").exists()
 
 
+def test_reconstruct_huge_outcome_gives_pure_state(tmp_path):
+    # one finite outcome of 1e17 used to end in a ValueError traceback (exit 1)
+    tset = tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
+    w = entanglement.W_PAPER.density_matrix()
+    lines = tomography.records_to_csv(tomography.simulate_measurements(w, tset, 0.0, 0), tset).split("\n")
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",1e17"
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join(lines))
+    assert run_cli("reconstruct", path, "--out", tmp_path / "rec", "--quiet") == 0
+    rho = rho_from_json(json.loads((tmp_path / "rec" / "rho_mle.json").read_text()))
+    assert abs(np.trace(rho.entries) - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(rho.entries)[-1] > 1 - 1e-12  # a pure state
+
+
 def test_determinism_bit_identical_artifacts(tmp_path):
     # acceptance criterion 12
     for tag in ("a", "b"):

@@ -239,16 +239,14 @@ def test_lindblad_restricted_matches_full_space_expm():
     for preset in ("paper-default", "paper-crosstalk-2pct"):
         cfg = named_preset(preset)
         cs = collapse_operators(cfg)
-        load = protocols.single_photon_schedule(cfg, 2)
-        collective = protocols.PulseSchedule(
-            load.segments + (protocols.ScheduleSegment(protocols.collective_interaction_time(cfg), range(3)),),
-            load.initial_state,
-        )
-        for schedule in (collective, protocols.sequential_w_schedule(cfg)):
-            out = protocols.run_schedule(cfg, schedule, noise=True).entries
-            ref = schedule.initial_state.density_matrix().entries
-            for seg in schedule.segments:
-                ref = full_space_expm(ref, protocols._hamiltonian(cfg, seg.resonant), cs, seg.duration)
+        collective = [protocols._load(cfg, 2), ((0, 1, 2), protocols.collective_interaction_time(cfg))]
+        sequential = list(zip(((2,), (1,), (0,)), protocols.sequential_swap_times(cfg)))
+        for segments in (collective, sequential):
+            *before, (resonant, duration) = segments
+            out = protocols._propagate(cfg, 2, before, resonant, True, [duration])[0]
+            ref = protocols._pi_pulsed(cfg.spec, 2).density_matrix().entries
+            for r, t in segments:
+                ref = full_space_expm(ref, protocols._hamiltonian(cfg, r), cs, t)
             assert np.abs(out - ref).max() < 1e-12, preset
 
 

@@ -56,6 +56,11 @@ def test_uhlmann_fidelity_rank_deficient():
         # the reference keeps eigenvalue round-off, whose square roots shift
         # it by ~1e-8 on rank-deficient pairs
         assert abs(f - reference_uhlmann(a.entries, b.entries)) < 1e-7
+    # round-off used to give F(rho, rho) up to 1 + 4.4e-15
+    for rank in (1, 2, 3):
+        for _ in range(50):
+            rho = random_density(QUBIT_SPEC_3, rng, rank=rank)
+            assert 1 - 1e-12 <= uhlmann_fidelity(rho, rho) <= 1
 
 
 def test_fidelity_linearity():

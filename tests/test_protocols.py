@@ -10,29 +10,26 @@ import cqedw
 from cqedw import analysis, protocols
 from cqedw.entanglement import W_PAPER, fidelity
 from cqedw.errors import ConfigError
-from cqedw.hilbert import DensityMatrix, QuantumState, basis_ket
+from cqedw.hilbert import DensityMatrix, QuantumState
 from cqedw.protocols import (
     PopulationTrace,
-    PulseSchedule,
-    ScheduleSegment,
+    _load,
+    _propagate,
     apply_phase_correction,
     collective_interaction_time,
-    populations,
+    population_stack,
     prepare_w_collective,
     prepare_w_sequential,
     rabi_scan,
-    run_schedule,
     sequential_swap_times,
-    sequential_w_schedule,
-    single_photon_schedule,
 )
 from conftest import QUBIT_SPEC_3, equal_coupling_device, preset_device, w_plus
 
 
 def test_single_photon_durations():
     cfg = preset_device()
-    sched = single_photon_schedule(cfg, 0)
-    tau0 = sched.segments[-1].duration
+    resonant, tau0 = _load(cfg, 0)
+    assert resonant == (0,)
     assert np.isclose(tau0, np.pi / (2 * abs(cfg.qubits[0].coupling_g)), rtol=1e-12)
     assert np.isclose(tau0, 4.744e-9, rtol=1e-3)  # = 1 / (2 * 105.4 MHz)
 
@@ -40,29 +37,24 @@ def test_single_photon_durations():
 def test_single_photon_transfer_is_complete():
     cfg = preset_device()
     for src in range(3):
-        out = run_schedule(cfg, single_photon_schedule(cfg, src))
-        q, _, n = populations(out)
-        assert abs(n - 1.0) < 1e-6
-        assert np.abs(q).max() < 1e-6
+        trace = rabi_scan(cfg, [src], [0.0])  # the photon load alone
+        assert abs(trace.cavity_population[0] - 1.0) < 1e-6
+        assert np.abs(trace.qubit_populations[0]).max() < 1e-6
 
 
 @pytest.mark.parametrize("noise", [False, True])
 def test_single_photon_zero_duration_keeps_qubit_excited(noise):
     # the pi pulse is the schedule's initial state; noisy runs start from its density matrix
     cfg = preset_device()
-    sched = PulseSchedule((ScheduleSegment(0.0, (1,)),), single_photon_schedule(cfg, 1).initial_state)
-    out = run_schedule(cfg, sched, noise=noise)
-    q, _, n = populations(out)
-    assert abs(n) < 1e-9 and abs(q[1] - 1.0) < 1e-9
+    q, _, n = population_stack(_propagate(cfg, 1, [], (1,), noise, [0.0]), cfg.spec)
+    assert abs(n[0]) < 1e-9 and abs(q[0, 1] - 1.0) < 1e-9
 
 
 def test_single_photon_full_period_returns_excitation():
     cfg = preset_device()
     g = abs(cfg.qubits[0].coupling_g)
-    segment = ScheduleSegment(np.pi / g, (0,))
-    out = run_schedule(cfg, PulseSchedule((segment,), single_photon_schedule(cfg, 0).initial_state))
-    q, _, n = populations(out)
-    assert abs(q[0] - 1.0) < 1e-6 and abs(n) < 1e-6
+    q, _, n = population_stack(_propagate(cfg, 0, [], (0,), False, [np.pi / g]), cfg.spec)
+    assert abs(q[0, 0] - 1.0) < 1e-6 and abs(n[0]) < 1e-6
 
 
 def test_rabi_scan_single_qubit_cosine_law():
@@ -110,14 +102,13 @@ def test_rabi_scan_antiphase_and_excitation_conservation():
 
 
 def per_point_scan(cfg, part, taus, noise):
-    """Rabi scan the long way: the full prep + tau schedule through run_schedule per point."""
-    prep = single_photon_schedule(cfg, part[0])
-    rows = []
-    for t in taus:
-        segment = ScheduleSegment(t, part)
-        schedule = PulseSchedule(prep.segments + (segment,), prep.initial_state)
-        rows.append(populations(run_schedule(cfg, schedule, noise=noise)))
-    return [np.array(col) for col in zip(*rows)]
+    """Rabi scan the long way: one whole load + tau schedule per point."""
+    traces = [rabi_scan(cfg, part, [t], noise=noise) for t in taus]
+    return [
+        np.concatenate([trace.qubit_populations for trace in traces]),
+        np.concatenate([trace.ground_population for trace in traces]),
+        np.concatenate([trace.cavity_population for trace in traces]),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -272,7 +263,7 @@ def test_segment_compiles_crosstalk_on_the_commanded_change(monkeypatch):
         return build(config, detunings, coupled=coupled)
 
     monkeypatch.setattr(protocols, "build_hamiltonian", recorded)
-    run_schedule(cfg, sequential_w_schedule(cfg))
+    prepare_w_sequential(cfg)
     assert [coupled for _, coupled in seen] == [(2,), (1,), (0,)]
     for detunings, (q,) in seen:
         assert np.abs(detunings - (bias - bias[q] * x[:, q])).max() <= 1e-9 * np.abs(bias).max()
@@ -310,11 +301,10 @@ def test_sequential_swap_times():
 
 def test_sequential_first_segment_splits_two_thirds():
     cfg = preset_device()
-    full = sequential_w_schedule(cfg)
-    out = run_schedule(cfg, PulseSchedule(full.segments[:1], full.initial_state))
-    q, _, n = populations(out)
-    assert abs(n - 2 / 3) < 1e-6
-    assert abs(q[2] - 1 / 3) < 1e-6
+    tau1 = sequential_swap_times(cfg)[0]
+    q, _, n = population_stack(_propagate(cfg, 2, [], (2,), False, [tau1]), cfg.spec)
+    assert abs(n[0] - 2 / 3) < 1e-6
+    assert abs(q[0, 2] - 1 / 3) < 1e-6
 
 
 def test_ideal_w_preparation_both_protocols():
@@ -328,8 +318,9 @@ def test_ideal_w_preparation_both_protocols():
         assert fidelity(corrected, target) > 0.999
 
     # sequential leaves the cavity in vacuum
-    final = run_schedule(cfg, sequential_w_schedule(cfg))
-    assert populations(final)[2] < 1e-6
+    tau1, tau2, tau3 = sequential_swap_times(cfg)
+    final = _propagate(cfg, 2, [((2,), tau1), ((1,), tau2)], (0,), False, [tau3])
+    assert population_stack(final, cfg.spec)[2][0] < 1e-6
 
 
 def test_w_from_equal_couplings_has_plus_signs():
@@ -475,10 +466,12 @@ def test_population_trace_validation():
 def test_schedule_validation():
     cfg = preset_device()
     with pytest.raises(ConfigError):
-        PulseSchedule((), basis_ket(cfg.spec, [], 0))
-    with pytest.raises(ConfigError):
         prepare_w_collective(equal_coupling_device(2))
     with pytest.raises(ConfigError):
-        single_photon_schedule(cfg, 9)
+        prepare_w_sequential(equal_coupling_device(2))
     with pytest.raises(ConfigError):
-        single_photon_schedule(preset_device(photon_cutoff=0), 0)
+        prepare_w_collective(cfg, source_qubit=9)
+    with pytest.raises(ConfigError):
+        _load(cfg, 9)
+    with pytest.raises(ConfigError):
+        _load(preset_device(photon_cutoff=0), 0)

@@ -8,6 +8,7 @@ from cqedw.errors import ConfigError, IncompleteReadoutError, NumericalError
 from cqedw.hilbert import DensityMatrix
 from cqedw.tomography import (
     DEFAULT_READOUT_COEFFICIENTS,
+    _project_simplex,
     DIAGONAL_LABELS,
     FULL_ROTATION_LABELS,
     PAULI_LABELS,
@@ -224,6 +225,15 @@ def test_mle_project_hand_example():
     res = mle_project(np.diag([1.2, -0.2]).astype(complex))
     assert np.allclose(np.diag(res.rho.entries).real, [1.0, 0.0], atol=1e-14)
     assert np.isclose(res.eigenvalue_shift, 0.2)
+
+
+def test_project_simplex_huge_top_entry():
+    # the top entry's support term is exactly 1, but rounds to 0 past ~2^53;
+    # the projection used to find an empty support and raise
+    lam = np.array([-3.0, 0.25, 1e17, 2.0])
+    x, _ = _project_simplex(lam)
+    assert x.min() >= 0.0 and x.sum() == 1.0
+    assert x[2] == 1.0
 
 
 def test_mle_project_idempotent(w_rho, tset):
