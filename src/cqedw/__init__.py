@@ -14,4 +14,4 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _var
 
 from .device import CrosstalkMatrix, QubitParams, ResonatorParams, SystemConfig  # noqa: F401
-from .hilbert import DensityMatrix, HilbertSpec, QuantumState, basis_ket  # noqa: F401
+from .hilbert import DensityMatrix, HilbertSpec  # noqa: F401

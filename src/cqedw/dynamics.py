@@ -33,7 +33,7 @@ import numpy as np
 
 from .device import SystemConfig, decoherence_rates
 from .errors import ConfigError, NumericalError
-from .hilbert import DensityMatrix, check_density_stack, check_ket_stack, operator_table
+from .hilbert import check_density_stack, check_ket_stack, operator_table
 
 
 def build_hamiltonian(
@@ -167,7 +167,7 @@ def _lindblad_generator(h: np.ndarray, ls: np.ndarray, decay: np.ndarray) -> np.
 
 
 def evolve_lindblad(
-    rho: DensityMatrix,
+    rho: np.ndarray,
     before: Sequence[tuple[np.ndarray, float]],
     h: np.ndarray,
     collapse: np.ndarray,
@@ -175,9 +175,10 @@ def evolve_lindblad(
 ) -> np.ndarray:
     """Open-system propagation of a schedule: a (T, d, d) stack, one state per entry of ``times``.
 
-    rho runs through each (H_j, t_j) of ``before`` in order, and then
-    through ``h`` for every t in ``times``; ``collapse`` is the
-    (channels, d, d) jump-operator stack of every segment.
+    The (d, d) density matrix ``rho``, a plain array that is not checked
+    here, runs through each (H_j, t_j) of ``before`` in order, and then
+    through ``h`` for every t in ``times``; ``collapse`` is the (channels,
+    d, d) jump-operator stack of every segment.
 
     The dynamics is built once, on the basis states reachable from rho's
     support through the nonzero patterns of every segment's H, the L_k and
@@ -204,7 +205,7 @@ def evolve_lindblad(
         _check_hermitian(h_j)
     ls = np.asarray(collapse, dtype=complex).reshape(-1, *h.shape)  # also with no channel
     decay = np.swapaxes(ls.conj(), -1, -2) @ ls
-    keep = _reachable(rho.entries, [*hs, *ls, *decay])
+    keep = _reachable(rho, [*hs, *ls, *decay])
     sub = np.ix_(keep, keep)
     n = int(keep.sum())
     ls = ls[:, keep][:, :, keep]
@@ -221,12 +222,12 @@ def evolve_lindblad(
             raise NumericalError(f"generator has imaginary part {dropped} in the Hermitian basis")
         return expm(gen_b.real[None] * ts[:, None, None]) @ x
 
-    coords = [(coords_of @ rho.entries[sub].reshape(-1)).real]
+    coords = [(coords_of @ rho[sub].reshape(-1)).real]
     for h_j, t in before:
         coords.append(propagate(coords[-1], h_j, np.array([t]))[0])
     small = (np.vstack([*coords[1:], propagate(coords[-1], h, times)]) @ basis.T).reshape(-1, n, n)
     check_density_stack(small)
-    out = np.zeros((times.size, *rho.entries.shape), dtype=complex)
+    out = np.zeros((times.size, *rho.shape), dtype=complex)
     out[:, sub[0], sub[1]] = small[len(before):]
     return out
 

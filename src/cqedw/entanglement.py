@@ -1,7 +1,9 @@
 """Entanglement certification: fidelity, witness, three-tangle, classification.
 
-The three-tangle of a pure three-qubit state is computed from the degree-4
-amplitude polynomials of Cayley's hyperdeterminant,
+The targets ``W_PAPER`` and ``GHZ`` are read-only amplitude arrays, and
+``fidelity`` and the phase correction take a target as one.  The
+three-tangle of a pure three-qubit state, ``tangle_quartic``, is computed
+from the degree-4 amplitude polynomials of Cayley's hyperdeterminant,
 
     tau = 4 |Det|,  Det = d1 - 2 d2 + 4 d3,
 
@@ -28,7 +30,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError
-from .hilbert import QUBIT_SPEC_3, DensityMatrix, QuantumState
+from .hilbert import DensityMatrix
 
 DEFAULT_RESTARTS = 64
 DEFAULT_BUDGET = 400
@@ -37,17 +39,19 @@ EIGENVALUE_CUTOFF = 1e-10
 
 
 # The paper's W target, 1/sqrt(3) (|g,g,e> + |g,e,g> - |e,g,g>) in |C,B,A>
-# notation (basis index 1, 2, 4 = qubit A, B, C excited), and GHZ.
-W_PAPER = QuantumState(
-    np.array([0, 1, 1, 0, -1, 0, 0, 0], dtype=complex) / np.sqrt(3), QUBIT_SPEC_3
-)
-GHZ = QuantumState(np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=complex) / np.sqrt(2), QUBIT_SPEC_3)
+# notation (basis index 1, 2, 4 = qubit A, B, C excited), and GHZ, as
+# read-only amplitude arrays.
+W_PAPER = np.array([0, 1, 1, 0, -1, 0, 0, 0], dtype=complex) / np.sqrt(3)
+GHZ = np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=complex) / np.sqrt(2)
+W_PAPER.setflags(write=False)
+GHZ.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class TangleEstimate:
+    """An upper bound on the convex-roof tangle, from an explicit decomposition."""
+
     value: float
-    kind: str  # "pure_exact" | "mixed_upper_bound"
     decomposition_size: int
     optimizer_iterations: int
 
@@ -56,12 +60,11 @@ class TangleEstimate:
             raise ConfigError(f"tangle value {self.value} outside [0, 1]")
 
 
-def fidelity(rho: DensityMatrix, target: QuantumState) -> float:
-    """State fidelity <t|rho|t> against a pure target."""
-    t = target.amplitudes
-    if t.shape[0] != rho.spec.dim:
-        raise ConfigError("state and target dimensions differ")
-    return float(np.real(t.conj() @ rho.entries @ t))
+def fidelity(rho: DensityMatrix, target: np.ndarray) -> float:
+    """State fidelity <t|rho|t> against the amplitudes of a pure target."""
+    if target.shape != (rho.spec.dim,):
+        raise ConfigError(f"target shape {target.shape} does not match dim {rho.spec.dim}")
+    return float(np.real(target.conj() @ rho.entries @ target))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -90,8 +93,7 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def witness_operator() -> np.ndarray:
     """The W witness 2/3 Id - |W><W| (negative expectation certifies W-type)."""
-    w = W_PAPER.amplitudes
-    return (2.0 / 3.0) * np.eye(8, dtype=complex) - np.outer(w, w.conj())
+    return (2.0 / 3.0) * np.eye(8, dtype=complex) - np.outer(W_PAPER, W_PAPER.conj())
 
 
 def witness_value(rho: DensityMatrix) -> float:
@@ -138,14 +140,6 @@ def tangle_quartic(amps: np.ndarray) -> np.ndarray:
     """
     a = np.moveaxis(np.asarray(amps, dtype=complex), -1, 0)
     return 4.0 * np.abs(_hyperdet(a.reshape(8, -1))[0].reshape(a.shape[1:]))
-
-
-def three_tangle_pure(psi: QuantumState) -> TangleEstimate:
-    """Residual tripartite entanglement of a pure three-qubit state."""
-    if psi.spec.dim != 8:
-        raise ConfigError("three-tangle is defined for three qubits")
-    value = min(1.0, float(tangle_quartic(psi.amplitudes)))
-    return TangleEstimate(value, "pure_exact", decomposition_size=1, optimizer_iterations=0)
 
 
 def _inverse_weights(p: np.ndarray) -> np.ndarray:
@@ -270,7 +264,7 @@ def three_tangle_mixed(
 
     if r == 1:
         value = min(1.0, float(tangle_quartic(wtil[0]) / lam[0] ** 2))
-        return TangleEstimate(value, "mixed_upper_bound", 1, 0)
+        return TangleEstimate(value, 1, 0)
 
     rng = np.random.default_rng(seed)
     shape = (restarts, 2 * r, r)
@@ -311,7 +305,7 @@ def three_tangle_mixed(
                 if idx.size == 0:
                     break
         isometries[idx] = v
-    return TangleEstimate(min(1.0, float(best.min())), "mixed_upper_bound", 2 * r, used)
+    return TangleEstimate(min(1.0, float(best.min())), 2 * r, used)
 
 
 def certification_report(
@@ -348,7 +342,7 @@ def certification_report(
         "tangle_bound": estimate.value,
         "classification": classification,
         "optimizer_stats": {
-            "kind": estimate.kind,
+            "kind": "mixed_upper_bound",
             "decomposition_size": estimate.decomposition_size,
             "iterations": estimate.optimizer_iterations,
             "restarts": restarts,

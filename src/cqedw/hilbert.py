@@ -9,12 +9,14 @@ with qubit 0 ("A") at bit 0 and the cavity as the slowest factor, so for
 N = 3 a ket prints as |C,B,A;n>.  Bit 0 of a qubit is |g>, bit 1 is |e>,
 and sigma_z |g> = -|g> (the excited state carries sigma_z = +1, i.e. the
 +1/2 w sigma_z energy convention).
+
+A ket is a plain (d,) complex amplitude array; :class:`DensityMatrix` is
+the one state type, and it is checked whenever it is built.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Union
 
 import numpy as np
 
@@ -25,6 +27,9 @@ NORM_ATOL = 1e-9
 TRACE_ATOL = 1e-9
 EIG_FLOOR = -1e-8
 IMAG_ATOL = 1e-10  # imaginary part of a Hermitian expectation
+# Largest total dimension: every operator is a dense d x d array, so d = 8008
+# (cutoff 1000) would take about 1 GB per operator.  The paper's device has 24.
+MAX_DIM = 1024
 
 # Single-qubit operators in the (|g>, |e>) = (bit 0, bit 1) basis.
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -34,8 +39,6 @@ SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 PROJ_EXCITED = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
-
-CAVITY = "cavity"
 
 
 def qubit_rotation(axis: str, angle: float) -> np.ndarray:
@@ -72,6 +75,11 @@ class HilbertSpec:
             raise ConfigError("photon_cutoff must be >= 0")
         if self.dim < 2:
             raise ConfigError("total dimension must be >= 2")
+        if self.dim > MAX_DIM:
+            raise ConfigError(
+                f"total dimension {self.dim} = 2**{self.num_qubits} x {self.cavity_dim}"
+                f" exceeds {MAX_DIM}"
+            )
 
     @property
     def cavity_dim(self) -> int:
@@ -81,17 +89,6 @@ class HilbertSpec:
     def dim(self) -> int:
         return 2**self.num_qubits * self.cavity_dim
 
-    def index(self, excited: Iterable[int] = (), n_photon: int = 0) -> int:
-        """Basis index of the product state with the given excited qubits."""
-        if not 0 <= n_photon <= self.photon_cutoff:
-            raise ConfigError(f"photon number {n_photon} outside cutoff")
-        bits = 0
-        for j in set(excited):
-            if not 0 <= j < self.num_qubits:
-                raise ConfigError(f"qubit index {j} out of range")
-            bits |= 1 << j
-        return n_photon * 2**self.num_qubits + bits
-
 
 def qubit_spec(dim: int) -> HilbertSpec:
     """Cavity-free spec of ``dim`` = 2**N basis states; the one rule for N from dim."""
@@ -99,10 +96,6 @@ def qubit_spec(dim: int) -> HilbertSpec:
     if dim < 2 or 2**n != dim:
         raise ConfigError(f"dimension {dim} is not a power of two >= 2")
     return HilbertSpec(num_qubits=n, photon_cutoff=0)
-
-
-# The cavity-traced three-qubit space that tomography and certification act on.
-QUBIT_SPEC_3 = HilbertSpec(num_qubits=3, photon_cutoff=0)
 
 
 def _worst(deviation: np.ndarray, label: str) -> tuple[str, float]:
@@ -114,8 +107,8 @@ def _worst(deviation: np.ndarray, label: str) -> tuple[str, float]:
 def check_ket_stack(amps: np.ndarray) -> None:
     """Raise NumericalError unless each row of a (T, d) stack is a finite unit vector.
 
-    The norm tolerance is NORM_ATOL; :class:`QuantumState` checks its
-    amplitudes as a stack of one.
+    The norm tolerance is NORM_ATOL.  A ket is a plain (d,) amplitude
+    array; it is checked where it is propagated, as a row of a stack.
     """
     where, bad = _worst(~np.isfinite(amps).all(axis=1), "state")
     if bad:
@@ -147,27 +140,6 @@ def check_density_stack(mats: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class QuantumState:
-    """Pure state vector on a :class:`HilbertSpec`, unit norm within 1e-9."""
-
-    amplitudes: np.ndarray
-    spec: HilbertSpec
-
-    def __post_init__(self):
-        amps = _readonly(np.asarray(self.amplitudes).reshape(-1))
-        if amps.shape != (self.spec.dim,):
-            raise ConfigError(
-                f"state has {amps.shape[0]} amplitudes, spec dimension is {self.spec.dim}"
-            )
-        check_ket_stack(amps[None])
-        object.__setattr__(self, "amplitudes", amps)
-
-    def density_matrix(self) -> "DensityMatrix":
-        """|psi><psi|, which is not checked again: the ket has passed its check."""
-        return DensityMatrix.checked(np.outer(self.amplitudes, self.amplitudes.conj()), self.spec)
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, PSD (within tolerance) operator on the space."""
 
@@ -181,25 +153,6 @@ class DensityMatrix:
             raise ConfigError(f"density matrix shape {mat.shape} does not match dim {d}")
         check_density_stack(mat[None])
         object.__setattr__(self, "entries", mat)
-
-    @classmethod
-    def checked(cls, entries: np.ndarray, spec: HilbertSpec) -> "DensityMatrix":
-        """Wrap a (d, d) matrix that ``check_density_stack`` has already passed.
-
-        The entries are copied read-only but not checked a second time; the
-        open-system propagator checks each state on its reachable block.
-        """
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "entries", _readonly(entries))
-        object.__setattr__(rho, "spec", spec)
-        return rho
-
-
-def basis_ket(spec: HilbertSpec, excited: Iterable[int] = (), n_photon: int = 0) -> QuantumState:
-    """Product basis state with the listed qubits excited and ``n_photon`` photons."""
-    amps = np.zeros(spec.dim, dtype=complex)
-    amps[spec.index(excited, n_photon)] = 1.0
-    return QuantumState(amps, spec)
 
 
 def embed_qubit_operator(op2: np.ndarray, qubit_index: int, spec: HilbertSpec) -> np.ndarray:
@@ -282,41 +235,15 @@ def operator_table(spec: HilbertSpec) -> OperatorTable:
     )
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[Union[int, str]]) -> DensityMatrix:
-    """Trace out all subsystems not in ``keep``.
+def partial_trace(entries: np.ndarray, spec: HilbertSpec) -> DensityMatrix:
+    """The qubit state of a (d, d) matrix on ``spec``, with the cavity traced out.
 
-    ``keep`` is a nonempty subset of {0..N-1, "cavity"}.  Kept factors retain
-    their relative order, so the output follows the same basis convention
-    with the kept qubits renumbered from 0 in ascending original index.
+    The result is the 2**N x 2**N state on the cavity-free spec of the same
+    qubits, in the same basis order; :class:`DensityMatrix` checks it.
     """
-    keep = set(keep)
-    if not keep:
-        raise ConfigError("keep set must be nonempty")
-    spec = rho.spec
-    n = spec.num_qubits
-    valid = set(range(n)) | {CAVITY}
-    if keep - valid:
-        raise ConfigError(f"unknown subsystems in keep set: {keep - valid}")
-
-    # Axis 0 is the cavity, axis i (1..N) is qubit N-i.
-    dims = [spec.cavity_dim] + [2] * n
-    axis_of = {CAVITY: 0, **{j: n - j for j in range(n)}}
-    keep_axes = sorted(axis_of[s] for s in keep)
-
-    tensor = rho.entries.reshape(dims + dims)
-    n_ax = n + 1
-    row = list(range(n_ax))
-    col = [(i + n_ax) if i in keep_axes else i for i in range(n_ax)]
-    out = [i for i in keep_axes] + [i + n_ax for i in keep_axes]
-    reduced = np.einsum(tensor, row + col, out)
-
-    kept_dim = int(np.prod([dims[i] for i in keep_axes]))
-    reduced = reduced.reshape(kept_dim, kept_dim)
-    new_spec = HilbertSpec(
-        num_qubits=sum(1 for s in keep if s != CAVITY),
-        photon_cutoff=spec.photon_cutoff if CAVITY in keep else 0,
-    )
-    return DensityMatrix(reduced, new_spec)
+    q = 2**spec.num_qubits
+    reduced = entries.reshape(spec.cavity_dim, q, spec.cavity_dim, q).trace(axis1=0, axis2=2)
+    return DensityMatrix(reduced, HilbertSpec(num_qubits=spec.num_qubits, photon_cutoff=0))
 
 
 def expectation_stack(op: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -8,12 +8,14 @@ flux segments.  A segment is a ``(resonant, duration)`` pair: the
 ideal rectangles.
 
 A schedule is therefore a source qubit, the segments run in full and one
-held segment.  :func:`_propagate` runs it: it builds the pi-pulsed state,
-compiles each segment with :func:`_hamiltonian`, runs the segments of
-``before`` for their durations and holds the last one for a vector of
-times.  ``rabi_scan`` holds the scan segment for its tau grid after the
-photon load of :func:`_load`; each W preparation holds its last segment
-for its duration and traces the cavity out.
+held segment.  :func:`_propagate` runs it: it builds the amplitudes of
+the pi-pulsed state (with noise, their |psi><psi|), compiles each segment
+with :func:`_hamiltonian`, runs the segments of ``before`` for their
+durations and holds the last one for a vector of times.  ``rabi_scan``
+holds the scan segment for its tau grid after the photon load of
+:func:`_load`; each W preparation holds its last segment for its duration
+and traces the cavity out.  Targets such as ``entanglement.W_PAPER`` are
+amplitude arrays.
 
 Crosstalk acts on commanded detuning *changes* relative to the
 steady-state bias: a segment that sets qubit j to target detuning d_j
@@ -39,8 +41,6 @@ from .errors import ConfigError
 from .hilbert import (
     DensityMatrix,
     HilbertSpec,
-    QuantumState,
-    basis_ket,
     embed_qubit_operator,
     expectation_stack,
     operator_table,
@@ -81,10 +81,10 @@ class PopulationTrace:
         return "\n".join(lines) + "\n"
 
 
-def _pi_pulsed(spec: HilbertSpec, qubit: int) -> QuantumState:
-    """|g...g,0> after an ideal x-axis pi pulse on ``qubit``."""
+def _pi_pulsed(spec: HilbertSpec, qubit: int) -> np.ndarray:
+    """Amplitudes of |g...g,0> after an ideal x-axis pi pulse on ``qubit``: the pulse's column 0."""
     u = embed_qubit_operator(qubit_rotation("x", np.pi), qubit, spec)
-    return QuantumState(u @ basis_ket(spec).amplitudes, spec)
+    return u[:, 0]
 
 
 def _hamiltonian(config: SystemConfig, resonant: Sequence[int]) -> np.ndarray:
@@ -120,13 +120,12 @@ def _propagate(
     one reachable block and carries its real coordinates from segment to
     segment.
     """
-    initial = _pi_pulsed(config.spec, source)
+    psi = _pi_pulsed(config.spec, source)
     segments = [(_hamiltonian(config, r), t) for r, t in before]
     h = _hamiltonian(config, resonant)
     if noise:
-        rho = initial.density_matrix()
+        rho = np.outer(psi, psi.conj())
         return evolve_lindblad(rho, segments, h, collapse_operators(config), times)
-    psi = initial.amplitudes
     for h_j, t in segments:
         psi = evolve_unitary(psi, h_j, [t])[0]
     return evolve_unitary(psi, h, times)
@@ -144,7 +143,7 @@ def _qubit_state(
     final = _propagate(config, source, before, resonant, noise, [duration])[0]
     if not noise:
         final = np.outer(final, final.conj())
-    return partial_trace(DensityMatrix.checked(final, config.spec), range(config.spec.num_qubits))
+    return partial_trace(final, config.spec)
 
 
 def population_stack(stack: np.ndarray, spec: HilbertSpec) -> tuple[np.ndarray, ...]:
@@ -258,9 +257,9 @@ def prepare_w_sequential(config: SystemConfig, noise: bool = False) -> DensityMa
 
 
 def apply_phase_correction(
-    rho: DensityMatrix, target: QuantumState
+    rho: DensityMatrix, target: np.ndarray
 ) -> tuple[DensityMatrix, np.ndarray]:
-    """Rotate away per-qubit dynamic phases to best match ``target``.
+    """Rotate away per-qubit dynamic phases to best match the amplitudes ``target``.
 
     Maximizes f(phi) = <t|Z(phi) rho Z(phi)^+|t> over one Z angle per qubit.
     In one angle f is a single sinusoid A + 2 Re(S_k exp(i phi_k)), so the
@@ -275,12 +274,11 @@ def apply_phase_correction(
     spec = rho.spec
     if spec.photon_cutoff != 0:
         raise ConfigError("phase correction expects a qubit-only (cavity-traced) state")
-    if spec.dim != target.spec.dim:
-        raise ConfigError("state and target dimensions differ")
+    if target.shape != (spec.dim,):
+        raise ConfigError(f"target shape {target.shape} does not match dim {spec.dim}")
     n = spec.num_qubits
-    t_amps = target.amplitudes
     # f(phi) = p^T M p^* with M = conj(t) t^T o rho and p_i = exp(i s_i . phi / 2)
-    m = (t_amps.conj()[:, None] * rho.entries) * t_amps[None, :]
+    m = (target.conj()[:, None] * rho.entries) * target[None, :]
 
     # Basis-state phase of exp(-i/2 sum_j phi_j sigma_z_j): bit 1 -> -phi/2.
     bits = (np.arange(spec.dim)[:, None] >> np.arange(n)) & 1

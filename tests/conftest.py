@@ -4,16 +4,11 @@ import pytest
 from cqedw.cli import PRESETS, device_from_json
 from cqedw.device import SystemConfig
 from cqedw.errors import ConfigError
-from cqedw.hilbert import (  # noqa: F401
-    QUBIT_SPEC_3,
-    DensityMatrix,
-    HilbertSpec,
-    QuantumState,
-    basis_ket,
-    expectation_stack,
-)
+from cqedw.hilbert import DensityMatrix, HilbertSpec, expectation_stack
 
 PROJ_GROUND = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+# The cavity-traced three-qubit space of W_PAPER, GHZ and the reconstructed states.
+QUBIT_SPEC_3 = HilbertSpec(num_qubits=3, photon_cutoff=0)
 
 
 def preset_device(name: str = "paper-default", **fields) -> SystemConfig:
@@ -46,7 +41,29 @@ def paper_config_n1():
     return preset_device(photon_cutoff=1)
 
 
-def ket_from_label(spec: HilbertSpec, qubits: str, n_photon: int = 0) -> QuantumState:
+def basis_index(spec: HilbertSpec, excited=(), n_photon: int = 0) -> int:
+    """Basis index n_photon * 2**N + sum_j 2**j of the product state with ``excited`` qubits."""
+    return n_photon * 2**spec.num_qubits + sum(1 << j for j in set(excited))
+
+
+def basis_ket(spec: HilbertSpec, excited=(), n_photon: int = 0) -> np.ndarray:
+    """Amplitudes of the product state with ``excited`` qubits and ``n_photon`` photons."""
+    amps = np.zeros(spec.dim, dtype=complex)
+    amps[basis_index(spec, excited, n_photon)] = 1.0
+    return amps
+
+
+def projector(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi| of an amplitude array, as a plain (d, d) array."""
+    return np.outer(psi, psi.conj())
+
+
+def pure_density(psi: np.ndarray, spec: HilbertSpec = QUBIT_SPEC_3) -> DensityMatrix:
+    """|psi><psi| of an amplitude array, checked as a DensityMatrix."""
+    return DensityMatrix(projector(psi), spec)
+
+
+def ket_from_label(spec: HilbertSpec, qubits: str, n_photon: int = 0) -> np.ndarray:
     """Basis state from a paper-style qubit string, leftmost letter = qubit N-1.
 
     For N = 3 the string reads |C,B,A>: ``ket_from_label(spec, "gge")`` is the
@@ -71,21 +88,20 @@ def fit_model(report, times) -> np.ndarray:
     )
 
 
-def w_plus() -> QuantumState:
+def w_plus() -> np.ndarray:
     """(|g,g,e> + |g,e,g> + |e,g,g>)/sqrt(3), the W state of equal signs."""
-    amps = np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=complex)
-    return QuantumState(amps / np.sqrt(3), QUBIT_SPEC_3)
+    return np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=complex) / np.sqrt(3)
 
 
 def expectation(op: np.ndarray, state) -> float:
-    """<op> of one QuantumState or DensityMatrix: a stack of one for ``expectation_stack``."""
-    data = state.amplitudes if isinstance(state, QuantumState) else state.entries
+    """<op> of one ket, (d, d) array or DensityMatrix: a stack of one for ``expectation_stack``."""
+    data = state.entries if isinstance(state, DensityMatrix) else state
     return float(expectation_stack(op, data[None])[0])
 
 
-def random_pure(spec: HilbertSpec, rng) -> QuantumState:
+def random_pure(spec: HilbertSpec, rng) -> np.ndarray:
     v = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
-    return QuantumState(v / np.linalg.norm(v), spec)
+    return v / np.linalg.norm(v)
 
 
 def random_density(spec: HilbertSpec, rng, rank=None) -> DensityMatrix:

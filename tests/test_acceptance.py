@@ -14,11 +14,11 @@ from cqedw.entanglement import (
     W_PAPER,
     decomposition_average_tangle,
     fidelity,
+    tangle_quartic,
     three_tangle_mixed,
-    three_tangle_pure,
     witness_value,
 )
-from cqedw.hilbert import DensityMatrix, basis_ket
+from cqedw.hilbert import DensityMatrix
 from cqedw.protocols import (
     apply_phase_correction,
     collective_interaction_time,
@@ -27,7 +27,15 @@ from cqedw.protocols import (
     rabi_scan,
     sequential_swap_times,
 )
-from conftest import QUBIT_SPEC_3, equal_coupling_device, preset_device, random_density
+from conftest import (
+    QUBIT_SPEC_3,
+    basis_index,
+    basis_ket,
+    equal_coupling_device,
+    preset_device,
+    pure_density,
+    random_density,
+)
 
 
 def _ok(n, message):
@@ -100,9 +108,9 @@ def test_criterion_05_oracle_equivalence():
         g = cfg.couplings()
         h = build_hamiltonian(cfg, np.zeros(n))
         psi0 = basis_ket(cfg.spec, [], 1)
-        idx = [cfg.spec.index([j]) for j in range(n)] + [cfg.spec.index([], 1)]
+        idx = [basis_index(cfg.spec, [j]) for j in range(n)] + [basis_index(cfg.spec, [], 1)]
         times = np.linspace(0.0, 12e-9, 50)
-        full = evolve_unitary(psi0.amplitudes, h, times)[:, idx]
+        full = evolve_unitary(psi0, h, times)[:, idx]
         oracle = np.array([single_excitation_oracle(g, np.zeros(n), t) for t in times])
         worst = max(worst, np.abs(full - oracle).max())
     assert worst < 1e-8
@@ -151,7 +159,7 @@ def test_criterion_08_crosstalk_asymmetry():
 
 def test_criterion_09_tomography_pipeline():
     target = W_PAPER
-    rho_w = target.density_matrix()
+    rho_w = pure_density(target)
     tset = tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
 
     recs = tomography.simulate_measurements(rho_w, tset, 0.0, 0)
@@ -198,12 +206,12 @@ def test_criterion_10_certification_identities():
     for _ in range(20):
         rho = random_density(QUBIT_SPEC_3, rng)
         assert abs(witness_value(rho) - (2 / 3 - fidelity(rho, target))) < 1e-14
-    assert abs(witness_value(target.density_matrix()) + 1 / 3) < 1e-12
+    assert abs(witness_value(pure_density(target)) + 1 / 3) < 1e-12
 
     ground = np.zeros(8)
     ground[0] = 1.0
     rho_078 = DensityMatrix(
-        0.78 * target.density_matrix().entries + 0.22 * np.outer(ground, ground),
+        0.78 * pure_density(target).entries + 0.22 * np.outer(ground, ground),
         QUBIT_SPEC_3,
     )
     wit = witness_value(rho_078)
@@ -216,17 +224,15 @@ def test_criterion_10_certification_identities():
 
 
 def test_criterion_11_tangle():
-    ghz = three_tangle_pure(GHZ).value
-    w = three_tangle_pure(W_PAPER).value
+    ghz = float(tangle_quartic(GHZ))
+    w = float(tangle_quartic(W_PAPER))
     assert abs(ghz - 1.0) < 1e-6
     assert w < 1e-10
 
     # upper bound on constructed mixtures
     rng = np.random.default_rng(5)
-    ghz_v = GHZ.amplitudes
-    w_v = W_PAPER.amplitudes
     mix = DensityMatrix(
-        0.5 * np.outer(ghz_v, ghz_v.conj()) + 0.5 * np.outer(w_v, w_v.conj()), QUBIT_SPEC_3
+        0.5 * np.outer(GHZ, GHZ.conj()) + 0.5 * np.outer(W_PAPER, W_PAPER.conj()), QUBIT_SPEC_3
     )
     est = three_tangle_mixed(mix, seed=1)
     lam, vec = np.linalg.eigh(mix.entries)

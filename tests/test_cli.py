@@ -14,7 +14,7 @@ import cqedw
 from cqedw import cli, entanglement, tomography
 from cqedw.cli import device_from_json, device_to_json, main, rho_from_json, rho_to_json
 from cqedw.hilbert import DensityMatrix
-from conftest import preset_device
+from conftest import preset_device, pure_density
 
 
 def run_cli(*args):
@@ -113,7 +113,7 @@ def test_run_malformed_config_exits_2(tmp_path, capsys):
     assert run_cli("run", "--config", bad) == 2
     assert not (tmp_path / "out").exists()
 
-    w = entanglement.W_PAPER.density_matrix()
+    w = pure_density(entanglement.W_PAPER)
     rho_path = tmp_path / "w.json"
     rho_path.write_text(json.dumps(rho_to_json(w)))
     for params in (
@@ -222,6 +222,19 @@ def test_run_malformed_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_oversized_device_exits_2(tmp_path, capsys):
+    # cutoffs of 10^12 and 10^20 used to exit 1, from numpy's "array is too big"
+    # and "Maximum allowed dimension exceeded"; the spec now rejects d > 1024
+    bad = tmp_path / "big.json"
+    scan = {"participating": ["A"], "tau_start_ns": 0.0, "tau_stop_ns": 10.0, "num_points": 11}
+    for cutoff in (10**12, 10**20, 128):
+        device = {**device_to_json(preset_device()), "photon_cutoff": cutoff}
+        write_config(bad, device=device, params=scan)
+        assert run_cli("run", "--config", bad, "--quiet") == 2, cutoff
+        assert f"total dimension {8 * (cutoff + 1)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_matches_config_schema(tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     # each key table in the README lists exactly the keys its schema table reads
@@ -305,7 +318,7 @@ def test_run_w_collective_and_certify(tmp_path):
 
 
 def test_certify_ideal_w_file(tmp_path):
-    w = entanglement.W_PAPER.density_matrix()
+    w = pure_density(entanglement.W_PAPER)
     path = tmp_path / "w.json"
     path.write_text(json.dumps(rho_to_json(w)))
     assert run_cli("certify", path, "--out", tmp_path, "--quiet") == 0
@@ -331,7 +344,7 @@ WEAK_READOUT = [0.0, 1.0, 0.9, 0.8, 0.3, 0.25, 0.2, 0.1]
 )
 def test_subcommand_as_run_experiment(tmp_path, monkeypatch, argv, seed, params):
     # a subcommand executes the run config it stands for: same artifacts, and a manifest
-    w = entanglement.W_PAPER.density_matrix()
+    w = pure_density(entanglement.W_PAPER)
     rho = DensityMatrix(0.9 * w.entries + 0.1 * np.eye(8) / 8, w.spec)
     monkeypatch.chdir(tmp_path)
     Path("rho.json").write_text(json.dumps(rho_to_json(rho)))
@@ -362,7 +375,7 @@ def test_subcommand_as_run_experiment(tmp_path, monkeypatch, argv, seed, params)
 
 def test_manifest_lists_what_the_run_wrote(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    w = entanglement.W_PAPER.density_matrix()
+    w = pure_density(entanglement.W_PAPER)
     Path("rho.json").write_text(json.dumps(rho_to_json(w)))
     tset = tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
     records = tomography.simulate_measurements(w, tset, 0.0, 0)
@@ -392,13 +405,13 @@ def test_certify_rejects_invalid_file(tmp_path):
     assert run_cli("certify", bad, "--out", tmp_path) == 2
     bad.write_text(json.dumps({"dim": 0, "real": [], "imag": []}))
     assert run_cli("certify", bad, "--out", tmp_path) == 2
-    w = rho_to_json(entanglement.W_PAPER.density_matrix())
+    w = rho_to_json(pure_density(entanglement.W_PAPER))
     w["real"][9] = float("nan")  # json writes NaN, and json.loads reads it back
     bad.write_text(json.dumps(w))
     assert run_cli("certify", bad, "--out", tmp_path) == 2
 
     # a negative seed, on a mixed state and on the rank-1 path that draws no noise
-    w = entanglement.W_PAPER.density_matrix()
+    w = pure_density(entanglement.W_PAPER)
     mixed = rho_to_json(DensityMatrix(0.9 * w.entries + 0.1 * np.eye(8) / 8, w.spec))
     for rho in (mixed, rho_to_json(w)):
         bad.write_text(json.dumps(rho))
@@ -409,7 +422,7 @@ def test_certify_rejects_invalid_file(tmp_path):
 @pytest.mark.parametrize("command", ["run", "export-preset", "certify", "reconstruct"])
 def test_unwritable_output_exits_2(tmp_path, command):
     # --out under a regular file; each subcommand used to end in a NotADirectoryError traceback
-    w = entanglement.W_PAPER.density_matrix()
+    w = pure_density(entanglement.W_PAPER)
     tset = tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
     inputs = {
         "run": ["--config", tmp_path / "cfg.json"],
@@ -431,7 +444,7 @@ def test_unwritable_output_exits_2(tmp_path, command):
 
 
 def test_rho_json_roundtrip():
-    w = entanglement.W_PAPER.density_matrix()
+    w = pure_density(entanglement.W_PAPER)
     back = rho_from_json(rho_to_json(w))
     assert np.abs(back.entries - w.entries).max() < 1e-15
 
@@ -481,7 +494,7 @@ def test_noisy_tomography_raises_no_warnings(tmp_path):
 
 def test_reconstruct_missing_row_exits_2(tmp_path):
     tset = tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
-    w = entanglement.W_PAPER.density_matrix()
+    w = pure_density(entanglement.W_PAPER)
     text = tomography.records_to_csv(tomography.simulate_measurements(w, tset, 0.0, 0), tset)
     lines = text.strip().split("\n")
     path = tmp_path / "records.csv"
@@ -523,7 +536,7 @@ def test_reconstruct_missing_row_exits_2(tmp_path):
 def test_reconstruct_huge_outcome_gives_pure_state(tmp_path):
     # one finite outcome of 1e17 used to end in a ValueError traceback (exit 1)
     tset = tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
-    w = entanglement.W_PAPER.density_matrix()
+    w = pure_density(entanglement.W_PAPER)
     lines = tomography.records_to_csv(tomography.simulate_measurements(w, tset, 0.0, 0), tset).split("\n")
     lines[1] = lines[1].rsplit(",", 1)[0] + ",1e17"
     path = tmp_path / "records.csv"

@@ -23,20 +23,25 @@ from cqedw.hilbert import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
-    DensityMatrix,
     HilbertSpec,
-    QuantumState,
-    basis_ket,
     cavity_annihilation,
     cavity_number,
     embed_qubit_operator,
     expectation_stack,
 )
-from conftest import equal_coupling_device, expectation, preset_device, random_pure
+from conftest import (
+    basis_index,
+    basis_ket,
+    equal_coupling_device,
+    expectation,
+    preset_device,
+    projector,
+    random_pure,
+)
 
 
 def single_excitation_indices(spec):
-    return [spec.index([j]) for j in range(spec.num_qubits)] + [spec.index([], 1)]
+    return [basis_index(spec, [j]) for j in range(spec.num_qubits)] + [basis_index(spec, [], 1)]
 
 
 def excitation_number(spec):
@@ -140,14 +145,14 @@ def test_evolve_unitary_basics():
     psi0 = basis_ket(cfg.spec, [0], 0)
     g = cfg.qubits[0].coupling_g
     t_swap = np.pi / (2 * g)
-    stack = evolve_unitary(psi0.amplitudes, h, [0.0, t_swap])
+    stack = evolve_unitary(psi0, h, [0.0, t_swap])
     assert stack.shape == (2, cfg.spec.dim)
-    assert np.array_equal(stack[0], psi0.amplitudes)  # a zero time returns psi unchanged
-    target = -1j * basis_ket(cfg.spec, [], 1).amplitudes
+    assert np.array_equal(stack[0], psi0)  # a zero time returns psi unchanged
+    target = -1j * basis_ket(cfg.spec, [], 1)
     assert np.abs(stack[1] - target).max() < 1e-10
 
     back = evolve_unitary(stack[1], h, [-t_swap])[0]
-    assert np.abs(back - psi0.amplitudes).max() < 1e-10
+    assert np.abs(back - psi0).max() < 1e-10
 
 
 def test_evolve_unitary_rejects_non_hermitian():
@@ -155,7 +160,7 @@ def test_evolve_unitary_rejects_non_hermitian():
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(NumericalError):
-        evolve_unitary(basis_ket(spec, [], 0).amplitudes, bad, [1e-9])
+        evolve_unitary(basis_ket(spec, [], 0), bad, [1e-9])
 
 
 def test_collapse_operators_stack_order_and_rates():
@@ -179,8 +184,8 @@ def test_lindblad_closed_system_matches_unitary():
     cfg = preset_device(photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     psi0 = basis_ket(cfg.spec, [], 1)
-    rho = evolve_lindblad(psi0.density_matrix(), [], h, [], [3e-9])
-    psi = evolve_unitary(psi0.amplitudes, h, [3e-9])
+    rho = evolve_lindblad(projector(psi0), [], h, [], [3e-9])
+    psi = evolve_unitary(psi0, h, [3e-9])
     assert rho.shape == (1, cfg.spec.dim, cfg.spec.dim)
     assert np.abs(rho[0] - np.outer(psi[0], psi[0].conj())).max() < 1e-8
 
@@ -191,7 +196,7 @@ def test_lindblad_t1_only_exponential_decay():
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
     t1 = cfg.qubits[0].t1
     channel = collapse_operators(cfg)[:1]  # qubit 0's relaxation
-    rho0 = basis_ket(spec, [0], 0).density_matrix()
+    rho0 = projector(basis_ket(spec, [0], 0))
     t = 300e-9
     rho = evolve_lindblad(rho0, [], h, channel, [t])
     p_e = expectation_stack(embed_qubit_operator(PROJ_EXCITED, 0, spec), rho)[0]
@@ -204,8 +209,7 @@ def test_lindblad_w_sequential_matches_fine_step_rk4(monkeypatch):
     cfg = preset_device()
     exact = protocols.prepare_w_sequential(cfg, noise=True).entries
 
-    def rk4_stack(rho, before, h, collapse, times):
-        r = rho.entries
+    def rk4_stack(r, before, h, collapse, times):
         for h_j, t in before:
             r = rk4_lindblad(r, h_j, collapse, t, 2.5e-12)
         return np.array([rk4_lindblad(r, h, collapse, t, 2.5e-12) for t in times])
@@ -223,15 +227,15 @@ def test_lindblad_restricted_matches_full_space_expm():
     ops = [h, *cs, *(c.conj().T @ c for c in cs)]
     starts = [
         # |ggg,1> reaches the three |e_j,0> and |ggg,0>
-        (basis_ket(spec, [], 1).density_matrix(), 5),
+        (projector(basis_ket(spec, [], 1)), 5),
         # the maximally mixed state has full support
-        (DensityMatrix(np.eye(spec.dim, dtype=complex) / spec.dim, spec), spec.dim),
+        (np.eye(spec.dim, dtype=complex) / spec.dim, spec.dim),
     ]
     t = 50e-9
     for rho0, support in starts:
-        assert _reachable(rho0.entries, ops).sum() == support
+        assert _reachable(rho0, ops).sum() == support
         out = evolve_lindblad(rho0, [], h, cs, [t])[0]
-        ref = full_space_expm(rho0.entries, h, cs, t)
+        ref = full_space_expm(rho0, h, cs, t)
         assert np.abs(out - ref).max() < 1e-12
         assert abs(np.trace(out).real - 1.0) < 1e-12
     # both multi-segment W preparations, each propagated on one 5-state block,
@@ -244,7 +248,7 @@ def test_lindblad_restricted_matches_full_space_expm():
         for segments in (collective, sequential):
             *before, (resonant, duration) = segments
             out = protocols._propagate(cfg, 2, before, resonant, True, [duration])[0]
-            ref = protocols._pi_pulsed(cfg.spec, 2).density_matrix().entries
+            ref = projector(protocols._pi_pulsed(cfg.spec, 2))
             for r, t in segments:
                 ref = full_space_expm(ref, protocols._hamiltonian(cfg, r), cs, t)
             assert np.abs(out - ref).max() < 1e-12, preset
@@ -266,7 +270,7 @@ def test_lindblad_positivity():
     cfg = preset_device(photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     cs = collapse_operators(cfg)
-    rho0 = basis_ket(cfg.spec, [2], 0).density_matrix()
+    rho0 = projector(basis_ket(cfg.spec, [2], 0))
     stack = evolve_lindblad(rho0, [], h, cs, 5e-9 * np.arange(1, 5))
     assert np.linalg.eigvalsh(stack).min() >= -1e-7
 
@@ -274,7 +278,7 @@ def test_lindblad_positivity():
 def test_lindblad_rejects_bad_inputs():
     cfg = preset_device(photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
-    rho0 = basis_ket(cfg.spec, [], 0).density_matrix()
+    rho0 = projector(basis_ket(cfg.spec, [], 0))
     with pytest.raises(ConfigError):
         evolve_lindblad(rho0, [], h, [], [0.0, -1e-9])
     with pytest.raises(ConfigError):  # a segment run before the last one
@@ -330,7 +334,7 @@ def test_oracle_equivalence_full_space():
         psi0 = basis_ket(cfg.spec, [], 1)
         idx = single_excitation_indices(cfg.spec)
         times = np.linspace(0.0, 12e-9, 50)
-        full = evolve_unitary(psi0.amplitudes, h, times)[:, idx]
+        full = evolve_unitary(psi0, h, times)[:, idx]
         oracle = np.array([single_excitation_oracle(g, detunings, t) for t in times])
         worst = np.abs(full - oracle).max()
         assert worst < 1e-8, f"N={n}: {worst}"
@@ -344,7 +348,7 @@ def test_oracle_equivalence_with_detunings():
     psi0 = basis_ket(cfg.spec, [], 1)
     idx = single_excitation_indices(cfg.spec)
     times = np.linspace(0.0, 10e-9, 25)
-    full = evolve_unitary(psi0.amplitudes, h, times)[:, idx]
+    full = evolve_unitary(psi0, h, times)[:, idx]
     oracle = np.array([single_excitation_oracle(g, detunings, t) for t in times])
     assert np.abs(full - oracle).max() < 1e-8
 
@@ -355,13 +359,12 @@ def test_dark_state_is_stationary():
     # c with sum_j g_j c_j = 0, no cavity amplitude
     c = np.array([g[1], -g[0], 0.0], dtype=complex)
     c /= np.linalg.norm(c)
-    amps = np.zeros(cfg.spec.dim, dtype=complex)
+    psi0 = np.zeros(cfg.spec.dim, dtype=complex)
     for j in range(3):
-        amps[cfg.spec.index([j])] = c[j]
-    psi0 = QuantumState(amps, cfg.spec)
+        psi0[basis_index(cfg.spec, [j])] = c[j]
     h = build_hamiltonian(cfg, np.zeros(3))
-    out = evolve_unitary(psi0.amplitudes, h, [7e-9])[0]
-    assert np.abs(np.abs(out) ** 2 - np.abs(psi0.amplitudes) ** 2).max() < 1e-9
+    out = evolve_unitary(psi0, h, [7e-9])[0]
+    assert np.abs(np.abs(out) ** 2 - np.abs(psi0) ** 2).max() < 1e-9
 
 
 def test_excitation_conservation():
@@ -375,7 +378,7 @@ def test_excitation_conservation():
     rng = np.random.default_rng(17)
     psi = random_pure(spec, rng)
     ref = expectation(n_op, psi)
-    vals = expectation_stack(n_op, evolve_unitary(psi.amplitudes, h, np.linspace(0, 8e-9, 20)))
+    vals = expectation_stack(n_op, evolve_unitary(psi, h, np.linspace(0, 8e-9, 20)))
     assert np.abs(vals - ref).max() < 1e-9
 
 
@@ -392,8 +395,8 @@ def test_frame_gauge_invariance():
     h2 = build_hamiltonian(cfg, delta + shift) + shift * cavity_number(spec)
     psi0 = basis_ket(spec, [], 1)
     times = np.linspace(0, 9e-9, 15)
-    p1 = np.abs(evolve_unitary(psi0.amplitudes, h1, times)) ** 2
-    p2 = np.abs(evolve_unitary(psi0.amplitudes, h2, times)) ** 2
+    p1 = np.abs(evolve_unitary(psi0, h1, times)) ** 2
+    p2 = np.abs(evolve_unitary(psi0, h2, times)) ** 2
     assert np.abs(p1 - p2).max() < 1e-9
 
 
@@ -424,8 +427,8 @@ def test_lindblad_invariants_on_random_devices(g, delta, amps, boost):
     vec = np.zeros(spec.dim, dtype=complex)
     vec[single_excitation_indices(spec)] = amps
     if np.linalg.norm(vec) < 1e-3:
-        vec[spec.index([], 1)] = 1.0
-    rho = QuantumState(vec / np.linalg.norm(vec), spec).density_matrix()
+        vec[basis_index(spec, [], 1)] = 1.0
+    rho = projector(vec / np.linalg.norm(vec))
     h = build_hamiltonian(cfg, 2 * np.pi * 1e6 * np.array(delta))
     # boosted rates make the dissipators visible within a few nanoseconds
     cs = np.sqrt(boost) * collapse_operators(cfg)
@@ -449,10 +452,10 @@ def test_lindblad_generator_real_in_hermitian_basis(g, delta, boost):
     spec = cfg.spec
     h = build_hamiltonian(cfg, 2 * np.pi * 1e6 * np.array(delta))
     cs = np.sqrt(boost) * collapse_operators(cfg)
-    mixed = DensityMatrix(np.eye(spec.dim, dtype=complex) / spec.dim, spec)
+    mixed = np.eye(spec.dim, dtype=complex) / spec.dim
     decay = np.swapaxes(cs.conj(), -1, -2) @ cs
-    for rho, n in ((basis_ket(spec, [], 1).density_matrix(), 5), (mixed, spec.dim)):
-        keep = _reachable(rho.entries, [h, *cs, *decay])
+    for rho, n in ((projector(basis_ket(spec, [], 1)), 5), (mixed, spec.dim)):
+        keep = _reachable(rho, [h, *cs, *decay])
         assert keep.sum() == n
         sub = np.ix_(keep, keep)
         gen = _lindblad_generator(h[sub], cs[:, keep][:, :, keep], decay.sum(axis=0)[sub])
@@ -466,7 +469,7 @@ def test_lindblad_closed_system_matches_oracle(g, delta, t_ns):
     cfg = random_device(g)
     spec = cfg.spec
     detunings = 2 * np.pi * 1e6 * np.array(delta)
-    rho0 = basis_ket(spec, [], 1).density_matrix()
+    rho0 = projector(basis_ket(spec, [], 1))
     rho = evolve_lindblad(rho0, [], build_hamiltonian(cfg, detunings), [], [t_ns * 1e-9])[0]
     psi = single_excitation_oracle(cfg.couplings(), detunings, t_ns * 1e-9)
     idx = single_excitation_indices(spec)

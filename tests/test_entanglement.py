@@ -13,17 +13,17 @@ from cqedw.entanglement import (
     fidelity,
     tangle_quartic,
     three_tangle_mixed,
-    three_tangle_pure,
     uhlmann_fidelity,
     witness_operator,
     witness_value,
 )
 from cqedw.errors import ConfigError
-from cqedw.hilbert import DensityMatrix, HilbertSpec, QuantumState
+from cqedw.hilbert import DensityMatrix, HilbertSpec
 from cqedw.protocols import apply_phase_correction, prepare_w_collective
 from conftest import (
     QUBIT_SPEC_3,
     preset_device,
+    pure_density,
     random_density,
     random_pure,
     random_unitary,
@@ -35,7 +35,7 @@ from conftest import uhlmann_fidelity as reference_uhlmann
 
 def test_fidelity_examples():
     w = W_PAPER
-    assert np.isclose(fidelity(w.density_matrix(), w), 1.0)
+    assert np.isclose(fidelity(pure_density(w), w), 1.0)
     mixed = DensityMatrix(np.eye(8) / 8, QUBIT_SPEC_3)
     assert np.isclose(fidelity(mixed, w), 1 / 8)
 
@@ -47,7 +47,7 @@ def test_uhlmann_fidelity_rank_deficient():
     # a pure argument reduces it to <psi|rho|psi>
     w = W_PAPER
     for rho in (rank2, random_density(QUBIT_SPEC_3, rng)):
-        assert abs(uhlmann_fidelity(rho, w.density_matrix()) - fidelity(rho, w)) < 1e-12
+        assert abs(uhlmann_fidelity(rho, pure_density(w)) - fidelity(rho, w)) < 1e-12
     for rank in (1, 2, 8):
         a = random_density(QUBIT_SPEC_3, rng, rank=rank)
         b = random_density(QUBIT_SPEC_3, rng, rank=3)
@@ -82,7 +82,7 @@ def test_witness_identity_and_values():
         rho = random_density(QUBIT_SPEC_3, rng)
         assert abs(witness_value(rho) - (2 / 3 - fidelity(rho, w))) < 1e-14
 
-    assert np.isclose(witness_value(w.density_matrix()), -1 / 3, atol=1e-12)
+    assert np.isclose(witness_value(pure_density(w)), -1 / 3, atol=1e-12)
     mixed = DensityMatrix(np.eye(8) / 8, QUBIT_SPEC_3)
     assert np.isclose(witness_value(mixed), 2 / 3 - 1 / 8, atol=1e-12)
     assert np.abs(witness_operator() - witness_operator().conj().T).max() < 1e-14
@@ -94,7 +94,7 @@ def test_witness_at_quoted_fidelity():
     ground = np.zeros(8)
     ground[0] = 1.0
     rho = DensityMatrix(
-        0.78 * w.density_matrix().entries + 0.22 * np.outer(ground, ground),
+        0.78 * pure_density(w).entries + 0.22 * np.outer(ground, ground),
         QUBIT_SPEC_3,
     )
     val = witness_value(rho)
@@ -104,47 +104,46 @@ def test_witness_at_quoted_fidelity():
 
 
 def test_tangle_pure_values():
-    assert abs(three_tangle_pure(GHZ).value - 1.0) < 1e-6
-    assert three_tangle_pure(W_PAPER).value < 1e-10
-    assert three_tangle_pure(w_plus()).value < 1e-10
+    assert abs(tangle_quartic(GHZ) - 1.0) < 1e-6
+    assert tangle_quartic(W_PAPER) < 1e-10
+    assert tangle_quartic(w_plus()) < 1e-10
     product = np.zeros(8, dtype=complex)
     product[0b001] = 1.0  # |g>|g>|e>
-    assert three_tangle_pure(QuantumState(product, QUBIT_SPEC_3)).value == 0.0
+    assert tangle_quartic(product) == 0.0
 
 
 def test_tangle_local_unitary_invariance():
     rng = np.random.default_rng(12)
     for _ in range(6):
         psi = random_pure(QUBIT_SPEC_3, rng)
-        base = three_tangle_pure(psi).value
+        base = tangle_quartic(psi)
         u = np.kron(random_unitary(2, rng), np.kron(random_unitary(2, rng), random_unitary(2, rng)))
-        rotated = QuantumState(u @ psi.amplitudes, QUBIT_SPEC_3)
-        assert abs(three_tangle_pure(rotated).value - base) < 1e-8
+        rotated = u @ psi
+        assert abs(tangle_quartic(rotated) - base) < 1e-8
 
 
 def test_tangle_permutation_invariance():
     rng = np.random.default_rng(23)
     for _ in range(4):
         psi = random_pure(QUBIT_SPEC_3, rng)
-        base = three_tangle_pure(psi).value
-        tensor = psi.amplitudes.reshape(2, 2, 2)
+        base = tangle_quartic(psi)
+        tensor = psi.reshape(2, 2, 2)
         for perm in itertools.permutations((0, 1, 2)):
-            permuted = QuantumState(np.transpose(tensor, perm).reshape(8), QUBIT_SPEC_3)
-            assert abs(three_tangle_pure(permuted).value - base) < 1e-10
+            permuted = np.transpose(tensor, perm).reshape(8)
+            assert abs(tangle_quartic(permuted) - base) < 1e-10
 
 
 def test_tangle_mixed_pure_input_matches_pure():
     rng = np.random.default_rng(4)
     for _ in range(3):
         psi = random_pure(QUBIT_SPEC_3, rng)
-        pure = three_tangle_pure(psi).value
-        est = three_tangle_mixed(psi.density_matrix(), restarts=4, budget=100, seed=0)
-        assert est.kind == "mixed_upper_bound"
+        pure = tangle_quartic(psi)
+        est = three_tangle_mixed(pure_density(psi), restarts=4, budget=100, seed=0)
         assert abs(est.value - pure) < 1e-8
 
 
 def test_tangle_mixed_two_w_class_states():
-    w1 = W_PAPER.amplitudes
+    w1 = W_PAPER
     amps = np.zeros(8, dtype=complex)
     amps[[1, 2, 4]] = [0.5, -0.5, np.sqrt(0.5)]
     rho = 0.5 * np.outer(w1, w1.conj()) + 0.5 * np.outer(amps, amps.conj())
@@ -154,8 +153,8 @@ def test_tangle_mixed_two_w_class_states():
 
 def test_tangle_mixed_is_upper_bound():
     rng = np.random.default_rng(7)
-    ghz = GHZ.amplitudes
-    w = W_PAPER.amplitudes
+    ghz = GHZ
+    w = W_PAPER
     rank2 = 0.6 * np.outer(ghz, ghz.conj()) + 0.4 * np.outer(w, w.conj())
     # full rank: the largest isometries of the descent (16 x 8)
     full = random_density(QUBIT_SPEC_3, np.random.default_rng(17)).entries
@@ -186,8 +185,8 @@ def test_tangle_mixed_bookkeeping(monkeypatch):
 
     # restarts whose predicted decrease vanishes leave the stack: a rank-2
     # state on the zero set of the roof converges well within the budget
-    ghz = GHZ.amplitudes
-    w = W_PAPER.amplitudes
+    ghz = GHZ
+    w = W_PAPER
     rank2 = DensityMatrix(0.6 * np.outer(ghz, ghz.conj()) + 0.4 * np.outer(w, w.conj()), QUBIT_SPEC_3)
     converged = three_tangle_mixed(rank2, seed=2)
     assert converged.value < 1e-9
@@ -240,8 +239,8 @@ def test_tangle_mixed_retires_restarts(monkeypatch):
 def test_tangle_mixed_on_benchmark_certify_inputs():
     # the three states of the certify benchmark at workload seed 1, built
     # here, with their verdicts and bounds; the bounds may not rise
-    w = W_PAPER.density_matrix().entries
-    ghz = GHZ.density_matrix().entries
+    w = pure_density(W_PAPER).entries
+    ghz = pure_density(GHZ).entries
     rng = np.random.default_rng(1)
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     mixed = g @ g.conj().T
@@ -304,8 +303,8 @@ def test_tangle_mixed_matches_ghz_w_roof(p):
     # GHZ and W_paper are locally equivalent to the pair of the closed form:
     # phases exp(-i pi/3) on qubits A and B and exp(2i pi/3) on C map them to
     # (|000> + |111>)/sqrt2 and a global phase times (|001> + |010> + |100>)/sqrt3
-    ghz = GHZ.amplitudes
-    w = W_PAPER.amplitudes
+    ghz = GHZ
+    w = W_PAPER
     rho = DensityMatrix(p * np.outer(ghz, ghz.conj()) + (1 - p) * np.outer(w, w.conj()), QUBIT_SPEC_3)
     gap = three_tangle_mixed(rho, seed=0).value - ghz_w_roof(p)
     assert -1e-9 <= gap <= 1e-4
@@ -380,14 +379,14 @@ def test_classification():
     def verdict(rho):
         return certification_report(rho, seed=0)["classification"]
 
-    assert verdict(W_PAPER.density_matrix()) == "W_class"
-    assert verdict(GHZ.density_matrix()) == "GHZ_class"
+    assert verdict(pure_density(W_PAPER)) == "W_class"
+    assert verdict(pure_density(GHZ)) == "GHZ_class"
     assert verdict(DensityMatrix(np.eye(8) / 8, QUBIT_SPEC_3)) == "inconclusive"
 
 
 def test_certification_report_shape():
     report = certification_report(
-        W_PAPER.density_matrix(), restarts=4, budget=200, seed=0
+        pure_density(W_PAPER), restarts=4, budget=200, seed=0
     )
     assert set(report) == {"fidelity", "witness", "tangle_bound", "classification", "optimizer_stats"}
     assert report["classification"] == "W_class"
@@ -397,7 +396,7 @@ def test_certification_report_shape():
 
 def test_tangle_estimate_validation():
     with pytest.raises(ConfigError):
-        TangleEstimate(1.5, "pure_exact", 1, 0)
+        TangleEstimate(1.5, 1, 0)
 
 
 def test_dimension_checks():
@@ -406,8 +405,21 @@ def test_dimension_checks():
     rho16 = random_density(big, rng)
     with pytest.raises(ConfigError):
         witness_value(rho16)
-    with pytest.raises(ConfigError):
-        three_tangle_pure(random_pure(big, rng))
+    # a cavity-free 4-qubit state against a target of the wrong length
+    rho4 = random_density(HilbertSpec(num_qubits=4, photon_cutoff=0), rng)
+    for target in (W_PAPER, np.ones(32) / np.sqrt(32)):
+        with pytest.raises(ConfigError, match="target shape"):
+            fidelity(rho4, target)
+        with pytest.raises(ConfigError, match="target shape"):
+            apply_phase_correction(rho4, target)
+
+
+def test_targets_are_readonly_unit_vectors():
+    for target in (W_PAPER, GHZ):
+        assert target.shape == (8,)
+        assert abs(np.linalg.norm(target) - 1.0) < 1e-15
+        with pytest.raises(ValueError):
+            target[0] = 1.0
 
 
 def test_quartic_homogeneity():

@@ -10,7 +10,7 @@ import cqedw
 from cqedw import analysis, protocols
 from cqedw.entanglement import W_PAPER, fidelity
 from cqedw.errors import ConfigError
-from cqedw.hilbert import DensityMatrix, QuantumState
+from cqedw.hilbert import DensityMatrix
 from cqedw.protocols import (
     PopulationTrace,
     _load,
@@ -23,7 +23,7 @@ from cqedw.protocols import (
     rabi_scan,
     sequential_swap_times,
 )
-from conftest import QUBIT_SPEC_3, equal_coupling_device, preset_device, w_plus
+from conftest import QUBIT_SPEC_3, equal_coupling_device, preset_device, pure_density, w_plus
 
 
 def test_single_photon_durations():
@@ -208,8 +208,10 @@ def test_noisy_schedule_builds_one_block_and_checks_each_state_once(monkeypatch)
 
 
 def test_ideal_preparation_checks_each_ket_once(monkeypatch):
-    # the ground ket, the pi-pulsed ket and one ket per segment are each checked
-    # once; the only density check is the cavity-traced state's, at 8 x 8
+    # the ket after each segment is checked once, and the only density check is
+    # the cavity-traced state's, at 8 x 8; the pi-pulsed ket is built from
+    # constants and not checked.  A noisy run checks no ket: one stack holds the
+    # state after every segment on the 5-state block, then the 8 x 8 state.
     from cqedw import dynamics, hilbert
 
     kets, densities = [], []
@@ -231,8 +233,13 @@ def test_ideal_preparation_checks_each_ket_once(monkeypatch):
         kets.clear()
         densities.clear()
         prepare(cfg)
-        assert kets == [(1, 24)] * (2 + segments)
+        assert kets == [(1, 24)] * segments
         assert densities == [(1, 8, 8)]
+        kets.clear()
+        densities.clear()
+        prepare(cfg, noise=True)
+        assert kets == []
+        assert densities == [(segments, 5, 5), (1, 8, 8)]
 
 
 def test_rabi_scan_validation():
@@ -336,9 +343,7 @@ def test_sequential_and_collective_agree_up_to_local_phases():
     rho_s = prepare_w_sequential(cfg)
     # purify the collective output (ideal run: pure) and use it as target
     lam, vec = np.linalg.eigh(rho_c.entries)
-    from cqedw.hilbert import QuantumState
-
-    psi_c = QuantumState(vec[:, -1], rho_c.spec)
+    psi_c = vec[:, -1]
     corrected, _ = apply_phase_correction(rho_s, psi_c)
     assert fidelity(corrected, psi_c) > 0.999
 
@@ -367,7 +372,7 @@ def test_crosstalk_asymmetry():
 
 def test_phase_correction_identity_case():
     target = W_PAPER
-    rho = target.density_matrix()
+    rho = pure_density(target)
     corrected, angles = apply_phase_correction(rho, target)
     assert fidelity(corrected, target) >= 1 - 1e-9
     assert np.abs(np.exp(1j * angles) - 1.0).max() < 1e-2
@@ -375,13 +380,12 @@ def test_phase_correction_identity_case():
 
 def test_phase_correction_inverts_known_rotation():
     target = W_PAPER
-    spec = target.spec
     bits = np.array([[(i >> j) & 1 for j in range(3)] for i in range(8)])
     signs = 1.0 - 2.0 * bits
     for phi in (0.4, 1.9, 3.6, 5.6):
         phases = np.exp(0.5j * signs @ np.array([phi, 0.0, 0.0]))
-        rot = (phases[:, None] * target.density_matrix().entries) * phases.conj()[None, :]
-        corrected, _ = apply_phase_correction(DensityMatrix(rot, spec), target)
+        rot = (phases[:, None] * np.outer(target, target.conj())) * phases.conj()[None, :]
+        corrected, _ = apply_phase_correction(DensityMatrix(rot, QUBIT_SPEC_3), target)
         assert abs(fidelity(corrected, target) - 1.0) < 1e-8
 
 
@@ -419,9 +423,9 @@ def test_phase_correction_reaches_dense_grid_optimum():
         rho = random_density(QUBIT_SPEC_3, rng)
         amps = np.zeros(8, dtype=complex)
         amps[[0b001, 0b010, 0b100]] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        w_class = QuantumState(amps / np.linalg.norm(amps), QUBIT_SPEC_3)
+        w_class = amps / np.linalg.norm(amps)
         for target in (W_PAPER, w_class):
-            v = phases.conj() * target.amplitudes  # Z(phi)^+ |t> for every grid point
+            v = phases.conj() * target  # Z(phi)^+ |t> for every grid point
             grid_best = np.einsum("ci,ij,cj->c", v.conj(), rho.entries, v).real.max()
             corrected, _ = apply_phase_correction(rho, target)
             assert fidelity(corrected, target) >= grid_best - 1e-12

@@ -26,7 +26,7 @@ from cqedw.tomography import (
     simulate_measurements,
     tomography_set,
 )
-from conftest import QUBIT_SPEC_3, random_density, uhlmann_fidelity
+from conftest import QUBIT_SPEC_3, pure_density, random_density, uhlmann_fidelity
 
 # Coefficient tuple with weak correlation terms; valid and complete, but its
 # conditioning amplifies noise far more than the default preset.
@@ -40,7 +40,7 @@ def tset():
 
 @pytest.fixture(scope="module")
 def w_rho():
-    return W_PAPER.density_matrix()
+    return pure_density(W_PAPER)
 
 
 def test_build_readout_rejects_zero_coefficients():
