@@ -317,6 +317,9 @@ def _rabi_scan(run: Run, participating, tau_grid_ns, tau_start_ns, tau_stop_ns, 
     ranged = (tau_start_ns, tau_stop_ns, num_points)
     if (tau_grid_ns is None, ranged.count(None)) not in ((True, 0), (False, 3)):
         raise ConfigError("rabi_scan needs tau_grid_ns or tau_start_ns, tau_stop_ns, num_points")
+    points = len(tau_grid_ns) if num_points is None else num_points
+    if points > MAX_POINTS:
+        raise ConfigError(f"rabi_scan asks for {points} interaction times, more than {MAX_POINTS}")
     if tau_grid_ns is None:
         tau_grid_ns = np.linspace(tau_start_ns, tau_stop_ns, num_points)
     grid = np.asarray(tau_grid_ns, dtype=float) * 1e-9  # rabi_scan validates the times
@@ -392,6 +395,9 @@ def _certification(run: Run, rho: DensityMatrix, **options) -> list[str]:
     return ["certification.json"]
 
 
+# Most interaction times of one scan, checked before the grid is allocated;
+# the scans in use have at most 81.
+MAX_POINTS = 10_000
 PREP = {"phase_correct": (bool, True)}
 COLLECTIVE = {**PREP, "source_qubit": (int, 2)}
 RABI_SCAN = {

@@ -1,4 +1,4 @@
-"""Resonant-interaction Hamiltonian and time evolution.
+"""Resonant-interaction Hamiltonian and time evolution on the single-excitation sector.
 
 Everything is expressed in the frame rotating at the resonator frequency:
 the mode term is absent and each qubit enters through its detuning
@@ -7,23 +7,37 @@ Delta_j = omega_j - omega_r (rad/s), so
     H / hbar = sum_j [ (Delta_j / 2) sigma_z_j
                        + g_j (a^dag sigma-_j + sigma+_j a) ].
 
+H conserves the excitation number (Tavis and Cummings, Phys. Rev. 170, 379
+(1968)), and the jump operators sigma-_j and a only lower it, to
+|g...g,0>.  Every schedule starts from one qubit's pi pulse on
+|g...g,0>, so it never leaves the N + 2 states of the sector, kept in the
+order of their full-space indices (0, 2**j, 2**N) of :mod:`cqedw.hilbert`:
+
+    position 0        |g...g,0>
+    position 1 + j    |e_j,0>, qubit j excited
+    position N + 1    |g...g,1>, one photon.
+
+This module owns that layout.  :func:`build_hamiltonian`,
+:func:`collapse_operators` and :func:`pi_pulsed` build H, the jump
+operators and the pi-pulsed ket on it directly, and :func:`populations`
+and :func:`qubit_state` read a sector stack back out.  No operator of the
+full device space is built; the photon cutoff only has to be at least 1.
+
 Unitary segments are propagated by exact eigendecomposition.  Open-system
 segments follow the Lindblad equation with qubit relaxation (rate 1/T1),
 pure dephasing (sigma_z at rate gamma_phi/2) and cavity decay (a at rate
 kappa); each constant segment is propagated exactly as rho(t) =
 expm(L t) rho(0), with L the vectorized Lindblad generator (Havel,
-J. Math. Phys. 44, 534 (2003)) built on the subspace reachable from the
-initial support under every segment of the schedule.  L preserves
-Hermiticity, so it is a real matrix in an orthonormal basis of Hermitian
-operators, and it is exponentiated there.
+J. Math. Phys. 44, 534 (2003)).  L preserves Hermiticity, so it is a real
+matrix in an orthonormal basis of Hermitian operators, and it is
+exponentiated there.
 
-A segment is propagated over a vector of times at once:
-``evolve_unitary`` reuses one eigendecomposition for every time and
-``evolve_lindblad`` one real generator and one stacked real ``expm``;
-``evolve_lindblad`` also runs the segments before it on the same block,
-carrying real coordinates.  Each returns a stack with every state checked
-against the tolerances of ``hilbert`` (the open-system states on their
-reachable block, before zero padding).
+Both propagators take whatever arrays they are given.  A segment is
+propagated over a vector of times at once: ``evolve_unitary`` reuses one
+eigendecomposition for every time and ``evolve_lindblad`` one real
+generator and one stacked real ``expm``; ``evolve_lindblad`` also runs the
+segments before it, carrying real coordinates.  Each returns a stack with
+every state checked against the tolerances of ``hilbert``.
 """
 from __future__ import annotations
 
@@ -33,7 +47,26 @@ import numpy as np
 
 from .device import SystemConfig, decoherence_rates
 from .errors import ConfigError, NumericalError
-from .hilbert import check_density_stack, check_ket_stack, operator_table
+from .hilbert import HilbertSpec, check_density_stack, check_ket_stack, qubit_rotation
+
+
+def _sector_size(spec: HilbertSpec) -> int:
+    """N + 2, the number of sector states; the sector needs room for one photon."""
+    if spec.photon_cutoff < 1:
+        raise ConfigError("photon cutoff must be >= 1 to host the photon")
+    return spec.num_qubits + 2
+
+
+def _unit(size: int, row: int, col: int) -> np.ndarray:
+    """The size x size complex matrix with a single 1 at (row, col)."""
+    op = np.zeros((size, size), dtype=complex)
+    op[row, col] = 1.0
+    return op
+
+
+def _sigma_z(size: int, j: int) -> np.ndarray:
+    """sigma_z of qubit j on the sector: +1 on |e_j,0>, -1 on every other state."""
+    return np.diag(np.where(np.arange(size) == 1 + j, 1.0, -1.0)).astype(complex)
 
 
 def build_hamiltonian(
@@ -46,41 +79,85 @@ def build_hamiltonian(
     ``coupled`` restricts the exchange terms to a subset of qubits; the
     default couples everyone.  A qubit outside the set is propagated in the
     far-detuned limit: its detuning term (exact dynamic phase) stays, its
-    exchange with the mode is dropped.  The result is a read-only (d, d)
-    complex array; the propagators check its Hermiticity.
+    exchange with the mode is dropped.  The result is a read-only
+    (N + 2, N + 2) complex array on the sector; the propagators check its
+    Hermiticity.  A non-finite detuning, from a bias or resonator frequency
+    too large for a float, is a ConfigError naming its qubits.
     """
-    spec = config.spec
+    size = _sector_size(config.spec)
     detunings = np.asarray(detunings, dtype=float)
-    if detunings.shape != (spec.num_qubits,):
+    if detunings.shape != (config.spec.num_qubits,):
         raise ConfigError("detuning vector length must equal the qubit count")
-    coupled_set = set(range(spec.num_qubits)) if coupled is None else set(coupled)
-    ops = operator_table(spec)
+    bad = [q.label for q, d in zip(config.qubits, detunings) if not np.isfinite(d)]
+    if bad:
+        raise ConfigError(f"qubit {', '.join(bad)}: detuning is not finite")
+    coupled_set = set(range(config.spec.num_qubits)) if coupled is None else set(coupled)
+    photon = size - 1
     total = 0
     for j, q in enumerate(config.qubits):
-        total = total + 0.5 * detunings[j] * ops.sigma_z[j]
-        if j in coupled_set:
-            total = total + q.coupling_g * ops.exchange[j]
+        total = total + 0.5 * detunings[j] * _sigma_z(size, j)
+        if j in coupled_set:  # a^dag sigma-_j + sigma+_j a
+            total = total + q.coupling_g * (_unit(size, photon, 1 + j) + _unit(size, 1 + j, photon))
     total.setflags(write=False)
     return total
 
 
 def collapse_operators(config: SystemConfig) -> np.ndarray:
-    """The device's jump operators sqrt(rate) L_k as a read-only (2N+1, d, d) stack.
+    """The device's jump operators sqrt(rate) L_k as a read-only (2N+1, N+2, N+2) stack.
 
     Per qubit j, relaxation sqrt(gamma1) sigma-_j and then dephasing
     sqrt(gamma_phi / 2) sigma_z_j; last, cavity loss sqrt(kappa) a.
     """
-    ops = operator_table(config.spec)
+    size = _sector_size(config.spec)
     channels = []
     for j, q in enumerate(config.qubits):
         rates = decoherence_rates(q, config.resonator)
-        channels.append(np.sqrt(rates.gamma1) * ops.sigma_minus[j])
-        channels.append(np.sqrt(rates.gamma_phi / 2) * ops.sigma_z[j])
+        channels.append(np.sqrt(rates.gamma1) * _unit(size, 0, 1 + j))
+        channels.append(np.sqrt(rates.gamma_phi / 2) * _sigma_z(size, j))
     kappa = decoherence_rates(config.qubits[0], config.resonator).kappa
-    channels.append(np.sqrt(kappa) * ops.annihilation)
+    channels.append(np.sqrt(kappa) * _unit(size, 0, size - 1))
     stack = np.array(channels)
     stack.setflags(write=False)
     return stack
+
+
+def pi_pulsed(spec: HilbertSpec, qubit: int) -> np.ndarray:
+    """Sector amplitudes of |g...g,0> after an ideal x-axis pi pulse on ``qubit``.
+
+    The pulse's column 0, cos(pi/2) on |g...g,0> and -i on |e_qubit,0>.
+    """
+    if not 0 <= qubit < spec.num_qubits:
+        raise ConfigError(f"qubit index {qubit} out of range for N={spec.num_qubits}")
+    psi = np.zeros(_sector_size(spec), dtype=complex)
+    psi[[0, 1 + qubit]] = qubit_rotation("x", np.pi)[:, 0]
+    return psi
+
+
+def populations(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(per-qubit excited (T, N), all-ground (T,), mean photon number (T,)) of a sector stack.
+
+    ``stack`` holds T kets, (T, N+2), or T density matrices, (T, N+2, N+2).
+    All-ground counts |g...g> with any photon number.
+    """
+    if stack.ndim == 2:
+        p = (stack.conj() * stack).real
+    else:
+        p = np.diagonal(stack, axis1=1, axis2=2).real
+    return p[:, 1:-1], p[:, 0] + p[:, -1], p[:, -1]
+
+
+def qubit_state(rho: np.ndarray) -> np.ndarray:
+    """The 2**N x 2**N qubit state of an (N+2, N+2) sector matrix, with the cavity traced out.
+
+    Its basis is that of the cavity-free qubits: the zero-photon states sit
+    at their own indices 0 and 2**j, and |g...g,1> adds to entry (0, 0).
+    """
+    n = rho.shape[0] - 2
+    index = np.array([0, *(1 << j for j in range(n))])
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    out[np.ix_(index, index)] += rho[:-1, :-1]
+    out[0, 0] += rho[-1, -1]
+    return out
 
 
 def _check_hermitian(h: np.ndarray):
@@ -91,9 +168,9 @@ def _check_hermitian(h: np.ndarray):
 
 
 def evolve_unitary(psi: np.ndarray, h: np.ndarray, times: Sequence[float]) -> np.ndarray:
-    """Amplitudes of exp(-i H t) psi for every t in ``times``, a (T, d) stack.
+    """Amplitudes of exp(-i H t) psi for every t in ``times``, a (T, n) stack.
 
-    ``psi`` is a (d,) amplitude vector.  One eigendecomposition H = V diag(w)
+    ``psi`` is an (n,) amplitude vector.  One eigendecomposition H = V diag(w)
     V^+ serves every time: row t is V (exp(-i t w) * V^+ psi), a stacked
     matrix-vector product, so that no row's rounding depends on the other
     times.  A zero time returns psi unchanged.  Each row is checked by
@@ -107,24 +184,6 @@ def evolve_unitary(psi: np.ndarray, h: np.ndarray, times: Sequence[float]) -> np
     amps[times == 0] = psi
     check_ket_stack(amps)
     return amps
-
-
-def _reachable(rho: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Boolean mask of the basis states reachable from rho's support.
-
-    Starting from the nonzero diagonal of rho, a basis state joins the set
-    when some operator maps a member onto it.  The span of the final set is
-    invariant under every operator in ``ops``.
-    """
-    links = np.zeros(rho.shape, dtype=bool)
-    for op in ops:
-        links |= op != 0
-    mask = np.diag(rho) != 0
-    while True:
-        grown = mask | links[:, mask].any(axis=1)
-        if (grown == mask).all():
-            return mask
-        mask = grown
 
 
 def _hermitian_basis(n: int) -> np.ndarray:
@@ -148,15 +207,14 @@ def _hermitian_basis(n: int) -> np.ndarray:
 
 
 def _lindblad_generator(h: np.ndarray, ls: np.ndarray, decay: np.ndarray) -> np.ndarray:
-    """The row-major vectorized Lindblad generator of one segment on one block.
+    """The row-major vectorized Lindblad generator of one segment.
 
     L = -i (H_eff x 1 - 1 x H_eff^*) + sum_k L_k x L_k^*,
     H_eff = H - (i/2) sum_k L_k^+ L_k,
 
-    with ``h`` the n x n block of H, ``ls`` the (channels, n, n) blocks of
-    the jump operators L_k (sqrt(rate) absorbed, as
-    :func:`collapse_operators` returns them) and ``decay`` the n x n block
-    of sum_k L_k^+ L_k.
+    with ``h`` the n x n Hamiltonian, ``ls`` the (channels, n, n) jump
+    operators L_k (sqrt(rate) absorbed, as :func:`collapse_operators`
+    returns them) and ``decay`` sum_k L_k^+ L_k.
     """
     n = h.shape[0]
     eye = np.eye(n)
@@ -173,93 +231,46 @@ def evolve_lindblad(
     collapse: np.ndarray,
     times: Sequence[float],
 ) -> np.ndarray:
-    """Open-system propagation of a schedule: a (T, d, d) stack, one state per entry of ``times``.
+    """Open-system propagation of a schedule: a (T, n, n) stack, one state per entry of ``times``.
 
-    The (d, d) density matrix ``rho``, a plain array that is not checked
+    The (n, n) density matrix ``rho``, a plain array that is not checked
     here, runs through each (H_j, t_j) of ``before`` in order, and then
     through ``h`` for every t in ``times``; ``collapse`` is the (channels,
-    d, d) jump-operator stack of every segment.
+    n, n) jump-operator stack of every segment.  On the sector n = N + 2,
+    so the paper's device has 25 x 25 generators.
 
-    The dynamics is built once, on the basis states reachable from rho's
-    support through the nonzero patterns of every segment's H, the L_k and
-    the L_k^+ L_k.  Their span is invariant under every segment, so the
-    restriction is exact; with three qubits and photon cutoff 2, a
-    single-excitation state reaches 5 of the 24 basis states, and each
-    generator is 25 x 25 instead of 576 x 576.  Each segment's
-    :func:`_lindblad_generator` is taken to the real matrix L_r = B^+ L B in
-    the one Hermitian basis B of :func:`_hermitian_basis`; an imaginary part
-    of B^+ L B above 1e-12 max|L| raises NumericalError.  The real
-    coordinates of rho are carried from segment to segment by ``expm`` of
-    L_r t_j, and the last segment takes them to every time in one stacked
-    ``expm``.  Every propagated state, the one after each segment of
-    ``before`` and every returned one, is checked once, on its block, by one
-    ``check_density_stack`` call; padding with zeros adds only zero
-    eigenvalues and changes neither Hermiticity, trace nor finiteness, so the
-    check's verdict is that of the padded state.
+    Each segment's :func:`_lindblad_generator` is taken to the real matrix
+    L_r = B^+ L B in the one Hermitian basis B of :func:`_hermitian_basis`;
+    an imaginary part of B^+ L B above 1e-12 max|L| raises NumericalError.
+    The real coordinates of rho are carried from segment to segment by
+    ``expm`` of L_r t_j, and the last segment takes them to every time in
+    one stacked ``expm``.  Every propagated state, the one after each
+    segment of ``before`` and every returned one, is checked once, by one
+    ``check_density_stack`` call.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if np.any(times < 0) or any(t < 0 for _, t in before):
         raise ConfigError("t must be >= 0")
-    hs = [h_j for h_j, _ in before] + [h]
-    for h_j in hs:
+    for h_j, _ in [*before, (h, 0.0)]:
         _check_hermitian(h_j)
-    ls = np.asarray(collapse, dtype=complex).reshape(-1, *h.shape)  # also with no channel
-    decay = np.swapaxes(ls.conj(), -1, -2) @ ls
-    keep = _reachable(rho, [*hs, *ls, *decay])
-    sub = np.ix_(keep, keep)
-    n = int(keep.sum())
-    ls = ls[:, keep][:, :, keep]
-    decay = decay.sum(axis=0)[sub]
+    n = h.shape[0]
+    ls = np.asarray(collapse, dtype=complex).reshape(-1, n, n)  # also with no channel
+    decay = (np.swapaxes(ls.conj(), -1, -2) @ ls).sum(axis=0)
     basis = _hermitian_basis(n)
     coords_of = basis.conj().T  # B^+: a Hermitian matrix's vec to its real coordinates
     from scipy.linalg import expm  # imported here: certify and reconstruct never propagate
 
     def propagate(x, h_j, ts):
-        gen = _lindblad_generator(h_j[sub], ls, decay)
+        gen = _lindblad_generator(h_j, ls, decay)
         gen_b = coords_of @ gen @ basis
         dropped = np.abs(gen_b.imag).max()
         if dropped > 1e-12 * np.abs(gen).max():
             raise NumericalError(f"generator has imaginary part {dropped} in the Hermitian basis")
         return expm(gen_b.real[None] * ts[:, None, None]) @ x
 
-    coords = [(coords_of @ rho[sub].reshape(-1)).real]
+    coords = [(coords_of @ rho.reshape(-1)).real]
     for h_j, t in before:
         coords.append(propagate(coords[-1], h_j, np.array([t]))[0])
-    small = (np.vstack([*coords[1:], propagate(coords[-1], h, times)]) @ basis.T).reshape(-1, n, n)
-    check_density_stack(small)
-    out = np.zeros((times.size, *rho.shape), dtype=complex)
-    out[:, sub[0], sub[1]] = small[len(before):]
-    return out
-
-
-def single_excitation_oracle(
-    couplings: Sequence[float], detunings: Sequence[float], t: float
-) -> np.ndarray:
-    """Analytic reference for the one-photon sector, independent of the full solver.
-
-    Starting from |g...g,1>, the dynamics is confined to the (N+1)-dim block
-    spanned by {|e_j,0>} and |g...g,1>.  The block Hamiltonian (including the
-    absolute energies of the rotating frame, so phases match the full-space
-    propagation) is exponentiated directly with scipy's expm.
-
-    Returns the complex amplitude vector ordered (qubit 0 .. qubit N-1, cavity).
-    On resonance the closed form is cos(G t) on the cavity and
-    -i (g_j / G) sin(G t) on qubit j, with G = sqrt(sum g_j^2).
-    """
-    g = np.asarray(couplings, dtype=float)
-    delta = np.asarray(detunings, dtype=float)
-    if g.shape != delta.shape or g.ndim != 1:
-        raise ConfigError("couplings and detunings must be equal-length vectors")
-    n = g.size
-    shift = 0.5 * delta.sum()
-    block = np.zeros((n + 1, n + 1), dtype=complex)
-    for j in range(n):
-        block[j, j] = delta[j] - shift
-        block[j, n] = g[j]
-        block[n, j] = g[j]
-    block[n, n] = -shift
-    psi0 = np.zeros(n + 1, dtype=complex)
-    psi0[n] = 1.0
-    from scipy.linalg import expm
-
-    return expm(-1j * block * t) @ psi0
+    states = (np.vstack([*coords[1:], propagate(coords[-1], h, times)]) @ basis.T).reshape(-1, n, n)
+    check_density_stack(states)
+    return states[len(before):]

@@ -25,8 +25,6 @@ same seed gives the same bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
-
 import numpy as np
 
 from .errors import ConfigError
@@ -145,20 +143,6 @@ def tangle_quartic(amps: np.ndarray) -> np.ndarray:
 def _inverse_weights(p: np.ndarray) -> np.ndarray:
     """1 / p_k for each row weight p_k, and 0 for rows of weight p <= 1e-14."""
     return np.divide(1.0, p, out=np.zeros_like(p), where=p > 1e-14)
-
-
-def decomposition_average_tangle(states: np.ndarray) -> Union[float, np.ndarray]:
-    """Average tangle sum_k p_k tau(psi_k) of explicit sub-normalized ensembles.
-
-    ``states`` has shape (..., m, 8); row k of an ensemble is sqrt(p_k) psi_k.
-    Because the quartic is homogeneous of degree 4, each term is tau(row)/p;
-    rows of weight p <= 1e-14, such as zero padding, contribute nothing.  One
-    (m, 8) ensemble gives a float, a stack an array of its leading shape.
-    """
-    rows = np.asarray(states, dtype=complex)
-    weights = np.sum(rows.real**2 + rows.imag**2, axis=-1)
-    total = np.sum(tangle_quartic(rows) * _inverse_weights(weights), axis=-1)
-    return float(total) if total.ndim == 0 else total
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:

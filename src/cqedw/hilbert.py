@@ -1,7 +1,7 @@
-"""Dense linear algebra on the composite qubits (x) cavity Hilbert space.
+"""Basis convention, state checks and the one state type.
 
 Basis convention used everywhere in this package: the basis index of a
-product state is
+product state of the composite qubits (x) cavity space is
 
     index = n_photon * 2**N + sum_j bit_j * 2**j
 
@@ -10,12 +10,15 @@ N = 3 a ket prints as |C,B,A;n>.  Bit 0 of a qubit is |g>, bit 1 is |e>,
 and sigma_z |g> = -|g> (the excited state carries sigma_z = +1, i.e. the
 +1/2 w sigma_z energy convention).
 
-A ket is a plain (d,) complex amplitude array; :class:`DensityMatrix` is
-the one state type, and it is checked whenever it is built.
+No operator of the composite space is ever built: the dynamics runs on the
+N + 2 single-excitation states of :mod:`cqedw.dynamics`, whose order is
+that of their indices here (0, 2**j, 2**N), and hands back cavity-traced
+2**N x 2**N qubit states.  A ket is a plain complex amplitude array;
+:class:`DensityMatrix` is the one state type, and it is checked whenever it
+is built.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,18 +29,15 @@ HERMITICITY_ATOL = 1e-10
 NORM_ATOL = 1e-9
 TRACE_ATOL = 1e-9
 EIG_FLOOR = -1e-8
-IMAG_ATOL = 1e-10  # imaginary part of a Hermitian expectation
-# Largest total dimension: every operator is a dense d x d array, so d = 8008
-# (cutoff 1000) would take about 1 GB per operator.  The paper's device has 24.
+# Largest total dimension d = 2**N (cutoff + 1) of a device.  No d x d array
+# is built, but the bound caps N, and with it the 2**N x 2**N qubit state, and
+# rejects an absurd cutoff when the device is read.  The paper's device has 24.
 MAX_DIM = 1024
 
 # Single-qubit operators in the (|g>, |e>) = (bit 0, bit 1) basis.
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-PROJ_EXCITED = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
 
@@ -153,112 +153,3 @@ class DensityMatrix:
             raise ConfigError(f"density matrix shape {mat.shape} does not match dim {d}")
         check_density_stack(mat[None])
         object.__setattr__(self, "entries", mat)
-
-
-def embed_qubit_operator(op2: np.ndarray, qubit_index: int, spec: HilbertSpec) -> np.ndarray:
-    """Embed a single-qubit operator at ``qubit_index``, identity elsewhere.
-
-    Parameters
-    ----------
-    op2 : (2, 2) complex array
-    qubit_index : int in [0, N)
-    spec : HilbertSpec
-
-    Returns
-    -------
-    (d, d) read-only complex array
-        Id (x) ... (x) op2 (x) ... (x) Id (x) Id_cavity laid out per the
-        package basis convention (qubit 0 fastest, cavity slowest).
-    """
-    op2 = np.asarray(op2, dtype=complex)
-    if op2.shape != (2, 2):
-        raise ConfigError(f"expected a 2x2 operator, got shape {op2.shape}")
-    if not 0 <= qubit_index < spec.num_qubits:
-        raise ConfigError(f"qubit index {qubit_index} out of range for N={spec.num_qubits}")
-    full = np.eye(spec.cavity_dim, dtype=complex)
-    for j in reversed(range(spec.num_qubits)):
-        full = np.kron(full, op2 if j == qubit_index else ID2)
-    return _readonly(full)
-
-
-def cavity_annihilation(spec: HilbertSpec) -> np.ndarray:
-    """Annihilation operator of the mode: a|n> = sqrt(n)|n-1>, identity on qubits."""
-    a = np.diag(np.sqrt(np.arange(1, spec.cavity_dim, dtype=float)), k=1).astype(complex)
-    return _readonly(np.kron(a, np.eye(2**spec.num_qubits, dtype=complex)))
-
-
-def cavity_number(spec: HilbertSpec) -> np.ndarray:
-    """Photon number operator a^dag a."""
-    a = cavity_annihilation(spec)
-    return _readonly(a.conj().T @ a)
-
-
-@dataclass(frozen=True)
-class OperatorTable:
-    """Operators of the dynamics and readout, each a read-only (d, d) complex array.
-
-    Per-qubit tuples are in qubit order; ``exchange[j]`` is
-    a^dag sigma-_j + sigma+_j a.
-    """
-
-    sigma_z: tuple[np.ndarray, ...]
-    sigma_minus: tuple[np.ndarray, ...]
-    exchange: tuple[np.ndarray, ...]
-    annihilation: np.ndarray
-    number: np.ndarray
-    excited: tuple[np.ndarray, ...]
-    all_ground: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def operator_table(spec: HilbertSpec) -> OperatorTable:
-    """The :class:`OperatorTable` of ``spec``, built once per spec and shared."""
-
-    def embed(op2):
-        return tuple(embed_qubit_operator(op2, j, spec) for j in range(spec.num_qubits))
-
-    a = cavity_annihilation(spec)
-    a_dag = a.conj().T
-    sigma_minus = embed(SIGMA_MINUS)
-    exchange = tuple(
-        _readonly(a_dag @ sm + sp @ a) for sm, sp in zip(sigma_minus, embed(SIGMA_PLUS))
-    )
-    ground = np.arange(spec.dim) % 2**spec.num_qubits == 0  # every qubit bit is 0
-    return OperatorTable(
-        sigma_z=embed(SIGMA_Z),
-        sigma_minus=sigma_minus,
-        exchange=exchange,
-        annihilation=a,
-        number=cavity_number(spec),
-        excited=embed(PROJ_EXCITED),
-        all_ground=_readonly(np.diag(ground)),
-    )
-
-
-def partial_trace(entries: np.ndarray, spec: HilbertSpec) -> DensityMatrix:
-    """The qubit state of a (d, d) matrix on ``spec``, with the cavity traced out.
-
-    The result is the 2**N x 2**N state on the cavity-free spec of the same
-    qubits, in the same basis order; :class:`DensityMatrix` checks it.
-    """
-    q = 2**spec.num_qubits
-    reduced = entries.reshape(spec.cavity_dim, q, spec.cavity_dim, q).trace(axis1=0, axis2=2)
-    return DensityMatrix(reduced, HilbertSpec(num_qubits=spec.num_qubits, photon_cutoff=0))
-
-
-def expectation_stack(op: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """<psi_t|op|psi_t> for each row of a (T, d) stack, or Tr(op rho_t) for a (T, d, d) one.
-
-    ``op`` is a Hermitian (d, d) operator: each imaginary part is checked to
-    vanish within IMAG_ATOL, and the real parts are returned.
-    """
-    if stack.shape[-1] != op.shape[0]:
-        raise ConfigError("operator and state live on different spaces")
-    if stack.ndim == 2:
-        vals = np.einsum("ti,ti->t", stack.conj(), stack @ op.T)
-    else:
-        vals = np.einsum("ij,tji->t", op, stack)
-    where, imag = _worst(np.abs(vals.imag), "expectation")
-    if imag > IMAG_ATOL:
-        raise NumericalError(f"Hermitian {where} has imaginary part {imag}")
-    return vals.real

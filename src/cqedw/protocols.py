@@ -8,25 +8,29 @@ flux segments.  A segment is a ``(resonant, duration)`` pair: the
 ideal rectangles.
 
 A schedule is therefore a source qubit, the segments run in full and one
-held segment.  :func:`_propagate` runs it: it builds the amplitudes of
-the pi-pulsed state (with noise, their |psi><psi|), compiles each segment
-with :func:`_hamiltonian`, runs the segments of ``before`` for their
-durations and holds the last one for a vector of times.  ``rabi_scan``
-holds the scan segment for its tau grid after the photon load of
-:func:`_load`; each W preparation holds its last segment for its duration
-and traces the cavity out.  Targets such as ``entanglement.W_PAPER`` are
-amplitude arrays.
+held segment.  :func:`_propagate` runs it on the N + 2 single-excitation
+states of :mod:`cqedw.dynamics`: it builds the amplitudes of the pi-pulsed
+state (with noise, their |psi><psi|), compiles each segment with
+:func:`_hamiltonian`, runs the segments of ``before`` for their durations
+and holds the last one for a vector of times.  ``rabi_scan`` holds the
+scan segment for its tau grid after the photon load of :func:`_load` and
+reads the populations through ``dynamics.populations``; each W preparation
+holds its last segment for its duration and traces the cavity out through
+``dynamics.qubit_state``, into a 2**N x 2**N :class:`DensityMatrix`.
+Targets such as ``entanglement.W_PAPER`` are amplitude arrays.
 
 Crosstalk acts on commanded detuning *changes* relative to the
 steady-state bias: a segment that sets qubit j to target detuning d_j
 (0 if resonant, its bias otherwise) is compiled as
 
-    realized = bias + X @ (target - bias)
+    realized = bias + X @ (target - bias),
 
-so an identity matrix is a no-op and a protocol that never pulses two
-qubits at once (the sequential W preparation) is immune to off-diagonal
-leakage, while simultaneous pulses (the collective preparation) pick up
-residual detunings.
+where target - bias is -bias_j on the resonant qubits and 0 elsewhere (a
+parked qubit's overflowing bias never meets inf - inf).  So an identity
+matrix is a no-op and a protocol that never pulses two qubits at once (the
+sequential W preparation) is immune to off-diagonal leakage, while
+simultaneous pulses (the collective preparation) pick up residual
+detunings.
 """
 from __future__ import annotations
 
@@ -36,17 +40,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .device import SystemConfig, apply_crosstalk
-from .dynamics import build_hamiltonian, collapse_operators, evolve_lindblad, evolve_unitary
-from .errors import ConfigError
-from .hilbert import (
-    DensityMatrix,
-    HilbertSpec,
-    embed_qubit_operator,
-    expectation_stack,
-    operator_table,
-    partial_trace,
-    qubit_rotation,
+from .dynamics import (
+    build_hamiltonian,
+    collapse_operators,
+    evolve_lindblad,
+    evolve_unitary,
+    pi_pulsed,
+    populations,
+    qubit_state,
 )
+from .errors import ConfigError
+from .hilbert import DensityMatrix, HilbertSpec
 
 
 @dataclass(frozen=True)
@@ -81,12 +85,6 @@ class PopulationTrace:
         return "\n".join(lines) + "\n"
 
 
-def _pi_pulsed(spec: HilbertSpec, qubit: int) -> np.ndarray:
-    """Amplitudes of |g...g,0> after an ideal x-axis pi pulse on ``qubit``: the pulse's column 0."""
-    u = embed_qubit_operator(qubit_rotation("x", np.pi), qubit, spec)
-    return u[:, 0]
-
-
 def _hamiltonian(config: SystemConfig, resonant: Sequence[int]) -> np.ndarray:
     """H of the segment that brings the ``resonant`` qubits to resonance.
 
@@ -95,9 +93,10 @@ def _hamiltonian(config: SystemConfig, resonant: Sequence[int]) -> np.ndarray:
     exchange with the mode.
     """
     bias = config.bias_detunings()
-    target = bias.copy()
-    target[list(resonant)] = 0.0
-    realized = bias + apply_crosstalk(target - bias, config.crosstalk)
+    commanded = np.zeros_like(bias)  # target - bias
+    commanded[list(resonant)] = -bias[list(resonant)]
+    with np.errstate(invalid="ignore", over="ignore"):  # build_hamiltonian rejects inf and NaN
+        realized = bias + apply_crosstalk(commanded, config.crosstalk)
     return build_hamiltonian(config, realized, coupled=resonant)
 
 
@@ -113,14 +112,14 @@ def _propagate(
 
     Each ``(resonant, duration)`` segment of ``before`` runs for its
     duration, and every segment is compiled by :func:`_hamiltonian`.
-    Closed-system runs give a (T, d) stack of amplitudes and carry the ket
+    Everything lives on the N + 2 sector states of :mod:`cqedw.dynamics`.
+    Closed-system runs give a (T, N+2) stack of amplitudes and carry the ket
     from segment to segment, and :func:`evolve_unitary` checks each ket once.
-    With ``noise``, the result is a (T, d, d) stack of density matrices from
-    one :func:`evolve_lindblad` call, which restricts the whole schedule to
-    one reachable block and carries its real coordinates from segment to
-    segment.
+    With ``noise``, the result is a (T, N+2, N+2) stack of density matrices
+    from one :func:`evolve_lindblad` call, which carries real coordinates
+    from segment to segment.
     """
-    psi = _pi_pulsed(config.spec, source)
+    psi = pi_pulsed(config.spec, source)
     segments = [(_hamiltonian(config, r), t) for r, t in before]
     h = _hamiltonian(config, resonant)
     if noise:
@@ -136,27 +135,14 @@ def _qubit_state(
 ) -> DensityMatrix:
     """The state after every segment in turn, with the cavity traced out.
 
-    The propagator has checked the final ket, or the final density matrix on
-    its block; only the reduced qubit state is checked again.
+    The propagator has checked the final ket or density matrix on the
+    sector; only the 2**N x 2**N qubit state is checked again.
     """
     *before, (resonant, duration) = segments
     final = _propagate(config, source, before, resonant, noise, [duration])[0]
     if not noise:
         final = np.outer(final, final.conj())
-    return partial_trace(final, config.spec)
-
-
-def population_stack(stack: np.ndarray, spec: HilbertSpec) -> tuple[np.ndarray, ...]:
-    """(per-qubit excited (T, N), all-ground (T,), mean photon number (T,)) of a stack.
-
-    ``stack`` holds T amplitude vectors, (T, d), or T density matrices, (T, d, d).
-    """
-    ops = operator_table(spec)
-    return (
-        np.stack([expectation_stack(op, stack) for op in ops.excited], axis=1),
-        expectation_stack(ops.all_ground, stack),
-        expectation_stack(ops.number, stack),
-    )
+    return DensityMatrix(qubit_state(final), HilbertSpec(config.spec.num_qubits, 0))
 
 
 def _load(config: SystemConfig, source: int) -> tuple[tuple[int], float]:
@@ -166,8 +152,6 @@ def _load(config: SystemConfig, source: int) -> tuple[tuple[int], float]:
     """
     if not 0 <= source < config.spec.num_qubits:
         raise ConfigError(f"source qubit {source} out of range")
-    if config.spec.photon_cutoff < 1:
-        raise ConfigError("photon cutoff must be >= 1 to host the photon")
     return (source,), np.pi / (2 * abs(config.qubits[source].coupling_g))
 
 
@@ -187,8 +171,9 @@ def rabi_scan(
     :func:`_propagate` call, the step every schedule takes.  One
     Hamiltonian and one propagator (one ``eigh``, or one Lindblad generator
     and one stacked ``expm``) serve every tau.  A noisy scan continues from
-    the loaded state's real coordinates on the schedule's one reachable
-    block, and every state and population is still checked per tau.
+    the loaded state's real coordinates, and every state is still checked
+    per tau.  The populations are read off the sector by
+    :func:`~cqedw.dynamics.populations`.
     """
     part = sorted(set(participating))
     if not part:
@@ -206,7 +191,7 @@ def rabi_scan(
 
     stack = _propagate(config, part[0], [_load(config, part[0])], part, noise, tau)
     labels = tuple(q.label for q in config.qubits)
-    return PopulationTrace(tau, *population_stack(stack, config.spec), labels)
+    return PopulationTrace(tau, *populations(stack), labels)
 
 
 def collective_interaction_time(config: SystemConfig) -> float:

@@ -64,6 +64,11 @@ DEFAULT_READOUT_COEFFICIENTS = (0.0, 1.0, 0.95, 0.9, 0.85, 0.8, 0.75, 0.7)
 
 RECORDS_HEADER = "rotation_label_A,rotation_label_B,rotation_label_C,value"
 
+# Largest condition number of the traceless design accepted.  Beyond about
+# 1e15 the outcomes no longer carry the weakly sensed components in float64;
+# the default readout has 26 and the weak-correlation one 155.
+MAX_CONDITION = 1e8
+
 
 def pauli_matrix(label: str) -> np.ndarray:
     """Tensor-product Pauli string; label reads (C, B, A) left to right."""
@@ -137,9 +142,12 @@ class TomographySet:
 
         Tr(rho) = 1 is not measured but pins the identity component.  The row
         e_0 always adds exactly one dimension to the traceless block, whose
-        rank counts its singular values above 1e-9.
+        rank counts its singular values above s_max * 64 * eps, numpy's
+        default ``matrix_rank`` rule.  The rule is relative, so rescaling
+        the readout does not change the verdict.
         """
-        return int(np.count_nonzero(self._svd[1] > 1e-9)) + 1
+        s = self._svd[1]
+        return int(np.count_nonzero(s > s[0] * 64 * np.finfo(float).eps)) + 1
 
     @cached_property
     def _traceless_pinv(self) -> np.ndarray:
@@ -162,7 +170,8 @@ def tomography_set(readout: np.ndarray) -> TomographySet:
     one-qubit rotations, multiplied in the order of
     ``np.kron(R_c, np.kron(R_b, R_a))``, and every U^+ M U is one batched
     matmul.  Labels run over ``itertools.product`` of the rotation names,
-    C fastest.  Raises if the set is rank-deficient.
+    C fastest.  Raises IncompleteReadoutError if the set is rank-deficient
+    or the condition number of its traceless design exceeds MAX_CONDITION.
     """
     labels = tuple(itertools.product(FULL_ROTATION_LABELS, repeat=3))
     rot = np.stack([ROTATIONS[l] for l in FULL_ROTATION_LABELS])
@@ -170,8 +179,13 @@ def tomography_set(readout: np.ndarray) -> TomographySet:
     u = np.einsum("cpq,baxy->abcpxqy", rot, ba).reshape(64, 8, 8)  # R_c (x) (R_b (x) R_a)
     tset = TomographySet(u.conj().swapaxes(1, 2) @ readout @ u, labels)
     rank = tset.completeness_rank()
-    if rank != 64:
-        raise IncompleteReadoutError(f"tomography set has rank {rank}, expected 64")
+    s = tset._svd[1]
+    cond = s[0] / s[-1] if s[-1] else np.inf
+    if rank != 64 or cond > MAX_CONDITION:
+        raise IncompleteReadoutError(
+            f"tomography set has rank {rank} of 64 and condition number {cond:.3g}"
+            f" (at most {MAX_CONDITION:g} accepted)"
+        )
     return tset
 
 

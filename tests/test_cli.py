@@ -235,6 +235,94 @@ def test_oversized_device_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_nonfinite_detuning_exits_2(tmp_path, capsys):
+    # a bias or resonator frequency of 1e300 GHz overflows the detuning to inf;
+    # the ideal runs used to exit 1 with numpy's LinAlgError from eigh, the
+    # noisy ones 3 with a non-finite density matrix
+    bad = tmp_path / "huge.json"
+    default = device_to_json(preset_device())
+    qubits = [{**q, "bias_ghz": 1e300} if q["label"] == "B" else q for q in default["qubits"]]
+    huge_bias = {**default, "qubits": qubits}
+    huge_resonator = {**default, "resonator": {**default["resonator"], "omega_r_ghz": 1e300}}
+    scan = {"participating": ["A"], "tau_start_ns": 0.0, "tau_stop_ns": 10.0, "num_points": 11}
+    for device, experiment, params, named in ((huge_bias, "rabi_scan", scan, "B"),
+                                              (huge_resonator, "w_sequential", {}, "A, B, C")):
+        for noise in (False, True):
+            write_config(bad, device=device, experiment=experiment, noise=noise, seed=1, params=params)
+            assert run_cli("run", "--config", bad, "--quiet") == 2, (experiment, noise)
+            assert f"qubit {named}: detuning is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_point_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # num_points 10**13 used to exit 1 with numpy's _ArrayMemoryError (72.8 TiB);
+    # the cap is checked before the grid is allocated, for either kind of grid
+    bad = tmp_path / "many.json"
+    scan = {"participating": ["A"], "tau_start_ns": 0.0, "tau_stop_ns": 10.0}
+    write_config(bad, params={**scan, "num_points": 10**13})
+    assert run_cli("run", "--config", bad, "--quiet") == 2
+    assert f"10000000000000 interaction times, more than {cli.MAX_POINTS}" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "MAX_POINTS", 21)
+    grid = list(np.linspace(0.0, 10.0, 22))
+    for params, code in (({**scan, "num_points": 21}, 0), ({**scan, "num_points": 22}, 2),
+                         ({"participating": ["A"], "tau_grid_ns": grid[:21]}, 0),
+                         ({"participating": ["A"], "tau_grid_ns": grid}, 2)):
+        write_config(bad, params=params)
+        assert run_cli("run", "--config", bad, "--quiet") == code, params
+
+
+def test_ill_conditioned_readout_exits_2(tmp_path, capsys):
+    # a design whose condition number exceeds tomography.MAX_CONDITION is
+    # rejected by run and by reconstruct --readout; [0, 1e14, 1, ...] used to
+    # exit 0 with a state of fidelity 0.95 at sigma = 0
+    tset = tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
+    w = pure_density(entanglement.W_PAPER)
+    records = tmp_path / "records.csv"
+    records.write_text(tomography.records_to_csv(tomography.simulate_measurements(w, tset, 0.0, 0), tset))
+    cfg, readout = tmp_path / "tomo.json", tmp_path / "readout.json"
+    for coefficients in ([0, 1e14, 1, 1, 1, 1, 1, 1], [0, 1, 0.95, 0.9, 0.85, 0.8, 0.75, 1e-300]):
+        write_config(cfg, experiment="tomography", seed=5,
+                     params={"sigma": 0.0, "readout_coefficients": coefficients})
+        assert run_cli("run", "--config", cfg, "--quiet") == 2
+        assert "condition number" in capsys.readouterr().err
+        readout.write_text(json.dumps({"coefficients": coefficients}))
+        assert run_cli("reconstruct", records, "--readout", readout, "--out", tmp_path / "rec") == 2
+        assert "condition number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "rec").exists()
+
+
+def test_artifacts_do_not_depend_on_the_photon_cutoff(tmp_path):
+    # every schedule runs on the N + 2 single-excitation states, so the cutoff
+    # changes no byte; ideal runs used to move in their last bits with the size
+    # of the eigendecomposition
+    cfg = tmp_path / "cfg.json"
+    scan = {"participating": ["A", "B", "C"], "tau_start_ns": 0.0, "tau_stop_ns": 10.0, "num_points": 21}
+    runs = {
+        "scan": ("rabi_scan", scan),
+        "scan_cb": ("rabi_scan", {**scan, "participating": ["C", "B"]}),
+        "collective": ("w_collective", {}),
+        "collective_a": ("w_collective", {"source_qubit": 0, "phase_correct": False}),
+        "sequential": ("w_sequential", {}),
+        "tomography": ("tomography", {"sigma": 0.02, "state": "w_sequential"}),
+    }
+    outputs = {}
+    for preset in ("paper-default", "paper-crosstalk-2pct"):
+        for noise in (False, True):
+            for cutoff in (1, 2, 8):
+                device = {**device_to_json(preset_device(preset)), "photon_cutoff": cutoff}
+                for name, (experiment, params) in runs.items():
+                    out = tmp_path / f"{preset}_{noise}_{cutoff}_{name}"
+                    write_config(cfg, device=device, experiment=experiment, noise=noise, seed=5,
+                                 output_dir=str(out), params=params)
+                    assert run_cli("run", "--config", cfg, "--quiet") == 0
+                    for path in out.iterdir():
+                        if path.name != "manifest.json":
+                            key = (preset, noise, name, path.name)
+                            outputs.setdefault(key, set()).add(path.read_bytes())
+    assert len(outputs) == 2 * 2 * (2 * 2 + 3 * 2 + 5)
+    assert [key for key, found in outputs.items() if len(found) > 1] == []
+
+
 def test_readme_matches_config_schema(tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     # each key table in the README lists exactly the keys its schema table reads

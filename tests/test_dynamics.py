@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,41 +12,40 @@ from cqedw.device import decoherence_rates
 from cqedw.dynamics import (
     _hermitian_basis,
     _lindblad_generator,
-    _reachable,
     build_hamiltonian,
     collapse_operators,
     evolve_lindblad,
     evolve_unitary,
-    single_excitation_oracle,
+    pi_pulsed,
+    populations,
 )
 from cqedw.errors import ConfigError, NumericalError
-from cqedw.hilbert import (
+from cqedw.hilbert import SIGMA_Z, HilbertSpec, qubit_rotation
+from conftest import (
     PROJ_EXCITED,
+    PROJ_GROUND,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    SIGMA_Z,
-    HilbertSpec,
+    basis_ket,
     cavity_annihilation,
     cavity_number,
     embed_qubit_operator,
-    expectation_stack,
-)
-from conftest import (
-    basis_index,
-    basis_ket,
     equal_coupling_device,
     expectation,
     preset_device,
     projector,
-    random_pure,
+    restrict,
+    sector_indices,
+    sector_ket,
+    single_excitation_oracle,
+    zero_padded,
 )
 
-
-def single_excitation_indices(spec):
-    return [basis_index(spec, [j]) for j in range(spec.num_qubits)] + [basis_index(spec, [], 1)]
+ONE_EXCITATION = slice(1, None)  # sector positions of |e_j,0> and |g...g,1>
 
 
 def excitation_number(spec):
+    """Full-space reference a^dag a + sum_j (sigma_z_j + 1) / 2."""
     n_exc = cavity_number(spec).copy()
     for j in range(spec.num_qubits):
         n_exc += (embed_qubit_operator(SIGMA_Z, j, spec) + np.eye(spec.dim)) / 2
@@ -52,7 +53,7 @@ def excitation_number(spec):
 
 
 def rk4_lindblad(rho, h, collapse, t, dt):
-    """Fixed-step RK4 on the full-space Lindblad equation, an independent reference."""
+    """Fixed-step RK4 on the Lindblad equation, an independent reference."""
     acc = sum((l.conj().T @ l for l in collapse), np.zeros_like(h))
 
     def rhs(r):
@@ -83,50 +84,128 @@ def full_space_expm(rho, h, collapse, t):
 
 
 def kron_hamiltonian(cfg, detunings, coupled=None):
-    """H/hbar summed term by term from explicit Kronecker products (qubit 0 fastest)."""
+    """Full-space H/hbar summed term by term from the Kronecker references (qubit 0 fastest)."""
     spec = cfg.spec
-    n = spec.num_qubits
-    a = np.kron(np.diag(np.sqrt(np.arange(1.0, spec.cavity_dim)), k=1), np.eye(2**n))
-
-    def embed(op2, j):
-        full = np.eye(spec.cavity_dim)
-        for k in reversed(range(n)):
-            full = np.kron(full, op2 if k == j else np.eye(2))
-        return full
-
+    a = cavity_annihilation(spec)
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
     for j, q in enumerate(cfg.qubits):
-        h += 0.5 * detunings[j] * embed(SIGMA_Z, j)
+        h = h + 0.5 * detunings[j] * embed_qubit_operator(SIGMA_Z, j, spec)
         if coupled is None or j in coupled:
-            h += q.coupling_g * (a.T @ embed(SIGMA_MINUS, j) + embed(SIGMA_PLUS, j) @ a)
+            exchange = (a.conj().T @ embed_qubit_operator(SIGMA_MINUS, j, spec)
+                        + embed_qubit_operator(SIGMA_PLUS, j, spec) @ a)
+            h = h + q.coupling_g * exchange
     return h
 
 
+def kron_collapse(cfg):
+    """Full-space jump operators: per qubit relaxation then dephasing, cavity loss last."""
+    spec = cfg.spec
+    ops = []
+    for j, q in enumerate(cfg.qubits):
+        rates = decoherence_rates(q, cfg.resonator)
+        ops.append(np.sqrt(rates.gamma1) * embed_qubit_operator(SIGMA_MINUS, j, spec))
+        ops.append(np.sqrt(rates.gamma_phi / 2) * embed_qubit_operator(SIGMA_Z, j, spec))
+    kappa = decoherence_rates(cfg.qubits[0], cfg.resonator).kappa
+    ops.append(np.sqrt(kappa) * cavity_annihilation(spec))
+    return np.array(ops)
+
+
+def subsets(n):
+    return [c for k in range(n + 1) for c in itertools.combinations(range(n), k)]
+
+
 def test_build_hamiltonian_matches_kron_reference():
-    detunings = [1e8, -2e8, 3e8]
+    # bit for bit the full-space Kronecker sum restricted to (0, 2^j, 2^N), for
+    # every coupled subset, at two cutoffs and on seeded detunings
+    rng = np.random.default_rng(4)
     for cutoff in (1, 2):
         cfg = preset_device(photon_cutoff=cutoff)
-        for coupled in (None, (0, 2), ()):
-            h = build_hamiltonian(cfg, detunings, coupled=coupled)
-            ref = kron_hamiltonian(cfg, detunings, coupled)
-            assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max(), (cutoff, coupled)
-            assert np.abs(h - h.conj().T).max() < 1e-12
+        for detunings in ([1e8, -2e8, 3e8], 2 * np.pi * 1e8 * rng.standard_normal(3)):
+            for coupled in [None, *subsets(3)]:
+                h = build_hamiltonian(cfg, detunings, coupled=coupled)
+                ref = kron_hamiltonian(cfg, detunings, coupled)
+                assert h.shape == (5, 5) and not h.flags.writeable
+                assert np.array_equal(h, restrict(ref, cfg.spec)), (cutoff, coupled)
+                assert np.abs(h - h.conj().T).max() == 0.0
+
+
+def test_sector_is_invariant_under_every_operator():
+    # no full-space H, L_k or L_k^+ L_k has an entry from a sector column into a
+    # row outside the sector, so the sector's span holds every propagated state
+    rng = np.random.default_rng(9)
+    for cutoff in (1, 2, 3):
+        for n in (1, 2, 3):
+            cfg = preset_device(photon_cutoff=cutoff) if n == 3 else equal_coupling_device(n, photon_cutoff=cutoff)
+            inside = np.zeros(cfg.spec.dim, dtype=bool)
+            inside[sector_indices(cfg.spec)] = True
+            cs = kron_collapse(cfg)
+            ops = [*cs, *(c.conj().T @ c for c in cs)]
+            for coupled in subsets(n):
+                ops.append(kron_hamiltonian(cfg, 2 * np.pi * 1e8 * rng.standard_normal(n), coupled))
+            for op in ops:
+                assert not op[np.ix_(~inside, inside)].any(), (cutoff, n)
+
+
+def test_sector_requires_a_photon():
+    cfg = preset_device(photon_cutoff=0)
+    for build in (lambda: build_hamiltonian(cfg, [0.0] * 3), lambda: collapse_operators(cfg),
+                  lambda: pi_pulsed(cfg.spec, 0)):
+        with pytest.raises(ConfigError, match="photon cutoff"):
+            build()
+
+
+def test_nonfinite_detuning_names_its_qubit():
+    cfg = preset_device()
+    for detunings, named in (([0.0, np.inf, 0.0], "B"), ([np.nan, 0.0, -np.inf], "A, C")):
+        with pytest.raises(ConfigError, match=f"qubit {named}: detuning is not finite"):
+            build_hamiltonian(cfg, detunings)
+
+
+def test_pi_pulsed_is_the_restricted_full_space_pulse():
+    for cutoff in (1, 2):
+        spec = preset_device(photon_cutoff=cutoff).spec
+        for q in range(3):
+            column = embed_qubit_operator(qubit_rotation("x", np.pi), q, spec)[:, 0]
+            psi = pi_pulsed(spec, q)
+            assert np.array_equal(psi, column[sector_indices(spec)])
+            assert np.abs(column).sum() - np.abs(psi).sum() == 0.0  # nothing outside the sector
+        for q in (-1, 3):  # would land on |g...g,1> or |e_C,0>
+            with pytest.raises(ConfigError, match="out of range"):
+                pi_pulsed(spec, q)
+
+
+def test_populations_match_full_space_references():
+    spec = preset_device(photon_cutoff=2).spec
+    rng = np.random.default_rng(12)
+    all_ground = np.eye(spec.dim, dtype=complex)
+    for j in range(3):
+        all_ground = all_ground @ embed_qubit_operator(PROJ_GROUND, j, spec)
+    refs = [embed_qubit_operator(PROJ_EXCITED, j, spec) for j in range(3)]
+    refs += [all_ground, cavity_number(spec)]
+    kets = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    mats = np.array([projector(k) for k in kets])
+    full_kets = np.zeros((4, spec.dim), dtype=complex)
+    full_kets[:, sector_indices(spec)] = kets
+    for stack, full in ((kets, full_kets), (mats, [zero_padded(m, spec) for m in mats])):
+        excited, ground, photons = populations(stack)
+        got = np.column_stack([excited, ground, photons])
+        want = np.array([[expectation(op, f) for op in refs] for f in full])
+        assert np.abs(got - want).max() < 1e-15
 
 
 def test_single_qubit_resonant_eigenvalues():
     cfg = equal_coupling_device(1, g_over_pi_mhz=100.0, photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0])
     g = cfg.qubits[0].coupling_g
-    idx = single_excitation_indices(cfg.spec)
-    block = h[np.ix_(idx, idx)]
+    block = h[ONE_EXCITATION, ONE_EXCITATION]
     assert np.allclose(np.linalg.eigvalsh(block), [-g, g])
 
 
 def test_three_qubit_resonant_eigenvalues_brute_force():
     cfg = preset_device(photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
-    idx = single_excitation_indices(cfg.spec)
-    block = h[np.ix_(idx, idx)]
+    block = h[ONE_EXCITATION, ONE_EXCITATION]
     eig = np.sort(np.linalg.eigvalsh(block))
     g_tot = np.sqrt((cfg.couplings() ** 2).sum())
     assert np.allclose(eig, [-g_tot, 0.0, 0.0, g_tot], atol=1e-6 * g_tot)
@@ -142,13 +221,13 @@ def test_zero_couplings_hamiltonian_diagonal():
 def test_evolve_unitary_basics():
     cfg = equal_coupling_device(1, g_over_pi_mhz=100.0, photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0])
-    psi0 = basis_ket(cfg.spec, [0], 0)
+    psi0 = sector_ket(cfg.spec, [0], 0)
     g = cfg.qubits[0].coupling_g
     t_swap = np.pi / (2 * g)
     stack = evolve_unitary(psi0, h, [0.0, t_swap])
-    assert stack.shape == (2, cfg.spec.dim)
+    assert stack.shape == (2, 3)
     assert np.array_equal(stack[0], psi0)  # a zero time returns psi unchanged
-    target = -1j * basis_ket(cfg.spec, [], 1)
+    target = -1j * sector_ket(cfg.spec, [], 1)
     assert np.abs(stack[1] - target).max() < 1e-10
 
     back = evolve_unitary(stack[1], h, [-t_swap])[0]
@@ -164,42 +243,34 @@ def test_evolve_unitary_rejects_non_hermitian():
 
 
 def test_collapse_operators_stack_order_and_rates():
-    cfg = preset_device(photon_cutoff=2)
-    spec = cfg.spec
-    cs = collapse_operators(cfg)
-    assert cs.shape == (2 * spec.num_qubits + 1, spec.dim, spec.dim)
-    assert not cs.flags.writeable
-    expected = []
-    for j, q in enumerate(cfg.qubits):  # relaxation, then dephasing, per qubit
-        rates = decoherence_rates(q, cfg.resonator)
-        expected.append(np.sqrt(rates.gamma1) * embed_qubit_operator(SIGMA_MINUS, j, spec))
-        expected.append(np.sqrt(rates.gamma_phi / 2) * embed_qubit_operator(SIGMA_Z, j, spec))
-    kappa = decoherence_rates(cfg.qubits[0], cfg.resonator).kappa
-    expected.append(np.sqrt(kappa) * cavity_annihilation(spec))  # cavity loss last
-    for k, op in enumerate(expected):
-        assert np.array_equal(cs[k], op), k
+    # bit for bit the full-space references restricted to the sector
+    for cutoff in (1, 2):
+        cfg = preset_device(photon_cutoff=cutoff)
+        cs = collapse_operators(cfg)
+        assert cs.shape == (2 * 3 + 1, 5, 5)
+        assert not cs.flags.writeable
+        assert np.array_equal(cs, restrict(kron_collapse(cfg), cfg.spec))
 
 
 def test_lindblad_closed_system_matches_unitary():
     cfg = preset_device(photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
-    psi0 = basis_ket(cfg.spec, [], 1)
+    psi0 = sector_ket(cfg.spec, [], 1)
     rho = evolve_lindblad(projector(psi0), [], h, [], [3e-9])
     psi = evolve_unitary(psi0, h, [3e-9])
-    assert rho.shape == (1, cfg.spec.dim, cfg.spec.dim)
+    assert rho.shape == (1, 5, 5)
     assert np.abs(rho[0] - np.outer(psi[0], psi[0].conj())).max() < 1e-8
 
 
 def test_lindblad_t1_only_exponential_decay():
     cfg = equal_coupling_device(1, photon_cutoff=1)
-    spec = cfg.spec
-    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    h = np.zeros((3, 3), dtype=complex)
     t1 = cfg.qubits[0].t1
     channel = collapse_operators(cfg)[:1]  # qubit 0's relaxation
-    rho0 = projector(basis_ket(spec, [0], 0))
+    rho0 = projector(sector_ket(cfg.spec, [0], 0))
     t = 300e-9
     rho = evolve_lindblad(rho0, [], h, channel, [t])
-    p_e = expectation_stack(embed_qubit_operator(PROJ_EXCITED, 0, spec), rho)[0]
+    p_e = populations(rho)[0][0, 0]
     assert abs(p_e - np.exp(-t / t1)) < 1e-12
 
 
@@ -219,39 +290,48 @@ def test_lindblad_w_sequential_matches_fine_step_rk4(monkeypatch):
     assert np.abs(exact - reference).max() < 2e-6
 
 
-def test_lindblad_restricted_matches_full_space_expm():
+def test_lindblad_restricted_matches_full_space_expm(monkeypatch):
     cfg = preset_device(photon_cutoff=2)
     spec = cfg.spec
-    h = build_hamiltonian(cfg, 2 * np.pi * np.array([30e6, -45e6, 10e6]))
-    cs = collapse_operators(cfg)
-    ops = [h, *cs, *(c.conj().T @ c for c in cs)]
-    starts = [
-        # |ggg,1> reaches the three |e_j,0> and |ggg,0>
-        (projector(basis_ket(spec, [], 1)), 5),
-        # the maximally mixed state has full support
-        (np.eye(spec.dim, dtype=complex) / spec.dim, spec.dim),
-    ]
+    detunings = 2 * np.pi * np.array([30e6, -45e6, 10e6])
+    h_full, cs_full = kron_hamiltonian(cfg, detunings), kron_collapse(cfg)
     t = 50e-9
-    for rho0, support in starts:
-        assert _reachable(rho0, ops).sum() == support
-        out = evolve_lindblad(rho0, [], h, cs, [t])[0]
-        ref = full_space_expm(rho0, h, cs, t)
-        assert np.abs(out - ref).max() < 1e-12
-        assert abs(np.trace(out).real - 1.0) < 1e-12
-    # both multi-segment W preparations, each propagated on one 5-state block,
-    # against every segment taken in turn on the full 24-state space
+    # the generic propagator on the full-space references, from full support
+    mixed = np.eye(spec.dim, dtype=complex) / spec.dim
+    out = evolve_lindblad(mixed, [], h_full, cs_full, [t])[0]
+    assert np.abs(out - full_space_expm(mixed, h_full, cs_full, t)).max() < 1e-12
+    assert abs(np.trace(out).real - 1.0) < 1e-12
+    # |ggg,1> on the sector against the full space, which stays zero outside it
+    start = sector_ket(spec, [], 1)
+    out = evolve_lindblad(projector(start), [], build_hamiltonian(cfg, detunings),
+                          collapse_operators(cfg), [t])[0]
+    ref = full_space_expm(projector(basis_ket(spec, [], 1)), h_full, cs_full, t)
+    assert np.abs(zero_padded(out, spec) - ref).max() < 1e-12
+    # both multi-segment W preparations, each propagated on the 5-state sector,
+    # against every segment taken in turn on the full 24-state space, built from
+    # the detunings and coupled set that each segment asked for
+    seen = []
+    build = protocols.build_hamiltonian
+
+    def recorded(config, detunings, coupled):
+        seen.append((np.array(detunings), tuple(coupled)))
+        return build(config, detunings, coupled=coupled)
+
+    monkeypatch.setattr(protocols, "build_hamiltonian", recorded)
     for preset in ("paper-default", "paper-crosstalk-2pct"):
         cfg = named_preset(preset)
-        cs = collapse_operators(cfg)
+        cs_full = kron_collapse(cfg)
         collective = [protocols._load(cfg, 2), ((0, 1, 2), protocols.collective_interaction_time(cfg))]
         sequential = list(zip(((2,), (1,), (0,)), protocols.sequential_swap_times(cfg)))
         for segments in (collective, sequential):
             *before, (resonant, duration) = segments
+            seen.clear()
             out = protocols._propagate(cfg, 2, before, resonant, True, [duration])[0]
-            ref = projector(protocols._pi_pulsed(cfg.spec, 2))
-            for r, t in segments:
-                ref = full_space_expm(ref, protocols._hamiltonian(cfg, r), cs, t)
-            assert np.abs(out - ref).max() < 1e-12, preset
+            ref = projector(embed_qubit_operator(qubit_rotation("x", np.pi), 2, cfg.spec)[:, 0])
+            for (detunings, coupled), (_, t) in zip(seen, segments):
+                ref = full_space_expm(ref, kron_hamiltonian(cfg, detunings, coupled), cs_full, t)
+            assert len(seen) == len(segments)
+            assert np.abs(zero_padded(out, cfg.spec) - ref).max() < 1e-12, preset
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 24])
@@ -270,7 +350,7 @@ def test_lindblad_positivity():
     cfg = preset_device(photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     cs = collapse_operators(cfg)
-    rho0 = projector(basis_ket(cfg.spec, [2], 0))
+    rho0 = projector(sector_ket(cfg.spec, [2], 0))
     stack = evolve_lindblad(rho0, [], h, cs, 5e-9 * np.arange(1, 5))
     assert np.linalg.eigvalsh(stack).min() >= -1e-7
 
@@ -278,7 +358,7 @@ def test_lindblad_positivity():
 def test_lindblad_rejects_bad_inputs():
     cfg = preset_device(photon_cutoff=1)
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
-    rho0 = projector(basis_ket(cfg.spec, [], 0))
+    rho0 = projector(sector_ket(cfg.spec, [], 0))
     with pytest.raises(ConfigError):
         evolve_lindblad(rho0, [], h, [], [0.0, -1e-9])
     with pytest.raises(ConfigError):  # a segment run before the last one
@@ -325,19 +405,19 @@ def test_oracle_detuned_single_qubit_against_2x2_eigensolve():
 
 
 def test_oracle_equivalence_full_space():
-    # acceptance criterion 5: full unitary vs small-block oracle, N = 1..3
+    # acceptance criterion 5: the sector propagator, and the full-space reference
+    # Hamiltonian's propagator, against the small-block oracle, N = 1..3
     for n in (1, 2, 3):
         cfg = preset_device(photon_cutoff=2) if n == 3 else equal_coupling_device(n, photon_cutoff=2)
         g = cfg.couplings()
         detunings = np.zeros(n)
-        h = build_hamiltonian(cfg, detunings)
-        psi0 = basis_ket(cfg.spec, [], 1)
-        idx = single_excitation_indices(cfg.spec)
         times = np.linspace(0.0, 12e-9, 50)
-        full = evolve_unitary(psi0, h, times)[:, idx]
         oracle = np.array([single_excitation_oracle(g, detunings, t) for t in times])
-        worst = np.abs(full - oracle).max()
-        assert worst < 1e-8, f"N={n}: {worst}"
+        sector = evolve_unitary(sector_ket(cfg.spec, [], 1), build_hamiltonian(cfg, detunings), times)
+        full = evolve_unitary(basis_ket(cfg.spec, [], 1), kron_hamiltonian(cfg, detunings), times)
+        for amps in (sector[:, ONE_EXCITATION], full[:, sector_indices(cfg.spec)[1:]]):
+            worst = np.abs(amps - oracle).max()
+            assert worst < 1e-8, f"N={n}: {worst}"
 
 
 def test_oracle_equivalence_with_detunings():
@@ -345,12 +425,11 @@ def test_oracle_equivalence_with_detunings():
     g = cfg.couplings()
     detunings = 2 * np.pi * np.array([30e6, -45e6, 10e6])
     h = build_hamiltonian(cfg, detunings)
-    psi0 = basis_ket(cfg.spec, [], 1)
-    idx = single_excitation_indices(cfg.spec)
+    psi0 = sector_ket(cfg.spec, [], 1)
     times = np.linspace(0.0, 10e-9, 25)
-    full = evolve_unitary(psi0, h, times)[:, idx]
+    sector = evolve_unitary(psi0, h, times)[:, ONE_EXCITATION]
     oracle = np.array([single_excitation_oracle(g, detunings, t) for t in times])
-    assert np.abs(full - oracle).max() < 1e-8
+    assert np.abs(sector - oracle).max() < 1e-8
 
 
 def test_dark_state_is_stationary():
@@ -359,9 +438,8 @@ def test_dark_state_is_stationary():
     # c with sum_j g_j c_j = 0, no cavity amplitude
     c = np.array([g[1], -g[0], 0.0], dtype=complex)
     c /= np.linalg.norm(c)
-    psi0 = np.zeros(cfg.spec.dim, dtype=complex)
-    for j in range(3):
-        psi0[basis_index(cfg.spec, [j])] = c[j]
+    psi0 = np.zeros(5, dtype=complex)
+    psi0[1:4] = c  # |e_A,0>, |e_B,0>, |e_C,0>
     h = build_hamiltonian(cfg, np.zeros(3))
     out = evolve_unitary(psi0, h, [7e-9])[0]
     assert np.abs(np.abs(out) ** 2 - np.abs(psi0) ** 2).max() < 1e-9
@@ -370,16 +448,17 @@ def test_dark_state_is_stationary():
 def test_excitation_conservation():
     cfg = preset_device(photon_cutoff=2)
     spec = cfg.spec
-    n_op = excitation_number(spec)
+    n_op = restrict(excitation_number(spec), spec)  # diag(0, 1, 1, 1, 1)
     h = build_hamiltonian(cfg, 2 * np.pi * np.array([5e6, -3e6, 1e6]))
     comm = h @ n_op - n_op @ h
     assert np.abs(comm).max() < 1e-9 * np.abs(h).max()
 
     rng = np.random.default_rng(17)
-    psi = random_pure(spec, rng)
+    psi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    psi /= np.linalg.norm(psi)
     ref = expectation(n_op, psi)
-    vals = expectation_stack(n_op, evolve_unitary(psi, h, np.linspace(0, 8e-9, 20)))
-    assert np.abs(vals - ref).max() < 1e-9
+    vals = [expectation(n_op, p) for p in evolve_unitary(psi, h, np.linspace(0, 8e-9, 20))]
+    assert np.abs(np.array(vals) - ref).max() < 1e-9
 
 
 def test_frame_gauge_invariance():
@@ -392,8 +471,8 @@ def test_frame_gauge_invariance():
     h1 = build_hamiltonian(cfg, delta)
     # working in the frame rotating at omega_r - c: detunings gain c and the
     # cavity term c a^dag a reappears
-    h2 = build_hamiltonian(cfg, delta + shift) + shift * cavity_number(spec)
-    psi0 = basis_ket(spec, [], 1)
+    h2 = build_hamiltonian(cfg, delta + shift) + shift * restrict(cavity_number(spec), spec)
+    psi0 = sector_ket(spec, [], 1)
     times = np.linspace(0, 9e-9, 15)
     p1 = np.abs(evolve_unitary(psi0, h1, times)) ** 2
     p2 = np.abs(evolve_unitary(psi0, h2, times)) ** 2
@@ -424,18 +503,19 @@ def random_device(g_over_pi_mhz):
 def test_lindblad_invariants_on_random_devices(g, delta, amps, boost):
     cfg = random_device(g)
     spec = cfg.spec
-    vec = np.zeros(spec.dim, dtype=complex)
-    vec[single_excitation_indices(spec)] = amps
+    vec = np.zeros(5, dtype=complex)
+    vec[ONE_EXCITATION] = amps
     if np.linalg.norm(vec) < 1e-3:
-        vec[basis_index(spec, [], 1)] = 1.0
+        vec[4] = 1.0  # |ggg,1>
     rho = projector(vec / np.linalg.norm(vec))
     h = build_hamiltonian(cfg, 2 * np.pi * 1e6 * np.array(delta))
     # boosted rates make the dissipators visible within a few nanoseconds
     cs = np.sqrt(boost) * collapse_operators(cfg)
-    n_op = excitation_number(spec)
+    n_op = restrict(excitation_number(spec), spec)
     n_prev = expectation(n_op, rho)
     stack = evolve_lindblad(rho, [], h, cs, 2e-9 * np.arange(1, 5))
-    for m, n_now in zip(stack, expectation_stack(n_op, stack)):
+    for m in stack:
+        n_now = expectation(n_op, m)
         assert abs(np.trace(m).real - 1.0) < 1e-10
         assert np.abs(m - m.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(m).min() >= -1e-10
@@ -446,20 +526,18 @@ def test_lindblad_invariants_on_random_devices(g, delta, amps, boost):
 @settings(max_examples=20, deadline=None)
 @given(g=couplings_mhz, delta=detunings_mhz, boost=st.floats(1.0, 1e3))
 def test_lindblad_generator_real_in_hermitian_basis(g, delta, boost):
-    # the devices and boosted rates of the invariants test, from one excitation
-    # (5 reachable states) and from full support (all 16)
+    # the devices and boosted rates of the invariants test, on the 5-state
+    # sector and on the full 16-state space of the references
     cfg = random_device(g)
-    spec = cfg.spec
-    h = build_hamiltonian(cfg, 2 * np.pi * 1e6 * np.array(delta))
-    cs = np.sqrt(boost) * collapse_operators(cfg)
-    mixed = np.eye(spec.dim, dtype=complex) / spec.dim
-    decay = np.swapaxes(cs.conj(), -1, -2) @ cs
-    for rho, n in ((projector(basis_ket(spec, [], 1)), 5), (mixed, spec.dim)):
-        keep = _reachable(rho, [h, *cs, *decay])
-        assert keep.sum() == n
-        sub = np.ix_(keep, keep)
-        gen = _lindblad_generator(h[sub], cs[:, keep][:, :, keep], decay.sum(axis=0)[sub])
+    detunings = 2 * np.pi * 1e6 * np.array(delta)
+    sector = (build_hamiltonian(cfg, detunings), collapse_operators(cfg))
+    full = (kron_hamiltonian(cfg, detunings), kron_collapse(cfg))
+    for (h, cs), n in ((sector, 5), (full, cfg.spec.dim)):
+        cs = np.sqrt(boost) * cs
+        decay = (np.swapaxes(cs.conj(), -1, -2) @ cs).sum(axis=0)
+        gen = _lindblad_generator(h, cs, decay)
         b = _hermitian_basis(n)
+        assert gen.shape == (n * n, n * n)
         assert np.abs((b.conj().T @ gen @ b).imag).max() <= 1e-12 * np.abs(gen).max()
 
 
@@ -467,10 +545,8 @@ def test_lindblad_generator_real_in_hermitian_basis(g, delta, boost):
 @given(g=couplings_mhz, delta=detunings_mhz, t_ns=st.floats(0.0, 20.0))
 def test_lindblad_closed_system_matches_oracle(g, delta, t_ns):
     cfg = random_device(g)
-    spec = cfg.spec
     detunings = 2 * np.pi * 1e6 * np.array(delta)
-    rho0 = projector(basis_ket(spec, [], 1))
+    rho0 = projector(sector_ket(cfg.spec, [], 1))
     rho = evolve_lindblad(rho0, [], build_hamiltonian(cfg, detunings), [], [t_ns * 1e-9])[0]
     psi = single_excitation_oracle(cfg.couplings(), detunings, t_ns * 1e-9)
-    idx = single_excitation_indices(spec)
-    assert np.abs(rho[np.ix_(idx, idx)] - np.outer(psi, psi.conj())).max() < 1e-9
+    assert np.abs(rho[ONE_EXCITATION, ONE_EXCITATION] - np.outer(psi, psi.conj())).max() < 1e-9

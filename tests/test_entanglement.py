@@ -9,7 +9,6 @@ from cqedw.entanglement import (
     W_PAPER,
     TangleEstimate,
     certification_report,
-    decomposition_average_tangle,
     fidelity,
     tangle_quartic,
     three_tangle_mixed,
@@ -22,6 +21,7 @@ from cqedw.hilbert import DensityMatrix, HilbertSpec
 from cqedw.protocols import apply_phase_correction, prepare_w_collective
 from conftest import (
     QUBIT_SPEC_3,
+    decomposition_average_tangle,
     preset_device,
     pure_density,
     random_density,

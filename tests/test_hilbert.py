@@ -1,35 +1,32 @@
 import numpy as np
 import pytest
 
+from cqedw.dynamics import qubit_state
 from cqedw.errors import ConfigError, NumericalError
 from cqedw.hilbert import (
     ID2,
     MAX_DIM,
-    PROJ_EXCITED,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
     SIGMA_Z,
     DensityMatrix,
     HilbertSpec,
-    cavity_annihilation,
-    cavity_number,
     check_density_stack,
     check_ket_stack,
-    embed_qubit_operator,
-    expectation_stack,
-    operator_table,
-    partial_trace,
 )
 from conftest import (
-    PROJ_GROUND,
+    SIGMA_MINUS,
     basis_index,
     basis_ket,
+    cavity_annihilation,
+    cavity_number,
+    embed_qubit_operator,
     expectation,
     ket_from_label,
+    partial_trace,
     pure_density,
     purity,
     random_density,
     random_pure,
+    zero_padded,
 )
 
 SPEC31 = HilbertSpec(num_qubits=3, photon_cutoff=1)
@@ -43,7 +40,7 @@ def test_dimensions():
 
 
 def test_dimension_limit():
-    # every operator is a dense d x d array, so d is capped at MAX_DIM = 1024
+    # the total dimension d of a device is capped at MAX_DIM = 1024 when it is read
     assert HilbertSpec(3, 127).dim == MAX_DIM
     assert HilbertSpec(8, 2).dim == 768
     for n, cutoff in ((3, 128), (9, 2), (3, 10**12), (3, 10**20)):
@@ -52,7 +49,7 @@ def test_dimension_limit():
 
 
 def test_basis_index_ordering():
-    # index = n * 2^N + sum_j bit_j 2^j, qubit A at bit 0, as the operators see it
+    # index = n * 2^N + sum_j bit_j 2^j, qubit A at bit 0, as the reference operators see it
     assert basis_index(SPEC31, [0], 0) == 1
     assert basis_index(SPEC31, [2], 0) == 4
     assert basis_index(SPEC31, [], 1) == 8
@@ -90,13 +87,6 @@ def test_embed_sigma_minus_on_qubit_c():
     assert np.count_nonzero(sm_c[:, 4]) == 1
 
 
-def test_embed_errors():
-    with pytest.raises(ConfigError):
-        embed_qubit_operator(SIGMA_Z, 3, SPEC31)
-    with pytest.raises(ConfigError):
-        embed_qubit_operator(np.eye(3), 0, SPEC31)
-
-
 def test_cavity_annihilation_ladder():
     a1 = cavity_annihilation(SPEC31)
     ket1 = basis_ket(SPEC31, [], 1)
@@ -125,69 +115,40 @@ def test_embedding_composition_and_commutation():
         assert np.abs(a @ b - b @ a).max() == 0.0  # disjoint embeddings commute exactly
 
 
-def test_operator_table_cached_readonly_and_matches_embedding():
-    for spec in (SPEC31, HilbertSpec(2, 2), HilbertSpec(1, 1)):
-        table = operator_table(spec)
-        assert operator_table(HilbertSpec(spec.num_qubits, spec.photon_cutoff)) is table
-        n = spec.num_qubits
-
-        def embed(op2, j):
-            return embed_qubit_operator(op2, j, spec)
-
-        a = cavity_annihilation(spec)
-        all_ground = np.eye(spec.dim)
-        for j in range(n):
-            all_ground = all_ground @ embed(PROJ_GROUND, j)
-        expected = {
-            "sigma_z": [embed(SIGMA_Z, j) for j in range(n)],
-            "sigma_minus": [embed(SIGMA_MINUS, j) for j in range(n)],
-            "exchange": [a.conj().T @ embed(SIGMA_MINUS, j) + embed(SIGMA_PLUS, j) @ a
-                         for j in range(n)],
-            "annihilation": [a],
-            "number": [cavity_number(spec)],
-            "excited": [embed(PROJ_EXCITED, j) for j in range(n)],
-            "all_ground": [all_ground],
-        }
-        for name, refs in expected.items():
-            ops = getattr(table, name)
-            ops = ops if isinstance(ops, tuple) else (ops,)
-            assert len(ops) == len(refs), name
-            for op, ref in zip(ops, refs):
-                assert op.shape == (spec.dim, spec.dim)
-                np.testing.assert_array_equal(op, ref, err_msg=name)
-                with pytest.raises(ValueError):
-                    op[0, 0] = 1.0
+def random_sector_density(n, rng):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 def test_partial_trace_product_state():
+    # a qubit state of at most one excitation (x) |0 photons> traces out to itself
     spec = HilbertSpec(2, 1)
     rng = np.random.default_rng(3)
-    phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    phi = np.zeros(4, dtype=complex)
+    phi[:3] = rng.standard_normal(3) + 1j * rng.standard_normal(3)  # |gg>, |ge>, |eg>
     phi /= np.linalg.norm(phi)
-    amps = np.zeros(8, dtype=complex)
-    amps[:4] = phi  # qubits (x) |0 photons>
-    reduced = partial_trace(np.outer(amps, amps.conj()), spec)
-    assert reduced.spec == HilbertSpec(2, 0)
-    assert np.abs(reduced.entries - np.outer(phi, phi.conj())).max() < 1e-12
+    amps = np.append(phi[:3], 0.0)  # sector order |gg,0>, |e_A,0>, |e_B,0>, |gg,1>
+    reduced = qubit_state(np.outer(amps, amps.conj()))
+    assert reduced.shape == (4, 4)
+    assert np.abs(reduced - np.outer(phi, phi.conj())).max() < 1e-12
 
 
 def test_partial_trace_preserves_trace_and_bell():
+    # the sector's qubit state equals, bit for bit, the photon-number sum of the
+    # qubit blocks of the same state on the full space
     rng = np.random.default_rng(5)
     for spec in (SPEC31, HilbertSpec(1, 3), HilbertSpec(2, 2)):
-        rho = random_density(spec, rng)
-        red = partial_trace(rho.entries, spec)
-        assert red.spec == HilbertSpec(spec.num_qubits, 0)
-        assert abs(np.trace(red.entries).real - 1.0) < 1e-12
-        # each reduced entry sums the qubit block over every photon number
-        q = 2**spec.num_qubits
-        blocks = sum(rho.entries[n * q:(n + 1) * q, n * q:(n + 1) * q] for n in range(spec.cavity_dim))
-        assert np.abs(red.entries - blocks).max() < 1e-15
+        rho = random_sector_density(spec.num_qubits + 2, rng)
+        red = qubit_state(rho)
+        assert red.shape == (2**spec.num_qubits,) * 2
+        assert abs(np.trace(red).real - 1.0) < 1e-12
+        assert np.array_equal(red, partial_trace(zero_padded(rho, spec), spec))
 
     # a qubit-photon Bell state (|e,0> + |g,1>)/sqrt(2) leaves the qubit maximally mixed
-    spec = HilbertSpec(1, 1)
-    bell = (basis_ket(spec, [0], 0) + basis_ket(spec, [], 1)) / np.sqrt(2)
-    red = partial_trace(np.outer(bell, bell.conj()), spec)
-    assert np.abs(red.entries - np.eye(2) / 2).max() < 1e-15
+    bell = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)  # |g,0>, |e,0>, |g,1>
+    red = qubit_state(np.outer(bell, bell.conj()))
+    assert np.abs(red - np.eye(2) / 2).max() < 1e-15
 
 
 def test_expectation_examples():
@@ -199,23 +160,6 @@ def test_expectation_examples():
     assert np.isclose(expectation(sz_a, rho), 1.0)
     one_photon = basis_ket(spec, [], 1)
     assert np.isclose(expectation(cavity_number(spec), one_photon), 1.0)
-
-
-def test_expectation_dimension_mismatch():
-    op = embed_qubit_operator(SIGMA_Z, 0, HilbertSpec(2, 1))
-    rho = pure_density(basis_ket(SPEC31, [], 0), SPEC31)
-    with pytest.raises(ConfigError):
-        expectation(op, rho)
-
-
-def test_expectation_stack_rejects_imaginary_expectation():
-    # <a> on (|g,0> + i|g,1>)/sqrt(2) is 0.5i: the operator is not Hermitian
-    spec = HilbertSpec(1, 1)
-    amps = np.zeros(4, dtype=complex)
-    amps[basis_index(spec, [], 0)] = 1 / np.sqrt(2)
-    amps[basis_index(spec, [], 1)] = 1j / np.sqrt(2)
-    with pytest.raises(NumericalError, match="imaginary part"):
-        expectation_stack(cavity_annihilation(spec), amps[None])
 
 
 def test_pure_state_purity():
@@ -280,23 +224,3 @@ def test_stack_checks_reject_one_bad_state_in_the_middle():
                 check_ket_stack(stack)
         with pytest.raises(NumericalError):
             check_ket_stack(bad[None])
-
-
-def test_expectation_stack_matches_single_states():
-    rng = np.random.default_rng(8)
-    sz = embed_qubit_operator(SIGMA_Z, 1, SPEC31)
-    n = cavity_number(SPEC31)
-    kets = [random_pure(SPEC31, rng) for _ in range(4)]
-    rhos = [random_density(SPEC31, rng) for _ in range(4)]
-    for states, data in ((kets, np.stack(kets)),
-                         (rhos, np.stack([r.entries for r in rhos]))):
-        for op in (sz, n):
-            single = np.array([expectation(op, s) for s in states])
-            assert np.abs(expectation_stack(op, data) - single).max() == 0.0
-    # a Hermitian expectation whose imaginary part is 2e-10 is rejected in a stack
-    ground = operator_table(SPEC31).all_ground
-    skew = np.stack([r.entries for r in rhos])
-    skew[2, 0, 0] += 2e-10j
-    with pytest.raises(NumericalError):
-        expectation_stack(ground, skew)
-    expectation_stack(ground, skew[:2])

@@ -9,6 +9,7 @@ import pytest
 import cqedw
 from cqedw import analysis, protocols
 from cqedw.entanglement import W_PAPER, fidelity
+from cqedw.dynamics import populations
 from cqedw.errors import ConfigError
 from cqedw.hilbert import DensityMatrix
 from cqedw.protocols import (
@@ -17,7 +18,6 @@ from cqedw.protocols import (
     _propagate,
     apply_phase_correction,
     collective_interaction_time,
-    population_stack,
     prepare_w_collective,
     prepare_w_sequential,
     rabi_scan,
@@ -46,14 +46,14 @@ def test_single_photon_transfer_is_complete():
 def test_single_photon_zero_duration_keeps_qubit_excited(noise):
     # the pi pulse is the schedule's initial state; noisy runs start from its density matrix
     cfg = preset_device()
-    q, _, n = population_stack(_propagate(cfg, 1, [], (1,), noise, [0.0]), cfg.spec)
+    q, _, n = populations(_propagate(cfg, 1, [], (1,), noise, [0.0]))
     assert abs(n[0]) < 1e-9 and abs(q[0, 1] - 1.0) < 1e-9
 
 
 def test_single_photon_full_period_returns_excitation():
     cfg = preset_device()
     g = abs(cfg.qubits[0].coupling_g)
-    q, _, n = population_stack(_propagate(cfg, 0, [], (0,), False, [np.pi / g]), cfg.spec)
+    q, _, n = populations(_propagate(cfg, 0, [], (0,), False, [np.pi / g]))
     assert abs(q[0, 0] - 1.0) < 1e-6 and abs(n[0]) < 1e-6
 
 
@@ -150,7 +150,7 @@ def test_rabi_scan_work_does_not_grow_with_points(monkeypatch, noise):
 
     counted(protocols, "build_hamiltonian")
     counted(np.linalg, "eigh")
-    counted(dynamics, "_reachable")  # one per noisy schedule or scan
+    counted(dynamics, "_hermitian_basis")  # one per noisy schedule or scan
     counted(scipy.linalg, "expm")
     cfg = preset_device()
     seen = []
@@ -160,13 +160,13 @@ def test_rabi_scan_work_does_not_grow_with_points(monkeypatch, noise):
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert seen[0]["build_hamiltonian"] == 2  # the photon load, then the scan
-    assert set(seen[0]) == ({"build_hamiltonian", "_reachable", "expm"} if noise
+    assert set(seen[0]) == ({"build_hamiltonian", "_hermitian_basis", "expm"} if noise
                             else {"build_hamiltonian", "eigh"})
 
 
 def test_noisy_schedule_builds_one_block_and_checks_each_state_once(monkeypatch):
-    # one reachable set and one Hermitian basis per schedule or scan, and every
-    # propagated state checked once on the 5-state block, never again at 24 x 24
+    # one Hermitian basis per schedule or scan, and every propagated state
+    # checked once on the 5-state sector
     from cqedw import dynamics, hilbert
 
     calls, checked = {}, []
@@ -186,15 +186,14 @@ def test_noisy_schedule_builds_one_block_and_checks_each_state_once(monkeypatch)
         checked.append(mats.shape[:2])
         return hilbert_check(mats)
 
-    counted("_reachable")
     counted("_hermitian_basis")
     monkeypatch.setattr(dynamics, "check_density_stack", check)
     monkeypatch.setattr(hilbert, "check_density_stack", check)
     cfg = preset_device()
     runs = [
         # (run, expected (states, dim) per check): the propagated states on the
-        # block and the cavity-traced state at 8; the pi-pulsed initial state is
-        # checked as a ket, not again as a 24 x 24 density matrix
+        # sector and the cavity-traced state at 8; the pi-pulsed initial state
+        # is built from constants and not checked
         (lambda: prepare_w_sequential(cfg, noise=True), [(3, 5), (1, 8)]),
         (lambda: prepare_w_collective(cfg, noise=True), [(2, 5), (1, 8)]),
         (lambda: rabi_scan(cfg, (0, 1, 2), np.linspace(0.0, 10e-9, 21), noise=True), [(22, 5)]),
@@ -203,15 +202,16 @@ def test_noisy_schedule_builds_one_block_and_checks_each_state_once(monkeypatch)
         calls.clear()
         checked.clear()
         run()
-        assert calls == {"_reachable": 1, "_hermitian_basis": 1}
+        assert calls == {"_hermitian_basis": 1}
         assert checked == expected
 
 
 def test_ideal_preparation_checks_each_ket_once(monkeypatch):
-    # the ket after each segment is checked once, and the only density check is
-    # the cavity-traced state's, at 8 x 8; the pi-pulsed ket is built from
-    # constants and not checked.  A noisy run checks no ket: one stack holds the
-    # state after every segment on the 5-state block, then the 8 x 8 state.
+    # the ket after each segment is checked once, on the 5-state sector, and the
+    # only density check is the cavity-traced state's, at 8 x 8; the pi-pulsed
+    # ket is built from constants and not checked.  A noisy run checks no ket:
+    # one stack holds the state after every segment on the sector, then the
+    # 8 x 8 state.
     from cqedw import dynamics, hilbert
 
     kets, densities = [], []
@@ -233,7 +233,7 @@ def test_ideal_preparation_checks_each_ket_once(monkeypatch):
         kets.clear()
         densities.clear()
         prepare(cfg)
-        assert kets == [(1, 24)] * segments
+        assert kets == [(1, 5)] * segments
         assert densities == [(1, 8, 8)]
         kets.clear()
         densities.clear()
@@ -309,7 +309,7 @@ def test_sequential_swap_times():
 def test_sequential_first_segment_splits_two_thirds():
     cfg = preset_device()
     tau1 = sequential_swap_times(cfg)[0]
-    q, _, n = population_stack(_propagate(cfg, 2, [], (2,), False, [tau1]), cfg.spec)
+    q, _, n = populations(_propagate(cfg, 2, [], (2,), False, [tau1]))
     assert abs(n[0] - 2 / 3) < 1e-6
     assert abs(q[0, 2] - 1 / 3) < 1e-6
 
@@ -327,7 +327,7 @@ def test_ideal_w_preparation_both_protocols():
     # sequential leaves the cavity in vacuum
     tau1, tau2, tau3 = sequential_swap_times(cfg)
     final = _propagate(cfg, 2, [((2,), tau1), ((1,), tau2)], (0,), False, [tau3])
-    assert population_stack(final, cfg.spec)[2][0] < 1e-6
+    assert populations(final)[2][0] < 1e-6
 
 
 def test_w_from_equal_couplings_has_plus_signs():
@@ -477,5 +477,7 @@ def test_schedule_validation():
         prepare_w_collective(cfg, source_qubit=9)
     with pytest.raises(ConfigError):
         _load(cfg, 9)
-    with pytest.raises(ConfigError):
-        _load(preset_device(photon_cutoff=0), 0)
+    no_photon = preset_device(photon_cutoff=0)  # the sector has no room for the photon
+    for run in (lambda: rabi_scan(no_photon, [0], [0.0]), lambda: prepare_w_sequential(no_photon)):
+        with pytest.raises(ConfigError, match="photon cutoff"):
+            run()

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cqedw.tomography import (
     _project_simplex,
     DIAGONAL_LABELS,
     FULL_ROTATION_LABELS,
+    MAX_CONDITION,
     PAULI_LABELS,
     ROTATIONS,
     TomographySet,
@@ -90,8 +92,9 @@ def test_one_svd_per_set_gives_rank_and_pinv(w_rho, monkeypatch):
     linear_inversion(expectation_values(w_rho, tset), tset)
     assert len(calls) == 1
     monkeypatch.undo()
-    # the same rank and, bit for bit, the same pseudo-inverse as numpy's own
-    assert tset.completeness_rank() == np.linalg.matrix_rank(tset.design[:, 1:], tol=1e-9) + 1
+    # the same rank, under numpy's default relative rule, and bit for bit the
+    # same pseudo-inverse as numpy's own
+    assert tset.completeness_rank() == np.linalg.matrix_rank(tset.design[:, 1:]) + 1
     assert np.array_equal(tset._traceless_pinv, np.linalg.pinv(tset.design[:, 1:]))
 
 
@@ -153,6 +156,29 @@ def test_x180_flips_za_coefficients(tset):
         got = np.einsum("ij,ji->", pauli_matrix(label), flipped).real / 8.0
         contains_za = label[2] == "Z"
         assert np.isclose(got, -coeff if contains_za else coeff, atol=1e-12)
+
+
+def test_completeness_is_scale_free_and_conditioning_bounded(w_rho):
+    # a rescaled readout carries the same information: at 1e-9 and 1e-12 the
+    # absolute 1e-9 threshold used to call it rank 39 and 1
+    base = np.array(DEFAULT_READOUT_COEFFICIENTS)
+    for scale in (1e-9, 1e-12):
+        tset = tomography_set(build_readout(base * scale))
+        assert tset.completeness_rank() == 64
+        rho = reconstruct(simulate_measurements(w_rho, tset, 0.0, 0), tset).rho
+        assert uhlmann_fidelity(w_rho.entries, rho.entries) >= 1 - 1e-12
+    # the default and weak readouts are far inside the bound
+    for coeffs in (DEFAULT_READOUT_COEFFICIENTS, WEAK_CORRELATION_COEFFICIENTS):
+        s = tomography_set(build_readout(coeffs))._svd[1]
+        assert s[0] / s[-1] < 1e-5 * MAX_CONDITION
+    # a design above the bound is rejected with its condition number, whether
+    # or not it is numerically complete; 1e12 and 1e14 used to exit 0 with a
+    # wrong state, 1e-300 with rank 61
+    weak_last = [*DEFAULT_READOUT_COEFFICIENTS[:7], 1e-300]
+    for coeffs, cond in (([0, 1e8, 1, 1, 1, 1, 1, 1], "1.71e+09"),
+                         ([0, 1e14, 1, 1, 1, 1, 1, 1], "1.57e+15"), (weak_last, "")):
+        with pytest.raises(IncompleteReadoutError, match=re.escape(f"condition number {cond}")):
+            tomography_set(build_readout(coeffs))
 
 
 def test_rank_deficient_set_rejects_inversion(w_rho, tset):
