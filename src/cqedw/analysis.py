@@ -84,7 +84,7 @@ def fit_damped_sinusoid(times, values) -> FitReport:
     of (f, b, phi, gamma, a), with s^2 the residual sum of squares over
     n - 5: for independent, equal-variance noise on the samples they
     estimate each parameter's sampling variance.  A rank-deficient Jacobian
-    reports every variance as inf.
+    reports every variance as inf, which no JSON artifact holds (exit 3).
 
     Parameters
     ----------

@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__, analysis, entanglement, protocols, tomography
 from .device import CrosstalkMatrix, QubitParams, ResonatorParams, SystemConfig
 from .errors import ConfigError, CqedwError, NumericalError
-from .hilbert import DensityMatrix, HilbertSpec, qubit_spec
+from .hilbert import DensityMatrix, qubit_spec
 
 # ---------------------------------------------------------------------------
 # file formats: one reader, and a table of the keys of each JSON object
@@ -138,7 +138,6 @@ SECONDS_PER_NS = 1e-9
 
 def device_to_json(config: SystemConfig) -> dict:
     return {
-        "photon_cutoff": config.spec.photon_cutoff,
         "resonator": {
             "omega_r_ghz": config.resonator.omega_r,
             "quality_factor": config.resonator.quality_factor,
@@ -172,14 +171,12 @@ RESONATOR = {"omega_r_ghz": (float, REQUIRED), "quality_factor": (float, REQUIRE
 DEVICE = {
     "qubits": ([QUBIT], REQUIRED),
     "resonator": (RESONATOR, REQUIRED),
-    "photon_cutoff": (int, 2),
     "crosstalk": ([[float]], None),  # None: the identity, no crosstalk
 }
 
 # The paper's three-transmon sample (qubit A carries the negative coupling),
 # exactly as `cqedw export-preset` writes it.
 _PAPER_DEVICE = {
-    "photon_cutoff": 2,
     "resonator": {"omega_r_ghz": 7.023, "quality_factor": 14800.0},
     "qubits": [
         {"label": "A", "ej_max_ghz": 26.8, "ec_ghz": 0.459, "g_over_pi_mhz": -105.4,
@@ -231,7 +228,6 @@ def device_from_json(obj, path: str = "device") -> SystemConfig:
     return SystemConfig(
         qubits=qubits,
         resonator=ResonatorParams(resonator["omega_r_ghz"], resonator["quality_factor"]),
-        spec=HilbertSpec(num_qubits=len(qubits), photon_cutoff=device["photon_cutoff"]),
         crosstalk=CrosstalkMatrix(np.eye(len(qubits)) if rows is None else np.array(rows)),
     )
 
@@ -282,7 +278,12 @@ def _write_text(path: Path, text: str):
 
 
 def _write_json(path: Path, obj):
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write ``obj`` as strict JSON; a number that is not finite is a NumericalError."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:  # RFC 8259 has no token for inf or NaN
+        raise NumericalError(f"artifact {path.name} would hold a non-finite number: {err}") from err
+    _write_text(path, text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +383,15 @@ def _write_estimate(run: Run, rho: DensityMatrix) -> list[str]:
     return ["rho_mle.json", "pauli_set.csv"]
 
 
-def _certify(run: Run, rho_path, **options) -> list[str]:
+def _certify(run: Run, rho_path) -> list[str]:
     rho = rho_from_json(_load_json(Path(rho_path))[0], "params.rho_path")
-    return _certification(run, rho, **options)
+    return _certification(run, rho)
 
 
-def _certification(run: Run, rho: DensityMatrix, **options) -> list[str]:
+def _certification(run: Run, rho: DensityMatrix) -> list[str]:
     """Write the certification report of ``rho``; without a seed, seed 0."""
     seed = 0 if run.seed is None else run.seed
-    report = entanglement.certification_report(rho, seed=seed, **options)
+    report = entanglement.certification_report(rho, seed=seed)
     _write_json(run.out / "certification.json", report)
     return ["certification.json"]
 
@@ -414,12 +415,7 @@ TOMOGRAPHY = {
     "sigma": (float, 0.0),
     "readout_coefficients": ([float], list(tomography.DEFAULT_READOUT_COEFFICIENTS)),
 }
-CERTIFY = {
-    "rho_path": (str, REQUIRED),
-    "restarts": (int, entanglement.DEFAULT_RESTARTS),
-    "budget": (int, entanglement.DEFAULT_BUDGET),
-    "thresholds": ([float], list(entanglement.DEFAULT_THRESHOLDS)),
-}
+CERTIFY = {"rho_path": (str, REQUIRED)}
 RECONSTRUCT = {
     "records_path": (str, REQUIRED),
     "readout_coefficients": TOMOGRAPHY["readout_coefficients"],
@@ -453,8 +449,6 @@ def execute(cfg, raw: bytes, out=None, seed=None, quiet=False) -> list[Path]:
     table, runner = EXPERIMENTS[top["experiment"]]
     params = read(top["params"], table, "params")
     seed = top["seed"] if seed is None else seed
-    if top["noise"] and seed is None:
-        raise ConfigError("a seed is required whenever noise is enabled")
     out = Path(out) if out else Path(top["output_dir"])
 
     start = time.perf_counter()

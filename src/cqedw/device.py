@@ -85,14 +85,12 @@ class SystemConfig:
 
     qubits: tuple[QubitParams, ...]
     resonator: ResonatorParams
-    spec: HilbertSpec
     crosstalk: CrosstalkMatrix
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(self.qubits))
-        if len(self.qubits) != self.spec.num_qubits:
-            raise ConfigError("qubit list length must match spec.num_qubits")
-        if self.crosstalk.matrix.shape[0] != self.spec.num_qubits:
+        HilbertSpec(len(self.qubits), 0)  # the 2**N x 2**N qubit state stays within MAX_DIM
+        if self.crosstalk.matrix.shape[0] != len(self.qubits):
             raise ConfigError("crosstalk matrix size must match qubit count")
 
     def couplings(self) -> np.ndarray:

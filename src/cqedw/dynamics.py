@@ -21,7 +21,7 @@ This module owns that layout.  :func:`build_hamiltonian`,
 :func:`collapse_operators` and :func:`pi_pulsed` build H, the jump
 operators and the pi-pulsed ket on it directly, and :func:`populations`
 and :func:`qubit_state` read a sector stack back out.  No operator of the
-full device space is built; the photon cutoff only has to be at least 1.
+full device space is built, and no photon number above 1 is ever reached.
 
 Unitary segments are propagated by exact eigendecomposition.  Open-system
 segments follow the Lindblad equation with qubit relaxation (rate 1/T1),
@@ -47,14 +47,7 @@ import numpy as np
 
 from .device import SystemConfig, decoherence_rates
 from .errors import ConfigError, NumericalError
-from .hilbert import HilbertSpec, check_density_stack, check_ket_stack, qubit_rotation
-
-
-def _sector_size(spec: HilbertSpec) -> int:
-    """N + 2, the number of sector states; the sector needs room for one photon."""
-    if spec.photon_cutoff < 1:
-        raise ConfigError("photon cutoff must be >= 1 to host the photon")
-    return spec.num_qubits + 2
+from .hilbert import check_density_stack, check_ket_stack, qubit_rotation
 
 
 def _unit(size: int, row: int, col: int) -> np.ndarray:
@@ -84,14 +77,14 @@ def build_hamiltonian(
     Hermiticity.  A non-finite detuning, from a bias or resonator frequency
     too large for a float, is a ConfigError naming its qubits.
     """
-    size = _sector_size(config.spec)
+    size = len(config.qubits) + 2
     detunings = np.asarray(detunings, dtype=float)
-    if detunings.shape != (config.spec.num_qubits,):
+    if detunings.shape != (len(config.qubits),):
         raise ConfigError("detuning vector length must equal the qubit count")
     bad = [q.label for q, d in zip(config.qubits, detunings) if not np.isfinite(d)]
     if bad:
         raise ConfigError(f"qubit {', '.join(bad)}: detuning is not finite")
-    coupled_set = set(range(config.spec.num_qubits)) if coupled is None else set(coupled)
+    coupled_set = set(range(len(config.qubits))) if coupled is None else set(coupled)
     photon = size - 1
     total = 0
     for j, q in enumerate(config.qubits):
@@ -108,7 +101,7 @@ def collapse_operators(config: SystemConfig) -> np.ndarray:
     Per qubit j, relaxation sqrt(gamma1) sigma-_j and then dephasing
     sqrt(gamma_phi / 2) sigma_z_j; last, cavity loss sqrt(kappa) a.
     """
-    size = _sector_size(config.spec)
+    size = len(config.qubits) + 2
     channels = []
     for j, q in enumerate(config.qubits):
         rates = decoherence_rates(q, config.resonator)
@@ -121,14 +114,14 @@ def collapse_operators(config: SystemConfig) -> np.ndarray:
     return stack
 
 
-def pi_pulsed(spec: HilbertSpec, qubit: int) -> np.ndarray:
+def pi_pulsed(num_qubits: int, qubit: int) -> np.ndarray:
     """Sector amplitudes of |g...g,0> after an ideal x-axis pi pulse on ``qubit``.
 
     The pulse's column 0, cos(pi/2) on |g...g,0> and -i on |e_qubit,0>.
     """
-    if not 0 <= qubit < spec.num_qubits:
-        raise ConfigError(f"qubit index {qubit} out of range for N={spec.num_qubits}")
-    psi = np.zeros(_sector_size(spec), dtype=complex)
+    if not 0 <= qubit < num_qubits:
+        raise ConfigError(f"qubit index {qubit} out of range for N={num_qubits}")
+    psi = np.zeros(num_qubits + 2, dtype=complex)
     psi[[0, 1 + qubit]] = qubit_rotation("x", np.pi)[:, 0]
     return psi
 

@@ -32,7 +32,8 @@ from .hilbert import DensityMatrix
 
 DEFAULT_RESTARTS = 64
 DEFAULT_BUDGET = 400
-DEFAULT_THRESHOLDS = (0.1, 0.5)
+W_TANGLE_THRESHOLD = 0.1
+GHZ_TANGLE_THRESHOLD = 0.5
 EIGENVALUE_CUTOFF = 1e-10
 
 
@@ -292,31 +293,19 @@ def three_tangle_mixed(
     return TangleEstimate(min(1.0, float(best.min())), 2 * r, used)
 
 
-def certification_report(
-    rho: DensityMatrix,
-    restarts: int = DEFAULT_RESTARTS,
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
-    thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
-) -> dict:
+def certification_report(rho: DensityMatrix, seed: int = 0) -> dict:
     """Full certification record used by the command-line ``certify`` step.
 
-    W_class requires a tangle bound below ``thresholds[0]`` and a negative
-    witness; GHZ_class a tangle bound above ``thresholds[1]``.  The two must
-    satisfy 0 <= thresholds[0] <= thresholds[1] <= 1.
+    The tangle bound comes from :func:`three_tangle_mixed` with its default
+    restarts and budget.  W_class requires a bound below
+    ``W_TANGLE_THRESHOLD`` and a negative witness; GHZ_class a bound above
+    ``GHZ_TANGLE_THRESHOLD``.
     """
-    try:
-        # a boolean is no number: dropping it leaves too few values
-        tangle_thr, ghz_thr = (float(t) for t in thresholds if not isinstance(t, bool))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"thresholds must be two numbers, got {thresholds!r}") from err
-    if not 0 <= tangle_thr <= ghz_thr <= 1:  # also false for NaN
-        raise ConfigError(f"thresholds need 0 <= W <= GHZ <= 1, got {thresholds!r}")
-    estimate = three_tangle_mixed(rho, restarts=restarts, budget=budget, seed=seed)
+    estimate = three_tangle_mixed(rho, seed=seed)
     wit = witness_value(rho)
-    if estimate.value > ghz_thr:
+    if estimate.value > GHZ_TANGLE_THRESHOLD:
         classification = "GHZ_class"
-    elif estimate.value < tangle_thr and wit < 0:
+    elif estimate.value < W_TANGLE_THRESHOLD and wit < 0:
         classification = "W_class"
     else:
         classification = "inconclusive"
@@ -329,8 +318,8 @@ def certification_report(
             "kind": "mixed_upper_bound",
             "decomposition_size": estimate.decomposition_size,
             "iterations": estimate.optimizer_iterations,
-            "restarts": restarts,
-            "budget": budget,
+            "restarts": DEFAULT_RESTARTS,
+            "budget": DEFAULT_BUDGET,
             "seed": seed,
         },
     }

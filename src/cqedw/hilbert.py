@@ -10,12 +10,12 @@ N = 3 a ket prints as |C,B,A;n>.  Bit 0 of a qubit is |g>, bit 1 is |e>,
 and sigma_z |g> = -|g> (the excited state carries sigma_z = +1, i.e. the
 +1/2 w sigma_z energy convention).
 
-No operator of the composite space is ever built: the dynamics runs on the
-N + 2 single-excitation states of :mod:`cqedw.dynamics`, whose order is
-that of their indices here (0, 2**j, 2**N), and hands back cavity-traced
-2**N x 2**N qubit states.  A ket is a plain complex amplitude array;
-:class:`DensityMatrix` is the one state type, and it is checked whenever it
-is built.
+No operator of the composite space is ever built, and a device has no
+photon cutoff: the dynamics runs on the N + 2 single-excitation states of
+:mod:`cqedw.dynamics`, whose order is that of their indices here (0, 2**j,
+2**N), and hands back cavity-traced 2**N x 2**N qubit states.  A ket is a
+plain complex amplitude array; :class:`DensityMatrix` is the one state
+type, and it is checked whenever it is built.
 """
 from __future__ import annotations
 
@@ -29,9 +29,9 @@ HERMITICITY_ATOL = 1e-10
 NORM_ATOL = 1e-9
 TRACE_ATOL = 1e-9
 EIG_FLOOR = -1e-8
-# Largest total dimension d = 2**N (cutoff + 1) of a device.  No d x d array
-# is built, but the bound caps N, and with it the 2**N x 2**N qubit state, and
-# rejects an absurd cutoff when the device is read.  The paper's device has 24.
+# Largest dimension of a space.  A device is held to it through its 2**N x 2**N
+# cavity-traced qubit state when it is read, which caps N at 10; the paper's
+# device has 8.
 MAX_DIM = 1024
 
 # Single-qubit operators in the (|g>, |e>) = (bit 0, bit 1) basis.
@@ -60,13 +60,13 @@ class HilbertSpec:
     """Shape of the composite space: N two-level systems and one mode.
 
     ``photon_cutoff`` is the highest Fock state kept, so the cavity factor
-    has dimension ``photon_cutoff + 1``.  A cutoff of 0 denotes a trivial
-    cavity factor and is used for cavity-traced reduced states; dynamics
-    requires a cutoff of at least 1.
+    has dimension ``photon_cutoff + 1``.  The package's states are
+    cavity-traced, with cutoff 0; a cutoff of 1 or more describes the full
+    composite space, which the dynamics never builds.
     """
 
     num_qubits: int
-    photon_cutoff: int = 2
+    photon_cutoff: int
 
     def __post_init__(self):
         if self.num_qubits < 0:

@@ -119,7 +119,7 @@ def _propagate(
     from one :func:`evolve_lindblad` call, which carries real coordinates
     from segment to segment.
     """
-    psi = pi_pulsed(config.spec, source)
+    psi = pi_pulsed(len(config.qubits), source)
     segments = [(_hamiltonian(config, r), t) for r, t in before]
     h = _hamiltonian(config, resonant)
     if noise:
@@ -142,7 +142,7 @@ def _qubit_state(
     final = _propagate(config, source, before, resonant, noise, [duration])[0]
     if not noise:
         final = np.outer(final, final.conj())
-    return DensityMatrix(qubit_state(final), HilbertSpec(config.spec.num_qubits, 0))
+    return DensityMatrix(qubit_state(final), HilbertSpec(len(config.qubits), 0))
 
 
 def _load(config: SystemConfig, source: int) -> tuple[tuple[int], float]:
@@ -150,7 +150,7 @@ def _load(config: SystemConfig, source: int) -> tuple[tuple[int], float]:
 
     Its duration pi / (2 |g_source|) moves the full excitation.
     """
-    if not 0 <= source < config.spec.num_qubits:
+    if not 0 <= source < len(config.qubits):
         raise ConfigError(f"source qubit {source} out of range")
     return (source,), np.pi / (2 * abs(config.qubits[source].coupling_g))
 
@@ -179,7 +179,7 @@ def rabi_scan(
     if not part:
         raise ConfigError("participating set must be nonempty")
     for j in part:
-        if not 0 <= j < config.spec.num_qubits:
+        if not 0 <= j < len(config.qubits):
             raise ConfigError(f"qubit index {j} out of range")
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size == 0 or not np.all(np.isfinite(tau)):
@@ -209,7 +209,7 @@ def prepare_w_collective(
 
     Returns the reduced three-qubit density matrix (cavity traced out).
     """
-    if config.spec.num_qubits != 3:
+    if len(config.qubits) != 3:
         raise ConfigError("collective W preparation requires N=3")
     segments = [_load(config, source_qubit), (range(3), collective_interaction_time(config))]
     return _qubit_state(config, source_qubit, segments, noise)
@@ -235,7 +235,7 @@ def prepare_w_sequential(config: SystemConfig, noise: bool = False) -> DensityMa
 
     Returns the reduced three-qubit density matrix (cavity traced out).
     """
-    if config.spec.num_qubits != 3:
+    if len(config.qubits) != 3:
         raise ConfigError("sequential W preparation requires N=3")
     swaps = zip(((2,), (1,), (0,)), sequential_swap_times(config))  # C, then B, then A
     return _qubit_state(config, 2, list(swaps), noise)

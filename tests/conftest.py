@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 import scipy.linalg
 
 from cqedw import entanglement
@@ -17,33 +16,18 @@ QUBIT_SPEC_3 = HilbertSpec(num_qubits=3, photon_cutoff=0)
 
 
 def preset_device(name: str = "paper-default", **fields) -> SystemConfig:
-    """A preset's device object with top-level ``fields`` replaced, read by the one device reader.
-
-    ``preset_device(photon_cutoff=1)`` is the paper's sample with at most one photon.
-    """
+    """A preset's device object with top-level ``fields`` replaced, read by the one device reader."""
     return device_from_json({**PRESETS[name], **fields})
 
 
-def equal_coupling_device(
-    num_qubits: int, g_over_pi_mhz: float = 100.0, photon_cutoff: int = 2
-) -> SystemConfig:
+def equal_coupling_device(num_qubits: int, g_over_pi_mhz: float = 100.0) -> SystemConfig:
     """``num_qubits`` copies of the paper's qubit A, labelled A, B, ..., with one positive coupling."""
     qubit = PRESETS["paper-default"]["qubits"][0]
     qubits = [
         {**qubit, "g_over_pi_mhz": g_over_pi_mhz, "label": chr(ord("A") + j)}
         for j in range(num_qubits)
     ]
-    return preset_device(qubits=qubits, photon_cutoff=photon_cutoff, crosstalk=None)
-
-
-@pytest.fixture(scope="session")
-def paper_config():
-    return preset_device(photon_cutoff=2)
-
-
-@pytest.fixture(scope="session")
-def paper_config_n1():
-    return preset_device(photon_cutoff=1)
+    return preset_device(qubits=qubits, crosstalk=None)
 
 
 def basis_index(spec: HilbertSpec, excited=(), n_photon: int = 0) -> int:

@@ -17,7 +17,7 @@ from cqedw.entanglement import (
     three_tangle_mixed,
     witness_value,
 )
-from cqedw.hilbert import DensityMatrix
+from cqedw.hilbert import DensityMatrix, HilbertSpec
 from cqedw.protocols import (
     apply_phase_correction,
     collective_interaction_time,
@@ -55,7 +55,7 @@ def test_criterion_01_transmon_formula():
 
 def test_criterion_02_vacuum_rabi_n1():
     start = time.time()
-    cfg = preset_device(photon_cutoff=1)
+    cfg = preset_device()
     tau = np.linspace(0.0, 20e-9, 81)
     trace = rabi_scan(cfg, [0], tau)
     f = analysis.fit_damped_sinusoid(tau, trace.cavity_population).frequency
@@ -69,7 +69,7 @@ def test_criterion_02_vacuum_rabi_n1():
 def test_criterion_03_sqrt_n_law():
     start = time.time()
     tau = np.linspace(0.0, 20e-9, 81)
-    cfg_eq = equal_coupling_device(3, g_over_pi_mhz=100.0, photon_cutoff=1)
+    cfg_eq = equal_coupling_device(3, g_over_pi_mhz=100.0)
     freqs = {}
     for n in (1, 2, 3):
         trace = rabi_scan(cfg_eq, list(range(n)), tau)
@@ -78,7 +78,7 @@ def test_criterion_03_sqrt_n_law():
     r3 = freqs[3] / freqs[1] / np.sqrt(3)
     assert abs(r2 - 1) < 0.005 and abs(r3 - 1) < 0.005
 
-    cfg = preset_device(photon_cutoff=1)
+    cfg = preset_device()
     g = cfg.couplings()
     trace = rabi_scan(cfg, [0, 1, 2], tau)
     f3 = analysis.fit_damped_sinusoid(tau, trace.cavity_population).frequency
@@ -91,7 +91,7 @@ def test_criterion_03_sqrt_n_law():
 
 
 def test_criterion_04_amplitude_law():
-    cfg = preset_device(photon_cutoff=1)
+    cfg = preset_device()
     g = cfg.couplings()
     g2 = (g**2).sum()
     tau_w = np.pi / (2 * np.sqrt(g2))
@@ -104,10 +104,10 @@ def test_criterion_04_amplitude_law():
 def test_criterion_05_oracle_equivalence():
     worst = 0.0
     for n in (1, 2, 3):
-        cfg = preset_device(photon_cutoff=2) if n == 3 else equal_coupling_device(n, photon_cutoff=2)
+        cfg = preset_device() if n == 3 else equal_coupling_device(n)
         g = cfg.couplings()
         h = build_hamiltonian(cfg, np.zeros(n))
-        psi0 = sector_ket(cfg.spec, [], 1)
+        psi0 = sector_ket(HilbertSpec(n, 1), [], 1)
         times = np.linspace(0.0, 12e-9, 50)
         full = evolve_unitary(psi0, h, times)[:, 1:]  # |e_j,0> and |g...g,1>
         oracle = np.array([single_excitation_oracle(g, np.zeros(n), t) for t in times])

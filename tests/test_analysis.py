@@ -70,7 +70,7 @@ def test_fit_errors():
 
 
 def test_fit_ideal_single_qubit_trace():
-    cfg = preset_device(photon_cutoff=1)
+    cfg = preset_device()
     tau = np.linspace(0, 20e-9, 81)
     trace = rabi_scan(cfg, [0], tau)
     rep = fit_damped_sinusoid(trace.times, trace.cavity_population)
@@ -151,7 +151,7 @@ def test_fit_rejects_bad_samples(times, values, message):
 @pytest.mark.parametrize("participating", [[0], [0, 1], [0, 1, 2]], ids=["A", "AB", "ABC"])
 def test_fit_ideal_trace_residual(participating):
     tau = np.linspace(0, 20e-9, 81)
-    trace = rabi_scan(preset_device(photon_cutoff=1), participating, tau)
+    trace = rabi_scan(preset_device(), participating, tau)
     assert fit_damped_sinusoid(trace.times, trace.cavity_population).residual_rms < 1e-9
 
 

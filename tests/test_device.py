@@ -12,7 +12,6 @@ from cqedw.device import (
     transmon_frequency,
 )
 from cqedw.errors import ConfigError
-from cqedw.hilbert import HilbertSpec
 from conftest import preset_device
 
 # Maximum transition frequencies quoted for the sample, GHz.
@@ -116,7 +115,7 @@ def test_qubit_params_validation():
 
 def test_paper_preset_contents():
     cfg = preset_device()
-    assert cfg.spec.num_qubits == 3 and cfg.spec.photon_cutoff == 2
+    assert len(cfg.qubits) == 3
     g_over_pi_mhz = cfg.couplings() / np.pi / 1e6
     assert np.allclose(g_over_pi_mhz, [-105.4, 110.8, 111.6])
     assert cfg.resonator.omega_r == 7.023 and cfg.resonator.quality_factor == 14800
@@ -130,13 +129,12 @@ def test_paper_preset_contents():
 
 def test_system_config_validation():
     cfg = preset_device()
-    with pytest.raises(ConfigError):
-        SystemConfig(
-            qubits=cfg.qubits[:2],
-            resonator=cfg.resonator,
-            spec=HilbertSpec(3, 2),
-            crosstalk=cfg.crosstalk,
-        )
+    with pytest.raises(ConfigError, match="crosstalk matrix size"):
+        SystemConfig(qubits=cfg.qubits[:2], resonator=cfg.resonator, crosstalk=cfg.crosstalk)
+    # N = len(qubits) is capped through the 2**N x 2**N qubit state
+    with pytest.raises(ConfigError, match="total dimension 2048"):
+        SystemConfig(qubits=cfg.qubits[:1] * 11, resonator=cfg.resonator,
+                     crosstalk=CrosstalkMatrix(np.eye(11)))
 
 
 def test_named_presets():

@@ -42,6 +42,9 @@ from conftest import (
 )
 
 ONE_EXCITATION = slice(1, None)  # sector positions of |e_j,0> and |g...g,1>
+# full spaces with room for one photon, for sector kets and references
+SPEC11 = HilbertSpec(1, 1)
+SPEC31 = HilbertSpec(3, 1)
 
 
 def excitation_number(spec):
@@ -83,9 +86,8 @@ def full_space_expm(rho, h, collapse, t):
     return (scipy.linalg.expm(gen * t) @ rho.reshape(-1)).reshape(rho.shape)
 
 
-def kron_hamiltonian(cfg, detunings, coupled=None):
-    """Full-space H/hbar summed term by term from the Kronecker references (qubit 0 fastest)."""
-    spec = cfg.spec
+def kron_hamiltonian(cfg, spec, detunings, coupled=None):
+    """Full-space H/hbar on ``spec``, summed term by term from the Kronecker references."""
     a = cavity_annihilation(spec)
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
     for j, q in enumerate(cfg.qubits):
@@ -97,9 +99,8 @@ def kron_hamiltonian(cfg, detunings, coupled=None):
     return h
 
 
-def kron_collapse(cfg):
-    """Full-space jump operators: per qubit relaxation then dephasing, cavity loss last."""
-    spec = cfg.spec
+def kron_collapse(cfg, spec):
+    """Full-space jump operators on ``spec``: per qubit relaxation, dephasing; cavity loss last."""
     ops = []
     for j, q in enumerate(cfg.qubits):
         rates = decoherence_rates(q, cfg.resonator)
@@ -118,14 +119,15 @@ def test_build_hamiltonian_matches_kron_reference():
     # bit for bit the full-space Kronecker sum restricted to (0, 2^j, 2^N), for
     # every coupled subset, at two cutoffs and on seeded detunings
     rng = np.random.default_rng(4)
+    cfg = preset_device()
     for cutoff in (1, 2):
-        cfg = preset_device(photon_cutoff=cutoff)
+        spec = HilbertSpec(3, cutoff)
         for detunings in ([1e8, -2e8, 3e8], 2 * np.pi * 1e8 * rng.standard_normal(3)):
             for coupled in [None, *subsets(3)]:
                 h = build_hamiltonian(cfg, detunings, coupled=coupled)
-                ref = kron_hamiltonian(cfg, detunings, coupled)
+                ref = kron_hamiltonian(cfg, spec, detunings, coupled)
                 assert h.shape == (5, 5) and not h.flags.writeable
-                assert np.array_equal(h, restrict(ref, cfg.spec)), (cutoff, coupled)
+                assert np.array_equal(h, restrict(ref, spec)), (cutoff, coupled)
                 assert np.abs(h - h.conj().T).max() == 0.0
 
 
@@ -135,23 +137,17 @@ def test_sector_is_invariant_under_every_operator():
     rng = np.random.default_rng(9)
     for cutoff in (1, 2, 3):
         for n in (1, 2, 3):
-            cfg = preset_device(photon_cutoff=cutoff) if n == 3 else equal_coupling_device(n, photon_cutoff=cutoff)
-            inside = np.zeros(cfg.spec.dim, dtype=bool)
-            inside[sector_indices(cfg.spec)] = True
-            cs = kron_collapse(cfg)
+            cfg = preset_device() if n == 3 else equal_coupling_device(n)
+            spec = HilbertSpec(n, cutoff)
+            inside = np.zeros(spec.dim, dtype=bool)
+            inside[sector_indices(spec)] = True
+            cs = kron_collapse(cfg, spec)
             ops = [*cs, *(c.conj().T @ c for c in cs)]
             for coupled in subsets(n):
-                ops.append(kron_hamiltonian(cfg, 2 * np.pi * 1e8 * rng.standard_normal(n), coupled))
+                detunings = 2 * np.pi * 1e8 * rng.standard_normal(n)
+                ops.append(kron_hamiltonian(cfg, spec, detunings, coupled))
             for op in ops:
                 assert not op[np.ix_(~inside, inside)].any(), (cutoff, n)
-
-
-def test_sector_requires_a_photon():
-    cfg = preset_device(photon_cutoff=0)
-    for build in (lambda: build_hamiltonian(cfg, [0.0] * 3), lambda: collapse_operators(cfg),
-                  lambda: pi_pulsed(cfg.spec, 0)):
-        with pytest.raises(ConfigError, match="photon cutoff"):
-            build()
 
 
 def test_nonfinite_detuning_names_its_qubit():
@@ -163,19 +159,19 @@ def test_nonfinite_detuning_names_its_qubit():
 
 def test_pi_pulsed_is_the_restricted_full_space_pulse():
     for cutoff in (1, 2):
-        spec = preset_device(photon_cutoff=cutoff).spec
+        spec = HilbertSpec(3, cutoff)
         for q in range(3):
             column = embed_qubit_operator(qubit_rotation("x", np.pi), q, spec)[:, 0]
-            psi = pi_pulsed(spec, q)
+            psi = pi_pulsed(3, q)
             assert np.array_equal(psi, column[sector_indices(spec)])
             assert np.abs(column).sum() - np.abs(psi).sum() == 0.0  # nothing outside the sector
-        for q in (-1, 3):  # would land on |g...g,1> or |e_C,0>
-            with pytest.raises(ConfigError, match="out of range"):
-                pi_pulsed(spec, q)
+    for q in (-1, 3):  # would land on |g...g,1> or |e_C,0>
+        with pytest.raises(ConfigError, match="out of range"):
+            pi_pulsed(3, q)
 
 
 def test_populations_match_full_space_references():
-    spec = preset_device(photon_cutoff=2).spec
+    spec = HilbertSpec(3, 2)
     rng = np.random.default_rng(12)
     all_ground = np.eye(spec.dim, dtype=complex)
     for j in range(3):
@@ -195,7 +191,7 @@ def test_populations_match_full_space_references():
 
 
 def test_single_qubit_resonant_eigenvalues():
-    cfg = equal_coupling_device(1, g_over_pi_mhz=100.0, photon_cutoff=1)
+    cfg = equal_coupling_device(1, g_over_pi_mhz=100.0)
     h = build_hamiltonian(cfg, [0.0])
     g = cfg.qubits[0].coupling_g
     block = h[ONE_EXCITATION, ONE_EXCITATION]
@@ -203,7 +199,7 @@ def test_single_qubit_resonant_eigenvalues():
 
 
 def test_three_qubit_resonant_eigenvalues_brute_force():
-    cfg = preset_device(photon_cutoff=1)
+    cfg = preset_device()
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     block = h[ONE_EXCITATION, ONE_EXCITATION]
     eig = np.sort(np.linalg.eigvalsh(block))
@@ -212,22 +208,22 @@ def test_three_qubit_resonant_eigenvalues_brute_force():
 
 
 def test_zero_couplings_hamiltonian_diagonal():
-    cfg = preset_device(photon_cutoff=1)
+    cfg = preset_device()
     h = build_hamiltonian(cfg, cfg.bias_detunings(), coupled=())
     off = h - np.diag(np.diag(h))
     assert np.abs(off).max() == 0.0
 
 
 def test_evolve_unitary_basics():
-    cfg = equal_coupling_device(1, g_over_pi_mhz=100.0, photon_cutoff=1)
+    cfg = equal_coupling_device(1, g_over_pi_mhz=100.0)
     h = build_hamiltonian(cfg, [0.0])
-    psi0 = sector_ket(cfg.spec, [0], 0)
+    psi0 = sector_ket(SPEC11, [0], 0)
     g = cfg.qubits[0].coupling_g
     t_swap = np.pi / (2 * g)
     stack = evolve_unitary(psi0, h, [0.0, t_swap])
     assert stack.shape == (2, 3)
     assert np.array_equal(stack[0], psi0)  # a zero time returns psi unchanged
-    target = -1j * sector_ket(cfg.spec, [], 1)
+    target = -1j * sector_ket(SPEC11, [], 1)
     assert np.abs(stack[1] - target).max() < 1e-10
 
     back = evolve_unitary(stack[1], h, [-t_swap])[0]
@@ -235,27 +231,27 @@ def test_evolve_unitary_basics():
 
 
 def test_evolve_unitary_rejects_non_hermitian():
-    spec = HilbertSpec(1, 1)
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(NumericalError):
-        evolve_unitary(basis_ket(spec, [], 0), bad, [1e-9])
+        evolve_unitary(basis_ket(SPEC11, [], 0), bad, [1e-9])
 
 
 def test_collapse_operators_stack_order_and_rates():
     # bit for bit the full-space references restricted to the sector
+    cfg = preset_device()
+    cs = collapse_operators(cfg)
+    assert cs.shape == (2 * 3 + 1, 5, 5)
+    assert not cs.flags.writeable
     for cutoff in (1, 2):
-        cfg = preset_device(photon_cutoff=cutoff)
-        cs = collapse_operators(cfg)
-        assert cs.shape == (2 * 3 + 1, 5, 5)
-        assert not cs.flags.writeable
-        assert np.array_equal(cs, restrict(kron_collapse(cfg), cfg.spec))
+        spec = HilbertSpec(3, cutoff)
+        assert np.array_equal(cs, restrict(kron_collapse(cfg, spec), spec))
 
 
 def test_lindblad_closed_system_matches_unitary():
-    cfg = preset_device(photon_cutoff=1)
+    cfg = preset_device()
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
-    psi0 = sector_ket(cfg.spec, [], 1)
+    psi0 = sector_ket(SPEC31, [], 1)
     rho = evolve_lindblad(projector(psi0), [], h, [], [3e-9])
     psi = evolve_unitary(psi0, h, [3e-9])
     assert rho.shape == (1, 5, 5)
@@ -263,11 +259,11 @@ def test_lindblad_closed_system_matches_unitary():
 
 
 def test_lindblad_t1_only_exponential_decay():
-    cfg = equal_coupling_device(1, photon_cutoff=1)
+    cfg = equal_coupling_device(1)
     h = np.zeros((3, 3), dtype=complex)
     t1 = cfg.qubits[0].t1
     channel = collapse_operators(cfg)[:1]  # qubit 0's relaxation
-    rho0 = projector(sector_ket(cfg.spec, [0], 0))
+    rho0 = projector(sector_ket(SPEC11, [0], 0))
     t = 300e-9
     rho = evolve_lindblad(rho0, [], h, channel, [t])
     p_e = populations(rho)[0][0, 0]
@@ -291,10 +287,10 @@ def test_lindblad_w_sequential_matches_fine_step_rk4(monkeypatch):
 
 
 def test_lindblad_restricted_matches_full_space_expm(monkeypatch):
-    cfg = preset_device(photon_cutoff=2)
-    spec = cfg.spec
+    cfg = preset_device()
+    spec = HilbertSpec(3, 2)
     detunings = 2 * np.pi * np.array([30e6, -45e6, 10e6])
-    h_full, cs_full = kron_hamiltonian(cfg, detunings), kron_collapse(cfg)
+    h_full, cs_full = kron_hamiltonian(cfg, spec, detunings), kron_collapse(cfg, spec)
     t = 50e-9
     # the generic propagator on the full-space references, from full support
     mixed = np.eye(spec.dim, dtype=complex) / spec.dim
@@ -320,18 +316,19 @@ def test_lindblad_restricted_matches_full_space_expm(monkeypatch):
     monkeypatch.setattr(protocols, "build_hamiltonian", recorded)
     for preset in ("paper-default", "paper-crosstalk-2pct"):
         cfg = named_preset(preset)
-        cs_full = kron_collapse(cfg)
+        cs_full = kron_collapse(cfg, spec)
         collective = [protocols._load(cfg, 2), ((0, 1, 2), protocols.collective_interaction_time(cfg))]
         sequential = list(zip(((2,), (1,), (0,)), protocols.sequential_swap_times(cfg)))
         for segments in (collective, sequential):
             *before, (resonant, duration) = segments
             seen.clear()
             out = protocols._propagate(cfg, 2, before, resonant, True, [duration])[0]
-            ref = projector(embed_qubit_operator(qubit_rotation("x", np.pi), 2, cfg.spec)[:, 0])
+            ref = projector(embed_qubit_operator(qubit_rotation("x", np.pi), 2, spec)[:, 0])
             for (detunings, coupled), (_, t) in zip(seen, segments):
-                ref = full_space_expm(ref, kron_hamiltonian(cfg, detunings, coupled), cs_full, t)
+                h_full = kron_hamiltonian(cfg, spec, detunings, coupled)
+                ref = full_space_expm(ref, h_full, cs_full, t)
             assert len(seen) == len(segments)
-            assert np.abs(zero_padded(out, cfg.spec) - ref).max() < 1e-12, preset
+            assert np.abs(zero_padded(out, spec) - ref).max() < 1e-12, preset
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 24])
@@ -347,18 +344,18 @@ def test_hermitian_basis_orthonormal_and_round_trips(n):
 
 
 def test_lindblad_positivity():
-    cfg = preset_device(photon_cutoff=1)
+    cfg = preset_device()
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
     cs = collapse_operators(cfg)
-    rho0 = projector(sector_ket(cfg.spec, [2], 0))
+    rho0 = projector(sector_ket(SPEC31, [2], 0))
     stack = evolve_lindblad(rho0, [], h, cs, 5e-9 * np.arange(1, 5))
     assert np.linalg.eigvalsh(stack).min() >= -1e-7
 
 
 def test_lindblad_rejects_bad_inputs():
-    cfg = preset_device(photon_cutoff=1)
+    cfg = preset_device()
     h = build_hamiltonian(cfg, [0.0, 0.0, 0.0])
-    rho0 = projector(sector_ket(cfg.spec, [], 0))
+    rho0 = projector(sector_ket(SPEC31, [], 0))
     with pytest.raises(ConfigError):
         evolve_lindblad(rho0, [], h, [], [0.0, -1e-9])
     with pytest.raises(ConfigError):  # a segment run before the last one
@@ -408,24 +405,25 @@ def test_oracle_equivalence_full_space():
     # acceptance criterion 5: the sector propagator, and the full-space reference
     # Hamiltonian's propagator, against the small-block oracle, N = 1..3
     for n in (1, 2, 3):
-        cfg = preset_device(photon_cutoff=2) if n == 3 else equal_coupling_device(n, photon_cutoff=2)
+        cfg = preset_device() if n == 3 else equal_coupling_device(n)
+        spec = HilbertSpec(n, 2)
         g = cfg.couplings()
         detunings = np.zeros(n)
         times = np.linspace(0.0, 12e-9, 50)
         oracle = np.array([single_excitation_oracle(g, detunings, t) for t in times])
-        sector = evolve_unitary(sector_ket(cfg.spec, [], 1), build_hamiltonian(cfg, detunings), times)
-        full = evolve_unitary(basis_ket(cfg.spec, [], 1), kron_hamiltonian(cfg, detunings), times)
-        for amps in (sector[:, ONE_EXCITATION], full[:, sector_indices(cfg.spec)[1:]]):
+        sector = evolve_unitary(sector_ket(spec, [], 1), build_hamiltonian(cfg, detunings), times)
+        full = evolve_unitary(basis_ket(spec, [], 1), kron_hamiltonian(cfg, spec, detunings), times)
+        for amps in (sector[:, ONE_EXCITATION], full[:, sector_indices(spec)[1:]]):
             worst = np.abs(amps - oracle).max()
             assert worst < 1e-8, f"N={n}: {worst}"
 
 
 def test_oracle_equivalence_with_detunings():
-    cfg = preset_device(photon_cutoff=1)
+    cfg = preset_device()
     g = cfg.couplings()
     detunings = 2 * np.pi * np.array([30e6, -45e6, 10e6])
     h = build_hamiltonian(cfg, detunings)
-    psi0 = sector_ket(cfg.spec, [], 1)
+    psi0 = sector_ket(SPEC31, [], 1)
     times = np.linspace(0.0, 10e-9, 25)
     sector = evolve_unitary(psi0, h, times)[:, ONE_EXCITATION]
     oracle = np.array([single_excitation_oracle(g, detunings, t) for t in times])
@@ -433,7 +431,7 @@ def test_oracle_equivalence_with_detunings():
 
 
 def test_dark_state_is_stationary():
-    cfg = preset_device(photon_cutoff=1)
+    cfg = preset_device()
     g = cfg.couplings()
     # c with sum_j g_j c_j = 0, no cavity amplitude
     c = np.array([g[1], -g[0], 0.0], dtype=complex)
@@ -446,8 +444,8 @@ def test_dark_state_is_stationary():
 
 
 def test_excitation_conservation():
-    cfg = preset_device(photon_cutoff=2)
-    spec = cfg.spec
+    cfg = preset_device()
+    spec = HilbertSpec(3, 2)
     n_op = restrict(excitation_number(spec), spec)  # diag(0, 1, 1, 1, 1)
     h = build_hamiltonian(cfg, 2 * np.pi * np.array([5e6, -3e6, 1e6]))
     comm = h @ n_op - n_op @ h
@@ -464,8 +462,8 @@ def test_excitation_conservation():
 def test_frame_gauge_invariance():
     # shifting all detunings by c and compensating with c * (a^dag a + sum sz/2)
     # leaves every population unchanged
-    cfg = preset_device(photon_cutoff=1)
-    spec = cfg.spec
+    cfg = preset_device()
+    spec = SPEC31
     delta = 2 * np.pi * np.array([12e6, -7e6, 25e6])
     shift = 2 * np.pi * 40e6
     h1 = build_hamiltonian(cfg, delta)
@@ -490,7 +488,7 @@ def random_device(g_over_pi_mhz):
     qubits = [
         {**q, "g_over_pi_mhz": g} for q, g in zip(PRESETS["paper-default"]["qubits"], g_over_pi_mhz)
     ]
-    return preset_device(photon_cutoff=1, qubits=qubits)
+    return preset_device(qubits=qubits)
 
 
 @settings(max_examples=20, deadline=None)
@@ -502,7 +500,6 @@ def random_device(g_over_pi_mhz):
 )
 def test_lindblad_invariants_on_random_devices(g, delta, amps, boost):
     cfg = random_device(g)
-    spec = cfg.spec
     vec = np.zeros(5, dtype=complex)
     vec[ONE_EXCITATION] = amps
     if np.linalg.norm(vec) < 1e-3:
@@ -511,7 +508,7 @@ def test_lindblad_invariants_on_random_devices(g, delta, amps, boost):
     h = build_hamiltonian(cfg, 2 * np.pi * 1e6 * np.array(delta))
     # boosted rates make the dissipators visible within a few nanoseconds
     cs = np.sqrt(boost) * collapse_operators(cfg)
-    n_op = restrict(excitation_number(spec), spec)
+    n_op = restrict(excitation_number(SPEC31), SPEC31)
     n_prev = expectation(n_op, rho)
     stack = evolve_lindblad(rho, [], h, cs, 2e-9 * np.arange(1, 5))
     for m in stack:
@@ -531,8 +528,8 @@ def test_lindblad_generator_real_in_hermitian_basis(g, delta, boost):
     cfg = random_device(g)
     detunings = 2 * np.pi * 1e6 * np.array(delta)
     sector = (build_hamiltonian(cfg, detunings), collapse_operators(cfg))
-    full = (kron_hamiltonian(cfg, detunings), kron_collapse(cfg))
-    for (h, cs), n in ((sector, 5), (full, cfg.spec.dim)):
+    full = (kron_hamiltonian(cfg, SPEC31, detunings), kron_collapse(cfg, SPEC31))
+    for (h, cs), n in ((sector, 5), (full, SPEC31.dim)):
         cs = np.sqrt(boost) * cs
         decay = (np.swapaxes(cs.conj(), -1, -2) @ cs).sum(axis=0)
         gen = _lindblad_generator(h, cs, decay)
@@ -546,7 +543,7 @@ def test_lindblad_generator_real_in_hermitian_basis(g, delta, boost):
 def test_lindblad_closed_system_matches_oracle(g, delta, t_ns):
     cfg = random_device(g)
     detunings = 2 * np.pi * 1e6 * np.array(delta)
-    rho0 = projector(sector_ket(cfg.spec, [], 1))
+    rho0 = projector(sector_ket(SPEC31, [], 1))
     rho = evolve_lindblad(rho0, [], build_hamiltonian(cfg, detunings), [], [t_ns * 1e-9])[0]
     psi = single_excitation_oracle(cfg.couplings(), detunings, t_ns * 1e-9)
     assert np.abs(rho[ONE_EXCITATION, ONE_EXCITATION] - np.outer(psi, psi.conj())).max() < 1e-9

@@ -385,11 +385,12 @@ def test_classification():
 
 
 def test_certification_report_shape():
-    report = certification_report(
-        pure_density(W_PAPER), restarts=4, budget=200, seed=0
-    )
+    report = certification_report(pure_density(W_PAPER), seed=0)
     assert set(report) == {"fidelity", "witness", "tangle_bound", "classification", "optimizer_stats"}
     assert report["classification"] == "W_class"
+    # the descent's fixed settings are recorded, so certification.json keeps its keys
+    assert report["optimizer_stats"] == {"kind": "mixed_upper_bound", "decomposition_size": 1,
+                                         "iterations": 0, "restarts": 64, "budget": 400, "seed": 0}
     assert np.isclose(report["fidelity"], 1.0)
     assert np.isclose(report["witness"], -1 / 3)
 

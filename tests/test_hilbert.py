@@ -40,10 +40,11 @@ def test_dimensions():
 
 
 def test_dimension_limit():
-    # the total dimension d of a device is capped at MAX_DIM = 1024 when it is read
-    assert HilbertSpec(3, 127).dim == MAX_DIM
+    # the total dimension d of a space is capped at MAX_DIM = 1024; a device is
+    # held to it through its cavity-traced qubit state, so N <= 10
+    assert HilbertSpec(3, 127).dim == HilbertSpec(10, 0).dim == MAX_DIM
     assert HilbertSpec(8, 2).dim == 768
-    for n, cutoff in ((3, 128), (9, 2), (3, 10**12), (3, 10**20)):
+    for n, cutoff in ((3, 128), (9, 2), (11, 0), (3, 10**12), (3, 10**20)):
         with pytest.raises(ConfigError, match="dimension"):
             HilbertSpec(n, cutoff)
 

@@ -58,7 +58,7 @@ def test_single_photon_full_period_returns_excitation():
 
 
 def test_rabi_scan_single_qubit_cosine_law():
-    cfg = preset_device(photon_cutoff=1)
+    cfg = preset_device()
     g = abs(cfg.qubits[0].coupling_g)
     tau = np.linspace(0.0, 15e-9, 41)
     trace = rabi_scan(cfg, [0], tau)
@@ -69,7 +69,7 @@ def test_rabi_scan_single_qubit_cosine_law():
 
 
 def test_rabi_scan_fitted_frequencies():
-    cfg = preset_device(photon_cutoff=1)
+    cfg = preset_device()
     tau = np.linspace(0.0, 20e-9, 81)
     f1 = analysis.fit_damped_sinusoid(tau, rabi_scan(cfg, [0], tau).cavity_population).frequency
     assert abs(f1 - 105.4e6) / 105.4e6 < 0.005
@@ -82,7 +82,7 @@ def test_rabi_scan_fitted_frequencies():
 
 
 def test_rabi_scan_amplitude_law():
-    cfg = preset_device(photon_cutoff=1)
+    cfg = preset_device()
     g = cfg.couplings()
     g_tot_sq = (g**2).sum()
     tau_w = np.pi / (2 * np.sqrt(g_tot_sq))
@@ -92,7 +92,7 @@ def test_rabi_scan_amplitude_law():
 
 def test_rabi_scan_antiphase_and_excitation_conservation():
     for n in (1, 2, 3):
-        cfg = equal_coupling_device(3, photon_cutoff=1) if n < 3 else preset_device(photon_cutoff=1)
+        cfg = equal_coupling_device(3) if n < 3 else preset_device()
         tau = np.linspace(0.0, 12e-9, 25)
         trace = rabi_scan(cfg, list(range(n)), tau)
         total = trace.cavity_population + trace.qubit_populations.sum(axis=1)
@@ -243,7 +243,7 @@ def test_ideal_preparation_checks_each_ket_once(monkeypatch):
 
 
 def test_rabi_scan_validation():
-    cfg = preset_device(photon_cutoff=1)
+    cfg = preset_device()
     with pytest.raises(ConfigError):
         rabi_scan(cfg, [], [1e-9])
     with pytest.raises(ConfigError):
@@ -278,7 +278,7 @@ def test_segment_compiles_crosstalk_on_the_commanded_change(monkeypatch):
 
 def test_sqrt_n_frequency_law():
     # acceptance criterion 3, equal couplings
-    cfg = equal_coupling_device(3, g_over_pi_mhz=100.0, photon_cutoff=1)
+    cfg = equal_coupling_device(3, g_over_pi_mhz=100.0)
     tau = np.linspace(0.0, 20e-9, 81)
     freqs = {}
     for n in (1, 2, 3):
@@ -331,7 +331,7 @@ def test_ideal_w_preparation_both_protocols():
 
 
 def test_w_from_equal_couplings_has_plus_signs():
-    cfg = equal_coupling_device(3, photon_cutoff=2)
+    cfg = equal_coupling_device(3)
     rho = prepare_w_collective(cfg)
     corrected, _ = apply_phase_correction(rho, w_plus())
     assert fidelity(corrected, w_plus()) > 1 - 1e-9
@@ -448,7 +448,7 @@ def test_w_path_leaves_out_scipy_optimize():
 
 
 def test_population_trace_csv_format():
-    cfg = preset_device(photon_cutoff=1)
+    cfg = preset_device()
     trace = rabi_scan(cfg, [0], np.linspace(0, 5e-9, 9))
     csv = trace.to_csv()
     lines = csv.strip().split("\n")
@@ -477,7 +477,3 @@ def test_schedule_validation():
         prepare_w_collective(cfg, source_qubit=9)
     with pytest.raises(ConfigError):
         _load(cfg, 9)
-    no_photon = preset_device(photon_cutoff=0)  # the sector has no room for the photon
-    for run in (lambda: rabi_scan(no_photon, [0], [0.0]), lambda: prepare_w_sequential(no_photon)):
-        with pytest.raises(ConfigError, match="photon cutoff"):
-            run()
