@@ -153,7 +153,8 @@ def fit_damped_sinusoid(times, values) -> FitReport:
     _, sv, vt = np.linalg.svd(result.jac, full_matrices=False)
     if sv[-1] > sv[0] * t.size * np.finfo(float).eps:
         var = ((vt / sv[:, None]) ** 2).sum(axis=0) * (2 * result.cost / (t.size - 5))
-        var[[0, 3]] /= span**2
+        with np.errstate(over="ignore"):  # a span near 1e300 s: span**2 is inf, the variance 0
+            var[[0, 3]] /= span**2
     else:
         var = np.full(5, np.inf)
     return FitReport(

@@ -2,7 +2,9 @@
 
 Subcommands: ``run``, ``export-preset``, ``reconstruct``, ``certify``; the last two
 execute the ``run`` config they stand for, and all but ``export-preset`` write a manifest.
-Exit codes: 0 success, 2 config/schema error, 3 numerical failure.
+Exit codes: 0 success, 2 config/schema error, 3 numerical failure.  A runner
+returns its artifacts and :func:`execute` alone writes them, after all are
+encoded and with ``manifest.json`` last, so a run that fails writes nothing.
 
 Every JSON input is read once against a table of its keys (:func:`read`): an
 unknown key, a missing required key or a mistyped value exits 2 naming its
@@ -277,13 +279,12 @@ def _write_text(path: Path, text: str):
         raise ConfigError(f"cannot write {path}: {err.strerror}") from err
 
 
-def _write_json(path: Path, obj):
-    """Write ``obj`` as strict JSON; a number that is not finite is a NumericalError."""
+def _json_text(name: str, obj) -> str:
+    """``obj`` as strict JSON text; a number that is not finite is a NumericalError naming ``name``."""
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as err:  # RFC 8259 has no token for inf or NaN
-        raise NumericalError(f"artifact {path.name} would hold a non-finite number: {err}") from err
-    _write_text(path, text + "\n")
+        raise NumericalError(f"artifact {name} would hold a non-finite number: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +297,6 @@ class Run(NamedTuple):
     device: SystemConfig
     noise: bool
     seed: int | None
-    out: Path
 
 
 def _prepare_state(run: Run, state, phase_correct, source_qubit=None):
@@ -325,33 +325,26 @@ def _rabi_scan(run: Run, participating, tau_grid_ns, tau_start_ns, tau_stop_ns, 
         tau_grid_ns = np.linspace(tau_start_ns, tau_stop_ns, num_points)
     grid = np.asarray(tau_grid_ns, dtype=float) * 1e-9  # rabi_scan validates the times
     trace = protocols.rabi_scan(run.device, participating, grid, noise=run.noise)
-    _write_text(run.out / "trace.csv", trace.to_csv())
     fit = analysis.fit_damped_sinusoid(trace.times, trace.cavity_population)
-    _write_json(run.out / "fit_cavity.json", fit.to_dict())
-    return ["trace.csv", "fit_cavity.json"]
+    return {"trace.csv": trace.to_csv(), "fit_cavity.json": fit.to_dict()}
 
 
-def _w_state(run: Run, **prep) -> list[str]:
+def _w_state(run: Run, **prep) -> dict:
     rho, info = _prepare_state(run, **prep)
-    _write_json(run.out / "rho.json", rho_to_json(rho))
     info.update(
         fidelity_w=entanglement.fidelity(rho, entanglement.W_PAPER),
         witness=entanglement.witness_value(rho),
     )
-    _write_json(run.out / "summary.json", info)
-    return ["rho.json", "summary.json"]
+    return {"rho.json": rho_to_json(rho), "summary.json": info}
 
 
-def _tomography(run: Run, sigma, readout_coefficients, **prep) -> list[str]:
+def _tomography(run: Run, sigma, readout_coefficients, **prep) -> dict:
     if sigma > 0 and run.seed is None:
         raise ConfigError("a seed is required whenever params.sigma > 0")
     rho_true, info = _prepare_state(run, **prep)
     tset = tomography.tomography_set(tomography.build_readout(readout_coefficients))
     outcomes = tomography.simulate_measurements(rho_true, tset, sigma, run.seed)
-    _write_text(run.out / "records.csv", tomography.records_to_csv(outcomes, tset))
     result = tomography.reconstruct(outcomes, tset)
-    _write_json(run.out / "rho_true.json", rho_to_json(rho_true))
-    estimate = _write_estimate(run, result.rho)
     info.update(
         sigma=sigma,
         fidelity_to_truth=entanglement.uhlmann_fidelity(result.rho, rho_true),
@@ -359,41 +352,39 @@ def _tomography(run: Run, sigma, readout_coefficients, **prep) -> list[str]:
         eigenvalue_shift=result.eigenvalue_shift,
         residual_norm=result.residual_norm,
     )
-    _write_json(run.out / "summary.json", info)
-    return ["records.csv", "rho_true.json", *estimate, "summary.json"]
+    return {
+        "records.csv": tomography.records_to_csv(outcomes, tset),
+        "rho_true.json": rho_to_json(rho_true),
+        **_estimate(result.rho),
+        "summary.json": info,
+    }
 
 
-def _reconstruct(run: Run, records_path, readout_coefficients) -> list[str]:
+def _reconstruct(run: Run, records_path, readout_coefficients) -> dict:
     try:
         text = _read_bytes(Path(records_path)).decode()
     except UnicodeDecodeError as err:
         raise ConfigError(f"records file {records_path} is not UTF-8 text: {err}") from err
     tset = tomography.tomography_set(tomography.build_readout(readout_coefficients))
     rho = tomography.reconstruct(tomography.records_from_csv(text, tset), tset).rho
-    certified = _certification(run, rho)  # first, so that a failure writes nothing
-    return _write_estimate(run, rho) + certified
+    return {**_estimate(rho), **_certification(run, rho)}
 
 
-def _write_estimate(run: Run, rho: DensityMatrix) -> list[str]:
-    """Write a reconstructed state and its 64 Pauli expectation values."""
-    _write_json(run.out / "rho_mle.json", rho_to_json(rho))
+def _estimate(rho: DensityMatrix) -> dict:
+    """The artifacts of a reconstructed state: the state and its 64 Pauli expectation values."""
     lines = ["label,value"]
     lines += [f"{l},{v:.12g}" for l, v in zip(tomography.PAULI_LABELS, tomography.pauli_set(rho))]
-    _write_text(run.out / "pauli_set.csv", "\n".join(lines) + "\n")
-    return ["rho_mle.json", "pauli_set.csv"]
+    return {"rho_mle.json": rho_to_json(rho), "pauli_set.csv": "\n".join(lines) + "\n"}
 
 
-def _certify(run: Run, rho_path) -> list[str]:
-    rho = rho_from_json(_load_json(Path(rho_path))[0], "params.rho_path")
-    return _certification(run, rho)
+def _certify(run: Run, rho_path) -> dict:
+    return _certification(run, rho_from_json(_load_json(Path(rho_path))[0], "params.rho_path"))
 
 
-def _certification(run: Run, rho: DensityMatrix) -> list[str]:
-    """Write the certification report of ``rho``; without a seed, seed 0."""
+def _certification(run: Run, rho: DensityMatrix) -> dict:
+    """The certification report of ``rho``; without a seed, seed 0."""
     seed = 0 if run.seed is None else run.seed
-    report = entanglement.certification_report(rho, seed=seed)
-    _write_json(run.out / "certification.json", report)
-    return ["certification.json"]
+    return {"certification.json": entanglement.certification_report(rho, seed=seed)}
 
 
 # Most interaction times of one scan, checked before the grid is allocated;
@@ -440,10 +431,14 @@ TOP = {
 
 
 def execute(cfg, raw: bytes, out=None, seed=None, quiet=False) -> list[Path]:
-    """Execute a parsed config and write its manifest; returns artifact paths.
+    """Execute a parsed config, then write its artifacts and manifest; returns artifact paths.
 
-    The manifest hashes ``raw``, the config's bytes.  ``out`` and ``seed``
-    (an integer >= 0), when given, replace the config's output_dir and seed.
+    The runner returns each artifact as CSV text or a JSON object, in order.
+    Every one is encoded before the first is written, and ``manifest.json``
+    is written last, so a failed run writes nothing and a directory holding
+    a manifest holds a whole run.  The manifest hashes ``raw``, the config's
+    bytes.  ``out`` and ``seed`` (an integer >= 0), when given, replace the
+    config's output_dir and seed.
     """
     top = read(cfg, TOP)
     table, runner = EXPERIMENTS[top["experiment"]]
@@ -452,17 +447,16 @@ def execute(cfg, raw: bytes, out=None, seed=None, quiet=False) -> list[Path]:
     out = Path(out) if out else Path(top["output_dir"])
 
     start = time.perf_counter()
-    artifacts = runner(Run(top["device"], top["noise"], seed, out), **params)
-    manifest = {
+    artifacts = runner(Run(top["device"], top["noise"], seed), **params)
+    texts = {name: c if isinstance(c, str) else _json_text(name, c) for name, c in artifacts.items()}
+    texts["manifest.json"] = _json_text("manifest.json", {
         "config_sha256": hashlib.sha256(raw).hexdigest(),
-        "artifacts": artifacts,
+        "artifacts": list(artifacts),
         "versions": {"cqedw": __version__, "numpy": np.__version__},
         "duration_s": time.perf_counter() - start,
-    }
-    _write_json(out / "manifest.json", manifest)
-    for name in artifacts:
-        if not (out / name).exists() or (out / name).stat().st_size == 0:
-            raise NumericalError(f"artifact {name} missing or empty")
+    })
+    for name, text in texts.items():
+        _write_text(out / name, text)
     if not quiet:
         print(f"{top['experiment']}: wrote {len(artifacts)} artifacts to {out}")
     return [out / a for a in artifacts]
@@ -491,7 +485,7 @@ def _command_config(args, seed) -> tuple[object, bytes]:
 def export_preset(name: str, out_dir) -> Path:
     """Write a named device preset as a re-loadable config file."""
     path = Path(out_dir) / f"{name}.json"
-    _write_json(path, device_to_json(named_preset(name)))
+    _write_text(path, _json_text(path.name, device_to_json(named_preset(name))))
     return path
 
 

@@ -119,11 +119,17 @@ def decoherence_rates(q: QubitParams, r: ResonatorParams) -> Rates:
     """Relaxation, pure-dephasing and cavity decay rates from T1, T2 and Q.
 
     gamma_phi = 1/T2 - 1/(2 T1), clamped at zero; kappa = omega_r / Q in
-    rad/s (so kappa/2pi is the linewidth in Hz).
+    rad/s (so kappa/2pi is the linewidth in Hz).  A rate that overflows to
+    inf is a ConfigError naming the field that is too small.
     """
-    gamma1 = 1.0 / q.t1
-    gamma_phi = max(0.0, 1.0 / q.t2 - 0.5 / q.t1)
-    kappa = TWO_PI * r.omega_r * 1e9 / r.quality_factor
+    with np.errstate(over="ignore", divide="ignore"):
+        gamma1 = 1.0 / q.t1
+        gamma_phi = max(0.0, 1.0 / q.t2 - 0.5 / q.t1)
+        kappa = TWO_PI * r.omega_r * 1e9 / r.quality_factor
+    if not np.isfinite((gamma1, gamma_phi)).all():
+        raise ConfigError(f"qubit {q.label}: t1 or t2 is too small for a finite decay rate")
+    if not np.isfinite(kappa):
+        raise ConfigError(f"resonator quality_factor {r.quality_factor} is too small for a finite kappa")
     return Rates(gamma1=gamma1, gamma_phi=gamma_phi, kappa=kappa)
 
 

@@ -152,7 +152,20 @@ def _load(config: SystemConfig, source: int) -> tuple[tuple[int], float]:
     """
     if not 0 <= source < len(config.qubits):
         raise ConfigError(f"source qubit {source} out of range")
-    return (source,), np.pi / (2 * abs(config.qubits[source].coupling_g))
+    return (source,), _swap_time(np.pi / 2, abs(config.qubits[source].coupling_g))
+
+
+def _swap_time(angle: float, g: float) -> float:
+    """The time angle / g (s) that a coupling ``g`` (rad/s) takes to turn ``angle``.
+
+    A time that under- or overflows, from a coupling that is not a normal
+    float or whose square overflowed, is a ConfigError naming the field.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        tau = float(angle / g)
+    if not 0 < tau < np.inf:
+        raise ConfigError(f"g_over_pi_mhz: a coupling of {g:.3g} rad/s gives a swap time of {tau} s")
+    return tau
 
 
 def rabi_scan(
@@ -196,8 +209,9 @@ def rabi_scan(
 
 def collective_interaction_time(config: SystemConfig) -> float:
     """Factorization time pi / (2 G) with G = sqrt(sum_j g_j^2)."""
-    g = config.couplings()
-    return float(np.pi / (2 * np.sqrt((g**2).sum())))
+    with np.errstate(over="ignore"):  # an overflowing G gives time 0, which _swap_time rejects
+        big_g = np.sqrt((config.couplings() ** 2).sum())
+    return _swap_time(np.pi / 2, big_g)
 
 
 def prepare_w_collective(
@@ -224,9 +238,9 @@ def sequential_swap_times(config: SystemConfig) -> tuple[float, float, float]:
     """
     g = np.abs(config.couplings())
     return (
-        float(np.arcsin(np.sqrt(2.0 / 3.0)) / g[2]),
-        float(np.arcsin(np.sqrt(1.0 / 2.0)) / g[1]),
-        float(np.arcsin(1.0) / g[0]),
+        _swap_time(np.arcsin(np.sqrt(2.0 / 3.0)), g[2]),
+        _swap_time(np.arcsin(np.sqrt(1.0 / 2.0)), g[1]),
+        _swap_time(np.arcsin(1.0), g[0]),
     )
 
 

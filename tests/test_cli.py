@@ -342,22 +342,25 @@ def test_noisy_run_needs_no_seed(tmp_path):
         assert (tmp_path / "None" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
-def test_run_numerical_failure_exits_3(tmp_path):
-    # sampling exactly at full swap periods yields a constant trace, which
-    # cannot seed the frequency fit
+def test_run_numerical_failure_exits_3(tmp_path, capsys):
+    # sampling exactly at full swap periods, or 11 times within 1e-6 ns, yields
+    # a constant trace, which cannot seed the frequency fit; the scan used to
+    # leave trace.csv behind
     period_ns = 1e9 * np.pi / abs(preset_device().qubits[0].coupling_g)
     cfg_path = tmp_path / "cfg.json"
-    write_config(
-        cfg_path,
-        params={"participating": ["A"], "tau_grid_ns": [k * period_ns for k in range(9)]},
-    )
-    assert run_cli("run", "--config", cfg_path) == 3
+    for params in ({"participating": ["A"], "tau_grid_ns": [k * period_ns for k in range(9)]},
+                   {"participating": ["A"], "tau_start_ns": 0.0, "tau_stop_ns": 1e-6, "num_points": 11}):
+        write_config(cfg_path, params=params)
+        assert run_cli("run", "--config", cfg_path) == 3
+        assert "no dominant spectral peak" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_artifact_exits_3(tmp_path, capsys):
     # a sigma of 1e300 makes summary.json's residual_norm inf, and a grid that
     # ends at 1e300 ns makes fit_cavity.json's variances inf; both runs used to
-    # exit 0 and write the token Infinity, which strict JSON parsers reject
+    # exit 0 and write the token Infinity, which strict JSON parsers reject,
+    # and then to exit 3 leaving the artifacts written before the failure
     cfg_path = tmp_path / "cfg.json"
     grid = [*range(10), 1e300]
     for experiment, params, named in (
@@ -368,9 +371,36 @@ def test_non_finite_artifact_exits_3(tmp_path, capsys):
         write_config(cfg_path, experiment=experiment, seed=0, output_dir=str(out), params=params)
         assert run_cli("run", "--config", cfg_path, "--quiet") == 3, experiment
         assert f"artifact {named} would hold a non-finite number" in capsys.readouterr().err
-        assert not (out / named).exists()
-        for path in out.iterdir():
-            assert b"Infinity" not in path.read_bytes(), path
+        assert not out.exists()
+
+
+def test_failed_rerun_leaves_a_finished_run_as_it_was(tmp_path, capsys):
+    # the sigma 1e300 tomography fails after everything but summary.json is
+    # computed; it used to overwrite four of the finished run's files
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    write_config(cfg_path, experiment="tomography", seed=0, params={"sigma": 0.02})
+    assert run_cli("run", "--config", cfg_path, "--quiet") == 0
+    finished = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert "manifest.json" in finished and len(finished) == 6
+    write_config(cfg_path, experiment="tomography", seed=0, params={"sigma": 1e300})
+    assert run_cli("run", "--config", cfg_path, "--quiet") == 3
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == finished
+
+
+def test_overflowing_rates_and_swap_times_exit_2(tmp_path, capsys):
+    # a quality factor of 5e-324 makes kappa inf, and the collapse operator was
+    # inf * 0; couplings of 1e-300 MHz make sum g^2 underflow to 0, and the
+    # collective interaction time was pi / 0; both raised a RuntimeWarning
+    cfg_path = tmp_path / "cfg.json"
+    default = device_to_json(preset_device())
+    tiny_q = {**default, "resonator": {**default["resonator"], "quality_factor": 5e-324}}
+    tiny_g = {**default, "qubits": [{**q, "g_over_pi_mhz": 1e-300} for q in default["qubits"]]}
+    for device, noise, named in ((tiny_q, True, "quality_factor"), (tiny_g, False, "g_over_pi_mhz")):
+        write_config(cfg_path, experiment="w_collective", noise=noise, device=device)
+        assert run_cli("run", "--config", cfg_path, "--quiet") == 2
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_w_collective_and_certify(tmp_path):
