@@ -11,11 +11,14 @@ which is 1 for a GHZ state and 0 for every W-class or product state.  For
 mixed states the convex roof (minimum average tangle over decompositions)
 is approximated from above by a lockstep Riemannian gradient descent over
 isometric mixtures of the eigenvector ensemble, driven by the analytic
-Wirtinger gradient of Det.  By default 64 restarts run the first 150 of
-400 iterations, half of them on a smooth surrogate; then only the 8 with
-the lowest true average tangle descend it for the last 250.  Its kernel
-is amplitude-major: the rows of every restart form one (8, n) array, so
-each amplitude is a contiguous vector.  The same ``_hyperdet`` gives Det
+Wirtinger gradient of Det.  By default 64 restarts start the first 150 of
+400 iterations, half of them on a smooth surrogate.  Each kind sheds its
+restarts of highest true average tangle at fixed checkpoints (successive
+halving): the 32 on the true average fall to 8, 2 and 1 after 15, 30 and
+45 iterations, the 32 surrogate ones to 16 and 8 after 50 and 100.  Then all
+64 are evaluated on the true average, and only the 8 lowest descend it for
+the last 250.  Its kernel is amplitude-major: the rows of every restart
+form one (8, n) array, so each amplitude is a contiguous vector.  The same ``_hyperdet`` gives Det
 and its gradient there and, through a moved axis, ``tangle_quartic`` on
 (..., 8) input.  The result is the average tangle of an explicit
 decomposition, an upper bound, never a claim of the exact roof.  The
@@ -107,6 +110,8 @@ def witness_value(rho: DensityMatrix) -> float:
 _TRIPLES = (np.array([3, 2, 1, 0, 1, 0, 0, 1]),
             np.array([5, 4, 4, 5, 2, 3, 3, 2]),
             np.array([6, 7, 7, 6, 7, 6, 5, 4]))
+# dDet/da_i = dDet/dx_j * a_(7-i) for the pair x_j that a_i sits in
+_PAIR_OF = np.array([0, 1, 2, 3, 3, 2, 1, 0])
 
 
 def _hyperdet(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +129,7 @@ def _hyperdet(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dx = 4.0 * x - 2.0 * s
     t = a[_TRIPLES[0]] * a[_TRIPLES[1]] * a[_TRIPLES[2]]
     det = 2.0 * np.sum(x * x, axis=0) - s * s + 4.0 * (a[0] * t[0] + a[1] * t[1])
-    grad = dx[[0, 1, 2, 3, 3, 2, 1, 0]] * a[::-1]
+    grad = dx[_PAIR_OF] * a[::-1]
     grad += 4.0 * t
     return det, grad
 
@@ -203,6 +208,24 @@ def _roof_objective(v, wtil, squared):
     return objective.reshape(k, m).sum(axis=1), tangle.reshape(k, m).sum(axis=1), g
 
 
+def _halving(restarts: int, early: int) -> dict[int, list[tuple[bool, int]]]:
+    """Checkpoints of the surrogate phase: trial i -> [(kind, live restarts it keeps)].
+
+    Kind True is the surrogate restarts, False those on the true average.
+    The true-objective restarts fall to restarts // 8, // 32 and 1 after a
+    tenth, two tenths and three tenths of the phase's ``early`` trials, the
+    surrogate ones to restarts // 4 and // 8 after a third and two thirds.
+    No count falls below 1.  The descent looks a checkpoint up after each
+    trial, so one at trial 0 makes no cut.
+    """
+    cuts: dict[int, list[tuple[bool, int]]] = {}
+    for kind, at, count in ((False, early // 10, restarts // 8), (False, 2 * early // 10, restarts // 32),
+                            (False, 3 * early // 10, 1), (True, early // 3, restarts // 4),
+                            (True, 2 * early // 3, restarts // 8)):
+        cuts.setdefault(at, []).append((kind, max(1, count)))
+    return cuts
+
+
 def three_tangle_mixed(
     rho: DensityMatrix,
     restarts: int = DEFAULT_RESTARTS,
@@ -225,8 +248,16 @@ def three_tangle_mixed(
     predicted decrease t |grad|^2 falls below 1e-13.  ``budget`` counts
     iterations per restart.  For the first 3/8 of them, every other
     restart descends the smooth surrogate sum_k p_k tau_k^2, which reaches
-    the zero set where the kink of |Det| stalls the true objective.  Then
-    every restart is evaluated on the true average sum_k p_k tau_k, and only
+    the zero set where the kink of |Det| stalls the true objective.  In
+    that phase each kind keeps, at the checkpoints of ``_halving``, only its
+    live restarts of lowest true average at their last accepted point (ties
+    to the lower index), as in successive halving (Jamieson, Talwalkar,
+    AISTATS 2016); a dropped restart stays where it stood, like a retired
+    one.  The true-objective restarts are cut early, since those that will
+    end among the best already lead; the surrogate ones only reach the
+    zero set late, so they are cut later and less.  Then every restart,
+    dropped and retired ones included, is evaluated on the true average
+    sum_k p_k tau_k, and only
     the eighth of them with the lowest value (at least one, ties to the
     lower index) descends it from where it stands; without a surrogate
     phase (``budget`` < 3) every restart does.  The result is the smallest
@@ -258,17 +289,17 @@ def three_tangle_mixed(
     early = 3 * budget // 8
     best = np.full(restarts, np.inf)
     used = 0
-    for squared, iterations, kept in (
-        (surrogate, early, restarts),
-        (np.zeros(restarts, dtype=bool), budget - early, max(1, restarts // 8) if early else restarts),
+    for squared, iterations, kept, cuts in (
+        (surrogate, early, restarts, _halving(restarts, early)),
+        (np.zeros(restarts, dtype=bool), budget - early, max(1, restarts // 8) if early else restarts, {}),
     ):
         f, tau, g = _roof_objective(isometries, wtil, squared)
         best = np.minimum(best, tau)
         # the restarts of lowest true average go on; ties go to the lower index
         idx = np.sort(np.argsort(tau, kind="stable")[:kept])
-        v, f, g, sq = isometries[idx], f[idx], g[idx], squared[idx]
+        v, f, avg, g, sq = isometries[idx], f[idx], tau[idx], g[idx], squared[idx]
         gg, t = _sq_norm(g), np.ones(kept)
-        for _ in range(iterations):
+        for i in range(1, iterations + 1):
             used += idx.size
             q = _retract(v - t[:, None, None] * g)
             fq, tau, gq = _roof_objective(q, wtil, sq)
@@ -279,14 +310,16 @@ def three_tangle_mixed(
             sy = np.abs(_inner(s, y))
             bb = np.divide(_sq_norm(s), sy, out=np.full(idx.size, np.inf), where=sy > 0)
             t = np.where(ok, np.minimum(bb, 10.0 * t), 0.5 * t)
-            v = np.where(ok[:, None, None], q, v)
-            g = np.where(ok[:, None, None], gq, g)
-            f = np.where(ok, fq, f)
-            gg = np.where(ok, _sq_norm(g), gg)
+            v[ok], g[ok], f[ok], avg[ok] = q[ok], gq[ok], fq[ok], tau[ok]
+            gg[ok] = _sq_norm(gq[ok])
             live = t * gg > 1e-13
+            for kind, count in cuts.get(i, ()):
+                # a kind keeps its live restarts of lowest true average, ties to the lower index
+                mine = np.flatnonzero(live & (sq == kind))
+                live[mine[np.argsort(avg[mine], kind="stable")[count:]]] = False
             if not live.all():
                 isometries[idx[~live]] = v[~live]
-                idx, v, g, f, gg, t, sq = (x[live] for x in (idx, v, g, f, gg, t, sq))
+                idx, v, g, f, avg, gg, t, sq = (x[live] for x in (idx, v, g, f, avg, gg, t, sq))
                 if idx.size == 0:
                     break
         isometries[idx] = v

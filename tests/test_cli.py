@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import cqedw
 from cqedw import cli, entanglement, tomography
 from cqedw.cli import device_from_json, device_to_json, main, rho_from_json, rho_to_json
 from cqedw.hilbert import DensityMatrix
-from conftest import preset_device, pure_density
+from conftest import QUBIT_SPEC_3, preset_device, pure_density
 
 
 def run_cli(*args):
@@ -300,6 +301,45 @@ def test_readme_matches_config_schema(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli("run", "--config", "scan.json", "--quiet") == 0
     assert (tmp_path / "out" / "scan3" / "fit_cavity.json").stat().st_size > 0
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_certify_across_blas_kernels(tmp_path):
+    # the cross-machine contract: on the certify benchmark's three inputs,
+    # certify keeps its verdicts under other OpenBLAS kernels, with bounds
+    # within 1e-9 absolute; Haswell needs AVX2 and Prescott only SSE3
+    # (SkylakeX would need AVX-512)
+    w = np.outer(entanglement.W_PAPER, entanglement.W_PAPER.conj())
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    mixed = g @ g.conj().T
+    fixed = np.random.default_rng(0)
+    psi = fixed.standard_normal(8) + 1j * fixed.standard_normal(8)
+    psi /= np.linalg.norm(psi)
+    paths = []
+    for i, rho in enumerate((0.9 * w + 0.1 * mixed / np.trace(mixed).real,
+                             0.9 * w + 0.1 * np.outer(psi, psi.conj()),
+                             0.9 * np.outer(entanglement.GHZ, entanglement.GHZ.conj()) + 0.1 * w)):
+        paths.append(tmp_path / f"rho{i}.json")
+        paths[-1].write_text(json.dumps(rho_to_json(DensityMatrix(0.5 * (rho + rho.conj().T), QUBIT_SPEC_3))))
+
+    def reports(out):
+        return [json.loads((out / p.stem / "certification.json").read_text()) for p in paths]
+
+    for p in paths:
+        assert run_cli("certify", p, "--out", tmp_path / "here" / p.stem, "--quiet") == 0
+    here = reports(tmp_path / "here")
+    assert [r["classification"] for r in here] == ["W_class", "W_class", "GHZ_class"]
+    code = ("import sys; from pathlib import Path; from cqedw.cli import main; out = Path(sys.argv[1]); "
+            "sys.exit(any(main(['certify', p, '--out', str(out / Path(p).stem), '--quiet']) for p in sys.argv[2:]))")
+    src = str(Path(cqedw.__file__).resolve().parent.parent)
+    for core in ("Haswell", "Prescott"):
+        subprocess.run([sys.executable, "-c", code, str(tmp_path / core), *map(str, paths)], check=True,
+                       env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": core})
+        for mine, theirs in zip(here, reports(tmp_path / core)):
+            assert theirs["classification"] == mine["classification"]
+            assert abs(theirs["tangle_bound"] - mine["tangle_bound"]) <= 1e-9
 
 
 def test_cli_import_leaves_out_scipy_optimize():

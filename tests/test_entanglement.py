@@ -236,6 +236,86 @@ def test_tangle_mixed_retires_restarts(monkeypatch):
     assert est.value == min(min(out[1]) for _, _, out in calls)
 
 
+@pytest.mark.parametrize("digits", [None, 2])
+def test_tangle_mixed_halves_restarts_by_kind(monkeypatch, digits):
+    # in the surrogate phase each kind keeps, at fixed checkpoints, its live
+    # restarts of lowest accepted true average, ties to the lower index: the
+    # true-objective restarts fall to 8, 2 and 1 after 15, 30 and 45 trials,
+    # the surrogate ones to 16 and 8 after 50 and 100.  With digits set, the
+    # descent sees averages rounded to that many decimals, so that many of
+    # them tie; the objective and its gradient stay exact
+    rho = random_density(QUBIT_SPEC_3, np.random.default_rng(9), rank=3)
+    calls = []
+
+    def recording(v, wtil, squared):
+        f, tau, g = roof_objective(v, wtil, squared)
+        if digits is not None:
+            tau = np.round(tau, digits)
+        calls.append((v.copy(), squared.copy(), (f, tau, g)))  # the descent updates its stack in place
+        return f, tau, g
+
+    roof_objective = entanglement._roof_objective
+    monkeypatch.setattr(entanglement, "_roof_objective", recording)
+    est = three_tangle_mixed(rho, seed=5)
+    restarts, early = entanglement.DEFAULT_RESTARTS, 3 * entanglement.DEFAULT_BUDGET // 8
+    cuts = {15: (False, 8), 30: (False, 2), 45: (False, 1), 50: (True, 16), 100: (True, 8)}
+    # the switch evaluates all 64 restarts on the true average; the surrogate
+    # phase ends before it, after 150 trials or once no restart is live
+    switch = next(i for i, (v, sq, _) in enumerate(calls) if len(v) == restarts and not sq.any())
+    assert 1 < switch <= early + 1
+    for trial, (_, sq, _) in enumerate(calls[1:switch], start=1):
+        for kind in (False, True):
+            caps = [count for at, (k, count) in cuts.items() if k == kind and at < trial]
+            assert np.count_nonzero(sq == kind) <= min(caps, default=restarts)
+
+    # replay the step rule on the recorded evaluations, apply the halving rule
+    # here, and predict each trial stack from the restarts this keeps
+    v, sq, f, avg, g = (x.copy() for x in (calls[0][0], calls[0][1], *calls[0][2]))
+    idx, gg, t = np.arange(restarts), entanglement._sq_norm(g), np.ones(restarts)
+    made = ties = 0  # checkpoints that drop a restart, and those where a tie straddles the cut
+    for trial in range(1, switch):
+        q, _, (fq, tau, gq) = calls[trial]
+        np.testing.assert_array_equal(q, entanglement._retract(v - t[:, None, None] * g))
+        ok = fq <= f - 1e-4 * t * gg
+        s, y = q - v, gq - g
+        sy = np.abs(entanglement._inner(s, y))
+        bb = np.divide(entanglement._sq_norm(s), sy, out=np.full(idx.size, np.inf), where=sy > 0)
+        t = np.where(ok, np.minimum(bb, 10.0 * t), 0.5 * t)
+        v[ok], g[ok], f[ok], avg[ok] = q[ok], gq[ok], fq[ok], tau[ok]
+        gg[ok] = entanglement._sq_norm(gq[ok])
+        live = t * gg > 1e-13
+        if trial in cuts:
+            kind, count = cuts[trial]
+            mine = np.flatnonzero(live & (sq == kind))
+            ranked = mine[np.lexsort((idx[mine], avg[mine]))]
+            live[ranked[count:]] = False
+            made += ranked.size > count
+            ties += ranked.size > count and avg[ranked[count - 1]] == avg[ranked[count]]
+        idx, v, g, f, avg, gg, t, sq = (x[live] for x in (idx, v, g, f, avg, gg, t, sq))
+    assert switch == early + 1 or idx.size == 0
+    # at 100 few surrogate restarts are still live
+    assert made >= 3 and (digits is None or ties >= 1)
+    # every average evaluated feeds the bound
+    assert est.value == min(min(out[1]) for _, _, out in calls)
+
+
+def test_tangle_mixed_makes_no_cut_at_trial_zero(monkeypatch):
+    # budget 20 gives a surrogate phase of 7 trials, whose first checkpoint
+    # (early // 10 = 0) makes no cut; the next two keep 2 and 1 true restarts
+    rho = random_density(QUBIT_SPEC_3, np.random.default_rng(9), rank=3)
+    squared = []
+
+    def recording(v, wtil, sq):
+        squared.append(sq.copy())
+        return roof_objective(v, wtil, sq)
+
+    roof_objective = entanglement._roof_objective
+    monkeypatch.setattr(entanglement, "_roof_objective", recording)
+    three_tangle_mixed(rho, budget=20, seed=5)
+    assert len(squared[1]) == entanglement.DEFAULT_RESTARTS
+    assert np.count_nonzero(~squared[2]) <= 2 and np.count_nonzero(~squared[3]) <= 1
+
+
 def test_tangle_mixed_on_benchmark_certify_inputs():
     # the three states of the certify benchmark at workload seed 1, built
     # here, with their verdicts and bounds; the bounds may not rise
