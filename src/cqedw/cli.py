@@ -136,6 +136,15 @@ def _load_json(path: Path) -> tuple[object, bytes]:
 G_RAD_PER_PI_MHZ = np.pi * 1e6  # coupling rad/s per quoted (g/pi) MHz
 SECONDS_PER_US = 1e-6
 SECONDS_PER_NS = 1e-9
+# each numeric key of a qubit object -> (its QubitParams field, unit factor)
+QUBIT_FIELDS = {
+    "ej_max_ghz": ("ej_max", 1.0),
+    "ec_ghz": ("ec", 1.0),
+    "g_over_pi_mhz": ("coupling_g", G_RAD_PER_PI_MHZ),
+    "bias_ghz": ("bias_frequency", 1.0),
+    "t1_us": ("t1", SECONDS_PER_US),
+    "t2_ns": ("t2", SECONDS_PER_NS),
+}
 
 
 def device_to_json(config: SystemConfig) -> dict:
@@ -145,30 +154,15 @@ def device_to_json(config: SystemConfig) -> dict:
             "quality_factor": config.resonator.quality_factor,
         },
         "qubits": [
-            {
-                "label": q.label,
-                "ej_max_ghz": q.ej_max,
-                "ec_ghz": q.ec,
-                "g_over_pi_mhz": q.coupling_g / G_RAD_PER_PI_MHZ,
-                "bias_ghz": q.bias_frequency,
-                "t1_us": q.t1 / SECONDS_PER_US,
-                "t2_ns": q.t2 / SECONDS_PER_NS,
-            }
+            {"label": q.label,
+             **{key: getattr(q, field) / factor for key, (field, factor) in QUBIT_FIELDS.items()}}
             for q in config.qubits
         ],
         "crosstalk": [list(row) for row in config.crosstalk.matrix],
     }
 
 
-QUBIT = {
-    "label": (str, "?"),
-    "ej_max_ghz": (float, REQUIRED),
-    "ec_ghz": (float, REQUIRED),
-    "g_over_pi_mhz": (float, REQUIRED),
-    "bias_ghz": (float, REQUIRED),
-    "t1_us": (float, REQUIRED),
-    "t2_ns": (float, REQUIRED),
-}
+QUBIT = {"label": (str, "?"), **{key: (float, REQUIRED) for key in QUBIT_FIELDS}}
 RESONATOR = {"omega_r_ghz": (float, REQUIRED), "quality_factor": (float, REQUIRED)}
 DEVICE = {
     "qubits": ([QUBIT], REQUIRED),
@@ -212,15 +206,8 @@ def device_from_json(obj, path: str = "device") -> SystemConfig:
         obj, path = PRESETS[obj], f"preset {obj}"
     device = read(obj, DEVICE, path)
     qubits = tuple(
-        QubitParams(
-            ej_max=q["ej_max_ghz"],
-            ec=q["ec_ghz"],
-            coupling_g=q["g_over_pi_mhz"] * G_RAD_PER_PI_MHZ,
-            bias_frequency=q["bias_ghz"],
-            t1=q["t1_us"] * SECONDS_PER_US,
-            t2=q["t2_ns"] * SECONDS_PER_NS,
-            label=q["label"],
-        )
+        QubitParams(label=q["label"],
+                    **{field: q[key] * factor for key, (field, factor) in QUBIT_FIELDS.items()})
         for q in device["qubits"]
     )
     rows = device["crosstalk"]

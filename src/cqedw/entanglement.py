@@ -11,15 +11,16 @@ which is 1 for a GHZ state and 0 for every W-class or product state.  For
 mixed states the convex roof (minimum average tangle over decompositions)
 is approximated from above by a lockstep Riemannian gradient descent over
 isometric mixtures of the eigenvector ensemble, driven by the analytic
-Wirtinger gradient of Det.  By default 64 restarts start the first 150 of
-400 iterations, half of them on a smooth surrogate.  Each kind sheds its
-restarts of highest true average tangle at fixed checkpoints (successive
-halving): the 32 on the true average fall to 8, 2 and 1 after 15, 30 and
-45 iterations, the 32 surrogate ones to 16 and 8 after 50 and 100.  Then all
-64 are evaluated on the true average, and only the 8 lowest descend it for
-the last 250.  Its kernel is amplitude-major: the rows of every restart
-form one (8, n) array, so each amplitude is a contiguous vector.  The same ``_hyperdet`` gives Det
-and its gradient there and, through a moved axis, ``tangle_quartic`` on
+Wirtinger gradient of Det.  The descent runs one fixed schedule,
+``SCHEDULE``: 64 restarts start the first 150 of 400 iterations, half of
+them on a smooth surrogate.  Each kind sheds its restarts of highest true
+average tangle at fixed checkpoints (successive halving): the 32 on the true
+average fall to 8, 2 and 1 after 15, 30 and 45 iterations, the 32 surrogate
+ones to 16 and 8 after 50 and 100.  Then all 64 are evaluated on the true
+average, and only the 8 lowest descend it for the last 250.  Its kernel is
+amplitude-major: the rows of every restart form one (8, n) array, so each
+amplitude is a contiguous vector.  The same ``_hyperdet`` gives Det and its
+gradient there and, through a moved axis, ``tangle_quartic`` on
 (..., 8) input.  The result is the average tangle of an explicit
 decomposition, an upper bound, never a claim of the exact roof.  The
 descent is plain numpy; one seeded draw picks its starting points, so the
@@ -33,8 +34,6 @@ import numpy as np
 from .errors import ConfigError
 from .hilbert import DensityMatrix
 
-DEFAULT_RESTARTS = 64
-DEFAULT_BUDGET = 400
 W_TANGLE_THRESHOLD = 0.1
 GHZ_TANGLE_THRESHOLD = 0.5
 EIGENVALUE_CUTOFF = 1e-10
@@ -208,30 +207,19 @@ def _roof_objective(v, wtil, squared):
     return objective.reshape(k, m).sum(axis=1), tangle.reshape(k, m).sum(axis=1), g
 
 
-def _halving(restarts: int, early: int) -> dict[int, list[tuple[bool, int]]]:
-    """Checkpoints of the surrogate phase: trial i -> [(kind, live restarts it keeps)].
-
-    Kind True is the surrogate restarts, False those on the true average.
-    The true-objective restarts fall to restarts // 8, // 32 and 1 after a
-    tenth, two tenths and three tenths of the phase's ``early`` trials, the
-    surrogate ones to restarts // 4 and // 8 after a third and two thirds.
-    No count falls below 1.  The descent looks a checkpoint up after each
-    trial, so one at trial 0 makes no cut.
-    """
-    cuts: dict[int, list[tuple[bool, int]]] = {}
-    for kind, at, count in ((False, early // 10, restarts // 8), (False, 2 * early // 10, restarts // 32),
-                            (False, 3 * early // 10, 1), (True, early // 3, restarts // 4),
-                            (True, 2 * early // 3, restarts // 8)):
-        cuts.setdefault(at, []).append((kind, max(1, count)))
-    return cuts
+# The descent's one schedule, phase by phase: (whether every other restart
+# descends the surrogate, iterations, restarts of lowest true average that
+# start the phase, checkpoints).  A checkpoint maps trial i to the
+# (kind, live restarts of that kind it keeps) it applies after that trial;
+# kind True is the surrogate restarts, False those on the true average.
+SCHEDULE = (
+    (True, 150, 64, {15: [(False, 8)], 30: [(False, 2)], 45: [(False, 1)],
+                     50: [(True, 16)], 100: [(True, 8)]}),
+    (False, 250, 8, {}),
+)
 
 
-def three_tangle_mixed(
-    rho: DensityMatrix,
-    restarts: int = DEFAULT_RESTARTS,
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
-) -> TangleEstimate:
+def three_tangle_mixed(rho: DensityMatrix, seed: int = 0) -> TangleEstimate:
     """Upper bound on the convex-roof three-tangle of a mixed state.
 
     Decompositions of the rank-r state into 2r pure states are
@@ -245,29 +233,27 @@ def three_tangle_mixed(
     Barzilai-Borwein step (at most 10 times the last), after a rejected one
     half the last.  All restarts step in lockstep, one stacked QR and one
     amplitude-major quartic per iteration; a restart leaves the stack once its
-    predicted decrease t |grad|^2 falls below 1e-13.  ``budget`` counts
-    iterations per restart.  For the first 3/8 of them, every other
-    restart descends the smooth surrogate sum_k p_k tau_k^2, which reaches
-    the zero set where the kink of |Det| stalls the true objective.  In
-    that phase each kind keeps, at the checkpoints of ``_halving``, only its
-    live restarts of lowest true average at their last accepted point (ties
-    to the lower index), as in successive halving (Jamieson, Talwalkar,
-    AISTATS 2016); a dropped restart stays where it stood, like a retired
-    one.  The true-objective restarts are cut early, since those that will
-    end among the best already lead; the surrogate ones only reach the
-    zero set late, so they are cut later and less.  Then every restart,
-    dropped and retired ones included, is evaluated on the true average
-    sum_k p_k tau_k, and only
-    the eighth of them with the lowest value (at least one, ties to the
-    lower index) descends it from where it stands; without a surrogate
-    phase (``budget`` < 3) every restart does.  The result is the smallest
-    average tangle of any evaluated decomposition, retired restarts
-    included, so it is an explicit upper bound.
+    predicted decrease t |grad|^2 falls below 1e-13.  The schedule is
+    ``SCHEDULE``, at most 400 iterations per restart.  64 restarts start the
+    first 150 iterations, and the 32 of even index descend the smooth
+    surrogate sum_k p_k tau_k^2, which reaches the zero set where the kink
+    of |Det| stalls the true objective.  In that phase each kind keeps, at
+    fixed checkpoints, only its live restarts of lowest true average at
+    their last accepted point (ties to the lower index), as in successive
+    halving (Jamieson, Talwalkar, AISTATS 2016); a dropped restart stays
+    where it stood, like a retired one.  The true-objective restarts are cut
+    early, to 8, 2 and 1 after 15, 30 and 45 iterations, since those that
+    will end among the best already lead; the surrogate ones only reach the
+    zero set late, so they are cut later and less, to 16 and 8 after 50 and
+    100.  Then all 64, dropped and retired ones included, are evaluated on
+    the true average sum_k p_k tau_k, and only the 8 with the lowest value
+    (ties to the lower index) descend it from where they stand for the last
+    250 iterations.  The result is the smallest average tangle of any
+    evaluated decomposition, retired restarts included, so it is an
+    explicit upper bound.
     """
     if rho.spec.dim != 8:
         raise ConfigError("three-tangle is defined for three qubits")
-    if restarts < 1 or budget < 1:
-        raise ConfigError("restarts and budget must be >= 1")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     lam, vec = np.linalg.eigh(rho.entries)
@@ -283,16 +269,13 @@ def three_tangle_mixed(
         return TangleEstimate(value, 1, 0)
 
     rng = np.random.default_rng(seed)
+    restarts = SCHEDULE[0][2]
     shape = (restarts, 2 * r, r)
     isometries = _retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    surrogate = np.arange(restarts) % 2 == 0
-    early = 3 * budget // 8
     best = np.full(restarts, np.inf)
     used = 0
-    for squared, iterations, kept, cuts in (
-        (surrogate, early, restarts, _halving(restarts, early)),
-        (np.zeros(restarts, dtype=bool), budget - early, max(1, restarts // 8) if early else restarts, {}),
-    ):
+    for surrogate, iterations, kept, cuts in SCHEDULE:
+        squared = surrogate & (np.arange(restarts) % 2 == 0)
         f, tau, g = _roof_objective(isometries, wtil, squared)
         best = np.minimum(best, tau)
         # the restarts of lowest true average go on; ties go to the lower index
@@ -329,8 +312,9 @@ def three_tangle_mixed(
 def certification_report(rho: DensityMatrix, seed: int = 0) -> dict:
     """Full certification record used by the command-line ``certify`` step.
 
-    The tangle bound comes from :func:`three_tangle_mixed` with its default
-    restarts and budget.  W_class requires a bound below
+    The tangle bound comes from :func:`three_tangle_mixed`, and
+    ``optimizer_stats`` records its schedule's restarts and iterations per
+    restart.  W_class requires a bound below
     ``W_TANGLE_THRESHOLD`` and a negative witness; GHZ_class a bound above
     ``GHZ_TANGLE_THRESHOLD``.
     """
@@ -351,8 +335,8 @@ def certification_report(rho: DensityMatrix, seed: int = 0) -> dict:
             "kind": "mixed_upper_bound",
             "decomposition_size": estimate.decomposition_size,
             "iterations": estimate.optimizer_iterations,
-            "restarts": DEFAULT_RESTARTS,
-            "budget": DEFAULT_BUDGET,
+            "restarts": SCHEDULE[0][2],
+            "budget": sum(iterations for _, iterations, _, _ in SCHEDULE),
             "seed": seed,
         },
     }

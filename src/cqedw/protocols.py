@@ -271,8 +271,6 @@ def apply_phase_correction(
     Returns the rotated density matrix and the angles.
     """
     spec = rho.spec
-    if spec.photon_cutoff != 0:
-        raise ConfigError("phase correction expects a qubit-only (cavity-traced) state")
     if target.shape != (spec.dim,):
         raise ConfigError(f"target shape {target.shape} does not match dim {spec.dim}")
     n = spec.num_qubits

@@ -294,6 +294,9 @@ def test_readme_matches_config_schema(tmp_path, monkeypatch):
     assert keys("A device object") == set(cli.DEVICE)
     for name, (table, _) in cli.EXPERIMENTS.items():
         assert keys(f"`params` of `{name}`") == set(table), name
+    # the sentence on a qubit object names exactly the keys its table reads
+    sentence = readme.split("Each entry of `qubits` takes", 1)[1].split("all required.", 1)[0]
+    assert re.findall(r"`(\w+)`", sentence) == list(cli.QUBIT)
 
     # the example config, verbatim, passes the schema and runs
     example = readme.split("Example `scan.json`:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]

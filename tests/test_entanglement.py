@@ -138,7 +138,7 @@ def test_tangle_mixed_pure_input_matches_pure():
     for _ in range(3):
         psi = random_pure(QUBIT_SPEC_3, rng)
         pure = tangle_quartic(psi)
-        est = three_tangle_mixed(pure_density(psi), restarts=4, budget=100, seed=0)
+        est = three_tangle_mixed(pure_density(psi))
         assert abs(est.value - pure) < 1e-8
 
 
@@ -176,41 +176,46 @@ def test_tangle_mixed_is_upper_bound():
 
 
 def test_tangle_mixed_bookkeeping(monkeypatch):
-    rho = random_density(QUBIT_SPEC_3, np.random.default_rng(9), rank=3)
-    est = three_tangle_mixed(rho, restarts=3, budget=1, seed=5)
-    # one evaluation per live restart per iteration, summed over the restarts
-    assert est.optimizer_iterations == 3
-    assert 3 <= est.decomposition_size <= 6
-    assert three_tangle_mixed(rho, restarts=3, budget=1, seed=5) == est
-
     # restarts whose predicted decrease vanishes leave the stack: a rank-2
-    # state on the zero set of the roof converges well within the budget
+    # state on the zero set of the roof converges well within the 64 x 400
+    # iterations of the schedule
     ghz = GHZ
     w = W_PAPER
     rank2 = DensityMatrix(0.6 * np.outer(ghz, ghz.conj()) + 0.4 * np.outer(w, w.conj()), QUBIT_SPEC_3)
     converged = three_tangle_mixed(rank2, seed=2)
     assert converged.value < 1e-9
-    assert converged.optimizer_iterations < entanglement.DEFAULT_RESTARTS * entanglement.DEFAULT_BUDGET / 2
+    assert converged.optimizer_iterations < 64 * 400 / 2
 
-    # the bound is the smallest true average tangle of any evaluated decomposition
-    seen = []
+    # one count per live restart per trial, and the bound is the smallest
+    # true average tangle of any evaluated decomposition
+    rho = random_density(QUBIT_SPEC_3, np.random.default_rng(9), rank=3)
+    calls, seen = [], []
 
     def recording(v, wtil, squared):
         objective, average, grad = roof_objective(v, wtil, squared)
         assert np.allclose(average, decomposition_average_tangle(v @ wtil), rtol=1e-12, atol=1e-15)
+        calls.append((len(v), squared.copy()))
         seen.extend(average)
         return objective, average, grad
 
     roof_objective = entanglement._roof_objective
     monkeypatch.setattr(entanglement, "_roof_objective", recording)
-    assert three_tangle_mixed(rho, restarts=3, budget=20, seed=5).value == min(seen)
+    est = three_tangle_mixed(rho, seed=5)
+    # the evaluation of every restart that opens each phase is not a trial
+    restarts = entanglement.SCHEDULE[0][2]
+    starts = [0] + [i for i, (n, sq) in enumerate(calls) if n == restarts and not sq.any()]
+    assert len(starts) == len(entanglement.SCHEDULE)
+    assert est.optimizer_iterations == sum(n for i, (n, _) in enumerate(calls) if i not in starts)
+    assert est.value == min(seen)
+    assert est.decomposition_size == 6
+    assert three_tangle_mixed(rho, seed=5) == est
 
 
 def test_tangle_mixed_retires_restarts(monkeypatch):
     # after the surrogate phase only the eighth of the restarts with the
     # lowest true average tangle descends; every restart still feeds the bound
     rho = random_density(QUBIT_SPEC_3, np.random.default_rng(9), rank=3)
-    restarts, budget = entanglement.DEFAULT_RESTARTS, entanglement.DEFAULT_BUDGET
+    (_, early, restarts, _), (_, late, kept, _) = entanglement.SCHEDULE
     calls = []
 
     def recording(v, wtil, squared):
@@ -224,15 +229,15 @@ def test_tangle_mixed_retires_restarts(monkeypatch):
     # the switch is the one evaluation of every restart on the true objective
     switch = [i for i, (v, sq, _) in enumerate(calls) if len(v) == restarts and not sq.any()]
     assert len(switch) == 1 and 1 < switch[0] < len(calls) - 1
-    assert all(len(v) <= restarts // 8 for v, _, _ in calls[switch[0] + 1:])
+    assert kept == restarts // 8
+    assert all(len(v) <= kept for v, _, _ in calls[switch[0] + 1:])
     v, _, (_, tau, g) = calls[switch[0]]
-    kept = np.sort(np.argsort(tau, kind="stable")[:restarts // 8])
-    assert tau[kept].max() <= np.delete(tau, kept).min()
+    best = np.sort(np.argsort(tau, kind="stable")[:kept])
+    assert tau[best].max() <= np.delete(tau, best).min()
     # the first trial of the kept restarts is the unit step from where they stood
-    np.testing.assert_allclose(calls[switch[0] + 1][0], entanglement._retract(v[kept] - g[kept]),
+    np.testing.assert_allclose(calls[switch[0] + 1][0], entanglement._retract(v[best] - g[best]),
                                rtol=0.0, atol=1e-12)
-    early = 3 * budget // 8
-    assert est.optimizer_iterations <= restarts * early + restarts // 8 * (budget - early)
+    assert est.optimizer_iterations <= restarts * early + kept * late
     assert est.value == min(min(out[1]) for _, _, out in calls)
 
 
@@ -257,7 +262,7 @@ def test_tangle_mixed_halves_restarts_by_kind(monkeypatch, digits):
     roof_objective = entanglement._roof_objective
     monkeypatch.setattr(entanglement, "_roof_objective", recording)
     est = three_tangle_mixed(rho, seed=5)
-    restarts, early = entanglement.DEFAULT_RESTARTS, 3 * entanglement.DEFAULT_BUDGET // 8
+    _, early, restarts, _ = entanglement.SCHEDULE[0]
     cuts = {15: (False, 8), 30: (False, 2), 45: (False, 1), 50: (True, 16), 100: (True, 8)}
     # the switch evaluates all 64 restarts on the true average; the surrogate
     # phase ends before it, after 150 trials or once no restart is live
@@ -297,23 +302,6 @@ def test_tangle_mixed_halves_restarts_by_kind(monkeypatch, digits):
     assert made >= 3 and (digits is None or ties >= 1)
     # every average evaluated feeds the bound
     assert est.value == min(min(out[1]) for _, _, out in calls)
-
-
-def test_tangle_mixed_makes_no_cut_at_trial_zero(monkeypatch):
-    # budget 20 gives a surrogate phase of 7 trials, whose first checkpoint
-    # (early // 10 = 0) makes no cut; the next two keep 2 and 1 true restarts
-    rho = random_density(QUBIT_SPEC_3, np.random.default_rng(9), rank=3)
-    squared = []
-
-    def recording(v, wtil, sq):
-        squared.append(sq.copy())
-        return roof_objective(v, wtil, sq)
-
-    roof_objective = entanglement._roof_objective
-    monkeypatch.setattr(entanglement, "_roof_objective", recording)
-    three_tangle_mixed(rho, budget=20, seed=5)
-    assert len(squared[1]) == entanglement.DEFAULT_RESTARTS
-    assert np.count_nonzero(~squared[2]) <= 2 and np.count_nonzero(~squared[3]) <= 1
 
 
 def test_tangle_mixed_on_benchmark_certify_inputs():
