@@ -1,13 +1,19 @@
-"""Joint-readout tomography: operator sets, noisy outcomes, reconstruction.
+"""Joint-readout tomography: the complete measurement set, noisy outcomes, reconstruction.
 
 The dispersive readout measures one diagonal observable M of the three
 qubits, an 8 x 8 matrix from ``build_readout``; rotating the qubits before
-measurement realizes the conjugated operators U^+ M U of
-``tomography_set``.  With per-qubit rotations drawn from {Id, Rx(pi),
-Rx(pi/2), Ry(pi/2)} the 64 conjugations plus the trace constraint span the
-full Hermitian space.  The estimate is a linear least-squares solve with the
-trace pinned to 1, followed by projection of its eigenvalue vector onto the
-probability simplex: the closest physical state in Frobenius norm.  That is
+measurement realizes the conjugated operators U^+ M U.  With per-qubit
+rotations drawn from {Id, Rx(pi), Rx(pi/2), Ry(pi/2)} the 64 conjugations
+plus the trace constraint span the full Hermitian space.
+``tomography_set`` alone makes a ``TomographySet``, and only a complete
+one: labels, design matrix and the pseudo-inverse of the traceless design,
+which one SVD gives along with the completeness verdict.  A readout whose
+design overflows raises ConfigError there; outcomes whose estimate
+overflows reach ``mle_project`` as a non-finite estimate, which it refuses.
+
+The estimate is a linear least-squares solve with the trace pinned to 1,
+followed by projection of its eigenvalue vector onto the probability
+simplex: the closest physical state in Frobenius norm.  That is
 not the Gaussian-noise maximum-likelihood state.  The two coincide only for
 an isotropic design, D^T D proportional to the identity (Smolin, Gambetta,
 Smith, PRL 108, 070502 (2012)); the default readout weighs the Pauli
@@ -25,8 +31,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -101,65 +106,27 @@ def build_readout(coefficients: Sequence[float]) -> np.ndarray:
         raise IncompleteReadoutError(
             f"zero coefficient on {zeros}: readout cannot span the qubit populations"
         )
-    mat = sum(c * PAULI_STACK[PAULI_LABELS.index(l)] for c, l in zip(coeffs, DIAGONAL_LABELS))
+    with np.errstate(over="ignore", invalid="ignore"):  # tomography_set refuses a non-finite design
+        mat = sum(c * PAULI_STACK[PAULI_LABELS.index(l)] for c, l in zip(coeffs, DIAGONAL_LABELS))
     mat.setflags(write=False)
     return mat
 
 
 @dataclass(frozen=True)
 class TomographySet:
-    """Labeled measurement operators U^+ M U for one readout operator.
+    """The joint readout M under all 64 rotation triples, complete and ready to invert.
 
-    ``operators`` is one read-only (n, 8, 8) array, operator k measured
-    after the rotations ``labels[k]``.  ``design`` is the operators expanded
-    in the 64 Pauli strings (identity first), D[n, k] = Tr(P_k O_n) / 8, so
-    noiseless outcomes are ``design @ pauli_set(rho)``.  It is computed once,
-    when the set is made, in one einsum over ``operators``, and read by
-    simulation, inversion and the completeness check.  So is one SVD of its
-    traceless block ``design[:, 1:]``, from which both the rank and the
-    pseudo-inverse are derived.
+    Only :func:`tomography_set` makes one.  ``labels[n]`` names the per-qubit
+    rotations (A, B, C) before outcome n.  ``design`` expands each measured
+    operator O_n = U^+ M U in the 64 Pauli strings (identity first),
+    D[n, k] = Tr(P_k O_n) / 8, so noiseless outcomes are
+    ``design @ pauli_set(rho)``.  ``pinv`` is the pseudo-inverse of its
+    traceless block ``design[:, 1:]``.  Both arrays are read-only.
     """
 
-    operators: np.ndarray
-    labels: tuple[tuple[str, str, str], ...]  # per-qubit rotation labels (A, B, C)
-    design: np.ndarray = field(init=False, repr=False, compare=False)
-    _svd: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ops = np.array(self.operators, dtype=complex)
-        ops.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
-        design = np.einsum("kij,nji->nk", PAULI_STACK, ops).real / 8.0
-        design.setflags(write=False)
-        object.__setattr__(self, "design", design)
-        object.__setattr__(self, "_svd", np.linalg.svd(design[:, 1:], full_matrices=False))
-
-    def __len__(self) -> int:
-        return len(self.operators)
-
-    def completeness_rank(self) -> int:
-        """Rank of the design with the trace row e_0 appended (64 when complete).
-
-        Tr(rho) = 1 is not measured but pins the identity component.  The row
-        e_0 always adds exactly one dimension to the traceless block, whose
-        rank counts its singular values above s_max * 64 * eps, numpy's
-        default ``matrix_rank`` rule.  The rule is relative, so rescaling
-        the readout does not change the verdict.
-        """
-        s = self._svd[1]
-        return int(np.count_nonzero(s > s[0] * 64 * np.finfo(float).eps)) + 1
-
-    @cached_property
-    def _traceless_pinv(self) -> np.ndarray:
-        """Pseudo-inverse of ``design[:, 1:]``, computed on first use.
-
-        It is ``np.linalg.pinv``'s product V diag(1/s) U^T on the stored SVD;
-        a complete set keeps every singular value.
-        """
-        if self.completeness_rank() != 64:
-            raise IncompleteReadoutError("design matrix is rank deficient")
-        u, s, vt = self._svd
-        return vt.T @ ((1.0 / s)[:, None] * u.T)
+    labels: tuple[tuple[str, str, str], ...]
+    design: np.ndarray
+    pinv: np.ndarray
 
 
 def tomography_set(readout: np.ndarray) -> TomographySet:
@@ -168,25 +135,40 @@ def tomography_set(readout: np.ndarray) -> TomographySet:
     Triple (a, b, c) rotates by U = R_c (x) R_b (x) R_a, with A the fastest
     factor.  All 64 U are two einsums of outer products over the four
     one-qubit rotations, multiplied in the order of
-    ``np.kron(R_c, np.kron(R_b, R_a))``, and every U^+ M U is one batched
-    matmul.  Labels run over ``itertools.product`` of the rotation names,
-    C fastest.  Raises IncompleteReadoutError if the set is rank-deficient
+    ``np.kron(R_c, np.kron(R_b, R_a))``; every U^+ M U is one batched matmul
+    and the design one einsum over them.  Labels run over
+    ``itertools.product`` of the rotation names, C fastest.
+
+    One SVD of ``design[:, 1:]`` decides completeness and gives the
+    pseudo-inverse, numpy's ``pinv`` product V diag(1/s) U^T.  Tr(rho) = 1 is
+    not measured but pins the identity component, so the rank is one more
+    than the count of singular values above s_max * 64 * eps, numpy's
+    default ``matrix_rank`` rule; the rule is relative, so rescaling the
+    readout does not change the verdict.  Raises ConfigError if the design
+    is not finite and IncompleteReadoutError if the set is rank-deficient
     or the condition number of its traceless design exceeds MAX_CONDITION.
     """
     labels = tuple(itertools.product(FULL_ROTATION_LABELS, repeat=3))
     rot = np.stack([ROTATIONS[l] for l in FULL_ROTATION_LABELS])
     ba = np.einsum("bij,akl->baikjl", rot, rot).reshape(4, 4, 4, 4)  # R_b (x) R_a
     u = np.einsum("cpq,baxy->abcpxqy", rot, ba).reshape(64, 8, 8)  # R_c (x) (R_b (x) R_a)
-    tset = TomographySet(u.conj().swapaxes(1, 2) @ readout @ u, labels)
-    rank = tset.completeness_rank()
-    s = tset._svd[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a design past the float range is refused below
+        design = np.einsum("kij,nji->nk", PAULI_STACK, u.conj().swapaxes(1, 2) @ readout @ u).real / 8.0
+    if not np.isfinite(design).all():
+        raise ConfigError("readout coefficients too large: their design matrix is not finite")
+    left, s, vt = np.linalg.svd(design[:, 1:], full_matrices=False)
+    # 64 * eps is a power of two: the threshold is exact and cannot overflow
+    rank = int(np.count_nonzero(s > s[0] * (64 * np.finfo(float).eps))) + 1
     cond = s[0] / s[-1] if s[-1] else np.inf
     if rank != 64 or cond > MAX_CONDITION:
         raise IncompleteReadoutError(
             f"tomography set has rank {rank} of 64 and condition number {cond:.3g}"
             f" (at most {MAX_CONDITION:g} accepted)"
         )
-    return tset
+    pinv = vt.T @ ((1.0 / s)[:, None] * left.T)
+    design.setflags(write=False)
+    pinv.setflags(write=False)
+    return TomographySet(labels, design, pinv)
 
 
 def expectation_values(rho: DensityMatrix, tset: TomographySet) -> np.ndarray:
@@ -202,15 +184,15 @@ def simulate_measurements(rho: DensityMatrix, tset: TomographySet, sigma, seed: 
     """
     if isinstance(sigma, bool) or not isinstance(sigma, numbers.Real) or not 0 <= sigma < np.inf:
         raise ConfigError(f"sigma must be one finite number >= 0, got {sigma!r}")
-    noise = np.random.default_rng(seed).standard_normal(len(tset))
+    noise = np.random.default_rng(seed).standard_normal(len(tset.labels))
     return expectation_values(rho, tset) + sigma * noise
 
 
 def _outcomes(outcomes: np.ndarray, tset: TomographySet) -> np.ndarray:
     """Outcomes as a float vector; entry n belongs to ``tset.labels[n]``."""
     y = np.asarray(outcomes, dtype=float)
-    if y.shape != (len(tset),):
-        raise ConfigError(f"got outcomes of shape {y.shape} for {len(tset)} operators")
+    if y.shape != (len(tset.labels),):
+        raise ConfigError(f"got outcomes of shape {y.shape} for {len(tset.labels)} operators")
     if not np.isfinite(y).all():
         raise ConfigError(f"outcomes must be finite; entry {int(np.argmin(np.isfinite(y)))} is not")
     return y
@@ -220,13 +202,14 @@ def linear_inversion(outcomes: np.ndarray, tset: TomographySet) -> np.ndarray:
     """Least-squares Hermitian estimate from noisy outcomes.
 
     Solves for the 63 traceless Pauli components with the trace pinned to 1,
-    through the set's stored pseudo-inverse; exact (up to roundoff) at
-    sigma = 0.  The result can be unphysical (negative eigenvalues), which is
-    what :func:`mle_project` repairs.
+    through the set's pseudo-inverse; exact (up to roundoff) at sigma = 0.
+    The result can be unphysical (negative eigenvalues), which is what
+    :func:`mle_project` repairs.
     """
-    coeffs = tset._traceless_pinv @ (_outcomes(outcomes, tset) - tset.design[:, 0])
-    r = np.concatenate([[1.0], coeffs])
-    return np.tensordot(r, PAULI_STACK, axes=1) / 8.0
+    y = _outcomes(outcomes, tset)
+    with np.errstate(over="ignore", invalid="ignore"):  # mle_project refuses a non-finite estimate
+        coeffs = tset.pinv @ (y - tset.design[:, 0])
+        return np.tensordot(np.concatenate([[1.0], coeffs]), PAULI_STACK, axes=1) / 8.0
 
 
 def _project_simplex(lam: np.ndarray) -> tuple[np.ndarray, float]:

@@ -175,7 +175,7 @@ def test_criterion_09_tomography_pipeline():
     mean_f = float(np.mean(fids))
     assert mean_f > 0.95
 
-    assert tset.completeness_rank() == 64
+    assert np.linalg.matrix_rank(np.vstack([np.eye(1, 64), tset.design])) == 64
 
     rng = np.random.default_rng(99)
     worst_margin = np.inf

@@ -266,20 +266,23 @@ def test_scan_point_cap_exits_2(tmp_path, capsys, monkeypatch):
 def test_ill_conditioned_readout_exits_2(tmp_path, capsys):
     # a design whose condition number exceeds tomography.MAX_CONDITION is
     # rejected by run and by reconstruct --readout; [0, 1e14, 1, ...] used to
-    # exit 0 with a state of fidelity 0.95 at sigma = 0
+    # exit 0 with a state of fidelity 0.95 at sigma = 0, and [0, 1e308, 1, ...],
+    # whose design overflows, to exit 1 from the SVD's LinAlgError
     tset = tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
     w = pure_density(entanglement.W_PAPER)
     records = tmp_path / "records.csv"
     records.write_text(tomography.records_to_csv(tomography.simulate_measurements(w, tset, 0.0, 0), tset))
     cfg, readout = tmp_path / "tomo.json", tmp_path / "readout.json"
-    for coefficients in ([0, 1e14, 1, 1, 1, 1, 1, 1], [0, 1, 0.95, 0.9, 0.85, 0.8, 0.75, 1e-300]):
+    for coefficients, message in (([0, 1e14, 1, 1, 1, 1, 1, 1], "condition number"),
+                                  ([0, 1, 0.95, 0.9, 0.85, 0.8, 0.75, 1e-300], "condition number"),
+                                  ([0, 1e308, 1, 1, 1, 1, 1, 1], "readout coefficients too large")):
         write_config(cfg, experiment="tomography", seed=5,
                      params={"sigma": 0.0, "readout_coefficients": coefficients})
         assert run_cli("run", "--config", cfg, "--quiet") == 2
-        assert "condition number" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         readout.write_text(json.dumps({"coefficients": coefficients}))
         assert run_cli("reconstruct", records, "--readout", readout, "--out", tmp_path / "rec") == 2
-        assert "condition number" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists() and not (tmp_path / "rec").exists()
 
 
@@ -690,6 +693,12 @@ def test_reconstruct_huge_outcome_gives_pure_state(tmp_path):
     rho = rho_from_json(json.loads((tmp_path / "rec" / "rho_mle.json").read_text()))
     assert abs(np.trace(rho.entries) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho.entries)[-1] > 1 - 1e-12  # a pure state
+    # outcomes of +-1.7e308 overflow the linear estimate, which mle_project
+    # refuses (exit 3); its matmul used to warn, a traceback under -W error
+    huge = np.where(np.arange(len(tset.labels)) % 2, 1.7e308, -1.7e308)
+    path.write_text(tomography.records_to_csv(huge, tset))
+    assert run_cli("reconstruct", path, "--out", tmp_path / "huge", "--quiet") == 3
+    assert not (tmp_path / "huge").exists()
 
 
 def test_determinism_bit_identical_artifacts(tmp_path):

@@ -14,8 +14,8 @@ from cqedw.tomography import (
     FULL_ROTATION_LABELS,
     MAX_CONDITION,
     PAULI_LABELS,
+    PAULI_STACK,
     ROTATIONS,
-    TomographySet,
     build_readout,
     expectation_values,
     linear_inversion,
@@ -69,14 +69,19 @@ def test_build_readout_matches_kron_sum():
         assert np.array_equal(build_readout(coeffs), kron_sum)
 
 
+def completeness_rank(tset):
+    """numpy's rank of the design with the trace row e_0 appended."""
+    return np.linalg.matrix_rank(np.vstack([np.eye(1, 64), tset.design]))
+
+
 def test_weak_correlation_coefficients_accepted_and_complete():
     tset = tomography_set(build_readout(WEAK_CORRELATION_COEFFICIENTS))
-    assert tset.completeness_rank() == 64
+    assert completeness_rank(tset) == 64
 
 
 def test_tomography_set_rank(tset):
-    assert len(tset) == 64
-    assert tset.completeness_rank() == 64
+    assert len(tset.labels) == 64
+    assert completeness_rank(tset) == 64
     # without the trace constraint one direction (the identity) is blind
     # whenever the identity coefficient is zero
     assert np.linalg.matrix_rank(tset.design, tol=1e-9) == 63
@@ -87,15 +92,17 @@ def test_one_svd_per_set_gives_rank_and_pinv(w_rho, monkeypatch):
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     tset = tomography_set(build_readout(DEFAULT_READOUT_COEFFICIENTS))
-    tset.completeness_rank()
+    assert len(calls) == 1
     linear_inversion(expectation_values(w_rho, tset), tset)
     linear_inversion(expectation_values(w_rho, tset), tset)
     assert len(calls) == 1
     monkeypatch.undo()
-    # the same rank, under numpy's default relative rule, and bit for bit the
-    # same pseudo-inverse as numpy's own
-    assert tset.completeness_rank() == np.linalg.matrix_rank(tset.design[:, 1:]) + 1
-    assert np.array_equal(tset._traceless_pinv, np.linalg.pinv(tset.design[:, 1:]))
+    # full rank under numpy's default relative rule, and bit for bit the same
+    # pseudo-inverse as numpy's own, stored read-only
+    assert np.linalg.matrix_rank(tset.design[:, 1:]) == 63
+    assert np.array_equal(tset.pinv, np.linalg.pinv(tset.design[:, 1:]))
+    with pytest.raises(ValueError):
+        tset.pinv[0, 0] = 1.0  # read-only
 
 
 def reference_operators(readout):
@@ -107,69 +114,65 @@ def reference_operators(readout):
     return np.array(ops)
 
 
-def reference_design(tset):
+def reference_design(operators):
     """D[n, k] = Tr(P_k O_n) / 8, one scalar trace per entry."""
     return np.array(
         [
             [np.einsum("ij,ji->", pauli_matrix(l), op).real / 8.0 for l in PAULI_LABELS]
-            for op in tset.operators
+            for op in operators
         ]
     )
 
 
 def test_design_matches_reference_loop(tset):
-    weak = tomography_set(build_readout(WEAK_CORRELATION_COEFFICIENTS))
-    partial = TomographySet(tset.operators[:8], tset.labels[:8])
-    for s in (tset, weak, partial):
-        assert s.design.shape == (len(s), 64)
-        assert np.abs(s.design - reference_design(s)).max() <= 1e-15
-    # the batched set, bit for bit the per-triple products, on both readouts
     for coeffs in (DEFAULT_READOUT_COEFFICIENTS, WEAK_CORRELATION_COEFFICIENTS):
         s = tomography_set(build_readout(coeffs))
+        ops = reference_operators(build_readout(coeffs))
         assert s.labels == tuple(itertools.product(FULL_ROTATION_LABELS, repeat=3))
-        assert np.array_equal(s.operators, reference_operators(build_readout(coeffs)))
+        assert s.design.shape == (64, 64)
+        assert np.abs(s.design - reference_design(ops)).max() <= 1e-15
+        # the batched set, bit for bit the same einsum over the per-triple products
+        assert np.array_equal(s.design, np.einsum("kij,nji->nk", PAULI_STACK, ops).real / 8.0)
     with pytest.raises(ValueError):
         tset.design[0, 0] = 1.0  # read-only
-    for s in (tset, partial):
-        assert s.operators.shape == (len(s), 8, 8)
-        with pytest.raises(ValueError):
-            s.operators[0, 0, 0] = 1.0  # read-only
 
 
 def test_expectation_values_match_traces(tset):
     rng = np.random.default_rng(8)
+    ops = reference_operators(build_readout(DEFAULT_READOUT_COEFFICIENTS))
     for _ in range(3):
         rho = random_density(QUBIT_SPEC_3, rng)
-        traces = [np.trace(op @ rho.entries).real for op in tset.operators]
+        traces = [np.trace(op @ rho.entries).real for op in ops]
         assert np.abs(expectation_values(rho, tset) - traces).max() <= 1e-14
 
 
 def test_identity_rotation_returns_readout(tset):
-    idx = tset.labels.index(("id", "id", "id"))
-    assert np.abs(tset.operators[idx] - build_readout(DEFAULT_READOUT_COEFFICIENTS)).max() < 1e-14
+    # the unrotated design row is the readout's coefficient on each diagonal Pauli string
+    row = tset.design[tset.labels.index(("id", "id", "id"))]
+    expected = np.zeros(64)
+    expected[[PAULI_LABELS.index(l) for l in DIAGONAL_LABELS]] = DEFAULT_READOUT_COEFFICIENTS
+    assert np.abs(row - expected).max() < 1e-14
 
 
 def test_x180_flips_za_coefficients(tset):
-    idx = tset.labels.index(("x180", "id", "id"))
-    flipped = tset.operators[idx]
+    row = tset.design[tset.labels.index(("x180", "id", "id"))]
     for label, coeff in zip(DIAGONAL_LABELS, DEFAULT_READOUT_COEFFICIENTS):
-        got = np.einsum("ij,ji->", pauli_matrix(label), flipped).real / 8.0
         contains_za = label[2] == "Z"
-        assert np.isclose(got, -coeff if contains_za else coeff, atol=1e-12)
+        assert np.isclose(row[PAULI_LABELS.index(label)], -coeff if contains_za else coeff, atol=1e-12)
 
 
 def test_completeness_is_scale_free_and_conditioning_bounded(w_rho):
     # a rescaled readout carries the same information: at 1e-9 and 1e-12 the
-    # absolute 1e-9 threshold used to call it rank 39 and 1
+    # absolute 1e-9 threshold used to call it rank 39 and 1, and at 1e306 and
+    # 1e307 the relative threshold s_max * 64 * eps overflowed and called it rank 1
     base = np.array(DEFAULT_READOUT_COEFFICIENTS)
-    for scale in (1e-9, 1e-12):
-        tset = tomography_set(build_readout(base * scale))
-        assert tset.completeness_rank() == 64
+    for scale in (1e-9, 1e-12, 1e306, 1e307):
+        tset = tomography_set(build_readout(base * scale))  # refuses an incomplete set
         rho = reconstruct(simulate_measurements(w_rho, tset, 0.0, 0), tset).rho
         assert uhlmann_fidelity(w_rho.entries, rho.entries) >= 1 - 1e-12
     # the default and weak readouts are far inside the bound
     for coeffs in (DEFAULT_READOUT_COEFFICIENTS, WEAK_CORRELATION_COEFFICIENTS):
-        s = tomography_set(build_readout(coeffs))._svd[1]
+        s = np.linalg.svd(tomography_set(build_readout(coeffs)).design[:, 1:], compute_uv=False)
         assert s[0] / s[-1] < 1e-5 * MAX_CONDITION
     # a design above the bound is rejected with its condition number, whether
     # or not it is numerically complete; 1e12 and 1e14 used to exit 0 with a
@@ -179,15 +182,6 @@ def test_completeness_is_scale_free_and_conditioning_bounded(w_rho):
                          ([0, 1e14, 1, 1, 1, 1, 1, 1], "1.57e+15"), (weak_last, "")):
         with pytest.raises(IncompleteReadoutError, match=re.escape(f"condition number {cond}")):
             tomography_set(build_readout(coeffs))
-
-
-def test_rank_deficient_set_rejects_inversion(w_rho, tset):
-    # 8 operators cannot span the 63 traceless Pauli directions
-    partial = TomographySet(tset.operators[:8], tset.labels[:8])
-    assert partial.completeness_rank() == 9
-    outcomes = simulate_measurements(w_rho, partial, 0.0, 0)
-    with pytest.raises(IncompleteReadoutError):
-        linear_inversion(outcomes, partial)
 
 
 def test_simulate_measurements_deterministic(w_rho, tset):
