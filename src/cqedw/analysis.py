@@ -1,7 +1,8 @@
 """Oscillation frequency extraction from population traces.
 
-A population trace is fitted to a damped cosine by bounded least squares in
-units of its time span, with the closed-form Jacobian.
+A population trace, sampled at evenly spaced times, is fitted to a damped
+cosine by bounded least squares in units of its time span, with the
+closed-form Jacobian.
 """
 from __future__ import annotations
 
@@ -88,16 +89,17 @@ def fit_damped_sinusoid(times, values) -> FitReport:
 
     Parameters
     ----------
-    times : finite, strictly ascending sample times, s (>= 8 samples
-        spanning >= 1 period)
+    times : finite, strictly ascending, evenly spaced sample times, s (>= 8
+        samples spanning >= 1 period); every step must lie within 1e-6,
+        relative, of the mean step, since the periodogram seed assumes one
     values : finite samples
 
     Raises
     ------
     ConfigError
         If the arrays are not equal-length 1-D, hold fewer than 8 samples,
-        the times are not finite and strictly ascending or a value is not
-        finite.
+        the times are not finite, strictly ascending and evenly spaced or a
+        value is not finite.
     FitError
         If no dominant spectral peak seeds the fit or the least-squares
         refinement does not converge within its evaluation budget.
@@ -110,8 +112,12 @@ def fit_damped_sinusoid(times, values) -> FitReport:
         raise ConfigError("need at least 8 samples")
     if not np.isfinite(t).all():
         raise ConfigError("times must be finite")
-    if not (np.diff(t) > 0).all():
+    step = np.diff(t)
+    if not (step > 0).all():
         raise ConfigError("times must be strictly ascending")
+    mean_step = (t[-1] - t[0]) / (t.size - 1)
+    if not (np.abs(step - mean_step) <= 1e-6 * mean_step).all():
+        raise ConfigError("times must be evenly spaced: each step within 1e-6 of the mean, relative")
     if not np.isfinite(y).all():
         raise ConfigError("values must be finite")
     f0, a0, p0 = _spectral_seed(t, y)

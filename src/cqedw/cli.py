@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__, analysis, entanglement, protocols, tomography
 from .device import CrosstalkMatrix, QubitParams, ResonatorParams, SystemConfig
-from .errors import ConfigError, CqedwError, NumericalError
+from .errors import ConfigError, NumericalError
 from .hilbert import DensityMatrix, qubit_spec
 
 # ---------------------------------------------------------------------------
@@ -286,12 +286,9 @@ class Run(NamedTuple):
     seed: int | None
 
 
-def _prepare_state(run: Run, state, phase_correct, source_qubit=None):
+def _prepare_state(run: Run, state, phase_correct):
     if state == "w_collective":
-        source = COLLECTIVE["source_qubit"][1] if source_qubit is None else source_qubit
-        rho = protocols.prepare_w_collective(run.device, run.noise, source)
-    elif source_qubit is not None:  # a tomography config's params
-        raise ConfigError("params.source_qubit is read only with state w_collective")
+        rho = protocols.prepare_w_collective(run.device, noise=run.noise)
     else:
         rho = protocols.prepare_w_sequential(run.device, noise=run.noise)
     info = {"state": state, "noise": run.noise}
@@ -301,16 +298,10 @@ def _prepare_state(run: Run, state, phase_correct, source_qubit=None):
     return rho, info
 
 
-def _rabi_scan(run: Run, participating, tau_grid_ns, tau_start_ns, tau_stop_ns, num_points):
-    ranged = (tau_start_ns, tau_stop_ns, num_points)
-    if (tau_grid_ns is None, ranged.count(None)) not in ((True, 0), (False, 3)):
-        raise ConfigError("rabi_scan needs tau_grid_ns or tau_start_ns, tau_stop_ns, num_points")
-    points = len(tau_grid_ns) if num_points is None else num_points
-    if points > MAX_POINTS:
-        raise ConfigError(f"rabi_scan asks for {points} interaction times, more than {MAX_POINTS}")
-    if tau_grid_ns is None:
-        tau_grid_ns = np.linspace(tau_start_ns, tau_stop_ns, num_points)
-    grid = np.asarray(tau_grid_ns, dtype=float) * 1e-9  # rabi_scan validates the times
+def _rabi_scan(run: Run, participating, tau_start_ns, tau_stop_ns, num_points):
+    if num_points > MAX_POINTS:
+        raise ConfigError(f"rabi_scan asks for {num_points} interaction times, more than {MAX_POINTS}")
+    grid = np.linspace(tau_start_ns, tau_stop_ns, num_points) * 1e-9  # rabi_scan validates the times
     trace = protocols.rabi_scan(run.device, participating, grid, noise=run.noise)
     fit = analysis.fit_damped_sinusoid(trace.times, trace.cavity_population)
     return {"trace.csv": trace.to_csv(), "fit_cavity.json": fit.to_dict()}
@@ -378,17 +369,14 @@ def _certification(run: Run, rho: DensityMatrix) -> dict:
 # the scans in use have at most 81.
 MAX_POINTS = 10_000
 PREP = {"phase_correct": (bool, True)}
-COLLECTIVE = {**PREP, "source_qubit": (int, 2)}
 RABI_SCAN = {
     "participating": ([_qubit], [0]),
-    "tau_grid_ns": ([float], None),
-    "tau_start_ns": (float, None),
-    "tau_stop_ns": (float, None),
-    "num_points": (int, None),
+    "tau_start_ns": (float, REQUIRED),
+    "tau_stop_ns": (float, REQUIRED),
+    "num_points": (int, REQUIRED),
 }
 TOMOGRAPHY = {
     **PREP,
-    "source_qubit": (int, None),  # w_collective only; absent means COLLECTIVE's default
     "state": (("w_collective", "w_sequential"), "w_collective"),
     "sigma": (float, 0.0),
     "readout_coefficients": ([float], list(tomography.DEFAULT_READOUT_COEFFICIENTS)),
@@ -401,7 +389,7 @@ RECONSTRUCT = {
 # experiment name -> (table of its params, runner)
 EXPERIMENTS = {
     "rabi_scan": (RABI_SCAN, _rabi_scan),
-    "w_collective": (COLLECTIVE, partial(_w_state, state="w_collective")),
+    "w_collective": (PREP, partial(_w_state, state="w_collective")),
     "w_sequential": (PREP, partial(_w_state, state="w_sequential")),
     "tomography": (TOMOGRAPHY, _tomography),
     "reconstruct": (RECONSTRUCT, _reconstruct),
@@ -521,9 +509,6 @@ def main(argv=None) -> int:
         return 2
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
-    except CqedwError as err:
-        print(f"error: {err}", file=sys.stderr)
         return 3
     return 0
 

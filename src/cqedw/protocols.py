@@ -148,10 +148,10 @@ def _qubit_state(
 def _load(config: SystemConfig, source: int) -> tuple[tuple[int], float]:
     """The segment that swaps the pi-pulsed ``source`` qubit's photon into the cavity.
 
-    Its duration pi / (2 |g_source|) moves the full excitation.
+    Its duration pi / (2 |g_source|) moves the full excitation.  Callers pass
+    a qubit of ``config``: ``rabi_scan`` checks its qubits first, and each W
+    preparation loads from :data:`W_SOURCE` after its N = 3 check.
     """
-    if not 0 <= source < len(config.qubits):
-        raise ConfigError(f"source qubit {source} out of range")
     return (source,), _swap_time(np.pi / 2, abs(config.qubits[source].coupling_g))
 
 
@@ -214,19 +214,19 @@ def collective_interaction_time(config: SystemConfig) -> float:
     return _swap_time(np.pi / 2, big_g)
 
 
-def prepare_w_collective(
-    config: SystemConfig,
-    noise: bool = False,
-    source_qubit: int = 2,
-) -> DensityMatrix:
-    """Collective W preparation: load a photon, then all qubits resonant for tau_W.
+W_SOURCE = 2  # qubit C: both W preparations pi-pulse it and start from its photon
 
+
+def prepare_w_collective(config: SystemConfig, noise: bool = False) -> DensityMatrix:
+    """Collective W preparation: load a photon from qubit C, then all qubits resonant for tau_W.
+
+    As in the paper, tau_W = pi / (2 G) (:func:`collective_interaction_time`).
     Returns the reduced three-qubit density matrix (cavity traced out).
     """
     if len(config.qubits) != 3:
         raise ConfigError("collective W preparation requires N=3")
-    segments = [_load(config, source_qubit), (range(3), collective_interaction_time(config))]
-    return _qubit_state(config, source_qubit, segments, noise)
+    segments = [_load(config, W_SOURCE), (range(3), collective_interaction_time(config))]
+    return _qubit_state(config, W_SOURCE, segments, noise)
 
 
 def sequential_swap_times(config: SystemConfig) -> tuple[float, float, float]:
@@ -251,8 +251,8 @@ def prepare_w_sequential(config: SystemConfig, noise: bool = False) -> DensityMa
     """
     if len(config.qubits) != 3:
         raise ConfigError("sequential W preparation requires N=3")
-    swaps = zip(((2,), (1,), (0,)), sequential_swap_times(config))  # C, then B, then A
-    return _qubit_state(config, 2, list(swaps), noise)
+    swaps = zip(((W_SOURCE,), (1,), (0,)), sequential_swap_times(config))  # C, then B, then A
+    return _qubit_state(config, W_SOURCE, list(swaps), noise)
 
 
 def apply_phase_correction(

@@ -129,6 +129,9 @@ def test_fit_covariance_matches_si_jacobian_svd():
 
 _T64 = np.linspace(0, 20e-9, 64)
 _Y64 = np.cos(2 * np.pi * 100e6 * _T64)
+# 41 ascending times over 0-20 ns, bunched near 0; the periodogram seed took
+# them as evenly spaced, and a noisy qubit-A scan on them fitted 0.337 MHz
+_T_QUADRATIC = 20e-9 * np.linspace(0, 1, 41) ** 2
 
 
 @pytest.mark.parametrize(
@@ -140,8 +143,9 @@ _Y64 = np.cos(2 * np.pi * 100e6 * _T64)
         (np.where(np.arange(64) == 63, np.inf, _T64), _Y64, "times must be finite"),
         (np.full(64, 1e-9), _Y64, "strictly ascending"),
         (np.random.default_rng(0).permutation(_T64), _Y64, "strictly ascending"),
+        (_T_QUADRATIC, np.cos(2 * np.pi * 100e6 * _T_QUADRATIC), "evenly spaced"),
     ],
-    ids=["descending", "repeated", "nan_value", "inf_time", "constant", "shuffled"],
+    ids=["descending", "repeated", "nan_value", "inf_time", "constant", "shuffled", "quadratic"],
 )
 def test_fit_rejects_bad_samples(times, values, message):
     with pytest.raises(ConfigError, match=message):

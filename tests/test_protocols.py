@@ -468,12 +468,7 @@ def test_population_trace_validation():
 
 
 def test_schedule_validation():
-    cfg = preset_device()
     with pytest.raises(ConfigError):
         prepare_w_collective(equal_coupling_device(2))
     with pytest.raises(ConfigError):
         prepare_w_sequential(equal_coupling_device(2))
-    with pytest.raises(ConfigError):
-        prepare_w_collective(cfg, source_qubit=9)
-    with pytest.raises(ConfigError):
-        _load(cfg, 9)
