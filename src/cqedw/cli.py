@@ -8,7 +8,9 @@ encoded and with ``manifest.json`` last, so a run that fails writes nothing.
 
 Every JSON input is read once against a table of its keys (:func:`read`): an
 unknown key, a missing required key or a mistyped value exits 2 naming its
-path (e.g. ``params.phase_corect``) before anything is written.
+path (e.g. ``params.phase_corect``) before anything is written.  The
+configs of ``reconstruct`` and ``certify``, which run no dynamics, take no
+``device`` and no ``noise`` key.
 
 All JSON/CSV artifacts are deterministic functions of the configuration
 (including the seed), so identical runs produce bit-identical files.
@@ -403,6 +405,8 @@ TOP = {
     "output_dir": (str, "."),
     "params": (dict, {}),  # read against its experiment's table
 }
+# certify and reconstruct read a state or records, not a device, and run no dynamics
+NO_DEVICE = {"reconstruct", "certify"}
 
 
 def execute(cfg, raw: bytes, out=None, seed=None, quiet=False) -> list[Path]:
@@ -417,6 +421,10 @@ def execute(cfg, raw: bytes, out=None, seed=None, quiet=False) -> list[Path]:
     """
     top = read(cfg, TOP)
     table, runner = EXPERIMENTS[top["experiment"]]
+    if top["experiment"] in NO_DEVICE:
+        for key in ("device", "noise"):
+            if key in cfg:
+                raise ConfigError(f"{top['experiment']} takes no key {key}: it runs no dynamics")
     params = read(top["params"], table, "params")
     seed = top["seed"] if seed is None else seed
     out = Path(out) if out else Path(top["output_dir"])

@@ -21,10 +21,17 @@ average, and only the 8 lowest descend it for the last 250.  Its kernel is
 amplitude-major: the rows of every restart form one (8, n) array, so each
 amplitude is a contiguous vector.  The same ``_hyperdet`` gives Det and its
 gradient there and, through a moved axis, ``tangle_quartic`` on
-(..., 8) input.  The result is the average tangle of an explicit
-decomposition, an upper bound, never a claim of the exact roof.  The
-descent is plain numpy; one seeded draw picks its starting points, so the
-same seed gives the same bound.
+(..., 8) input.  Before the descent, copies of the two seeded restarts of
+lowest average tangle are polished onto Det = 0 by Newton's method with a
+pseudo-inverse (``_newton_polish``); if one reaches an average tangle of at
+most ``ZERO_TANGLE`` = 1e-15, the roof, which is >= 0, is zero to round-off
+and the descent is skipped.  Otherwise the descent runs as if the polish had
+not, and a second polish of the restarts it ends with can only lower the
+bound.  The result is the average tangle of an explicit decomposition, an
+upper bound, never a claim of the exact roof: a bound near 1e-16 shows a
+zero roof to round-off, not a proof of it.  Descent and polish are plain
+numpy; one seeded draw picks the starting points, so the same seed gives
+the same bound.
 """
 from __future__ import annotations
 
@@ -50,11 +57,17 @@ GHZ.setflags(write=False)
 
 @dataclass(frozen=True)
 class TangleEstimate:
-    """An upper bound on the convex-roof tangle, from an explicit decomposition."""
+    """An upper bound on the convex-roof tangle, from an explicit decomposition.
+
+    It records the descent's trial points, the polish's Newton steps and
+    whether the bound came from the polish rather than the descent.
+    """
 
     value: float
     decomposition_size: int
     optimizer_iterations: int
+    newton_steps: int = 0
+    from_polish: bool = False
 
     def __post_init__(self):
         if not -1e-9 <= self.value <= 1 + 1e-9:
@@ -171,6 +184,20 @@ def _retract(v: np.ndarray) -> np.ndarray:
     return q * np.copysign(1.0, np.diagonal(r, axis1=-2, axis2=-1).real)[..., None, :]
 
 
+def _decompositions(v, wtil):
+    """Rows of a stack of decompositions ``v @ wtil``, with Det, dDet/da and 1/p of each row.
+
+    The rows of all k restarts are formed in one product as an (8, k m)
+    amplitude-major array, restart by restart; the other three are flat
+    vectors of length k m.
+    """
+    k, m, r = v.shape
+    rows = wtil.T @ v.reshape(k * m, r).T
+    det, ddet = _hyperdet(rows)
+    flat = rows.view(float).reshape(8, k * m, 2)
+    return rows, det, ddet, _inverse_weights(np.einsum("ijc,ijc->j", flat, flat))
+
+
 def _roof_objective(v, wtil, squared):
     """Objective, average tangle and Riemannian gradient of a stack of isometries.
 
@@ -180,15 +207,11 @@ def _roof_objective(v, wtil, squared):
     sum_k p_k tau_k = 4 |Det|/p.  The gradient is twice the Wirtinger
     derivative d/d conj(v), projected onto the tangent space of the Stiefel
     manifold; at Det = 0, where |Det| has a kink, the true objective's row
-    gets the zero subgradient.  The rows of all restarts are formed in one
-    product as an (8, k m) amplitude-major array, and everything up to the
-    tangent projection runs on flat vectors of length k m.
+    gets the zero subgradient.  Everything up to the tangent projection runs
+    on the flat vectors of :func:`_decompositions`.
     """
     k, m, r = v.shape
-    rows = wtil.T @ v.reshape(k * m, r).T
-    det, ddet = _hyperdet(rows)
-    flat = rows.view(float).reshape(8, k * m, 2)
-    pinv = _inverse_weights(np.einsum("ijc,ijc->j", flat, flat))
+    rows, det, ddet, pinv = _decompositions(v, wtil)
     size = np.abs(det)
     tangle = 4.0 * size * pinv
     phase = np.divide(det, size, out=np.zeros_like(det), where=size > 0)
@@ -205,6 +228,64 @@ def _roof_objective(v, wtil, squared):
     vg = np.swapaxes(v.conj(), -1, -2) @ g
     g -= v @ (0.5 * (vg + np.swapaxes(vg.conj(), -1, -2)))
     return objective.reshape(k, m).sum(axis=1), tangle.reshape(k, m).sum(axis=1), g
+
+
+# An average tangle at or below this is zero to round-off: the roof, which is
+# >= 0, leaves the descent nothing to find.
+ZERO_TANGLE = 1e-15
+# The polish: the restarts it polishes at each of its two points, the steps
+# without a new low of its max |Det| after which a restart counts as stalled,
+# and the most steps it takes.
+POLISHED, PATIENCE, NEWTON_STEPS = 2, 5, 30
+
+
+def _newton_polish(v, wtil):
+    """Newton's method onto Det = 0 on every row of a stack of decompositions.
+
+    Each F_i = Det(phi_i) of a row phi_i = (V wtil)_i is holomorphic in V,
+    with dF_i = dV_i . c_i and c_i = wtil dDet(phi_i).  A step is the
+    minimum-norm tangent solution of F + L(dV) = 0 (Newton's method with a
+    pseudo-inverse, Ben-Israel, J. Math. Anal. Appl. 15, 243 (1966), on the
+    Stiefel manifold, Absil, Mahony and Sepulchre (2008), ch. 6):
+    dV = P_T L*(f), with L*(f)_ij = f_i conj(c_ij), P_T(Z) = Z - V sym(V^H Z),
+    and f solving the real 2m x 2m system (L P_T L*) f = -F.  That system is
+    built by applying the operator to the 2m probes e_i and i e_i, so it
+    needs no basis of the tangent space; ``pinv`` solves it, which gives a
+    zero row (c_i = 0) no step.  The QR retraction of V + dV is the next
+    iterate.  All restarts step in lockstep until one reaches an average
+    tangle of at most ``ZERO_TANGLE``, every one has gone ``PATIENCE`` steps
+    without a new low of its max |Det|, or ``NEWTON_STEPS`` steps have run.
+    Returns the iterate of lowest average tangle of each restart, the start
+    included, that average, and the steps taken; it draws no random number.
+    """
+    k, m, r = v.shape
+    eye = np.eye(m)
+    probes = np.concatenate([eye, 1j * eye])
+    best_v, best = v.copy(), np.full(k, np.inf)
+    low, stalled = np.full(k, np.inf), np.zeros(k, dtype=int)
+    steps = 0
+    while True:
+        _, det, ddet, inv_p = _decompositions(v, wtil)
+        avg = (4.0 * np.abs(det) * inv_p).reshape(k, m).sum(axis=1)
+        det = det.reshape(k, m)
+        better = avg < best
+        best_v[better], best[better] = v[better], avg[better]
+        size = np.abs(det).max(axis=1)
+        stalled = np.where(size < low, 0, stalled + 1)
+        low = np.minimum(low, size)
+        if best.min() <= ZERO_TANGLE or (stalled >= PATIENCE).all() or steps == NEWTON_STEPS:
+            return best_v, best, steps
+        steps += 1
+        c = (wtil @ ddet).T.reshape(k, m, r)
+        # P_T L* of each probe, (k, 2m, m, r), and its image under L, realified
+        step = probes[None, :, :, None] * c.conj()[:, None]
+        vz = np.swapaxes(v.conj(), -1, -2)[:, None] @ step
+        step -= v[:, None] @ (0.5 * (vz + np.swapaxes(vz.conj(), -1, -2)))
+        image = np.einsum("kpij,kij->kpi", step, c)
+        system = np.swapaxes(np.concatenate([image.real, image.imag], axis=-1), -1, -2)
+        f = np.einsum("kpq,kq->kp", np.linalg.pinv(system),
+                      -np.concatenate([det.real, det.imag], axis=-1))
+        v = _retract(v + np.einsum("kp,kpij->kij", f, step))
 
 
 # The descent's one schedule, phase by phase: (whether every other restart
@@ -248,9 +329,20 @@ def three_tangle_mixed(rho: DensityMatrix, seed: int = 0) -> TangleEstimate:
     100.  Then all 64, dropped and retired ones included, are evaluated on
     the true average sum_k p_k tau_k, and only the 8 with the lowest value
     (ties to the lower index) descend it from where they stand for the last
-    250 iterations.  The result is the smallest average tangle of any
-    evaluated decomposition, retired restarts included, so it is an
-    explicit upper bound.
+    250 iterations.
+
+    Right after the 64 restarts are first evaluated, copies of the
+    ``POLISHED`` = 2 of lowest true average (ties to the lower index) are
+    polished onto Det = 0 by :func:`_newton_polish`.  If one reaches an
+    average tangle of at most ``ZERO_TANGLE``, no decomposition can bound the
+    roof meaningfully lower, and the result returns at once with no descent
+    trial.  Otherwise the schedule runs exactly as without the polish, which
+    works on copies and draws no random number, and the 2 restarts of lowest
+    true average it ends with are polished once more.  The result is the
+    smallest average tangle of any evaluated decomposition, retired restarts
+    and polish iterates included, so it is an explicit upper bound; it
+    records the descent's trial points, the Newton steps (summed over the
+    polished restarts) and whether the bound came from the polish.
     """
     if rho.spec.dim != 8:
         raise ConfigError("three-tangle is defined for three qubits")
@@ -274,10 +366,16 @@ def three_tangle_mixed(rho: DensityMatrix, seed: int = 0) -> TangleEstimate:
     isometries = _retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     best = np.full(restarts, np.inf)
     used = 0
-    for surrogate, iterations, kept, cuts in SCHEDULE:
+    for phase, (surrogate, iterations, kept, cuts) in enumerate(SCHEDULE):
         squared = surrogate & (np.arange(restarts) % 2 == 0)
         f, tau, g = _roof_objective(isometries, wtil, squared)
         best = np.minimum(best, tau)
+        if phase == 0:
+            # polish copies of the restarts of lowest true average, ties to the lower index
+            _, low, steps = _newton_polish(isometries[np.argsort(tau, kind="stable")[:POLISHED]], wtil)
+            polished, newton = low.min(), low.size * steps
+            if polished <= ZERO_TANGLE:
+                break  # the roof is zero to round-off: no descent, and no closing polish
         # the restarts of lowest true average go on; ties go to the lower index
         idx = np.sort(np.argsort(tau, kind="stable")[:kept])
         v, f, avg, g, sq = isometries[idx], f[idx], tau[idx], g[idx], squared[idx]
@@ -306,7 +404,12 @@ def three_tangle_mixed(rho: DensityMatrix, seed: int = 0) -> TangleEstimate:
                 if idx.size == 0:
                     break
         isometries[idx] = v
-    return TangleEstimate(min(1.0, float(best.min())), 2 * r, used)
+    else:
+        # the restarts the descent ends with, of lowest true average, polished once more
+        _, low, steps = _newton_polish(isometries[np.argsort(best, kind="stable")[:POLISHED]], wtil)
+        polished, newton = min(polished, low.min()), newton + low.size * steps
+    value = min(polished, best.min())
+    return TangleEstimate(min(1.0, float(value)), 2 * r, used, newton, bool(polished < best.min()))
 
 
 def certification_report(rho: DensityMatrix, seed: int = 0) -> dict:
@@ -314,7 +417,9 @@ def certification_report(rho: DensityMatrix, seed: int = 0) -> dict:
 
     The tangle bound comes from :func:`three_tangle_mixed`, and
     ``optimizer_stats`` records its schedule's restarts and iterations per
-    restart.  W_class requires a bound below
+    restart, the trial points the descent evaluated, the Newton steps of
+    the polish and whether the bound came from the polish.  W_class
+    requires a bound below
     ``W_TANGLE_THRESHOLD`` and a negative witness; GHZ_class a bound above
     ``GHZ_TANGLE_THRESHOLD``.
     """
@@ -335,6 +440,8 @@ def certification_report(rho: DensityMatrix, seed: int = 0) -> dict:
             "kind": "mixed_upper_bound",
             "decomposition_size": estimate.decomposition_size,
             "iterations": estimate.optimizer_iterations,
+            "newton_steps": estimate.newton_steps,
+            "bound_from_polish": estimate.from_polish,
             "restarts": SCHEDULE[0][2],
             "budget": sum(iterations for _, iterations, _, _ in SCHEDULE),
             "seed": seed,

@@ -25,12 +25,12 @@ def run_cli(*args):
 
 def write_config(path, **overrides):
     cfg = {
-        "device": "paper-default",
         "experiment": "rabi_scan",
         "output_dir": str(path.parent / "out"),
-        "noise": False,
         "params": {},
     }
+    if overrides.get("experiment") not in cli.NO_DEVICE:  # certify and reconstruct take neither
+        cfg.update(device="paper-default", noise=False)
     cfg.update(overrides)
     path.write_text(json.dumps(cfg, indent=1))
     return cfg
@@ -199,10 +199,19 @@ def test_run_malformed_config_exits_2(tmp_path, capsys):
          "params": {"readout_coefficients": [coefficients[0], True, *coefficients[2:]]}},
         *({"experiment": "certify", "seed": 0, "params": {**certify, "rho_path": str(path)}}
           for path in rho_files),
+        # certify and reconstruct run no dynamics; both keys used to be read and ignored
+        {"experiment": "certify", "seed": 0, "device": "paper-default", "params": certify},
+        {"experiment": "certify", "noise": True, "params": certify},
+        {"experiment": "reconstruct", "device": device(lambda d: None),
+         "params": {"records_path": str(rho_path)}},
+        {"experiment": "reconstruct", "seed": 1, "noise": False, "params": {"records_path": str(rho_path)}},
     ):
         write_config(bad, **overrides)
         assert run_cli("run", "--config", bad) == 2, overrides
     err = capsys.readouterr().err  # the message names the offending key by its path
+    for experiment in ("certify", "reconstruct"):
+        for key in ("device", "noise"):
+            assert f"{experiment} takes no key {key}" in err
     assert "params.phase_corect" in err and "device.qubits[0].t2_nss" in err
     assert "unknown key params.restarts" in err
     assert err.count("unknown key params.source_qubit") == 4
@@ -742,7 +751,8 @@ def test_determinism_bit_identical_artifacts(tmp_path):
         assert run_cli("run", "--config", cfg_path, "--quiet") == 0
     cert = [(tmp_path / f"certify_{tag}" / "certification.json").read_bytes() for tag in "ab"]
     assert cert[0] == cert[1]
-    assert json.loads(cert[0])["optimizer_stats"]["iterations"] > 0
+    stats = json.loads(cert[0])["optimizer_stats"]
+    assert stats["iterations"] + stats["newton_steps"] > 0
 
 
 def test_seed_override(tmp_path):

@@ -87,8 +87,9 @@ def table(tbl: dict, valid: dict):
 def _configs(experiment: str, params: dict):
     """Run configs of ``experiment`` around the valid one with ``params``; params are read as their table."""
     top = {**cli.TOP, "params": (cli.EXPERIMENTS[experiment][0], ABSENT)}
-    valid = {"experiment": experiment, "device": "paper-default", "noise": True, "seed": 1,
-             "output_dir": "ignored", "params": params}
+    valid = {"experiment": experiment, "seed": 1, "output_dir": "ignored", "params": params}
+    if experiment not in cli.NO_DEVICE:  # certify and reconstruct take no device and no noise flag
+        valid.update(device="paper-default", noise=True)
     return table(top, valid)
 
 

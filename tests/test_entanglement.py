@@ -1,9 +1,16 @@
 import itertools
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cqedw import entanglement
+import cqedw
+from cqedw import entanglement, tomography
 from cqedw.entanglement import (
     GHZ,
     W_PAPER,
@@ -175,20 +182,28 @@ def test_tangle_mixed_is_upper_bound():
                 assert est.value <= avg + 1e-8
 
 
+def ghz_rank3() -> DensityMatrix:
+    """0.8 GHZ + 0.2 (seeded rank-2 state): rank 3, with a roof far from 0, so
+    the opening polish cannot certify it and the descent runs."""
+    rest = random_density(QUBIT_SPEC_3, np.random.default_rng(9), rank=2).entries
+    return DensityMatrix(0.8 * np.outer(GHZ, GHZ.conj()) + 0.2 * rest, QUBIT_SPEC_3)
+
+
 def test_tangle_mixed_bookkeeping(monkeypatch):
-    # restarts whose predicted decrease vanishes leave the stack: a rank-2
-    # state on the zero set of the roof converges well within the 64 x 400
-    # iterations of the schedule
+    # a rank-2 state on the zero set of the roof is certified by the opening
+    # polish, well within the 64 x 400 iterations of the schedule: the
+    # descent takes no trial at all
     ghz = GHZ
     w = W_PAPER
     rank2 = DensityMatrix(0.6 * np.outer(ghz, ghz.conj()) + 0.4 * np.outer(w, w.conj()), QUBIT_SPEC_3)
     converged = three_tangle_mixed(rank2, seed=2)
     assert converged.value < 1e-9
     assert converged.optimizer_iterations < 64 * 400 / 2
+    assert converged.optimizer_iterations == 0 and converged.from_polish
 
     # one count per live restart per trial, and the bound is the smallest
     # true average tangle of any evaluated decomposition
-    rho = random_density(QUBIT_SPEC_3, np.random.default_rng(9), rank=3)
+    rho = ghz_rank3()
     calls, seen = [], []
 
     def recording(v, wtil, squared):
@@ -201,6 +216,7 @@ def test_tangle_mixed_bookkeeping(monkeypatch):
     roof_objective = entanglement._roof_objective
     monkeypatch.setattr(entanglement, "_roof_objective", recording)
     est = three_tangle_mixed(rho, seed=5)
+    assert est.optimizer_iterations > 0 and not est.from_polish  # the descent ran
     # the evaluation of every restart that opens each phase is not a trial
     restarts = entanglement.SCHEDULE[0][2]
     starts = [0] + [i for i, (n, sq) in enumerate(calls) if n == restarts and not sq.any()]
@@ -214,7 +230,7 @@ def test_tangle_mixed_bookkeeping(monkeypatch):
 def test_tangle_mixed_retires_restarts(monkeypatch):
     # after the surrogate phase only the eighth of the restarts with the
     # lowest true average tangle descends; every restart still feeds the bound
-    rho = random_density(QUBIT_SPEC_3, np.random.default_rng(9), rank=3)
+    rho = ghz_rank3()
     (_, early, restarts, _), (_, late, kept, _) = entanglement.SCHEDULE
     calls = []
 
@@ -226,6 +242,7 @@ def test_tangle_mixed_retires_restarts(monkeypatch):
     roof_objective = entanglement._roof_objective
     monkeypatch.setattr(entanglement, "_roof_objective", recording)
     est = three_tangle_mixed(rho, seed=5)
+    assert est.optimizer_iterations > 0 and not est.from_polish  # the descent ran
     # the switch is the one evaluation of every restart on the true objective
     switch = [i for i, (v, sq, _) in enumerate(calls) if len(v) == restarts and not sq.any()]
     assert len(switch) == 1 and 1 < switch[0] < len(calls) - 1
@@ -249,7 +266,7 @@ def test_tangle_mixed_halves_restarts_by_kind(monkeypatch, digits):
     # the surrogate ones to 16 and 8 after 50 and 100.  With digits set, the
     # descent sees averages rounded to that many decimals, so that many of
     # them tie; the objective and its gradient stay exact
-    rho = random_density(QUBIT_SPEC_3, np.random.default_rng(9), rank=3)
+    rho = ghz_rank3()
     calls = []
 
     def recording(v, wtil, squared):
@@ -262,6 +279,7 @@ def test_tangle_mixed_halves_restarts_by_kind(monkeypatch, digits):
     roof_objective = entanglement._roof_objective
     monkeypatch.setattr(entanglement, "_roof_objective", recording)
     est = three_tangle_mixed(rho, seed=5)
+    assert est.optimizer_iterations > 0 and not est.from_polish  # the descent ran
     _, early, restarts, _ = entanglement.SCHEDULE[0]
     cuts = {15: (False, 8), 30: (False, 2), 45: (False, 1), 50: (True, 16), 100: (True, 8)}
     # the switch evaluates all 64 restarts on the true average; the surrogate
@@ -316,14 +334,15 @@ def test_tangle_mixed_on_benchmark_certify_inputs():
     psi = fixed.standard_normal(8) + 1j * fixed.standard_normal(8)
     psi /= np.linalg.norm(psi)
     cases = (
-        (0.9 * w + 0.1 * mixed / np.trace(mixed).real, "W_class", 7.354162e-8),
+        # the descent alone stopped at 7.354162e-8; the opening polish certifies a zero roof
+        (0.9 * w + 0.1 * mixed / np.trace(mixed).real, "W_class", 1e-15),
         (0.9 * w + 0.1 * np.outer(psi, psi.conj()), "W_class", 4.484264e-4),
         (0.9 * ghz + 0.1 * w, "GHZ_class", 0.7302008),
     )
     for rho, verdict, bound in cases:
         report = certification_report(DensityMatrix(0.5 * (rho + rho.conj().T), QUBIT_SPEC_3))
         assert report["classification"] == verdict
-        assert report["tangle_bound"] <= bound
+        assert report["tangle_bound"] < bound
 
     noisy, _ = apply_phase_correction(prepare_w_collective(preset_device(), noise=True),
                                       W_PAPER)
@@ -374,8 +393,94 @@ def test_tangle_mixed_matches_ghz_w_roof(p):
     ghz = GHZ
     w = W_PAPER
     rho = DensityMatrix(p * np.outer(ghz, ghz.conj()) + (1 - p) * np.outer(w, w.conj()), QUBIT_SPEC_3)
-    gap = three_tangle_mixed(rho, seed=0).value - ghz_w_roof(p)
+    value = three_tangle_mixed(rho, seed=0).value
+    gap = value - ghz_w_roof(p)
     assert -1e-9 <= gap <= 1e-4
+    if ghz_w_roof(p) == 0.0:  # p <= 0.6: the polish drives every Det to 0
+        assert value < 1e-15
+
+
+def reconstruction(seed: int) -> DensityMatrix:
+    """The noisy phase-corrected collective state, reconstructed from seeded
+    records with sigma 0.02 and the default readout, as ``cqedw run`` does."""
+    truth, _ = apply_phase_correction(prepare_w_collective(preset_device(), noise=True), W_PAPER)
+    tset = tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
+    return tomography.reconstruct(tomography.simulate_measurements(truth, tset, 0.02, seed), tset).rho
+
+
+def test_polish_certifies_a_seeded_reconstruction():
+    # the descent alone stops at 5.5e-3 on this rank-4 state, which a polish
+    # that stops as soon as max |Det| does not fall leaves at 4.7e-3
+    rho = reconstruction(7)
+    est = three_tangle_mixed(rho)
+    assert est.value < entanglement.ZERO_TANGLE
+    assert est.from_polish and est.optimizer_iterations == 0 and est.newton_steps > 0
+    report = certification_report(rho)
+    assert report["classification"] == "W_class" and report["tangle_bound"] == est.value
+    assert report["optimizer_stats"]["bound_from_polish"] is True
+
+
+def test_polished_rows_reproduce_rho():
+    # each polished iterate is an isometry applied to the scaled eigenvectors,
+    # so its rows are a decomposition of rho; its average never rises, and
+    # the polish draws no random number
+    rho = reconstruction(0).entries
+    lam, vec = np.linalg.eigh(rho)
+    keep = lam > entanglement.EIGENVALUE_CUTOFF * lam.max()
+    wtil = (np.sqrt(lam[keep])[None, :] * vec[:, keep]).T
+    r = wtil.shape[0]
+    rng = np.random.default_rng(3)
+    v = entanglement._retract(rng.standard_normal((3, 2 * r, r)) + 1j * rng.standard_normal((3, 2 * r, r)))
+    # a zero row drops its state: c_i = 0 makes the Newton system singular
+    v[2] = np.vstack([entanglement._retract(v[2, None, 1:])[0], np.zeros((1, r))])
+    best_v, best, steps = entanglement._newton_polish(v, wtil)
+    assert 0 < steps <= entanglement.NEWTON_STEPS
+    assert best.min() <= entanglement.ZERO_TANGLE
+    rows = best_v @ wtil
+    for i in range(3):
+        np.testing.assert_allclose(rows[i].T @ rows[i].conj(), rho, rtol=0.0, atol=1e-12)
+        assert best[i] <= decomposition_average_tangle(v[i] @ wtil) * (1 + 1e-12)
+    np.testing.assert_allclose(best, decomposition_average_tangle(rows), rtol=1e-9, atol=1e-17)
+    assert np.all(best_v[2, -1] == 0.0)
+    again = entanglement._newton_polish(v, wtil)
+    assert np.array_equal(again[0], best_v) and np.array_equal(again[1], best) and again[2] == steps
+
+
+# The descent's trial points and bound on the certify benchmark's two inputs
+# whose roof is not 0, per OpenBLAS kernel, as the descent gave them before
+# the polish existed: the polish works on copies and draws no random number,
+# so where it cannot certify a zero roof the descent keeps every bit.
+DESCENT_PINS = {
+    "SkylakeX": ((3132, 0.00044842638966539607), (3089, 0.7302007852693951)),
+    "Haswell": ((3114, 0.00044842639080694587), (3114, 0.7302007852671285)),
+    "Prescott": ((3091, 0.00044842638421760465), (3114, 0.7302007852644115)),
+}
+# the instruction sets each kernel needs, as /proc/cpuinfo names them (pni is SSE3)
+KERNEL_FLAGS = {"SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
+                "Haswell": {"avx2"}, "Prescott": {"pni"}}
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64") or not os.path.exists("/proc/cpuinfo"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_descent_unchanged_where_the_roof_is_not_zero():
+    flags = set(Path("/proc/cpuinfo").read_text().split())
+    code = ("import json, sys, numpy as np; from cqedw.entanglement import GHZ, W_PAPER, three_tangle_mixed; "
+            "from cqedw.hilbert import DensityMatrix, qubit_spec; "
+            "w = np.outer(W_PAPER, W_PAPER.conj()); fixed = np.random.default_rng(0); "
+            "psi = fixed.standard_normal(8) + 1j * fixed.standard_normal(8); psi /= np.linalg.norm(psi); "
+            "rhos = (0.9 * w + 0.1 * np.outer(psi, psi.conj()), 0.9 * np.outer(GHZ, GHZ.conj()) + 0.1 * w); "
+            "ests = [three_tangle_mixed(DensityMatrix(0.5 * (r + r.conj().T), qubit_spec(8))) for r in rhos]; "
+            "print(json.dumps([[e.optimizer_iterations, e.value] for e in ests]))")
+    src = str(Path(cqedw.__file__).resolve().parent.parent)
+    ran = 0
+    for core, pins in DESCENT_PINS.items():
+        if not KERNEL_FLAGS[core] <= flags:
+            continue
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": core})
+        assert [tuple(pair) for pair in json.loads(out.stdout)] == list(pins), core
+        ran += 1
+    assert ran  # Prescott needs only SSE3
 
 
 def test_roof_gradients_match_central_differences():
@@ -458,7 +563,8 @@ def test_certification_report_shape():
     assert report["classification"] == "W_class"
     # the descent's fixed settings are recorded, so certification.json keeps its keys
     assert report["optimizer_stats"] == {"kind": "mixed_upper_bound", "decomposition_size": 1,
-                                         "iterations": 0, "restarts": 64, "budget": 400, "seed": 0}
+                                         "iterations": 0, "newton_steps": 0, "bound_from_polish": False,
+                                         "restarts": 64, "budget": 400, "seed": 0}
     assert np.isclose(report["fidelity"], 1.0)
     assert np.isclose(report["witness"], -1 / 3)
 
