@@ -84,8 +84,9 @@ def fit_damped_sinusoid(times, values) -> FitReport:
     ``covariance_diagonal`` holds the Gauss-Newton variances s^2 (J^T J)^-1
     of (f, b, phi, gamma, a), with s^2 the residual sum of squares over
     n - 5: for independent, equal-variance noise on the samples they
-    estimate each parameter's sampling variance.  A rank-deficient Jacobian
-    reports every variance as inf, which no JSON artifact holds (exit 3).
+    estimate each parameter's sampling variance.  A Jacobian that is
+    rank-deficient at the solution leaves them undefined: the fit is
+    degenerate, and it raises a FitError instead.
 
     Parameters
     ----------
@@ -101,8 +102,9 @@ def fit_damped_sinusoid(times, values) -> FitReport:
         the times are not finite, strictly ascending and evenly spaced or a
         value is not finite.
     FitError
-        If no dominant spectral peak seeds the fit or the least-squares
-        refinement does not converge within its evaluation budget.
+        If no dominant spectral peak seeds the fit, the least-squares
+        refinement does not converge within its evaluation budget or it
+        stops where its Jacobian is rank-deficient.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -157,12 +159,12 @@ def fit_damped_sinusoid(times, values) -> FitReport:
     rms = float(np.sqrt(np.mean(result.fun**2)))
     # (J^T J)^-1 from the SVD of J, so its condition number is not squared.
     _, sv, vt = np.linalg.svd(result.jac, full_matrices=False)
-    if sv[-1] > sv[0] * t.size * np.finfo(float).eps:
-        var = ((vt / sv[:, None]) ** 2).sum(axis=0) * (2 * result.cost / (t.size - 5))
-        with np.errstate(over="ignore"):  # a span near 1e300 s: span**2 is inf, the variance 0
-            var[[0, 3]] /= span**2
-    else:
-        var = np.full(5, np.inf)
+    if not sv[-1] > sv[0] * t.size * np.finfo(float).eps:
+        raise FitError(f"damped-sinusoid fit is degenerate: its Jacobian is rank-deficient at "
+                       f"f = {big_f / span:.6g} Hz, amplitude {amp:.6g}, offset {offset:.6g}")
+    var = ((vt / sv[:, None]) ** 2).sum(axis=0) * (2 * result.cost / (t.size - 5))
+    with np.errstate(over="ignore"):  # a span near 1e300 s: span**2 is inf, the variance 0
+        var[[0, 3]] /= span**2
     return FitReport(
         frequency=float(big_f / span),
         amplitude=float(amp),

@@ -21,17 +21,26 @@ average, and only the 8 lowest descend it for the last 250.  Its kernel is
 amplitude-major: the rows of every restart form one (8, n) array, so each
 amplitude is a contiguous vector.  The same ``_hyperdet`` gives Det and its
 gradient there and, through a moved axis, ``tangle_quartic`` on
-(..., 8) input.  Before the descent, copies of the two seeded restarts of
-lowest average tangle are polished onto Det = 0 by Newton's method with a
-pseudo-inverse (``_newton_polish``); if one reaches an average tangle of at
-most ``ZERO_TANGLE`` = 1e-15, the roof, which is >= 0, is zero to round-off
-and the descent is skipped.  Otherwise the descent runs as if the polish had
+(..., 8) input; the descent evaluates the gradient only in an iteration
+where some restart accepts its trial point.
+
+A rank-2 state is decided first by the at most four zeros of Det on its
+range (``_rank2_zeros``): its roof is exactly 0 when the state lies in their
+convex hull, and then the weighted zeros are the decomposition, with no
+polish and no descent; when it lies outside by more than round-off, the
+roof is positive and the descent runs with no polish.  Any other state, and
+a rank-2 one the zeros leave undecided, is handled as follows.  Before the
+descent, copies of the two seeded restarts of lowest average tangle are
+polished onto Det = 0 by Newton's method with a pseudo-inverse
+(``_newton_polish``); if one reaches an average tangle of at most
+``ZERO_TANGLE`` = 1e-15, the roof, which is >= 0, is zero to round-off and
+the descent is skipped.  Otherwise the descent runs as if the polish had
 not, and a second polish of the restarts it ends with can only lower the
 bound.  The result is the average tangle of an explicit decomposition, an
 upper bound, never a claim of the exact roof: a bound near 1e-16 shows a
-zero roof to round-off, not a proof of it.  Descent and polish are plain
-numpy; one seeded draw picks the starting points, so the same seed gives
-the same bound.
+zero roof to round-off, not a proof of it.  All of it is plain numpy; one
+seeded draw picks the starting points, so the same seed gives the same
+bound.
 """
 from __future__ import annotations
 
@@ -59,8 +68,10 @@ GHZ.setflags(write=False)
 class TangleEstimate:
     """An upper bound on the convex-roof tangle, from an explicit decomposition.
 
-    It records the descent's trial points, the polish's Newton steps and
-    whether the bound came from the polish rather than the descent.
+    It records the descent's trial points, the polish's Newton steps,
+    whether the bound came from the polish rather than the descent and the
+    rank-2 test's decision: "zero", "positive" or None (another rank, or
+    undecided).
     """
 
     value: float
@@ -68,6 +79,7 @@ class TangleEstimate:
     optimizer_iterations: int
     newton_steps: int = 0
     from_polish: bool = False
+    rank2_roof: str | None = None
 
     def __post_init__(self):
         if not -1e-9 <= self.value <= 1 + 1e-9:
@@ -199,35 +211,46 @@ def _decompositions(v, wtil):
 
 
 def _roof_objective(v, wtil, squared):
-    """Objective, average tangle and Riemannian gradient of a stack of isometries.
+    """Objective and average tangle of a stack of isometries, and the terms its gradient reuses.
 
     Row k of ``v @ wtil`` is sqrt(p_k) psi_k, whose tangle is 4|Det|/p_k^2.
     A restart whose ``squared`` flag is set descends the smooth surrogate
     sum_k p_k tau_k^2 = 16 |Det|^2/p^3, the others the average tangle
-    sum_k p_k tau_k = 4 |Det|/p.  The gradient is twice the Wirtinger
-    derivative d/d conj(v), projected onto the tangent space of the Stiefel
-    manifold; at Det = 0, where |Det| has a kink, the true objective's row
-    gets the zero subgradient.  Everything up to the tangent projection runs
-    on the flat vectors of :func:`_decompositions`.
+    sum_k p_k tau_k = 4 |Det|/p.  The last value holds the flat vectors of
+    :func:`_decompositions` and |Det|, which :func:`_roof_gradient` takes.
     """
-    k, m, r = v.shape
+    k, m, _ = v.shape
     rows, det, ddet, pinv = _decompositions(v, wtil)
     size = np.abs(det)
     tangle = 4.0 * size * pinv
-    phase = np.divide(det, size, out=np.zeros_like(det), where=size > 0)
     objective = tangle
+    if squared.any():
+        objective = np.where(np.repeat(squared, m), tangle * tangle * pinv, tangle)
+    return objective.reshape(k, m).sum(axis=1), tangle.reshape(k, m).sum(axis=1), (rows, det, ddet, pinv, size)
+
+
+def _roof_gradient(v, wtil, squared, terms):
+    """Riemannian gradient of :func:`_roof_objective` at ``v``, from the terms it returned there.
+
+    The gradient is twice the Wirtinger derivative d/d conj(v), projected
+    onto the tangent space of the Stiefel manifold; at Det = 0, where |Det|
+    has a kink, the true objective's row gets the zero subgradient.
+    Everything up to the tangent projection runs on the flat vectors.
+    """
+    k, m, r = v.shape
+    rows, det, ddet, pinv, size = terms
+    phase = np.divide(det, size, out=np.zeros_like(det), where=size > 0)
     coef_d = 4.0 * phase * pinv
     coef_a = -8.0 * size * pinv**2
     if squared.any():
         sq = np.repeat(squared, m)
-        objective = np.where(sq, tangle * tangle * pinv, tangle)
         coef_d = np.where(sq, 32.0 * det * pinv**3, coef_d)
         coef_a = np.where(sq, -96.0 * size**2 * pinv**4, coef_a)
     grad_rows = coef_d * ddet.conj() + coef_a * rows
     g = (grad_rows.T @ wtil.T.conj()).reshape(k, m, r)
     vg = np.swapaxes(v.conj(), -1, -2) @ g
     g -= v @ (0.5 * (vg + np.swapaxes(vg.conj(), -1, -2)))
-    return objective.reshape(k, m).sum(axis=1), tangle.reshape(k, m).sum(axis=1), g
+    return g
 
 
 # An average tangle at or below this is zero to round-off: the roof, which is
@@ -288,6 +311,68 @@ def _newton_polish(v, wtil):
         v = _retract(v + np.einsum("kp,kpij->kij", f, step))
 
 
+# Barycentric weights of the origin below -HULL_MARGIN put it outside the hull
+# of the zeros beyond round-off.  Weights whose estimated relative error, the
+# condition number of their system times eps over the largest |Det| sampled,
+# exceeds it say nothing either way.
+HULL_MARGIN = 1e-9
+# The fifth roots of unity, and the inverse DFT that maps a quartic's values
+# there to its coefficients, lowest degree first.
+_UNIT5 = np.exp(2j * np.pi * np.arange(5) / 5)
+_INVERSE_DFT5 = _UNIT5.conj()[:, None] ** np.arange(5) / 5
+
+
+def _rank2_zeros(wtil):
+    """The zeros of Det on the range of a rank-2 state, and the origin's weights on them.
+
+    The pure states of the range are a u1 + b u2 for unit (a, b) in C^2 and
+    any basis (u1, u2) = U ``wtil`` with U unitary, so rho = u1 u1^H + u2 u2^H.
+    A decomposition of rho is a set of such points with weights mu_j >= 0 and
+    sum_j 2 mu_j (a, b)_j (a, b)_j^H = 1, that is, whose Bloch vectors average
+    to the origin.  The roof is 0 exactly when the origin lies in the convex
+    hull of the zeros of Det (Lohmayer, Osterloh, Siewert, Uhlmann, PRL 97,
+    260502 (2006); Osterloh, Siewert, Uhlmann, PRA 77, 032310 (2008)).
+
+    Det(u1 + z u2) is a quartic in z: its values at the fifth roots of unity
+    give its coefficients, ``np.roots`` its zeros (each missing degree a zero
+    at z = inf, the point (0, 1)), and one Newton step on Det itself sheds
+    the round-off of the coefficients.  u2 is the sample w1 + z w2 of largest
+    |Det|, so the leading coefficient Det(u2) is at least a quarter of the
+    coefficients' 2-norm (Parseval), and the unitary invariance of the
+    Bombieri norm keeps every zero within |z| < 11: a range whose w2 has Det
+    near 0 loses no zero to a leading coefficient that is only round-off.
+    One 4 x 4 solve gives the origin's barycentric weights in the
+    tetrahedron of the zeros' Bloch vectors.
+
+    Each sample is Det of a unit vector (Tr rho = 1 and w1 is orthogonal to
+    w2), so it carries an absolute error of order eps, and eps over the
+    largest |sample| is the relative error of the quartic.  Times the
+    condition number of the 4 x 4 system it estimates that of the weights.
+
+    Returns the smallest weight and the 4 x 2 isometry of rows
+    sqrt(2 max(mu_j, 0)) (a, b)_j U, whose rows ``v @ wtil`` decompose rho
+    when every weight is >= 0; or None when that error estimate exceeds
+    ``HULL_MARGIN``: when two zeros (nearly) coincide, or when Det vanishes
+    on the whole range, where the zeros are round-off.
+    """
+    samples = np.abs(_hyperdet(wtil[0][:, None] + _UNIT5 * wtil[1][:, None])[0])
+    top = _UNIT5[np.argmax(samples)]
+    basis = np.array([[1.0, -top], [1.0, top]]) / np.sqrt(2.0)
+    u = basis @ wtil
+    zeros = np.roots((_INVERSE_DFT5 @ _hyperdet(u[0][:, None] + _UNIT5 * u[1][:, None])[0])[::-1])
+    det, ddet = _hyperdet(u[0][:, None] + zeros * u[1][:, None])
+    zeros = zeros - det / (u[1] @ ddet)
+    points = np.array([(1.0, z) for z in zeros] + [(0.0, 1.0)] * (4 - zeros.size), dtype=complex)
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    a, b = points.T
+    cross = a.conj() * b
+    system = np.array([2.0 * cross.real, 2.0 * cross.imag, np.abs(a) ** 2 - np.abs(b) ** 2, np.ones(4)])
+    if not np.linalg.cond(system) * np.finfo(float).eps <= HULL_MARGIN * samples.max():
+        return None
+    mu = np.linalg.solve(system, [0.0, 0.0, 0.0, 1.0])
+    return mu.min(), (np.sqrt(2.0 * np.maximum(mu, 0.0))[:, None] * points) @ basis
+
+
 # The descent's one schedule, phase by phase: (whether every other restart
 # descends the surrogate, iterations, restarts of lowest true average that
 # start the phase, checkpoints).  A checkpoint maps trial i to the
@@ -331,6 +416,16 @@ def three_tangle_mixed(rho: DensityMatrix, seed: int = 0) -> TangleEstimate:
     (ties to the lower index) descend it from where they stand for the last
     250 iterations.
 
+    A rank-2 state is first decided by :func:`_rank2_zeros`.  If every
+    barycentric weight of the origin on the zeros of Det is >= 0 and the
+    zeros' decomposition has an average tangle of at most ``ZERO_TANGLE``,
+    that average is the result, with no descent and no polish
+    (``rank2_roof`` "zero").  If the smallest weight is below
+    ``-HULL_MARGIN``, the roof is positive: the schedule runs as above, with
+    neither of the polishes below (``rank2_roof`` "positive").  Anything else
+    takes the path of every other rank.  In an iteration where no restart meets
+    Armijo's condition, every t halves and no gradient is evaluated.
+
     Right after the 64 restarts are first evaluated, copies of the
     ``POLISHED`` = 2 of lowest true average (ties to the lower index) are
     polished onto Det = 0 by :func:`_newton_polish`.  If one reaches an
@@ -360,22 +455,35 @@ def three_tangle_mixed(rho: DensityMatrix, seed: int = 0) -> TangleEstimate:
         value = min(1.0, float(tangle_quartic(wtil[0]) / lam[0] ** 2))
         return TangleEstimate(value, 1, 0)
 
+    rank2 = None
+    hull = _rank2_zeros(wtil) if r == 2 else None
+    if hull is not None:
+        least, zeros = hull  # the smallest barycentric weight, and the zeros' isometry
+        if least >= 0:
+            _, det, _, inv_p = _decompositions(zeros[None], wtil)
+            value = float(np.sum(4.0 * np.abs(det) * inv_p))
+            if value <= ZERO_TANGLE:
+                return TangleEstimate(value, 2 * r, 0, rank2_roof="zero")
+        elif least < -HULL_MARGIN:
+            rank2 = "positive"  # no decomposition reaches Det = 0: neither polish runs
+
     rng = np.random.default_rng(seed)
     restarts = SCHEDULE[0][2]
     shape = (restarts, 2 * r, r)
     isometries = _retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     best = np.full(restarts, np.inf)
-    used = 0
+    used, polished, newton = 0, np.inf, 0
     for phase, (surrogate, iterations, kept, cuts) in enumerate(SCHEDULE):
         squared = surrogate & (np.arange(restarts) % 2 == 0)
-        f, tau, g = _roof_objective(isometries, wtil, squared)
+        f, tau, terms = _roof_objective(isometries, wtil, squared)
         best = np.minimum(best, tau)
-        if phase == 0:
+        if phase == 0 and rank2 is None:
             # polish copies of the restarts of lowest true average, ties to the lower index
             _, low, steps = _newton_polish(isometries[np.argsort(tau, kind="stable")[:POLISHED]], wtil)
             polished, newton = low.min(), low.size * steps
             if polished <= ZERO_TANGLE:
                 break  # the roof is zero to round-off: no descent, and no closing polish
+        g = _roof_gradient(isometries, wtil, squared, terms)
         # the restarts of lowest true average go on; ties go to the lower index
         idx = np.sort(np.argsort(tau, kind="stable")[:kept])
         v, f, avg, g, sq = isometries[idx], f[idx], tau[idx], g[idx], squared[idx]
@@ -383,16 +491,23 @@ def three_tangle_mixed(rho: DensityMatrix, seed: int = 0) -> TangleEstimate:
         for i in range(1, iterations + 1):
             used += idx.size
             q = _retract(v - t[:, None, None] * g)
-            fq, tau, gq = _roof_objective(q, wtil, sq)
+            fq, tau, terms = _roof_objective(q, wtil, sq)
             best[idx] = np.minimum(best[idx], tau)
             ok = fq <= f - 1e-4 * t * gg  # Armijo's sufficient decrease
-            # after a step, the next trial is the Barzilai-Borwein step <s, s> / |<s, y>|
-            s, y = q - v, gq - g
-            sy = np.abs(_inner(s, y))
-            bb = np.divide(_sq_norm(s), sy, out=np.full(idx.size, np.inf), where=sy > 0)
-            t = np.where(ok, np.minimum(bb, 10.0 * t), 0.5 * t)
-            v[ok], g[ok], f[ok], avg[ok] = q[ok], gq[ok], fq[ok], tau[ok]
-            gg[ok] = _sq_norm(gq[ok])
+            if ok.any():
+                gq = _roof_gradient(q, wtil, sq, terms)
+                # after a step, the next trial is the Barzilai-Borwein step <s, s> / |<s, y>|
+                s, y = q - v, gq - g
+                sy = np.abs(_inner(s, y))
+                bb = np.divide(_sq_norm(s), sy, out=np.full(idx.size, np.inf), where=sy > 0)
+                t = np.where(ok, np.minimum(bb, 10.0 * t), 0.5 * t)
+                np.copyto(v, q, where=ok[:, None, None])
+                np.copyto(g, gq, where=ok[:, None, None])
+                np.copyto(f, fq, where=ok)
+                np.copyto(avg, tau, where=ok)
+                np.copyto(gg, _sq_norm(gq), where=ok)
+            else:
+                t = 0.5 * t  # no trial was accepted, so no gradient is needed
             live = t * gg > 1e-13
             for kind, count in cuts.get(i, ()):
                 # a kind keeps its live restarts of lowest true average, ties to the lower index
@@ -405,11 +520,12 @@ def three_tangle_mixed(rho: DensityMatrix, seed: int = 0) -> TangleEstimate:
                     break
         isometries[idx] = v
     else:
-        # the restarts the descent ends with, of lowest true average, polished once more
-        _, low, steps = _newton_polish(isometries[np.argsort(best, kind="stable")[:POLISHED]], wtil)
-        polished, newton = min(polished, low.min()), newton + low.size * steps
+        if rank2 is None:
+            # the restarts the descent ends with, of lowest true average, polished once more
+            _, low, steps = _newton_polish(isometries[np.argsort(best, kind="stable")[:POLISHED]], wtil)
+            polished, newton = min(polished, low.min()), newton + low.size * steps
     value = min(polished, best.min())
-    return TangleEstimate(min(1.0, float(value)), 2 * r, used, newton, bool(polished < best.min()))
+    return TangleEstimate(min(1.0, float(value)), 2 * r, used, newton, bool(polished < best.min()), rank2)
 
 
 def certification_report(rho: DensityMatrix, seed: int = 0) -> dict:
@@ -418,8 +534,8 @@ def certification_report(rho: DensityMatrix, seed: int = 0) -> dict:
     The tangle bound comes from :func:`three_tangle_mixed`, and
     ``optimizer_stats`` records its schedule's restarts and iterations per
     restart, the trial points the descent evaluated, the Newton steps of
-    the polish and whether the bound came from the polish.  W_class
-    requires a bound below
+    the polish, whether the bound came from the polish and the rank-2
+    test's decision (``rank2_roof``).  W_class requires a bound below
     ``W_TANGLE_THRESHOLD`` and a negative witness; GHZ_class a bound above
     ``GHZ_TANGLE_THRESHOLD``.
     """
@@ -442,6 +558,7 @@ def certification_report(rho: DensityMatrix, seed: int = 0) -> dict:
             "iterations": estimate.optimizer_iterations,
             "newton_steps": estimate.newton_steps,
             "bound_from_polish": estimate.from_polish,
+            "rank2_roof": estimate.rank2_roof,
             "restarts": SCHEDULE[0][2],
             "budget": sum(iterations for _, iterations, _, _ in SCHEDULE),
             "seed": seed,

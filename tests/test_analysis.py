@@ -69,6 +69,16 @@ def test_fit_errors():
         fit_damped_sinusoid(t[:5], np.cos(2 * np.pi * 100e6 * t[:5]))
 
 
+def test_degenerate_fit_names_itself():
+    # an ideal qubit-A scan over 1-2 ns, about a tenth of its period, sends the
+    # periodogram seed to a point near 1.7 kHz with amplitude ~1e5, where the
+    # Jacobian is rank-deficient and no variance is finite; the fit names the
+    # degenerate fit rather than return variances no JSON artifact can hold
+    trace = rabi_scan(preset_device(), [0], np.linspace(1e-9, 2e-9, 11))
+    with pytest.raises(FitError, match="damped-sinusoid fit is degenerate: its Jacobian is rank-deficient"):
+        fit_damped_sinusoid(trace.times, trace.cavity_population)
+
+
 def test_fit_ideal_single_qubit_trace():
     cfg = preset_device()
     tau = np.linspace(0, 20e-9, 81)

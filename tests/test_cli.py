@@ -326,20 +326,27 @@ def test_readme_matches_config_schema(tmp_path, monkeypatch):
                     reason="OPENBLAS_CORETYPE names x86-64 kernels")
 def test_certify_across_blas_kernels(tmp_path):
     # the cross-machine contract: on the certify benchmark's three inputs,
-    # certify keeps its verdicts under other OpenBLAS kernels, with bounds
-    # within 1e-9 absolute; Haswell needs AVX2 and Prescott only SSE3
-    # (SkylakeX would need AVX-512)
+    # 0.6 GHZ + 0.4 W and seed 17 of the benchmark's rank-2 family, certify
+    # keeps its verdicts under other OpenBLAS kernels, with bounds within 1e-9
+    # absolute, and decides each rank-2 roof the same way, though np.roots
+    # runs LAPACK's eigenvalue routine; Haswell needs AVX2 and Prescott only
+    # SSE3 (SkylakeX would need AVX-512)
     w = np.outer(entanglement.W_PAPER, entanglement.W_PAPER.conj())
+    ghz = np.outer(entanglement.GHZ, entanglement.GHZ.conj())
     rng = np.random.default_rng(1)
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     mixed = g @ g.conj().T
-    fixed = np.random.default_rng(0)
-    psi = fixed.standard_normal(8) + 1j * fixed.standard_normal(8)
-    psi /= np.linalg.norm(psi)
+    pure = []
+    for seed in (0, 17):
+        fixed = np.random.default_rng(seed)
+        psi = fixed.standard_normal(8) + 1j * fixed.standard_normal(8)
+        pure.append(np.outer(psi, psi.conj()) / np.linalg.norm(psi) ** 2)
     paths = []
     for i, rho in enumerate((0.9 * w + 0.1 * mixed / np.trace(mixed).real,
-                             0.9 * w + 0.1 * np.outer(psi, psi.conj()),
-                             0.9 * np.outer(entanglement.GHZ, entanglement.GHZ.conj()) + 0.1 * w)):
+                             0.9 * w + 0.1 * pure[0],
+                             0.9 * ghz + 0.1 * w,
+                             0.6 * ghz + 0.4 * w,
+                             0.9 * w + 0.1 * pure[1])):
         paths.append(tmp_path / f"rho{i}.json")
         paths[-1].write_text(json.dumps(rho_to_json(DensityMatrix(0.5 * (rho + rho.conj().T), QUBIT_SPEC_3))))
 
@@ -349,7 +356,8 @@ def test_certify_across_blas_kernels(tmp_path):
     for p in paths:
         assert run_cli("certify", p, "--out", tmp_path / "here" / p.stem, "--quiet") == 0
     here = reports(tmp_path / "here")
-    assert [r["classification"] for r in here] == ["W_class", "W_class", "GHZ_class"]
+    assert [r["classification"] for r in here] == ["W_class", "W_class", "GHZ_class", "inconclusive", "W_class"]
+    assert [r["optimizer_stats"]["rank2_roof"] for r in here] == [None, "positive", "positive", "zero", "zero"]
     code = ("import sys; from pathlib import Path; from cqedw.cli import main; out = Path(sys.argv[1]); "
             "sys.exit(any(main(['certify', p, '--out', str(out / Path(p).stem), '--quiet']) for p in sys.argv[2:]))")
     src = str(Path(cqedw.__file__).resolve().parent.parent)
@@ -359,6 +367,7 @@ def test_certify_across_blas_kernels(tmp_path):
         for mine, theirs in zip(here, reports(tmp_path / core)):
             assert theirs["classification"] == mine["classification"]
             assert abs(theirs["tangle_bound"] - mine["tangle_bound"]) <= 1e-9
+            assert theirs["optimizer_stats"]["rank2_roof"] == mine["optimizer_stats"]["rank2_roof"], core
 
 
 def test_cli_import_leaves_out_scipy_optimize():
@@ -417,21 +426,22 @@ def test_run_numerical_failure_exits_3(tmp_path, capsys):
 
 
 def test_non_finite_artifact_exits_3(tmp_path, capsys):
-    # a sigma of 1e300 makes summary.json's residual_norm inf, and a qubit-A
-    # scan over about a tenth of its period makes fit_cavity.json's variances inf
-    # (its fit is rank-deficient); such runs used to exit 0 and write the
-    # token Infinity, which strict JSON parsers reject, and then to exit 3
-    # leaving the artifacts written before the failure
+    # a sigma of 1e300 makes summary.json's residual_norm inf, which the
+    # artifact encoder refuses; a qubit-A scan over about a tenth of its
+    # period makes the fit degenerate (its Jacobian is rank-deficient), which
+    # the fit itself reports.  Such runs used to exit 0 and write the token
+    # Infinity, which strict JSON parsers reject, and then to exit 3 leaving
+    # the artifacts written before the failure
     cfg_path = tmp_path / "cfg.json"
-    for experiment, params, named in (
-        ("tomography", {"sigma": 1e300}, "summary.json"),
+    for experiment, params, message in (
+        ("tomography", {"sigma": 1e300}, "artifact summary.json would hold a non-finite number"),
         ("rabi_scan", {"participating": ["A"], "tau_start_ns": 1.0, "tau_stop_ns": 2.0, "num_points": 11},
-         "fit_cavity.json"),
+         "damped-sinusoid fit is degenerate: its Jacobian is rank-deficient"),
     ):
         out = tmp_path / experiment
         write_config(cfg_path, experiment=experiment, seed=0, output_dir=str(out), params=params)
         assert run_cli("run", "--config", cfg_path, "--quiet") == 3, experiment
-        assert f"artifact {named} would hold a non-finite number" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -189,40 +189,61 @@ def ghz_rank3() -> DensityMatrix:
     return DensityMatrix(0.8 * np.outer(GHZ, GHZ.conj()) + 0.2 * rest, QUBIT_SPEC_3)
 
 
+def record_roof(monkeypatch, digits=None):
+    """Record each evaluation the descent makes, as [v, wtil, squared, objective, average, gradient].
+
+    The gradient stays None unless the descent asks for it, which it does
+    only at the point it evaluated last.  The descent updates its stack in
+    place, so v is copied.  With ``digits`` set, the descent sees averages
+    rounded to that many decimals; the objective and its gradient stay exact.
+    """
+    calls = []
+    objective, gradient = entanglement._roof_objective, entanglement._roof_gradient
+
+    def values(v, wtil, squared):
+        f, tau, terms = objective(v, wtil, squared)
+        if digits is not None:
+            tau = np.round(tau, digits)
+        calls.append([v.copy(), wtil, squared.copy(), f, tau, None])
+        return f, tau, terms
+
+    def grad(v, wtil, squared, terms):
+        assert calls[-1][5] is None and np.array_equal(calls[-1][0], v)
+        calls[-1][5] = gradient(v, wtil, squared, terms)
+        return calls[-1][5]
+
+    monkeypatch.setattr(entanglement, "_roof_objective", values)
+    monkeypatch.setattr(entanglement, "_roof_gradient", grad)
+    return calls
+
+
 def test_tangle_mixed_bookkeeping(monkeypatch):
-    # a rank-2 state on the zero set of the roof is certified by the opening
-    # polish, well within the 64 x 400 iterations of the schedule: the
-    # descent takes no trial at all
+    # a rank-2 state on the zero set of the roof is decided by the zeros of
+    # Det on its range, well within the 64 x 400 iterations of the schedule:
+    # no polish step and no descent trial
     ghz = GHZ
     w = W_PAPER
     rank2 = DensityMatrix(0.6 * np.outer(ghz, ghz.conj()) + 0.4 * np.outer(w, w.conj()), QUBIT_SPEC_3)
     converged = three_tangle_mixed(rank2, seed=2)
-    assert converged.value < 1e-9
+    assert converged.value < 1e-15
     assert converged.optimizer_iterations < 64 * 400 / 2
-    assert converged.optimizer_iterations == 0 and converged.from_polish
+    assert converged.optimizer_iterations == 0 and converged.newton_steps == 0
+    assert converged.rank2_roof == "zero" and not converged.from_polish
 
     # one count per live restart per trial, and the bound is the smallest
     # true average tangle of any evaluated decomposition
     rho = ghz_rank3()
-    calls, seen = [], []
-
-    def recording(v, wtil, squared):
-        objective, average, grad = roof_objective(v, wtil, squared)
-        assert np.allclose(average, decomposition_average_tangle(v @ wtil), rtol=1e-12, atol=1e-15)
-        calls.append((len(v), squared.copy()))
-        seen.extend(average)
-        return objective, average, grad
-
-    roof_objective = entanglement._roof_objective
-    monkeypatch.setattr(entanglement, "_roof_objective", recording)
+    calls = record_roof(monkeypatch)
     est = three_tangle_mixed(rho, seed=5)
     assert est.optimizer_iterations > 0 and not est.from_polish  # the descent ran
+    for v, wtil, _, _, average, _ in calls:
+        assert np.allclose(average, decomposition_average_tangle(v @ wtil), rtol=1e-12, atol=1e-15)
     # the evaluation of every restart that opens each phase is not a trial
     restarts = entanglement.SCHEDULE[0][2]
-    starts = [0] + [i for i, (n, sq) in enumerate(calls) if n == restarts and not sq.any()]
+    starts = [0] + [i for i, (v, _, sq, *_) in enumerate(calls) if len(v) == restarts and not sq.any()]
     assert len(starts) == len(entanglement.SCHEDULE)
-    assert est.optimizer_iterations == sum(n for i, (n, _) in enumerate(calls) if i not in starts)
-    assert est.value == min(seen)
+    assert est.optimizer_iterations == sum(len(c[0]) for i, c in enumerate(calls) if i not in starts)
+    assert est.value == min(min(c[4]) for c in calls)
     assert est.decomposition_size == 6
     assert three_tangle_mixed(rho, seed=5) == est
 
@@ -232,30 +253,22 @@ def test_tangle_mixed_retires_restarts(monkeypatch):
     # lowest true average tangle descends; every restart still feeds the bound
     rho = ghz_rank3()
     (_, early, restarts, _), (_, late, kept, _) = entanglement.SCHEDULE
-    calls = []
-
-    def recording(v, wtil, squared):
-        out = roof_objective(v, wtil, squared)
-        calls.append((v.copy(), squared, out))  # the descent updates its stack in place
-        return out
-
-    roof_objective = entanglement._roof_objective
-    monkeypatch.setattr(entanglement, "_roof_objective", recording)
+    calls = record_roof(monkeypatch)
     est = three_tangle_mixed(rho, seed=5)
     assert est.optimizer_iterations > 0 and not est.from_polish  # the descent ran
     # the switch is the one evaluation of every restart on the true objective
-    switch = [i for i, (v, sq, _) in enumerate(calls) if len(v) == restarts and not sq.any()]
+    switch = [i for i, (v, _, sq, *_) in enumerate(calls) if len(v) == restarts and not sq.any()]
     assert len(switch) == 1 and 1 < switch[0] < len(calls) - 1
     assert kept == restarts // 8
-    assert all(len(v) <= kept for v, _, _ in calls[switch[0] + 1:])
-    v, _, (_, tau, g) = calls[switch[0]]
+    assert all(len(c[0]) <= kept for c in calls[switch[0] + 1:])
+    v, _, _, _, tau, g = calls[switch[0]]
     best = np.sort(np.argsort(tau, kind="stable")[:kept])
     assert tau[best].max() <= np.delete(tau, best).min()
     # the first trial of the kept restarts is the unit step from where they stood
     np.testing.assert_allclose(calls[switch[0] + 1][0], entanglement._retract(v[best] - g[best]),
                                rtol=0.0, atol=1e-12)
     assert est.optimizer_iterations <= restarts * early + kept * late
-    assert est.value == min(min(out[1]) for _, _, out in calls)
+    assert est.value == min(min(c[4]) for c in calls)
 
 
 @pytest.mark.parametrize("digits", [None, 2])
@@ -265,61 +278,62 @@ def test_tangle_mixed_halves_restarts_by_kind(monkeypatch, digits):
     # true-objective restarts fall to 8, 2 and 1 after 15, 30 and 45 trials,
     # the surrogate ones to 16 and 8 after 50 and 100.  With digits set, the
     # descent sees averages rounded to that many decimals, so that many of
-    # them tie; the objective and its gradient stay exact
+    # them tie.  A trial that no restart accepts evaluates no gradient
     rho = ghz_rank3()
-    calls = []
-
-    def recording(v, wtil, squared):
-        f, tau, g = roof_objective(v, wtil, squared)
-        if digits is not None:
-            tau = np.round(tau, digits)
-        calls.append((v.copy(), squared.copy(), (f, tau, g)))  # the descent updates its stack in place
-        return f, tau, g
-
-    roof_objective = entanglement._roof_objective
-    monkeypatch.setattr(entanglement, "_roof_objective", recording)
+    calls = record_roof(monkeypatch, digits)
     est = three_tangle_mixed(rho, seed=5)
     assert est.optimizer_iterations > 0 and not est.from_polish  # the descent ran
     _, early, restarts, _ = entanglement.SCHEDULE[0]
     cuts = {15: (False, 8), 30: (False, 2), 45: (False, 1), 50: (True, 16), 100: (True, 8)}
     # the switch evaluates all 64 restarts on the true average; the surrogate
     # phase ends before it, after 150 trials or once no restart is live
-    switch = next(i for i, (v, sq, _) in enumerate(calls) if len(v) == restarts and not sq.any())
+    switch = next(i for i, (v, _, sq, *_) in enumerate(calls) if len(v) == restarts and not sq.any())
     assert 1 < switch <= early + 1
-    for trial, (_, sq, _) in enumerate(calls[1:switch], start=1):
+    for trial, (_, _, sq, *_) in enumerate(calls[1:switch], start=1):
         for kind in (False, True):
             caps = [count for at, (k, count) in cuts.items() if k == kind and at < trial]
             assert np.count_nonzero(sq == kind) <= min(caps, default=restarts)
 
     # replay the step rule on the recorded evaluations, apply the halving rule
-    # here, and predict each trial stack from the restarts this keeps
-    v, sq, f, avg, g = (x.copy() for x in (calls[0][0], calls[0][1], *calls[0][2]))
-    idx, gg, t = np.arange(restarts), entanglement._sq_norm(g), np.ones(restarts)
+    # here, and predict each trial stack from the restarts this keeps; after
+    # the switch, the restarts of lowest true average descend with no cut
+    (_, late, kept, _) = entanglement.SCHEDULE[1]
+    phases = ((0, switch, np.arange(restarts), cuts, early),
+              (switch, len(calls), np.sort(np.argsort(calls[switch][4], kind="stable")[:kept]), {}, late))
     made = ties = 0  # checkpoints that drop a restart, and those where a tie straddles the cut
-    for trial in range(1, switch):
-        q, _, (fq, tau, gq) = calls[trial]
-        np.testing.assert_array_equal(q, entanglement._retract(v - t[:, None, None] * g))
-        ok = fq <= f - 1e-4 * t * gg
-        s, y = q - v, gq - g
-        sy = np.abs(entanglement._inner(s, y))
-        bb = np.divide(entanglement._sq_norm(s), sy, out=np.full(idx.size, np.inf), where=sy > 0)
-        t = np.where(ok, np.minimum(bb, 10.0 * t), 0.5 * t)
-        v[ok], g[ok], f[ok], avg[ok] = q[ok], gq[ok], fq[ok], tau[ok]
-        gg[ok] = entanglement._sq_norm(gq[ok])
-        live = t * gg > 1e-13
-        if trial in cuts:
-            kind, count = cuts[trial]
-            mine = np.flatnonzero(live & (sq == kind))
-            ranked = mine[np.lexsort((idx[mine], avg[mine]))]
-            live[ranked[count:]] = False
-            made += ranked.size > count
-            ties += ranked.size > count and avg[ranked[count - 1]] == avg[ranked[count]]
-        idx, v, g, f, avg, gg, t, sq = (x[live] for x in (idx, v, g, f, avg, gg, t, sq))
-    assert switch == early + 1 or idx.size == 0
+    rejected = 0  # trials that no restart accepts
+    for start, stop, idx, at, iterations in phases:
+        v, sq, f, avg, g = (calls[start][j][idx] for j in (0, 2, 3, 4, 5))
+        gg, t = entanglement._sq_norm(g), np.ones(idx.size)
+        for trial in range(1, stop - start):
+            q, _, _, fq, tau, gq = calls[start + trial]
+            np.testing.assert_array_equal(q, entanglement._retract(v - t[:, None, None] * g))
+            ok = fq <= f - 1e-4 * t * gg
+            assert (gq is not None) == ok.any()
+            if gq is None:
+                rejected += 1
+                gq = g  # stands in for the gradient that was not evaluated: no restart takes it
+            s, y = q - v, gq - g
+            sy = np.abs(entanglement._inner(s, y))
+            bb = np.divide(entanglement._sq_norm(s), sy, out=np.full(idx.size, np.inf), where=sy > 0)
+            t = np.where(ok, np.minimum(bb, 10.0 * t), 0.5 * t)
+            v[ok], g[ok], f[ok], avg[ok] = q[ok], gq[ok], fq[ok], tau[ok]
+            gg[ok] = entanglement._sq_norm(gq[ok])
+            live = t * gg > 1e-13
+            if trial in at:
+                kind, count = at[trial]
+                mine = np.flatnonzero(live & (sq == kind))
+                ranked = mine[np.lexsort((idx[mine], avg[mine]))]
+                live[ranked[count:]] = False
+                made += ranked.size > count
+                ties += ranked.size > count and avg[ranked[count - 1]] == avg[ranked[count]]
+            idx, v, g, f, avg, gg, t, sq = (x[live] for x in (idx, v, g, f, avg, gg, t, sq))
+        assert stop - start == iterations + 1 or idx.size == 0
     # at 100 few surrogate restarts are still live
     assert made >= 3 and (digits is None or ties >= 1)
+    assert rejected >= 1
     # every average evaluated feeds the bound
-    assert est.value == min(min(out[1]) for _, _, out in calls)
+    assert est.value == min(min(c[4]) for c in calls)
 
 
 def test_tangle_mixed_on_benchmark_certify_inputs():
@@ -356,8 +370,63 @@ def test_tangle_mixed_exactly_zero_on_single_excitation_support():
     support = np.ix_([0, 1, 2, 4], [0, 1, 2, 4])
     for seed in range(12):
         rho = np.zeros((8, 8), dtype=complex)
-        rho[support] = random_density(HilbertSpec(2, 0), np.random.default_rng(seed)).entries
-        assert three_tangle_mixed(DensityMatrix(rho, QUBIT_SPEC_3)).value == 0.0
+        # ranks 4 and 2: on a rank-2 range Det vanishes identically, so it has
+        # no finite set of zeros, the rank-2 test decides nothing and the
+        # polish finds the exact 0 at its first point
+        rank = 4 if seed < 6 else 2
+        rho[support] = random_density(HilbertSpec(2, 0), np.random.default_rng(seed), rank=rank).entries
+        est = three_tangle_mixed(DensityMatrix(rho, QUBIT_SPEC_3))
+        assert est.value == 0.0 and est.rank2_roof is None
+
+
+def w_with_seeded_pure(seed: int) -> DensityMatrix:
+    """0.9 W + 0.1 |psi><psi| for psi the normalized complex Gaussian vector of
+    ``seed``, as the certify benchmark builds its rank-2 W input (seed 0)."""
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    psi /= np.linalg.norm(psi)
+    rho = 0.9 * np.outer(W_PAPER, W_PAPER.conj()) + 0.1 * np.outer(psi, psi.conj())
+    return DensityMatrix(0.5 * (rho + rho.conj().T), QUBIT_SPEC_3)
+
+
+def test_rank2_roof_decided_by_its_zeros():
+    # on a rank-2 state the roof is 0 exactly when rho sits in the convex hull
+    # of the zeros of Det on its range; then those zeros are the decomposition
+    # and nothing else runs, and otherwise the descent runs without a polish.
+    # The descent and polish used to stop above 1e-5 on seeds 17 and 18
+    decided = {}
+    for seed in range(30):
+        rho = w_with_seeded_pure(seed)
+        est = three_tangle_mixed(rho)
+        decided[seed] = est.rank2_roof
+        assert est.newton_steps == 0 and not est.from_polish
+        if est.rank2_roof == "positive":
+            assert est.value > 1e-6 and est.optimizer_iterations > 0
+            continue
+        assert est.rank2_roof == "zero" and est.value <= 1e-15 and est.optimizer_iterations == 0
+        lam, vec = np.linalg.eigh(rho.entries)
+        wtil = (np.sqrt(lam[-2:])[None, :] * vec[:, -2:]).T
+        low, v = entanglement._rank2_zeros(wtil)
+        assert low >= 0 and v.shape == (4, 2) == (est.decomposition_size, 2)
+        rows = v @ wtil
+        assert np.linalg.norm(rows.T @ rows.conj() - rho.entries) <= 1e-12
+        assert abs(decomposition_average_tangle(rows) - est.value) <= 1e-16
+        _, det, _, inv_p = entanglement._decompositions(v[None], wtil)
+        assert est.value == np.sum(4.0 * np.abs(det) * inv_p)
+    assert decided[17] == decided[18] == "zero"
+    assert set(decided.values()) == {"zero", "positive"}
+
+    # on span{|000>, W}, turned by seeded local unitaries, Det vanishes
+    # identically but its samples are round-off, and so would be the zeros:
+    # the test decides nothing, and the opening polish certifies the zero roof
+    ground = np.zeros(8, dtype=complex)
+    ground[0] = 1.0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        u = np.kron(random_unitary(2, rng), np.kron(random_unitary(2, rng), random_unitary(2, rng)))
+        rho = u @ (0.5 * np.outer(W_PAPER, W_PAPER.conj()) + 0.5 * np.outer(ground, ground)) @ u.conj().T
+        est = three_tangle_mixed(DensityMatrix(0.5 * (rho + rho.conj().T), QUBIT_SPEC_3))
+        assert est.rank2_roof is None and est.value <= 1e-15 and est.optimizer_iterations == 0
 
 
 def ghz_w_roof(p: float) -> float:
@@ -393,11 +462,18 @@ def test_tangle_mixed_matches_ghz_w_roof(p):
     ghz = GHZ
     w = W_PAPER
     rho = DensityMatrix(p * np.outer(ghz, ghz.conj()) + (1 - p) * np.outer(w, w.conj()), QUBIT_SPEC_3)
-    value = three_tangle_mixed(rho, seed=0).value
+    est = three_tangle_mixed(rho, seed=0)
+    value = est.value
     gap = value - ghz_w_roof(p)
     assert -1e-9 <= gap <= 1e-4
-    if ghz_w_roof(p) == 0.0:  # p <= 0.6: the polish drives every Det to 0
-        assert value < 1e-15
+    # the zeros of Det on the range decide the rank-2 roof; the boundary is
+    # p0 = 0.627, and for p < 0.5, where W spans the second eigenvector, one
+    # zero sits at z = inf
+    if ghz_w_roof(p) == 0.0:  # p <= 0.6
+        assert value < 1e-15 and est.rank2_roof == "zero"
+        assert est.optimizer_iterations == 0 and est.newton_steps == 0
+    else:
+        assert est.rank2_roof == "positive" and est.newton_steps == 0
 
 
 def reconstruction(seed: int) -> DensityMatrix:
@@ -448,8 +524,9 @@ def test_polished_rows_reproduce_rho():
 
 # The descent's trial points and bound on the certify benchmark's two inputs
 # whose roof is not 0, per OpenBLAS kernel, as the descent gave them before
-# the polish existed: the polish works on copies and draws no random number,
-# so where it cannot certify a zero roof the descent keeps every bit.
+# the polish existed.  The rank-2 zero test finds both roofs positive, so
+# neither polish runs, and skipping the gradient of an iteration that accepts
+# no trial changes no arithmetic: the descent keeps every bit.
 DESCENT_PINS = {
     "SkylakeX": ((3132, 0.00044842638966539607), (3089, 0.7302007852693951)),
     "Haswell": ((3114, 0.00044842639080694587), (3114, 0.7302007852671285)),
@@ -506,7 +583,7 @@ def test_roof_gradients_match_central_differences():
     wtil = rng.standard_normal((r, 8)) + 1j * rng.standard_normal((r, 8))
     wtil /= np.linalg.norm(wtil)
     squared = np.array([True, False, True, False])
-    _, _, grad = entanglement._roof_objective(v, wtil, squared)
+    grad = entanglement._roof_gradient(v, wtil, squared, entanglement._roof_objective(v, wtil, squared)[2])
     for _ in range(3):
         z = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
         vz = np.swapaxes(v.conj(), -1, -2) @ z
@@ -527,13 +604,18 @@ def test_roof_objective_paths_agree():
     v = entanglement._retract(rng.standard_normal((6, 2 * r, r)) + 1j * rng.standard_normal((6, 2 * r, r)))
     wtil = rng.standard_normal((r, 8)) + 1j * rng.standard_normal((r, 8))
     wtil /= np.linalg.norm(wtil)
+
+    def evaluate(v, squared):
+        f, tau, terms = entanglement._roof_objective(v, wtil, squared)
+        return f, tau, entanglement._roof_gradient(v, wtil, squared, terms)
+
     squared = np.array([True, False, False, True, True, False])
-    mixed = entanglement._roof_objective(v, wtil, squared)
+    mixed = evaluate(v, squared)
     for i in range(v.shape[0]):
-        alone = entanglement._roof_objective(v[i:i + 1], wtil, squared[i:i + 1])
+        alone = evaluate(v[i:i + 1], squared[i:i + 1])
         for got, want in zip(alone, mixed):
             np.testing.assert_allclose(got[0], want[i], rtol=1e-12, atol=0.0)
-    true = entanglement._roof_objective(v, wtil, np.zeros(v.shape[0], dtype=bool))
+    true = evaluate(v, np.zeros(v.shape[0], dtype=bool))
     for got, want in zip(true, mixed):
         np.testing.assert_allclose(got[~squared], want[~squared], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(true[1], mixed[1], rtol=1e-12, atol=0.0)
@@ -564,7 +646,7 @@ def test_certification_report_shape():
     # the descent's fixed settings are recorded, so certification.json keeps its keys
     assert report["optimizer_stats"] == {"kind": "mixed_upper_bound", "decomposition_size": 1,
                                          "iterations": 0, "newton_steps": 0, "bound_from_polish": False,
-                                         "restarts": 64, "budget": 400, "seed": 0}
+                                         "rank2_roof": None, "restarts": 64, "budget": 400, "seed": 0}
     assert np.isclose(report["fidelity"], 1.0)
     assert np.isclose(report["witness"], -1 / 3)
 
