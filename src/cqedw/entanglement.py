@@ -9,9 +9,10 @@ from the degree-4 amplitude polynomials of Cayley's hyperdeterminant,
 
 which is 1 for a GHZ state and 0 for every W-class or product state.  For
 mixed states the convex roof (minimum average tangle over decompositions)
-is approximated from above by a lockstep Riemannian gradient descent over
-isometric mixtures of the eigenvector ensemble, driven by the analytic
-Wirtinger gradient of Det.  The descent runs one fixed schedule,
+is bounded from above.  A rank-2 state is solved on the Bloch sphere of its
+range (below).  Any other state goes to a lockstep Riemannian gradient
+descent over isometric mixtures of the eigenvector ensemble, driven by the
+analytic Wirtinger gradient of Det.  The descent runs one fixed schedule,
 ``SCHEDULE``: 64 restarts start the first 150 of 400 iterations, half of
 them on a smooth surrogate.  Each kind sheds its restarts of highest true
 average tangle at fixed checkpoints (successive halving): the 32 on the true
@@ -27,20 +28,23 @@ where some restart accepts its trial point.
 A rank-2 state is decided first by the at most four zeros of Det on its
 range (``_rank2_zeros``): its roof is exactly 0 when the state lies in their
 convex hull, and then the weighted zeros are the decomposition, with no
-polish and no descent; when it lies outside by more than round-off, the
-roof is positive and the descent runs with no polish.  Any other state, and
-a rank-2 one the zeros leave undecided, is handled as follows.  Before the
-descent, copies of the two seeded restarts of lowest average tangle are
-polished onto Det = 0 by Newton's method with a pseudo-inverse
-(``_newton_polish``); if one reaches an average tangle of at most
-``ZERO_TANGLE`` = 1e-15, the roof, which is >= 0, is zero to round-off and
-the descent is skipped.  Otherwise the descent runs as if the polish had
-not, and a second polish of the restarts it ends with can only lower the
-bound.  The result is the average tangle of an explicit decomposition, an
+polish and no descent.  When it lies outside by more than round-off, the
+roof is positive, and it is the lower convex envelope, at the origin of the
+range's Bloch sphere, of the atom cost 8 |Det(psi)| / |psi|^2: a linear
+program over the points of the sphere, which ``_rank2_envelope`` solves by
+exchange and Newton's method on its KKT system, with no descent and no
+polish.  Any other state, and a rank-2 one the zeros leave undecided, is
+handled as follows.  Before the descent, copies of the two seeded restarts
+of lowest average tangle are polished onto Det = 0 by Newton's method with
+a pseudo-inverse (``_newton_polish``); if one reaches an average tangle of
+at most ``ZERO_TANGLE`` = 1e-15, the roof, which is >= 0, is zero to
+round-off and the descent is skipped.  Otherwise the descent runs as if the
+polish had not, and a second polish of the restarts it ends with can only
+lower the bound.  The result is the average tangle of an explicit decomposition, an
 upper bound, never a claim of the exact roof: a bound near 1e-16 shows a
 zero roof to round-off, not a proof of it.  All of it is plain numpy; one
-seeded draw picks the starting points, so the same seed gives the same
-bound.
+seeded draw picks the descent's starting points, so the same seed gives the
+same bound, and a rank-2 state draws nothing.
 """
 from __future__ import annotations
 
@@ -69,9 +73,10 @@ class TangleEstimate:
     """An upper bound on the convex-roof tangle, from an explicit decomposition.
 
     It records the descent's trial points, the polish's Newton steps,
-    whether the bound came from the polish rather than the descent and the
+    whether the bound came from the polish rather than the descent, the
     rank-2 test's decision: "zero", "positive" or None (another rank, or
-    undecided).
+    undecided), and for a positive rank-2 roof the convex envelope's
+    exchange rounds and KKT steps.
     """
 
     value: float
@@ -80,6 +85,8 @@ class TangleEstimate:
     newton_steps: int = 0
     from_polish: bool = False
     rank2_roof: str | None = None
+    exchange_rounds: int = 0
+    kkt_steps: int = 0
 
     def __post_init__(self):
         if not -1e-9 <= self.value <= 1 + 1e-9:
@@ -349,11 +356,12 @@ def _rank2_zeros(wtil):
     largest |sample| is the relative error of the quartic.  Times the
     condition number of the 4 x 4 system it estimates that of the weights.
 
-    Returns the smallest weight and the 4 x 2 isometry of rows
+    Returns the smallest weight, the 4 x 2 isometry of rows
     sqrt(2 max(mu_j, 0)) (a, b)_j U, whose rows ``v @ wtil`` decompose rho
-    when every weight is >= 0; or None when that error estimate exceeds
-    ``HULL_MARGIN``: when two zeros (nearly) coincide, or when Det vanishes
-    on the whole range, where the zeros are round-off.
+    when every weight is >= 0, U and the zeros as unit spinors (a, b); or
+    None when that error estimate exceeds ``HULL_MARGIN``: when two zeros
+    (nearly) coincide, or when Det vanishes on the whole range, where the
+    zeros are round-off.
     """
     samples = np.abs(_hyperdet(wtil[0][:, None] + _UNIT5 * wtil[1][:, None])[0])
     top = _UNIT5[np.argmax(samples)]
@@ -370,7 +378,356 @@ def _rank2_zeros(wtil):
     if not np.linalg.cond(system) * np.finfo(float).eps <= HULL_MARGIN * samples.max():
         return None
     mu = np.linalg.solve(system, [0.0, 0.0, 0.0, 1.0])
-    return mu.min(), (np.sqrt(2.0 * np.maximum(mu, 0.0))[:, None] * points) @ basis
+    return mu.min(), (np.sqrt(2.0 * np.maximum(mu, 0.0))[:, None] * points) @ basis, basis, points
+
+
+def _bloch(spinors):
+    """Bloch vectors (2 Re a*b, 2 Im a*b, |a|^2 - |b|^2) of a stack of unit spinors (a, b)."""
+    a, b = spinors.T
+    cross = a.conj() * b
+    return np.stack([2.0 * cross.real, 2.0 * cross.imag, np.abs(a) ** 2 - np.abs(b) ** 2], axis=1)
+
+
+def _spinors(n):
+    """Unit spinors of a stack of unit Bloch vectors, each from the chart of its own hemisphere."""
+    x, y, z = n.T
+    up = z >= 0
+    # each denominator is clipped only where its branch is not taken
+    a = np.where(up, np.sqrt(0.5 * (1.0 + z)), (x - 1j * y) / np.sqrt(2.0 * np.maximum(1.0 - z, 1.0)))
+    b = np.where(up, (x + 1j * y) / np.sqrt(2.0 * np.maximum(1.0 + z, 1.0)), np.sqrt(0.5 * (1.0 - z)))
+    return np.stack([a, b], axis=1)
+
+
+def _fibonacci(count):
+    """``count`` nearly even unit vectors on the sphere, on a Fibonacci spiral."""
+    z = 1.0 - (2.0 * np.arange(count) + 1.0) / count
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * np.arange(count)
+    ring = np.sqrt(1.0 - z * z)
+    return np.stack([ring * np.cos(phi), ring * np.sin(phi), z], axis=1)
+
+
+# The envelope's fixed columns: a Fibonacci grid of 1000 points on the Bloch
+# sphere, and a regular tetrahedron, whose equal weights give the first
+# feasible basis.
+_GRID = _spinors(_fibonacci(1000))
+_TETRAHEDRON = _spinors(np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3.0))
+# Two rings of 12 columns around each zero of Det, at radii 1.5e-3 and 1.5e-2
+# in the zero's chart (see _jets; a point moves twice as far on the sphere):
+# the reduced cost can dip below 0 next to a zero, between grid points.
+_RADII = np.array([1.5e-3, 1.5e-2])
+_RING = (_RADII[:, None] * np.exp(2j * np.pi * np.arange(12) / 12)).ravel()
+# The envelope's caps: exchange rounds, simplex pivots per solve, Newton steps
+# of a local search in an exchange round and in the check of a KKT point, and
+# Newton steps of a KKT solve; the refused steps in a row after which a search
+# point counts as settled, and the starts of a search from the columns.
+ROUNDS, PIVOTS, SEARCH_STEPS, CHECK_STEPS, KKT_STEPS = 30, 200, 4, 10, 20
+REJECTS, STARTS = 2, 16
+# The merge distances the KKT solve tries in turn, (between two smooth atoms,
+# between a smooth atom and a zero of Det): two basic columns often stand for
+# one atom of the roof, on either side of it.
+MERGE = ((0.2, 0.0), (0.2, 0.2), (0.05, 0.0))
+
+
+def _cost(spinors, u):
+    """The atom cost 8 |Det(psi)| / |psi|^2 of psi = a u1 + b u2, for a stack of spinors (a, b)."""
+    psi = spinors @ u
+    return 8.0 * np.abs(_hyperdet(psi.T)[0]) / np.einsum("ij,ij->i", psi.view(float), psi.view(float))
+
+
+def _jets(spinors, u, dual):
+    """The reduced cost r = c(n) - y.n - b at a stack of spinors, with its gradient and Hessian.
+
+    Each spinor c0 has the chart c(w) = (c0 + w c1) / sqrt(1 + |w|^2), with
+    c1 = (-conj(b), conj(a)) and w = s + i t.  There psi(w) = (psi0 + w psi1)
+    / sqrt(1 + |w|^2), Det(psi0 + w psi1) is a quartic Q(w) whose first three
+    coefficients come from its values at the fifth roots of unity, |psi0 +
+    w psi1|^2 = M(w) is a quadratic, and n(w) = (n0 (1 - |w|^2) + 2 Re(w m))
+    / (1 + |w|^2) with m = c0^H sigma c1.  So r = (8 |Q| / M - y.n0 (1 -
+    |w|^2) - 2 Re(w y.m) - b (1 + |w|^2)) / (1 + |w|^2), whose derivatives
+    in (s, t) at w = 0 follow from those of |Q| and M.  Returns r, its
+    gradient (r_s, r_t) and Hessian (r_ss, r_st, r_tt) as rows, the Bloch
+    vectors and the tangent vectors dn/ds and dn/dt at w = 0.
+    At a zero of Det, where |Q| has a kink, the derivatives are not finite.
+    """
+    y, b = dual[:3], dual[3]
+    ca, cb = spinors.conj().T
+    psi0 = spinors @ u
+    psi1 = ca[:, None] * u[1] - cb[:, None] * u[0]
+    circle = psi0[:, None] + _UNIT5[:, None] * psi1[:, None]
+    q0, q1, q2 = _INVERSE_DFT5[:3] @ _hyperdet(circle.reshape(-1, 8).T)[0].reshape(-1, 5).T
+    size = np.abs(q0)
+    cross, bend, flat = q0.conj() * q1, q0.conj() * q2, np.abs(q1) ** 2
+    # 8 |Q| / M by the quotient rule; M = |psi0|^2 + 2 Re(w <psi0, psi1>) + |w|^2 |psi1|^2
+    m0 = np.einsum("ij,ij->i", psi0.view(float), psi0.view(float))
+    inner = np.einsum("ij,ij->i", psi0.conj(), psi1)
+    ms, mt = 2.0 * inner.real, -2.0 * inner.imag
+    mm = 2.0 * np.einsum("ij,ij->i", psi1.view(float), psi1.view(float))
+    cost = 8.0 * size / m0
+    n0 = _bloch(spinors)
+    m = np.stack([ca * ca - cb * cb, -1j * (ca * ca + cb * cb), -2.0 * ca * cb], axis=1)
+    es, et = 2.0 * m.real, -2.0 * m.imag
+    ny = n0 @ y
+    r = cost - ny - b
+    with np.errstate(all="ignore"):  # a zero of Det gives derivatives that are not finite
+        # |Q| = sqrt(Q conj(Q)), with dQ/ds = q1, dQ/dt = i q1 and second derivatives 2 q2 (1, i; i, -1)
+        qs, qt = cross.real / size, -cross.imag / size
+        qss = (flat + 2.0 * bend.real - qs * qs) / size
+        qtt = (flat - 2.0 * bend.real - qt * qt) / size
+        qst = (-2.0 * bend.imag - qs * qt) / size
+        cs, ct = (8.0 * qs - cost * ms) / m0, (8.0 * qt - cost * mt) / m0
+        # the linear part's Hessian is 2 (b - y.n0) I, and dividing by 1 + |w|^2 subtracts 2 r I
+        diag = cost * mm + 2.0 * (b - ny + r) * m0
+        hess = np.array([8.0 * qss - diag - 2.0 * ms * cs, 8.0 * qst - ms * ct - mt * cs,
+                         8.0 * qtt - diag - 2.0 * mt * ct]) / m0
+    return r, np.array([cs - es @ y, ct - et @ y]), hess, n0, es, et
+
+
+def _move(spinors, w):
+    """The spinors at chart coordinates w = s + i t of each one's own chart (see :func:`_jets`)."""
+    a0, b0 = spinors.T
+    other = np.stack([-b0.conj(), a0.conj()], axis=1)
+    moved = spinors + w[:, None] * other
+    return moved / np.linalg.norm(moved, axis=1)[:, None]
+
+
+def _search(spinors, u, dual, radius, steps):
+    """Local minima of the reduced cost, by trust-region Newton steps from a stack of spinors.
+
+    A step solves (H + lambda I) d = -g, with lambda lifting the Hessian's
+    smallest eigenvalue to at least |g|, and is cut to the point's trust
+    radius in the chart (first ``radius``).  A step that lowers the reduced
+    cost is taken and doubles the radius, up to 0.5; any other leaves the
+    point and shrinks the radius to a quarter of the step.  A point at a
+    kink of |Det| stays where it is.  The search ends after ``steps`` steps,
+    or once every point's step is shorter than 1e-9 or was refused
+    ``REJECTS`` times in a row.  Returns the points and their reduced costs.
+    """
+    radius, failed = np.full(spinors.shape[0], radius), np.zeros(spinors.shape[0], dtype=int)
+    r, g, h, *_ = _jets(spinors, u, dual)
+    for _ in range(steps):
+        ok = np.isfinite(g).all(axis=0) & np.isfinite(h).all(axis=0)
+        gs, gt = np.where(ok, g, 0.0)
+        hss, hst, htt = np.where(ok, h, np.array([[1.0], [0.0], [1.0]]))
+        lift = np.maximum(np.hypot(gs, gt) - 0.5 * (hss + htt) + np.hypot(0.5 * (hss - htt), hst), 0.0)
+        hs, ht = hss + lift, htt + lift
+        # the inverse of each 2 x 2 matrix; one with no positive eigenvalue (g = 0) takes no step
+        det = np.where(ok, hs * ht - hst * hst, 0.0)
+        ds = -np.divide(ht * gs - hst * gt, det, out=np.zeros_like(det), where=det > 0)
+        dt = -np.divide(hs * gt - hst * gs, det, out=np.zeros_like(det), where=det > 0)
+        length = np.hypot(ds, dt)
+        cut = np.minimum(1.0, radius / np.maximum(length, 1e-300))
+        if not ((cut * length > 1e-9) & (failed < REJECTS)).any():
+            break
+        trial = _move(spinors, cut * (ds + 1j * dt))
+        trial_r, trial_g, trial_h, *_ = _jets(trial, u, dual)
+        better = trial_r < r
+        spinors = np.where(better[:, None], trial, spinors)
+        r, g, h = np.where(better, trial_r, r), np.where(better, trial_g, g), np.where(better, trial_h, h)
+        radius = np.where(better, np.minimum(2.0 * radius, 0.5), 0.25 * cut * length)
+        failed = np.where(better, 0, failed + 1)
+    return spinors, r
+
+
+def _simplex(columns, cost, basis, tol):
+    """A dense revised simplex on the 4 rows (n, 1) of ``columns``: min cost.mu, A mu = (0, 0, 0, 1), mu >= 0.
+
+    ``basis`` holds 4 column indices of a feasible basis and is updated in
+    place.  The entering column has the most negative reduced cost below
+    -``tol``; the leaving one the smallest ratio, ties to the largest pivot.
+    After 10 degenerate pivots in a row, Bland's rule (the first eligible
+    column enters, and ties leave by lowest column index) rules out cycling.
+    Returns the weights of the basis and the dual (y, b).
+    """
+    stuck = 0
+    for pivots in range(PIVOTS + 1):
+        inverse = np.linalg.inv(columns[basis].T)
+        weights, dual = np.maximum(inverse[:, 3], 0.0), inverse.T @ cost[basis]
+        reduced = cost - columns @ dual
+        enter = np.argmin(reduced)
+        if reduced[enter] >= -tol or pivots == PIVOTS:
+            return weights, dual
+        bland = stuck >= 10
+        if bland:
+            enter = np.argmax(reduced < -tol)
+        d = inverse @ columns[enter]
+        rising = d > 1e-12 * np.abs(d).max()
+        ratio = np.where(rising, weights / np.where(rising, d, 1.0), np.inf)
+        ties = np.flatnonzero(ratio <= ratio.min() + 1e-15)
+        stuck = stuck + 1 if ratio.min() <= 1e-15 else 0
+        basis[ties[np.argmin(basis[ties])] if bland else ties[np.argmax(d[ties])]] = enter
+
+
+def _kkt(spinors, weights, dual, fixed, u, tol):
+    """Newton's method on the KKT system of the envelope's active set.
+
+    Unknowns: the chart coordinates of each atom not in ``fixed`` (the zeros
+    of Det, which stay put), every weight mu_j and the dual (y, b).
+    Equations: the reduced cost's gradient vanishes at each free atom, the
+    reduced cost itself at every atom, sum mu_j n_j = 0 and sum mu_j = 1.
+    Returns the atoms, weights, dual, steps taken and whether it converged
+    (see below) to weights >= -``tol``.
+    """
+    k = spinors.shape[0]
+    free = np.flatnonzero(~fixed)
+    f = free.size
+    mu0, y0 = 2 * f, 2 * f + k  # the column offsets of the weights and of the dual
+    pos = 2 * np.arange(f)[:, None] + np.arange(2)  # each free atom's two coordinates
+    last = np.inf
+    for steps in range(KKT_STEPS + 1):
+        r, g, h, n, es, et = _jets(spinors, u, dual)
+        residual = np.concatenate([g[:, free].T.ravel(), r, weights @ n, [weights.sum() - 1.0]])
+        if not np.isfinite(residual).all():
+            return spinors, weights, dual, steps, False
+        size = np.abs(residual).max()
+        if size >= last or (size <= tol and 10.0 * size > last) or steps == KKT_STEPS:
+            # Newton's method gains nothing more.  Near a zero of Det the Hessian is
+            # large, and round-off can stall the gradient above tol: a residual within
+            # 1e4 tol, with the weights' equations met to tol, has converged
+            met = np.abs(residual[-4:]).max() <= tol and min(size, last) <= 1e4 * tol
+            return spinors, weights, dual, steps, bool(met and weights.min() >= -tol)
+        last = size
+        tangent = np.stack([es, et], axis=1)[free]  # (f, 2, 3)
+        jac = np.zeros((y0 + 4, y0 + 4))
+        jac[pos[:, :, None], pos[:, None, :]] = np.moveaxis(h[[[0, 1], [1, 2]]][:, :, free], 2, 0)
+        jac[pos[:, :, None], y0 + np.arange(3)] = -tangent
+        jac[mu0 + free[:, None], pos] = g[:, free].T
+        jac[y0 + np.arange(3)[:, None, None], pos] = np.moveaxis(weights[free, None, None] * tangent, 2, 0)
+        jac[mu0:y0, y0:y0 + 3], jac[mu0:y0, y0 + 3] = -n, -1.0
+        jac[y0:y0 + 3, mu0:y0], jac[-1, mu0:y0] = n.T, 1.0
+        try:
+            step = -np.linalg.solve(jac, residual)
+        except np.linalg.LinAlgError:
+            return spinors, weights, dual, steps, False
+        moves = np.zeros(k, dtype=complex)
+        moves[free] = step[0:mu0:2] + 1j * step[1:mu0:2]
+        spinors = _move(spinors, moves)
+        weights, dual = weights + step[mu0:y0], dual + step[y0:]
+
+
+def _starts(spinors, reduced, count):
+    """Up to ``count`` of the points of lowest reduced cost, each at least 0.3 from those before it."""
+    order = np.argsort(reduced, kind="stable")[:4 * count]
+    n = _bloch(spinors[order])
+    near = n @ n.T > 1.0 - 0.045  # chordal distance below 0.3
+    blocked, kept = np.zeros(order.size, dtype=bool), []
+    for i in range(order.size):
+        if not blocked[i]:
+            kept.append(order[i])
+            blocked |= near[i]
+            if len(kept) == count:
+                break
+    return spinors[kept]
+
+
+def _merge(spinors, weights, fixed, smooth, zero):
+    """The active set of a basis: its atoms of positive weight, with near ones merged.
+
+    Two smooth atoms merge within ``smooth`` of each other, a smooth atom and
+    a zero of Det (``fixed``) within ``zero``, and two zeros never.  A merged
+    group becomes one free atom at the weighted mean direction of its group,
+    with the group's total weight.
+    """
+    keep = weights > 0
+    spinors, weights, fixed = spinors[keep], weights[keep], fixed[keep]
+    n = _bloch(spinors)
+    reach = np.where(fixed[:, None] | fixed, zero, smooth) * ~(fixed[:, None] & fixed)
+    near = np.linalg.norm(n[:, None] - n, axis=2) < reach
+    group = np.arange(weights.size)
+    for i, j in zip(*np.nonzero(np.tril(near, -1))):
+        group[group == group[i]] = group[j]
+    heads = np.unique(group)
+    total = np.array([weights[group == h].sum() for h in heads])
+    mean = np.array([weights[group == h] @ n[group == h] for h in heads])
+    merged = np.array([(group == h).sum() > 1 for h in heads])
+    moved = _spinors(mean / np.linalg.norm(mean, axis=1)[:, None])
+    return np.where(merged[:, None], moved, spinors[heads]), total, fixed[heads] & ~merged
+
+
+def _rank2_envelope(wtil, basis, zeros):
+    """A decomposition of a rank-2 state from the lower convex envelope of the atom cost on its Bloch sphere.
+
+    With the unitary ``basis`` and the unit ``zeros`` of :func:`_rank2_zeros`,
+    psi = a u1 + b u2 for (u1, u2) = basis @ wtil, and an atom (a, b) of
+    weight mu adds mu c(n) = 8 mu |Det(psi)| / |psi|^2 to the average tangle.
+    The roof is min sum mu_j c(n_j) over weights mu >= 0 with sum mu_j n_j = 0
+    and sum mu_j = 1, the lower convex envelope of c at the origin (Osterloh,
+    Siewert, Uhlmann, PRA 77, 032310 (2008)): a linear program with 4 rows
+    and a continuum of columns, whose optimum has at most 4 atoms.  It is
+    solved by exchange (Hettich, Kortanek, SIAM Review 35, 380 (1993)).  The
+    first columns are the zeros, two rings around each zero, a regular
+    tetrahedron that gives the first feasible basis and a Fibonacci grid.
+    Each round solves the LP by :func:`_simplex` from the last basis, then
+    Newton's method solves the KKT system of its active set, with near atoms
+    merged (:func:`_kkt`, :func:`_merge`).  A KKT point whose weights are
+    >= 0 is accepted when the reduced cost c(n) - y.n - b of its dual is
+    >= 0, to 1e-12 of the largest cost, everywhere it is checked: at every
+    column and at the local minima that :func:`_search` reaches from the
+    lowest columns and from the lowest point of each ring.  Otherwise the
+    round adds, as new columns, the minima below 0 that check found, or
+    else those of the LP's reduced cost, from the basic atoms and the lowest
+    columns.  The rounds stop at an accepted point, at a round that adds no
+    column, or after ``ROUNDS``.  Every basis and KKT point met is a
+    decomposition: the result is the 4 x 2 isometry of rows
+    sqrt(2 mu_j) (a, b)_j basis of the one of lowest average tangle, that
+    average (from :func:`_decompositions`), the rounds (LP solves) and the
+    KKT steps.  It draws no random number.
+    """
+    u = basis @ wtil
+    nz, per = zeros.shape[0], _RING.size // _RADII.size
+    rings = _move(np.repeat(zeros, _RING.size, axis=0), np.tile(_RING, nz))
+    spinors = np.concatenate([zeros, rings, _TETRAHEDRON, _GRID])
+    cost = _cost(spinors, u)
+    columns = np.column_stack([_bloch(spinors), np.ones(len(spinors))])
+    scale = cost.max()
+    tol, slack = 1e-14 * scale, 1e-12 * scale
+    active = np.arange(4) + nz + len(rings)  # the tetrahedron
+    candidates, rounds, kkt_steps = [], 0, 0
+
+    def minima(dual, reduced, starts, steps):
+        """The local minima below -slack of the reduced cost, from ``starts`` and the lowest point of each ring."""
+        ring = reduced[nz:nz + len(rings)].reshape(-1, per)
+        lowest = nz + np.arange(0, len(rings), per) + np.argmin(ring, axis=1)
+        found, r = _search(np.concatenate([starts, spinors[lowest]]), u, dual,
+                           np.concatenate([np.full(len(starts), 0.1), np.tile(_RADII, nz)]), steps)
+        found = found[r < -slack]
+        n = _bloch(found)
+        # several starts can reach one minimum: it is kept once
+        return found[~np.tril(np.linalg.norm(n[:, None] - n, axis=2) < 1e-8, -1).any(axis=1)]
+
+    while True:
+        weights, dual = _simplex(columns, cost, active, tol)
+        rounds += 1
+        candidates.append((spinors[active], weights))
+        for smooth, zero in MERGE:
+            atoms, mu, fixed = _merge(spinors[active], weights, active < nz, smooth, zero)
+            atoms, mu, kkt_dual, steps, ok = _kkt(atoms, mu, dual, fixed, u, 1e-13 * max(scale, 1.0))
+            kkt_steps += steps
+            if ok:
+                break
+        new = None
+        if ok:
+            candidates.append((atoms, np.maximum(mu, 0.0)))
+            reduced = cost - columns @ kkt_dual
+            if reduced.min() >= -slack:
+                new = minima(kkt_dual, reduced, _starts(spinors, reduced, STARTS), CHECK_STEPS)
+                if new.size == 0:
+                    break  # the KKT point is certified
+        if new is None:
+            reduced = cost - columns @ dual
+            starts = np.concatenate([spinors[active[active >= nz]], _starts(spinors, reduced, STARTS)])
+            new = minima(dual, reduced, starts, SEARCH_STEPS)
+        if rounds == ROUNDS or new.size == 0:
+            break
+        spinors = np.concatenate([spinors, new])
+        cost = np.concatenate([cost, _cost(new, u)])
+        columns = np.concatenate([columns, np.column_stack([_bloch(new), np.ones(len(new))])])
+    stack = np.zeros((len(candidates), 4, 2), dtype=complex)
+    for i, (atoms, mu) in enumerate(candidates):
+        stack[i, :mu.size] = (np.sqrt(2.0 * mu)[:, None] * atoms) @ basis
+    _, det, _, inv_p = _decompositions(stack, wtil)
+    averages = (4.0 * np.abs(det) * inv_p).reshape(len(candidates), 4).sum(axis=1)
+    best = np.argmin(averages)
+    return stack[best], averages[best], rounds, kkt_steps
 
 
 # The descent's one schedule, phase by phase: (whether every other restart
@@ -421,10 +778,13 @@ def three_tangle_mixed(rho: DensityMatrix, seed: int = 0) -> TangleEstimate:
     zeros' decomposition has an average tangle of at most ``ZERO_TANGLE``,
     that average is the result, with no descent and no polish
     (``rank2_roof`` "zero").  If the smallest weight is below
-    ``-HULL_MARGIN``, the roof is positive: the schedule runs as above, with
-    neither of the polishes below (``rank2_roof`` "positive").  Anything else
-    takes the path of every other rank.  In an iteration where no restart meets
-    Armijo's condition, every t halves and no gradient is evaluated.
+    ``-HULL_MARGIN``, the roof is positive, and :func:`_rank2_envelope`
+    solves it as the convex envelope of the atom cost on the range's Bloch
+    sphere: the result is the average tangle of its decomposition of at most
+    4 states, with no descent, no polish and no random draw (``rank2_roof``
+    "positive").  Anything else takes the path of every other rank.  In an
+    iteration where no restart meets Armijo's condition, every t halves and
+    no gradient is evaluated.
 
     Right after the 64 restarts are first evaluated, copies of the
     ``POLISHED`` = 2 of lowest true average (ties to the lower index) are
@@ -455,17 +815,19 @@ def three_tangle_mixed(rho: DensityMatrix, seed: int = 0) -> TangleEstimate:
         value = min(1.0, float(tangle_quartic(wtil[0]) / lam[0] ** 2))
         return TangleEstimate(value, 1, 0)
 
-    rank2 = None
     hull = _rank2_zeros(wtil) if r == 2 else None
     if hull is not None:
-        least, zeros = hull  # the smallest barycentric weight, and the zeros' isometry
+        # the smallest barycentric weight, the zeros' isometry, the rotated basis and the zeros
+        least, isometry, basis, zeros = hull
         if least >= 0:
-            _, det, _, inv_p = _decompositions(zeros[None], wtil)
+            _, det, _, inv_p = _decompositions(isometry[None], wtil)
             value = float(np.sum(4.0 * np.abs(det) * inv_p))
             if value <= ZERO_TANGLE:
                 return TangleEstimate(value, 2 * r, 0, rank2_roof="zero")
         elif least < -HULL_MARGIN:
-            rank2 = "positive"  # no decomposition reaches Det = 0: neither polish runs
+            _, value, rounds, steps = _rank2_envelope(wtil, basis, zeros)
+            return TangleEstimate(min(1.0, float(value)), 2 * r, 0, rank2_roof="positive",
+                                  exchange_rounds=rounds, kkt_steps=steps)
 
     rng = np.random.default_rng(seed)
     restarts = SCHEDULE[0][2]
@@ -477,7 +839,7 @@ def three_tangle_mixed(rho: DensityMatrix, seed: int = 0) -> TangleEstimate:
         squared = surrogate & (np.arange(restarts) % 2 == 0)
         f, tau, terms = _roof_objective(isometries, wtil, squared)
         best = np.minimum(best, tau)
-        if phase == 0 and rank2 is None:
+        if phase == 0:
             # polish copies of the restarts of lowest true average, ties to the lower index
             _, low, steps = _newton_polish(isometries[np.argsort(tau, kind="stable")[:POLISHED]], wtil)
             polished, newton = low.min(), low.size * steps
@@ -520,24 +882,24 @@ def three_tangle_mixed(rho: DensityMatrix, seed: int = 0) -> TangleEstimate:
                     break
         isometries[idx] = v
     else:
-        if rank2 is None:
-            # the restarts the descent ends with, of lowest true average, polished once more
-            _, low, steps = _newton_polish(isometries[np.argsort(best, kind="stable")[:POLISHED]], wtil)
-            polished, newton = min(polished, low.min()), newton + low.size * steps
+        # the restarts the descent ends with, of lowest true average, polished once more
+        _, low, steps = _newton_polish(isometries[np.argsort(best, kind="stable")[:POLISHED]], wtil)
+        polished, newton = min(polished, low.min()), newton + low.size * steps
     value = min(polished, best.min())
-    return TangleEstimate(min(1.0, float(value)), 2 * r, used, newton, bool(polished < best.min()), rank2)
+    return TangleEstimate(min(1.0, float(value)), 2 * r, used, newton, bool(polished < best.min()))
 
 
 def certification_report(rho: DensityMatrix, seed: int = 0) -> dict:
     """Full certification record used by the command-line ``certify`` step.
 
     The tangle bound comes from :func:`three_tangle_mixed`, and
-    ``optimizer_stats`` records its schedule's restarts and iterations per
-    restart, the trial points the descent evaluated, the Newton steps of
-    the polish, whether the bound came from the polish and the rank-2
-    test's decision (``rank2_roof``).  W_class requires a bound below
-    ``W_TANGLE_THRESHOLD`` and a negative witness; GHZ_class a bound above
-    ``GHZ_TANGLE_THRESHOLD``.
+    ``optimizer_stats`` records the descent's schedule (restarts and
+    iterations per restart), the trial points the descent evaluated (0 when
+    it did not run), the Newton steps of the polish, whether the bound came
+    from the polish, the rank-2 test's decision (``rank2_roof``) and, for a
+    positive rank-2 roof, the exchange rounds and KKT steps of the convex
+    envelope.  W_class requires a bound below ``W_TANGLE_THRESHOLD`` and a
+    negative witness; GHZ_class a bound above ``GHZ_TANGLE_THRESHOLD``.
     """
     estimate = three_tangle_mixed(rho, seed=seed)
     wit = witness_value(rho)
@@ -559,6 +921,8 @@ def certification_report(rho: DensityMatrix, seed: int = 0) -> dict:
             "newton_steps": estimate.newton_steps,
             "bound_from_polish": estimate.from_polish,
             "rank2_roof": estimate.rank2_roof,
+            "exchange_rounds": estimate.exchange_rounds,
+            "kkt_steps": estimate.kkt_steps,
             "restarts": SCHEDULE[0][2],
             "budget": sum(iterations for _, iterations, _, _ in SCHEDULE),
             "seed": seed,

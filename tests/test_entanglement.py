@@ -350,7 +350,8 @@ def test_tangle_mixed_on_benchmark_certify_inputs():
     cases = (
         # the descent alone stopped at 7.354162e-8; the opening polish certifies a zero roof
         (0.9 * w + 0.1 * mixed / np.trace(mixed).real, "W_class", 1e-15),
-        (0.9 * w + 0.1 * np.outer(psi, psi.conj()), "W_class", 4.484264e-4),
+        # the descent stopped at 4.484264e-4; the rank-2 envelope solves the roof
+        (0.9 * w + 0.1 * np.outer(psi, psi.conj()), "W_class", 4.471872e-4),
         (0.9 * ghz + 0.1 * w, "GHZ_class", 0.7302008),
     )
     for rho, verdict, bound in cases:
@@ -392,21 +393,23 @@ def w_with_seeded_pure(seed: int) -> DensityMatrix:
 def test_rank2_roof_decided_by_its_zeros():
     # on a rank-2 state the roof is 0 exactly when rho sits in the convex hull
     # of the zeros of Det on its range; then those zeros are the decomposition
-    # and nothing else runs, and otherwise the descent runs without a polish.
-    # The descent and polish used to stop above 1e-5 on seeds 17 and 18
+    # and nothing else runs, and otherwise the convex envelope decides it,
+    # with neither the descent nor the polish.  The descent and polish used
+    # to stop above 1e-5 on seeds 17 and 18
     decided = {}
     for seed in range(30):
         rho = w_with_seeded_pure(seed)
         est = three_tangle_mixed(rho)
         decided[seed] = est.rank2_roof
-        assert est.newton_steps == 0 and not est.from_polish
+        assert est.newton_steps == 0 and not est.from_polish and est.optimizer_iterations == 0
         if est.rank2_roof == "positive":
-            assert est.value > 1e-6 and est.optimizer_iterations > 0
+            assert est.value > 1e-6 and est.exchange_rounds > 0
             continue
-        assert est.rank2_roof == "zero" and est.value <= 1e-15 and est.optimizer_iterations == 0
+        assert est.rank2_roof == "zero" and est.value <= 1e-15
+        assert est.exchange_rounds == 0 and est.kkt_steps == 0
         lam, vec = np.linalg.eigh(rho.entries)
         wtil = (np.sqrt(lam[-2:])[None, :] * vec[:, -2:]).T
-        low, v = entanglement._rank2_zeros(wtil)
+        low, v, _, _ = entanglement._rank2_zeros(wtil)
         assert low >= 0 and v.shape == (4, 2) == (est.decomposition_size, 2)
         rows = v @ wtil
         assert np.linalg.norm(rows.T @ rows.conj() - rho.entries) <= 1e-12
@@ -427,6 +430,38 @@ def test_rank2_roof_decided_by_its_zeros():
         rho = u @ (0.5 * np.outer(W_PAPER, W_PAPER.conj()) + 0.5 * np.outer(ground, ground)) @ u.conj().T
         est = three_tangle_mixed(DensityMatrix(0.5 * (rho + rho.conj().T), QUBIT_SPEC_3))
         assert est.rank2_roof is None and est.value <= 1e-15 and est.optimizer_iterations == 0
+
+
+# The bound the descent gave on 0.9 W + 0.1 |psi_s><psi_s| (SkylakeX kernel)
+# before the rank-2 envelope replaced it, for seeds whose roof is positive.
+# It stopped 15 %, 30 % and 34 % above the envelope's bound on seeds 56, 69
+# and 81;
+# without its rings around the zeros of Det, the envelope ended 6.6e-6 above
+# the descent on seed 66, whose lowest point lies 0.003 from a zero.
+DESCENT_BOUNDS = {0: 0.00044842638966539607, 56: 0.004881831074434422, 66: 0.02268742929171439,
+                  69: 0.0004671432521214418, 81: 0.003467071959125125, 112: 0.007000639101509686}
+
+
+def test_rank2_envelope_on_the_seeded_family():
+    # the envelope's decomposition is at most 4 weighted points of the range:
+    # its rows reproduce rho, V is an isometry, the bound is their average
+    # tangle, below the descent's, and it draws no random number
+    for seed, descent in DESCENT_BOUNDS.items():
+        rho = w_with_seeded_pure(seed)
+        est = three_tangle_mixed(rho)
+        assert est.rank2_roof == "positive" and est.value <= descent
+        assert est.optimizer_iterations == 0 and est.exchange_rounds > 0 and est.kkt_steps > 0
+        assert three_tangle_mixed(rho, seed=7) == est
+        lam, vec = np.linalg.eigh(rho.entries)
+        wtil = (np.sqrt(lam[-2:])[None, :] * vec[:, -2:]).T
+        least, _, basis, zeros = entanglement._rank2_zeros(wtil)
+        assert least < -entanglement.HULL_MARGIN
+        v, value, rounds, steps = entanglement._rank2_envelope(wtil, basis, zeros)
+        assert (value, rounds, steps) == (est.value, est.exchange_rounds, est.kkt_steps)
+        assert v.shape == (4, 2) and np.linalg.norm(v.conj().T @ v - np.eye(2)) <= 1e-12
+        rows = v @ wtil
+        assert np.linalg.norm(rows.T @ rows.conj() - rho.entries) <= 1e-12
+        assert abs(decomposition_average_tangle(rows) - value) <= 1e-12 * value
 
 
 def ghz_w_roof(p: float) -> float:
@@ -465,15 +500,17 @@ def test_tangle_mixed_matches_ghz_w_roof(p):
     est = three_tangle_mixed(rho, seed=0)
     value = est.value
     gap = value - ghz_w_roof(p)
-    assert -1e-9 <= gap <= 1e-4
+    # the envelope solves the roof to round-off; the descent stopped up to
+    # 5.5e-6 above it (p = 0.95)
+    assert abs(gap) <= 1e-12
     # the zeros of Det on the range decide the rank-2 roof; the boundary is
     # p0 = 0.627, and for p < 0.5, where W spans the second eigenvector, one
     # zero sits at z = inf
+    assert est.optimizer_iterations == 0 and est.newton_steps == 0
     if ghz_w_roof(p) == 0.0:  # p <= 0.6
         assert value < 1e-15 and est.rank2_roof == "zero"
-        assert est.optimizer_iterations == 0 and est.newton_steps == 0
     else:
-        assert est.rank2_roof == "positive" and est.newton_steps == 0
+        assert est.rank2_roof == "positive" and est.exchange_rounds > 0 and est.kkt_steps > 0
 
 
 def reconstruction(seed: int) -> DensityMatrix:
@@ -522,15 +559,18 @@ def test_polished_rows_reproduce_rho():
     assert np.array_equal(again[0], best_v) and np.array_equal(again[1], best) and again[2] == steps
 
 
-# The descent's trial points and bound on the certify benchmark's two inputs
-# whose roof is not 0, per OpenBLAS kernel, as the descent gave them before
-# the polish existed.  The rank-2 zero test finds both roofs positive, so
-# neither polish runs, and skipping the gradient of an iteration that accepts
-# no trial changes no arithmetic: the descent keeps every bit.
+# The descent's trial points and bound on ghz_rank3(), per OpenBLAS kernel, as
+# the descent gave them when the rank-2 envelope went in; the envelope does
+# not touch rank 3, so the descent keeps every bit.  The certify benchmark's
+# two rank-2 inputs, whose roofs are positive, no longer run the descent: on
+# each kernel their bound is at most the descent's, (trial points, bound):
+# SkylakeX (3132, 4.4842638966539607e-4), (3089, 0.7302007852693951);
+# Haswell (3114, 4.4842639080694587e-4), (3114, 0.7302007852671285);
+# Prescott (3091, 4.4842638421760465e-4), (3114, 0.7302007852644115).
 DESCENT_PINS = {
-    "SkylakeX": ((3132, 0.00044842638966539607), (3089, 0.7302007852693951)),
-    "Haswell": ((3114, 0.00044842639080694587), (3114, 0.7302007852671285)),
-    "Prescott": ((3091, 0.00044842638421760465), (3114, 0.7302007852644115)),
+    "SkylakeX": ((5131, 0.4749235260580182), (0.00044842638966539607, 0.7302007852693951)),
+    "Haswell": ((5081, 0.47492352605691324), (0.00044842639080694587, 0.7302007852671285)),
+    "Prescott": ((5056, 0.47492352605906607), (0.00044842638421760465, 0.7302007852644115)),
 }
 # the instruction sets each kernel needs, as /proc/cpuinfo names them (pni is SSE3)
 KERNEL_FLAGS = {"SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
@@ -542,20 +582,25 @@ KERNEL_FLAGS = {"SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx
 def test_descent_unchanged_where_the_roof_is_not_zero():
     flags = set(Path("/proc/cpuinfo").read_text().split())
     code = ("import json, sys, numpy as np; from cqedw.entanglement import GHZ, W_PAPER, three_tangle_mixed; "
-            "from cqedw.hilbert import DensityMatrix, qubit_spec; "
+            "from cqedw.hilbert import DensityMatrix, qubit_spec; from test_entanglement import ghz_rank3; "
             "w = np.outer(W_PAPER, W_PAPER.conj()); fixed = np.random.default_rng(0); "
             "psi = fixed.standard_normal(8) + 1j * fixed.standard_normal(8); psi /= np.linalg.norm(psi); "
             "rhos = (0.9 * w + 0.1 * np.outer(psi, psi.conj()), 0.9 * np.outer(GHZ, GHZ.conj()) + 0.1 * w); "
             "ests = [three_tangle_mixed(DensityMatrix(0.5 * (r + r.conj().T), qubit_spec(8))) for r in rhos]; "
-            "print(json.dumps([[e.optimizer_iterations, e.value] for e in ests]))")
+            "e = three_tangle_mixed(ghz_rank3()); "
+            "print(json.dumps([[e.optimizer_iterations, e.value], [x.value for x in ests]]))")
+    here = Path(__file__).resolve().parent
     src = str(Path(cqedw.__file__).resolve().parent.parent)
     ran = 0
-    for core, pins in DESCENT_PINS.items():
+    for core, (pins, descent) in DESCENT_PINS.items():
         if not KERNEL_FLAGS[core] <= flags:
             continue
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                             env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": core})
-        assert [tuple(pair) for pair in json.loads(out.stdout)] == list(pins), core
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(here)]),
+                                  "OPENBLAS_CORETYPE": core})
+        rank3, bounds = json.loads(out.stdout)
+        assert tuple(rank3) == pins, core
+        assert all(b <= d for b, d in zip(bounds, descent)), core
         ran += 1
     assert ran  # Prescott needs only SSE3
 
@@ -646,7 +691,8 @@ def test_certification_report_shape():
     # the descent's fixed settings are recorded, so certification.json keeps its keys
     assert report["optimizer_stats"] == {"kind": "mixed_upper_bound", "decomposition_size": 1,
                                          "iterations": 0, "newton_steps": 0, "bound_from_polish": False,
-                                         "rank2_roof": None, "restarts": 64, "budget": 400, "seed": 0}
+                                         "rank2_roof": None, "exchange_rounds": 0, "kkt_steps": 0,
+                                         "restarts": 64, "budget": 400, "seed": 0}
     assert np.isclose(report["fidelity"], 1.0)
     assert np.isclose(report["witness"], -1 / 3)
 
