@@ -281,9 +281,9 @@ def _json_text(name: str, obj) -> str:
 
 
 class Run(NamedTuple):
-    """The top-level settings every experiment shares."""
+    """The top-level settings every experiment shares; ``device`` is None where it runs no dynamics."""
 
-    device: SystemConfig
+    device: SystemConfig | None
     noise: bool
     seed: int | None
 
@@ -405,8 +405,9 @@ TOP = {
     "output_dir": (str, "."),
     "params": (dict, {}),  # read against its experiment's table
 }
-# certify and reconstruct read a state or records, not a device, and run no dynamics
-NO_DEVICE = {"reconstruct", "certify"}
+# certify and reconstruct read a state or records, not a device, and run no dynamics;
+# a tuple, so that testing an unhashable experiment value against it cannot raise
+NO_DEVICE = ("reconstruct", "certify")
 
 
 def execute(cfg, raw: bytes, out=None, seed=None, quiet=False) -> list[Path]:
@@ -419,12 +420,15 @@ def execute(cfg, raw: bytes, out=None, seed=None, quiet=False) -> list[Path]:
     bytes.  ``out`` and ``seed`` (an integer >= 0), when given, replace the
     config's output_dir and seed.
     """
-    top = read(cfg, TOP)
-    table, runner = EXPERIMENTS[top["experiment"]]
-    if top["experiment"] in NO_DEVICE:
+    experiment = cfg.get("experiment") if isinstance(cfg, dict) else None
+    if experiment in NO_DEVICE:
         for key in ("device", "noise"):
             if key in cfg:
-                raise ConfigError(f"{top['experiment']} takes no key {key}: it runs no dynamics")
+                raise ConfigError(f"{experiment} takes no key {key}: it runs no dynamics")
+        top = read(cfg, {**TOP, "device": (device_from_json, None)})  # builds no device
+    else:
+        top = read(cfg, TOP)
+    table, runner = EXPERIMENTS[top["experiment"]]
     params = read(top["params"], table, "params")
     seed = top["seed"] if seed is None else seed
     out = Path(out) if out else Path(top["output_dir"])

@@ -13,17 +13,14 @@ is bounded from above.  A rank-2 state is solved on the Bloch sphere of its
 range (below).  Any other state goes to a lockstep Riemannian gradient
 descent over isometric mixtures of the eigenvector ensemble, driven by the
 analytic Wirtinger gradient of Det.  The descent runs one fixed schedule,
-``SCHEDULE``: 64 restarts start the first 150 of 400 iterations, half of
-them on a smooth surrogate.  Each kind sheds its restarts of highest true
-average tangle at fixed checkpoints (successive halving): the 32 on the true
-average fall to 8, 2 and 1 after 15, 30 and 45 iterations, the 32 surrogate
-ones to 16 and 8 after 50 and 100.  Then all 64 are evaluated on the true
-average, and only the 8 lowest descend it for the last 250.  Its kernel is
-amplitude-major: the rows of every restart form one (8, n) array, so each
-amplitude is a contiguous vector.  The same ``_hyperdet`` gives Det and its
-gradient there and, through a moved axis, ``tangle_quartic`` on
-(..., 8) input; the descent evaluates the gradient only in an iteration
-where some restart accepts its trial point.
+``SCHEDULE``: 64 restarts, half of them on a smooth surrogate, shed those
+of highest true average tangle at fixed checkpoints (successive halving,
+see ``three_tangle_mixed``), and the 8 lowest descend for the last 250 of
+400 iterations.  Its kernel is amplitude-major: the rows of every restart
+form one (8, n) array, so each amplitude is a contiguous vector.  The same
+``_hyperdet`` gives Det and its gradient there and, through a moved axis,
+``tangle_quartic`` on (..., 8) input; the descent evaluates the gradient
+only in an iteration where some restart accepts its trial point.
 
 A rank-2 state is decided first by the at most four zeros of Det on its
 range (``_rank2_zeros``): its roof is exactly 0 when the state lies in their
@@ -36,15 +33,15 @@ exchange and Newton's method on its KKT system, with no descent and no
 polish.  Any other state, and a rank-2 one the zeros leave undecided, is
 handled as follows.  Before the descent, copies of the two seeded restarts
 of lowest average tangle are polished onto Det = 0 by Newton's method with
-a pseudo-inverse (``_newton_polish``); if one reaches an average tangle of
-at most ``ZERO_TANGLE`` = 1e-15, the roof, which is >= 0, is zero to
-round-off and the descent is skipped.  Otherwise the descent runs as if the
-polish had not, and a second polish of the restarts it ends with can only
-lower the bound.  The result is the average tangle of an explicit decomposition, an
-upper bound, never a claim of the exact roof: a bound near 1e-16 shows a
-zero roof to round-off, not a proof of it.  All of it is plain numpy; one
-seeded draw picks the descent's starting points, so the same seed gives the
-same bound, and a rank-2 state draws nothing.
+a closed-form LU step (``_newton_polish``); if one reaches an average
+tangle of at most ``ZERO_TANGLE`` = 1e-15, the roof, which is >= 0, is
+zero to round-off and the descent is skipped.  Otherwise the descent runs
+as if the polish had not, and a second polish of the restarts it ends with
+can only lower the bound.  The result is the average tangle of an explicit
+decomposition, an upper bound, never a claim of the exact roof: a bound
+near 1e-16 shows a zero roof to round-off, not a proof of it.  All of it is
+plain numpy; one seeded draw picks the descent's starting points, so the
+same seed gives the same bound, and a rank-2 state draws nothing.
 """
 from __future__ import annotations
 
@@ -273,24 +270,23 @@ def _newton_polish(v, wtil):
     """Newton's method onto Det = 0 on every row of a stack of decompositions.
 
     Each F_i = Det(phi_i) of a row phi_i = (V wtil)_i is holomorphic in V,
-    with dF_i = dV_i . c_i and c_i = wtil dDet(phi_i).  A step is the
-    minimum-norm tangent solution of F + L(dV) = 0 (Newton's method with a
-    pseudo-inverse, Ben-Israel, J. Math. Anal. Appl. 15, 243 (1966), on the
-    Stiefel manifold, Absil, Mahony and Sepulchre (2008), ch. 6):
-    dV = P_T L*(f), with L*(f)_ij = f_i conj(c_ij), P_T(Z) = Z - V sym(V^H Z),
-    and f solving the real 2m x 2m system (L P_T L*) f = -F.  That system is
-    built by applying the operator to the 2m probes e_i and i e_i, so it
-    needs no basis of the tangent space; ``pinv`` solves it, which gives a
-    zero row (c_i = 0) no step.  The QR retraction of V + dV is the next
-    iterate.  All restarts step in lockstep until one reaches an average
-    tangle of at most ``ZERO_TANGLE``, every one has gone ``PATIENCE`` steps
-    without a new low of its max |Det|, or ``NEWTON_STEPS`` steps have run.
-    Returns the iterate of lowest average tangle of each restart, the start
-    included, that average, and the steps taken; it draws no random number.
+    with dF_i = dV_i . c_i and c_i = wtil dDet(phi_i) the rows of C.  A step
+    is the minimum-norm tangent solution of F + L(dV) = 0 (Newton's method
+    with a pseudo-inverse, Ben-Israel, J. Math. Anal. Appl. 15, 243 (1966),
+    on the Stiefel manifold, Absil, Mahony and Sepulchre (2008), ch. 6):
+    dV = Z - V sym(V^H Z), Z = diag(f) conj(C), where f solves M f = -F for
+    M = L P_T L*, M f = diag(|c_i|^2) f - (G o K) f / 2 - (B o B^T) conj(f) / 2
+    with G = V V^H, K = C C^H, B = V C^T.  One stacked LU solves its real
+    2m x 2m form; a row with |c_i|^2 <= 2m eps max_j |c_j|^2 solves f_i = 0,
+    as Z_i = f_i conj(c_i) leaves it out of dV anyway.  The QR retraction of
+    V + dV is the next iterate.  All restarts step in lockstep until one
+    reaches an average tangle of at most ``ZERO_TANGLE``, every one has gone
+    ``PATIENCE`` steps without a new low of its max |Det|, ``NEWTON_STEPS``
+    steps have run, or the solve meets a singular M.  Returns the iterate of
+    lowest average tangle of each restart, the start included, that average,
+    and the steps taken; it draws no random number.
     """
     k, m, r = v.shape
-    eye = np.eye(m)
-    probes = np.concatenate([eye, 1j * eye])
     best_v, best = v.copy(), np.full(k, np.inf)
     low, stalled = np.full(k, np.inf), np.zeros(k, dtype=int)
     steps = 0
@@ -305,17 +301,24 @@ def _newton_polish(v, wtil):
         low = np.minimum(low, size)
         if best.min() <= ZERO_TANGLE or (stalled >= PATIENCE).all() or steps == NEWTON_STEPS:
             return best_v, best, steps
-        steps += 1
         c = (wtil @ ddet).T.reshape(k, m, r)
-        # P_T L* of each probe, (k, 2m, m, r), and its image under L, realified
-        step = probes[None, :, :, None] * c.conj()[:, None]
-        vz = np.swapaxes(v.conj(), -1, -2)[:, None] @ step
-        step -= v[:, None] @ (0.5 * (vz + np.swapaxes(vz.conj(), -1, -2)))
-        image = np.einsum("kpij,kij->kpi", step, c)
-        system = np.swapaxes(np.concatenate([image.real, image.imag], axis=-1), -1, -2)
-        f = np.einsum("kpq,kq->kp", np.linalg.pinv(system),
-                      -np.concatenate([det.real, det.imag], axis=-1))
-        v = _retract(v + np.einsum("kp,kpij->kij", f, step))
+        vh, cc = np.swapaxes(v.conj(), -1, -2), c.conj()
+        weight = (c * cc).real.sum(axis=-1)
+        p = weight[..., None] * np.eye(m) - 0.5 * (v @ vh) * (c @ np.swapaxes(cc, -1, -2))
+        b = v @ np.swapaxes(c, -1, -2)
+        q = -0.5 * b * np.swapaxes(b, -1, -2)
+        zero = np.tile(weight <= 2 * m * np.finfo(float).eps * weight.max(axis=1, keepdims=True), 2)
+        system = np.where(zero[..., None] | zero[:, None], np.eye(2 * m),
+                          np.block([[p.real + q.real, q.imag - p.imag], [p.imag + q.imag, p.real - q.real]]))
+        rhs = np.where(zero, 0.0, -np.concatenate([det.real, det.imag], axis=-1))
+        try:
+            f = np.linalg.solve(system, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            return best_v, best, steps
+        steps += 1
+        z = (f[:, :m] + 1j * f[:, m:])[..., None] * cc
+        vz = vh @ z
+        v = _retract(v + z - v @ (0.5 * (vz + np.swapaxes(vz.conj(), -1, -2))))
 
 
 # Barycentric weights of the origin below -HULL_MARGIN put it outside the hull
@@ -372,9 +375,7 @@ def _rank2_zeros(wtil):
     zeros = zeros - det / (u[1] @ ddet)
     points = np.array([(1.0, z) for z in zeros] + [(0.0, 1.0)] * (4 - zeros.size), dtype=complex)
     points /= np.linalg.norm(points, axis=1)[:, None]
-    a, b = points.T
-    cross = a.conj() * b
-    system = np.array([2.0 * cross.real, 2.0 * cross.imag, np.abs(a) ** 2 - np.abs(b) ** 2, np.ones(4)])
+    system = np.vstack([_bloch(points).T, np.ones(4)])
     if not np.linalg.cond(system) * np.finfo(float).eps <= HULL_MARGIN * samples.max():
         return None
     mu = np.linalg.solve(system, [0.0, 0.0, 0.0, 1.0])
@@ -782,9 +783,7 @@ def three_tangle_mixed(rho: DensityMatrix, seed: int = 0) -> TangleEstimate:
     solves it as the convex envelope of the atom cost on the range's Bloch
     sphere: the result is the average tangle of its decomposition of at most
     4 states, with no descent, no polish and no random draw (``rank2_roof``
-    "positive").  Anything else takes the path of every other rank.  In an
-    iteration where no restart meets Armijo's condition, every t halves and
-    no gradient is evaluated.
+    "positive").  Anything else takes the path of every other rank.
 
     Right after the 64 restarts are first evaluated, copies of the
     ``POLISHED`` = 2 of lowest true average (ties to the lower index) are

@@ -535,6 +535,29 @@ def test_certify_ideal_w_file(tmp_path):
     assert report["tangle_bound"] < 1e-6
 
 
+def test_certify_and_reconstruct_build_no_device(tmp_path, monkeypatch):
+    # neither command reads a device, so neither parses the default preset;
+    # a run experiment still does
+    def no_device(*_):
+        raise AssertionError("a device was built")
+
+    monkeypatch.setattr(cli, "device_from_json", no_device)
+    monkeypatch.setitem(cli.TOP, "device", (no_device, "paper-default"))
+    w = pure_density(entanglement.W_PAPER)
+    tset = tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
+    (tmp_path / "w.json").write_text(json.dumps(rho_to_json(w)))
+    (tmp_path / "records.csv").write_text(
+        tomography.records_to_csv(tomography.simulate_measurements(w, tset, 0.0, 0), tset))
+    assert run_cli("certify", tmp_path / "w.json", "--out", tmp_path / "cert", "--quiet") == 0
+    assert run_cli("reconstruct", tmp_path / "records.csv", "--out", tmp_path / "rec", "--quiet") == 0
+    for out in ("cert", "rec"):
+        report = json.loads((tmp_path / out / "certification.json").read_text())
+        assert report["classification"] == "W_class"
+    write_config(tmp_path / "prep.json", experiment="w_collective")
+    with pytest.raises(AssertionError, match="a device was built"):
+        run_cli("run", "--config", tmp_path / "prep.json", "--quiet")
+
+
 WEAK_READOUT = [0.0, 1.0, 0.9, 0.8, 0.3, 0.25, 0.2, 0.1]
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import cqedw
-from cqedw import entanglement, tomography
+from cqedw import cli, entanglement, tomography
 from cqedw.entanglement import (
     GHZ,
     W_PAPER,
@@ -341,15 +342,12 @@ def test_tangle_mixed_on_benchmark_certify_inputs():
     # here, with their verdicts and bounds; the bounds may not rise
     w = pure_density(W_PAPER).entries
     ghz = pure_density(GHZ).entries
-    rng = np.random.default_rng(1)
-    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    mixed = g @ g.conj().T
     fixed = np.random.default_rng(0)
     psi = fixed.standard_normal(8) + 1j * fixed.standard_normal(8)
     psi /= np.linalg.norm(psi)
     cases = (
         # the descent alone stopped at 7.354162e-8; the opening polish certifies a zero roof
-        (0.9 * w + 0.1 * mixed / np.trace(mixed).real, "W_class", 1e-15),
+        (full_rank_w(1).entries, "W_class", 1e-15),
         # the descent stopped at 4.484264e-4; the rank-2 envelope solves the roof
         (0.9 * w + 0.1 * np.outer(psi, psi.conj()), "W_class", 4.471872e-4),
         (0.9 * ghz + 0.1 * w, "GHZ_class", 0.7302008),
@@ -513,12 +511,47 @@ def test_tangle_mixed_matches_ghz_w_roof(p):
         assert est.rank2_roof == "positive" and est.exchange_rounds > 0 and est.kkt_steps > 0
 
 
+@functools.cache
+def collective_truth():
+    """The noisy phase-corrected collective state and the default tomography set, built once."""
+    truth, _ = apply_phase_correction(prepare_w_collective(preset_device(), noise=True), W_PAPER)
+    return truth, tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
+
+
 def reconstruction(seed: int) -> DensityMatrix:
     """The noisy phase-corrected collective state, reconstructed from seeded
     records with sigma 0.02 and the default readout, as ``cqedw run`` does."""
-    truth, _ = apply_phase_correction(prepare_w_collective(preset_device(), noise=True), W_PAPER)
-    tset = tomography.tomography_set(tomography.build_readout(tomography.DEFAULT_READOUT_COEFFICIENTS))
+    truth, tset = collective_truth()
     return tomography.reconstruct(tomography.simulate_measurements(truth, tset, 0.02, seed), tset).rho
+
+
+def full_rank_w(seed: int) -> DensityMatrix:
+    """The certify benchmark's full-rank input at workload ``seed``: 0.9 W + 0.1 (seeded full-rank state)."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    mixed = g @ g.conj().T
+    rho = 0.9 * pure_density(W_PAPER).entries + 0.1 * mixed / np.trace(mixed).real
+    return DensityMatrix(0.5 * (rho + rho.conj().T), QUBIT_SPEC_3)
+
+
+def scaled_eigenvectors(rho: np.ndarray) -> np.ndarray:
+    """wtil of ``rho`` as :func:`three_tangle_mixed` forms it: the rows sqrt(lambda_k) e_k^T of its range."""
+    lam, vec = np.linalg.eigh(rho)
+    keep = lam > entanglement.EIGENVALUE_CUTOFF * lam.max()
+    return (np.sqrt(lam[keep])[None, :] * vec[:, keep]).T
+
+
+# reconstruction 6 has rank 2; the others have rank 3 or 4
+@pytest.mark.parametrize("kind, seed", [("reconstruction", s) for s in (0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11)]
+                         + [("full_rank_w", s) for s in range(12)])
+def test_opening_polish_certifies_rank3_and_up(kind, seed):
+    # every rank >= 3 reconstruction and every full-rank benchmark input has a
+    # zero roof, which the polish before the descent certifies on its own
+    rho = reconstruction(seed) if kind == "reconstruction" else full_rank_w(seed)
+    assert scaled_eigenvectors(rho.entries).shape[0] >= 3
+    est = three_tangle_mixed(rho)
+    assert est.value <= entanglement.ZERO_TANGLE
+    assert est.from_polish and est.optimizer_iterations == 0 and 0 < est.newton_steps
 
 
 def test_polish_certifies_a_seeded_reconstruction():
@@ -538,13 +571,12 @@ def test_polished_rows_reproduce_rho():
     # so its rows are a decomposition of rho; its average never rises, and
     # the polish draws no random number
     rho = reconstruction(0).entries
-    lam, vec = np.linalg.eigh(rho)
-    keep = lam > entanglement.EIGENVALUE_CUTOFF * lam.max()
-    wtil = (np.sqrt(lam[keep])[None, :] * vec[:, keep]).T
+    wtil = scaled_eigenvectors(rho)
     r = wtil.shape[0]
     rng = np.random.default_rng(3)
     v = entanglement._retract(rng.standard_normal((3, 2 * r, r)) + 1j * rng.standard_normal((3, 2 * r, r)))
-    # a zero row drops its state: c_i = 0 makes the Newton system singular
+    # a zero row drops its state: c_i = 0 gives it a zero row and column of
+    # the Newton system, which the polish replaces by f_i = 0, so it stays 0
     v[2] = np.vstack([entanglement._retract(v[2, None, 1:])[0], np.zeros((1, r))])
     best_v, best, steps = entanglement._newton_polish(v, wtil)
     assert 0 < steps <= entanglement.NEWTON_STEPS
@@ -557,6 +589,131 @@ def test_polished_rows_reproduce_rho():
     assert np.all(best_v[2, -1] == 0.0)
     again = entanglement._newton_polish(v, wtil)
     assert np.array_equal(again[0], best_v) and np.array_equal(again[1], best) and again[2] == steps
+
+
+def probed_newton_system(v, c):
+    """The polish's Newton system built from probes: L P_T L* applied to e_i and i e_i, realified.
+
+    Returns the (k, 2m, 2m) real system, whose column p is the image of
+    probe p in (Re, Im) order, and the (k, 2m, m, r) tangent steps P_T L* of
+    the probes, whose combination with coefficients f is the step dV.
+    """
+    m = v.shape[1]
+    probes = np.concatenate([np.eye(m), 1j * np.eye(m)])
+    step = probes[None, :, :, None] * c.conj()[:, None]
+    vz = np.swapaxes(v.conj(), -1, -2)[:, None] @ step
+    step -= v[:, None] @ (0.5 * (vz + np.swapaxes(vz.conj(), -1, -2)))
+    image = np.einsum("kpij,kij->kpi", step, c)
+    return np.swapaxes(np.concatenate([image.real, image.imag], axis=-1), -1, -2), step
+
+
+@pytest.mark.parametrize("case", [3, 4, 8, "reconstruction-7"])
+def test_newton_system_matches_its_probed_form(monkeypatch, case):
+    # at every step of a polish, the closed-form system equals the probed one to
+    # 1e-12 relative, and the iterate is the QR retraction of V + P_T L*(f).
+    # The LU step and the pinv step are two stable solves of one system; every
+    # system here has cond < 1e10, and they agree to cond * eps relative.  Over
+    # the opening polishes of the rank >= 3 reconstructions and full-rank
+    # benchmark inputs the gap is at most 0.21 cond * eps; on reconstruction 7
+    # it is 7.6e-8 at cond 5.8e9, so a fixed 1e-9 would not hold there.  The
+    # other cases start from seeded isometries of rank 3, 4 and 8; at rank 4
+    # one has a zero row, where c_i = 0 exactly: the probed system has a zero
+    # row and column there, the closed form the equation f_i = 0
+    if case == "reconstruction-7":
+        opening, polish = [], entanglement._newton_polish
+        monkeypatch.setattr(entanglement, "_newton_polish",
+                            lambda v, wtil: opening.append((v, wtil)) or polish(v, wtil))
+        three_tangle_mixed(reconstruction(7))
+        monkeypatch.undo()
+        v, wtil = opening[0]
+    else:
+        rng = np.random.default_rng(case)
+        wtil = scaled_eigenvectors(random_density(QUBIT_SPEC_3, rng, rank=case).entries)
+        size = (2, 2 * case, case)
+        v = entanglement._retract(rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        if case == 4:
+            v[1] = np.vstack([entanglement._retract(v[1, None, 1:])[0], np.zeros((1, case))])
+    shape = v.shape
+    solves, retracts = [], []
+    solve, retract = np.linalg.solve, entanglement._retract
+
+    def recorded_solve(a, b):
+        solves.append((a, b[..., 0]))
+        return solve(a, b)
+
+    def recorded_retract(x):
+        retracts.append((x, retract(x)))
+        return retracts[-1][1]
+
+    def forbidden(*_, **__):
+        raise AssertionError("the polish takes no pinv and no SVD")
+
+    monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+    monkeypatch.setattr(entanglement, "_retract", recorded_retract)
+    for name in ("pinv", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    _, _, steps = entanglement._newton_polish(v, wtil)
+    monkeypatch.undo()
+    assert 0 < steps == len(solves) == len(retracts)
+    identity, conds, zero_rows = np.eye(2 * shape[1]), [], 0
+    for (system, rhs), (moved, _), before in zip(solves, retracts, [v] + [after for _, after in retracts]):
+        _, det, ddet, _ = entanglement._decompositions(before, wtil)
+        det, c = det.reshape(shape[:2]), (wtil @ ddet).T.reshape(shape)
+        probed, probe_steps = probed_newton_system(before, c)
+        lu = np.einsum("kp,kpij->kij", solve(system, rhs[..., None])[..., 0], probe_steps)
+        np.testing.assert_allclose(moved, before + lu, rtol=0.0, atol=1e-13)
+        for i, zero in enumerate(np.tile(np.all(c == 0.0, axis=-1), 2)):
+            live = np.ix_(~zero, ~zero)
+            np.testing.assert_allclose(system[i][live], probed[i][live], rtol=0.0,
+                                       atol=1e-12 * np.abs(probed[i]).max())
+            assert not probed[i][zero].any() and not probed[i][:, zero].any()
+            assert np.array_equal(system[i][zero], identity[zero]) and not rhs[i][zero].any()
+            assert np.array_equal(system[i][:, zero], identity[:, zero])
+            zero_rows += zero.sum()
+            pinv = np.linalg.pinv(probed[i]) @ -np.concatenate([det[i].real, det[i].imag])
+            want = np.einsum("p,pij->ij", pinv, probe_steps[i])
+            conds.append(np.linalg.cond(probed[i][live]))
+            assert conds[-1] < 1e10
+            assert np.linalg.norm(lu[i] - want) <= conds[-1] * np.finfo(float).eps * np.linalg.norm(want)
+    assert zero_rows == (2 * steps if case == 4 else 0)
+    assert max(conds) > (1e9 if case == "reconstruction-7" else 1.0)
+
+
+def test_singular_newton_system_ends_the_polish(tmp_path, monkeypatch):
+    # a LinAlgError from the solve ends the polish at its best iterates, so
+    # the bound stays valid and certify exits 0 with no numpy exception
+    rho = full_rank_w(1)
+    wtil = scaled_eigenvectors(rho.entries)
+    r = wtil.shape[0]
+    rng = np.random.default_rng(5)
+    v = entanglement._retract(rng.standard_normal((2, 2 * r, r)) + 1j * rng.standard_normal((2, 2 * r, r)))
+    solve, calls = np.linalg.solve, []
+
+    def singular_from(count):
+        def fake(a, b):
+            calls.append(a)
+            if len(calls) >= count:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+        return fake
+
+    monkeypatch.setattr(np.linalg, "solve", singular_from(3))
+    best_v, best, steps = entanglement._newton_polish(v, wtil)
+    assert steps == 2 and len(calls) == 3
+    rows = best_v @ wtil
+    for i in range(2):
+        np.testing.assert_allclose(rows[i].T @ rows[i].conj(), rho.entries, rtol=0.0, atol=1e-12)
+        assert best[i] <= decomposition_average_tangle(v[i] @ wtil) * (1 + 1e-12)
+    np.testing.assert_allclose(best, decomposition_average_tangle(rows), rtol=1e-9, atol=1e-17)
+    # every solve fails: the polish takes no step, and the descent gives the bound
+    monkeypatch.setattr(np.linalg, "solve", singular_from(1))
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(cli.rho_to_json(rho)))
+    assert cli.main(["certify", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    report = json.loads((tmp_path / "out" / "certification.json").read_text())
+    assert report["classification"] == "W_class" and 0.0 <= report["tangle_bound"] < 1e-6
+    stats = report["optimizer_stats"]
+    assert stats["newton_steps"] == 0 and not stats["bound_from_polish"] and stats["iterations"] > 0
 
 
 # The descent's trial points and bound on ghz_rank3(), per OpenBLAS kernel, as
